@@ -62,7 +62,6 @@ class RunConfig:
     # optimization
     lw_ce: float = 1.0
     lw_aux: float = 0.1
-    lw_distill: float = 1.0
     lr: float = 0.05
     weight_decay: float = 1e-6
     momentum: float = 0.0
@@ -114,7 +113,7 @@ class RunConfig:
             epochs=self.epochs, tune_epochs=self.tune_epochs, lr=self.lr,
             weight_decay=self.weight_decay, momentum=self.momentum,
             batch_size=self.batch_size,
-            loss_weights=C.LossWeights(self.lw_ce, self.lw_aux, self.lw_distill),
+            loss_weights=C.LossWeights(self.lw_ce, self.lw_aux),
             heads_first=self.h1, heads_per_step=self.k)
 
 

@@ -1,11 +1,12 @@
 """Incremental training: losses, herding buffer, two-phase task loop, metrics.
 
 Each task is learned in two phases.  Phase 1 runs SGD over the task data
-plus the replay buffer with a three-part objective (joint cross entropy, a
-new-vs-old auxiliary cross entropy, and a distillation KL against the
-pre-expansion model).  Phase 2 rebalances: the buffer is refreshed by
-herding, then only the newest token block and classifier slice are tuned
-on an equal-count-per-class subset.
+plus the replay buffer with a two-part objective (joint cross entropy and
+a new-vs-old auxiliary cross entropy).  Phase 2 rebalances: the buffer is
+refreshed by herding, then only the newest token block and classifier
+slice are tuned on an equal-count-per-class subset.  The frozen experts
+run once per training sample per task; ``FrozenCache`` serves their
+outputs afterwards.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -70,10 +72,9 @@ class TaskStream:
 class LossWeights:
     ce: float = 1.0        # joint classifier cross entropy
     aux: float = 0.1       # new-task expertise head
-    distill: float = 1.0   # KL against the previous model
 
     def __post_init__(self):
-        if min(self.ce, self.aux, self.distill) < 0:
+        if min(self.ce, self.aux) < 0:
             raise ConfigError("loss weights must be nonnegative")
 
 
@@ -96,7 +97,10 @@ def distillation_loss(new_logits: Tensor, old_logits, n_old: int) -> Tensor:
     """KL(softmax(new logits over old classes) || softmax(old logits)).
 
     The current model's distribution is the first argument.  With no old
-    classes there is nothing to preserve and the loss is zero.
+    classes there is nothing to preserve and the loss is zero.  Training
+    does not use it: old experts, old heads and the old classifier slices
+    are frozen, so the new model's old-class logits equal the old model's
+    bit for bit and this KL is exactly 0.
     """
     if n_old == 0:
         return Tensor(np.asarray(0.0))
@@ -112,20 +116,19 @@ def distillation_loss(new_logits: Tensor, old_logits, n_old: int) -> Tensor:
     return T.sum_all(T.mul(p, T.sub(lp, Tensor(lq.reshape(1, n_old)))))
 
 
-def total_loss(batch: list[Sample], model: E.CilModel, old_model: E.CilModel | None,
-               w: LossWeights, task_index_classes: list[int],
-               prior_class_count: int) -> Tensor:
-    """Weighted sum of the three per-sample losses, averaged over the batch.
+def total_loss(batch: list[Sample], model: E.CilModel, w: LossWeights,
+               task_index_classes: list[int], prior_class_count: int,
+               forward: Callable[[Sample], E.ForwardResult] | None = None) -> Tensor:
+    """Weighted sum of the per-sample losses, averaged over the batch.
 
     ``task_index_classes`` are the current task's classifier columns in
     presentation order; sample labels are resolved through the model's
-    bound class registry.
+    bound class registry.  ``forward`` runs the model on one sample
+    (default: an uncached ``model.forward``).
     """
-    if prior_class_count > 0 and w.distill > 0 and old_model is None:
-        raise T.ContractError("distillation weight is positive but no old model given")
     terms: list[Tensor] = []
     for sample in batch:
-        res = model.forward(sample.image)
+        res = forward(sample) if forward is not None else model.forward(sample.image)
         y_index = class_index(model, sample.label)
         loss = T.mul(Tensor(np.asarray(w.ce)),
                      T.cross_entropy_logits(res.logits, y_index))
@@ -133,12 +136,6 @@ def total_loss(batch: list[Sample], model: E.CilModel, old_model: E.CilModel | N
             aux_y = auxiliary_label(y_index, prior_class_count, task_index_classes)
             loss = T.add(loss, T.mul(Tensor(np.asarray(w.aux)),
                                      T.cross_entropy_logits(res.aux_logits, aux_y)))
-        if w.distill > 0 and prior_class_count > 0:
-            with T.no_grad():
-                old = old_model.forward(sample.image).logits.data
-            loss = T.add(loss, T.mul(Tensor(np.asarray(w.distill)),
-                                     distillation_loss(res.logits,
-                                                       old, prior_class_count)))
         terms.append(loss)
     total = terms[0]
     for t in terms[1:]:
@@ -268,12 +265,13 @@ def herding_select(features: np.ndarray, m: int) -> list[int]:
     return chosen
 
 
-def token_features(model: E.CilModel, samples: list[Sample]) -> np.ndarray:
+def token_features(model: E.CilModel, samples: list[Sample],
+                   forward: Callable[[Sample], E.ForwardResult] | None = None) -> np.ndarray:
     """Concatenated task-token read-outs, the herding feature space."""
     rows = []
     with T.no_grad():
         for s in samples:
-            res = model.forward(s.image)
+            res = forward(s) if forward is not None else model.forward(s.image)
             rows.append(np.concatenate([f.data.reshape(-1) for f in res.token_feats]))
     return np.stack(rows)
 
@@ -363,6 +361,59 @@ def evaluate(model: E.CilModel, seen_tasks: list[Task]) -> tuple[float, list[flo
     return union, per_task
 
 
+# ------------------------------------------------------------------ frozen-expert cache
+
+CACHE_BYTES = 256 * 2**20
+"""Byte budget of one task's ``FrozenCache``; samples past it are recomputed."""
+
+
+class FrozenCache:
+    """Frozen-expert outputs of each training sample, for one task.
+
+    While the newest expert trains, experts 0..t-1 are frozen and read only
+    older experts, so their outputs are fixed functions of the image.  A
+    sample's first forward runs the whole model and keeps those outputs;
+    later forwards run only the newest expert.  Once ``body_fixed`` is set
+    (phase 1 is over), the newest expert's final features are kept as well,
+    so the tuning phase runs only its token head.  Results are bit-identical
+    to uncached forwards.  Entries hold their sample, so no ``id`` key is
+    reused while the cache lives.
+    """
+
+    def __init__(self, model: E.CilModel):
+        self.model = model
+        self.n = model.task_count - 1
+        self.body_fixed = False
+        self.nbytes = 0
+        self._entries: dict[int, tuple[Sample, E.FrozenOutputs]] = {}
+
+    def _frozen(self, sample: Sample) -> E.FrozenOutputs | None:
+        entry = self._entries.get(id(sample))
+        return None if entry is None else entry[1]
+
+    def _incomplete(self, frozen: E.FrozenOutputs | None) -> bool:
+        """Whether a forward would keep more than ``frozen`` holds."""
+        return frozen is None or (self.body_fixed and frozen.features is None)
+
+    def forward(self, sample: Sample) -> E.ForwardResult:
+        frozen = self._frozen(sample)
+        res = self.model.forward(sample.image, frozen=frozen)
+        if self._incomplete(frozen):
+            kept = E.freeze_outputs(self.model, res, self.n, features=self.body_fixed)
+            grow = kept.nbytes - (0 if frozen is None else frozen.nbytes)
+            if 0 < grow <= CACHE_BYTES - self.nbytes:
+                self._entries[id(sample)] = (sample, kept)
+                self.nbytes += grow
+        return res
+
+    def prefetch(self, samples: list[Sample]) -> None:
+        """Compute without a graph what later forwards of ``samples`` reuse."""
+        with T.no_grad():
+            for s in samples:
+                if self._incomplete(self._frozen(s)):
+                    self.forward(s)
+
+
 # ------------------------------------------------------------------ training
 
 @dataclass
@@ -394,11 +445,11 @@ def _sgd_epochs(model, params, data, epochs, cfg: TrainConfig, rng, loss_fn):
 
 def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
                cfg: TrainConfig, *, class_registry: ClassIndex,
-               old_model: E.CilModel | None, rng: np.random.Generator) -> E.CilModel:
-    """Learn one task in place: expand, train, refresh the buffer, tune.
+               rng: np.random.Generator) -> E.CilModel:
+    """Learn one task in place: train, refresh the buffer, tune.
 
-    The expert for ``task`` must already have been added (with the old
-    model snapshotted before expansion); this runs the optimization phases.
+    The expert for ``task`` must already have been added; this runs the
+    optimization phases.
     """
     prior = len(class_registry) - len(task.classes)
     t = model.task_count - 1
@@ -409,9 +460,10 @@ def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
     else:
         phase1_data = list(task.train) + buffer.samples()
 
+    cache = FrozenCache(model)
     _sgd_epochs(model, model.trainable_parameters(), phase1_data, cfg.epochs, cfg, rng,
-                lambda batch: total_loss(batch, model, old_model, w,
-                                         task_cols, prior))
+                lambda batch: total_loss(batch, model, w, task_cols, prior, cache.forward))
+    cache.body_fixed = True
 
     # herding refresh: features from the freshly trained model
     if buffer.capacity > 0:
@@ -421,7 +473,7 @@ def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
         quota = buffer.quota(len(buffer.classes_seen) + len(by_class))
         for c in task.classes:
             samples = by_class[c]
-            feats = token_features(model, samples)
+            feats = token_features(model, samples, cache.forward)
             order = herding_select(feats, min(quota, len(samples)))
             buffer.add_class(c, [samples[i] for i in order])
         buffer.rebalance()
@@ -430,10 +482,10 @@ def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
         balanced = class_balanced_subsample(task.train, buffer, rng) \
             if buffer.capacity > 0 else list(task.train)
         tune_params = model.parameters_with_prefix(f"task{t}.tok_blk", f"task{t}.head")
+        cache.prefetch(balanced)
         _sgd_epochs(model, tune_params, balanced, cfg.tune_epochs, cfg, rng,
-                    lambda batch: total_loss(batch, model, None,
-                                             LossWeights(w.ce, 0.0, 0.0),
-                                             task_cols, prior))
+                    lambda batch: total_loss(batch, model, LossWeights(w.ce, 0.0),
+                                             task_cols, prior, cache.forward))
     return model
 
 
@@ -447,17 +499,12 @@ def run_stream(model_cfg: E.ModelConfig, stream: TaskStream, cfg: TrainConfig,
     bind_class_index(model, registry)
     buffer = MemoryBuffer(buffer_capacity)
     record = MetricsRecord()
-    old_model = None
     for i, task in enumerate(stream.tasks):
-        if i > 0 and cfg.loss_weights.distill > 0:
-            old_model = E.clone_model(model)
-            bind_class_index(old_model, registry)
         heads = cfg.heads_first if i == 0 else cfg.heads_per_step
         model.add_expert(heads, len(task.classes))
         registry.extend(task.classes)
         rng = np.random.default_rng(seeds[i])
-        train_task(model, task, buffer, cfg, class_registry=registry,
-                   old_model=old_model, rng=rng)
+        train_task(model, task, buffer, cfg, class_registry=registry, rng=rng)
         acc, per_task = evaluate(model, stream.tasks[: i + 1])
         record.accuracies.append(acc)
         record.per_task_final = per_task
@@ -475,7 +522,7 @@ def train_joint(model_cfg: E.ModelConfig, stream: TaskStream, cfg: TrainConfig,
     joint_cfg = TrainConfig(epochs=cfg.epochs, tune_epochs=0, lr=cfg.lr,
                             weight_decay=cfg.weight_decay, momentum=cfg.momentum,
                             batch_size=cfg.batch_size,
-                            loss_weights=LossWeights(cfg.loss_weights.ce, 0.0, 0.0),
+                            loss_weights=LossWeights(cfg.loss_weights.ce, 0.0),
                             heads_first=cfg.heads_first)
     _, rec = run_stream(model_cfg, joint_stream, joint_cfg, seed, buffer_capacity=0)
     return rec.la

@@ -28,6 +28,7 @@ import io
 import json
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -65,13 +66,6 @@ class ExpertLayout:
     def total_heads(self) -> int:
         return sum(self.heads_per_task)
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.gamma * self.head_dim
-
-    def width(self, task: int) -> int:
-        return self.head_dim * self.heads_per_task[task]
-
     def pool_heads(self, task: int) -> int:
         """Heads visible to ``task``: its own plus all earlier experts'."""
         return sum(self.heads_per_task[: task + 1])
@@ -102,6 +96,9 @@ class ModelConfig:
     share_v: str = "f"
 
     def __post_init__(self):
+        for name in ("image_size", "patch_size", "in_channels", "head_dim", "gamma", "layers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.sta_variant not in STA_VARIANTS:
@@ -436,10 +433,10 @@ class CilModel:
     # -- forward ---------------------------------------------------------------
 
     def forward(self, image, *, collect_attn: bool = False,
-                strategy: str | None = None, sta_variant: str | None = None
-                ) -> "ForwardResult":
+                strategy: str | None = None, sta_variant: str | None = None,
+                frozen: "FrozenOutputs | None" = None) -> "ForwardResult":
         return _forward(self, image, collect_attn=collect_attn,
-                        strategy=strategy, sta_variant=sta_variant)
+                        strategy=strategy, sta_variant=sta_variant, frozen=frozen)
 
     def eval_logits(self, image) -> np.ndarray:
         with T.no_grad():
@@ -448,8 +445,17 @@ class CilModel:
 
 @dataclass
 class ForwardResult:
+    """Activations of one forward pass.
+
+    Experts covered by ``frozen`` outputs have their cached tensors in the
+    per-layer lists where the cache keeps them, and None elsewhere; with
+    ``frozen.features`` only ``r_layers[-1]`` is filled.
+    """
     r_layers: list[list[Tensor]]         # [layers+1][task] block inputs/outputs
+    s_layers: list[list[Tensor]]         # [layers][task] post-MHSA features
     o_layers: list[list[Tensor]]         # [layers][task] mixing intermediates
+    k_layers: list[list[Tensor]]         # [layers][task] tied keys (sta only)
+    v_layers: list[list[Tensor]]         # [layers][task] tied values (sta only)
     token_feats: list[Tensor]            # per task (1, D*H_t)
     logits: Tensor                       # (total classes,)
     aux_logits: Tensor                   # (|Y_t| + 1,)
@@ -459,6 +465,73 @@ class ForwardResult:
     @property
     def features(self) -> list[Tensor]:
         return self.r_layers[-1]
+
+
+@dataclass
+class FrozenOutputs:
+    """What experts n.. read from experts 0..n-1, for one image.
+
+    Old experts are frozen and read only older ones, so while a newer
+    expert trains these are fixed functions of the image.  Each per-layer
+    list holds n entries, None where the wiring reads nothing: post-MHSA
+    features ``s`` for a TAB fc1 and intermediates ``o`` for a TAB fc2
+    (dne), block inputs ``r`` (dne with ``cta_in_mhsa``), tied keys ``k``
+    and values ``v`` (sta).  ``features``, when set, holds the final block
+    outputs of experts n.., whose bodies are then fixed as well: forward
+    runs only their token heads.
+    """
+    n: int
+    r: list[list[Tensor | None]]
+    s: list[list[Tensor | None]]
+    o: list[list[Tensor | None]]
+    k: list[list[Tensor | None]]
+    v: list[list[Tensor | None]]
+    token_feats: list[Tensor]
+    logits: Tensor                       # (1, classes of experts 0..n-1)
+    features: list[Tensor] | None = None
+
+    @property
+    def nbytes(self) -> int:
+        kept = [t for per_layer in (self.r, self.s, self.o, self.k, self.v)
+                for items in per_layer for t in items if t is not None]
+        kept += self.token_feats + [self.logits] + (self.features or [])
+        return sum(t.data.nbytes for t in kept)
+
+
+def freeze_outputs(model: CilModel, res: ForwardResult, n: int, *,
+                   features: bool = False) -> FrozenOutputs:
+    """Detach from ``res`` what experts n.. read from experts 0..n-1.
+
+    ``res`` comes from a forward pass in the model's own wiring.  With
+    ``features`` the final block outputs of experts n.. are kept too.
+    """
+    cfg = model.cfg
+    dne, sta = cfg.strategy == "dne", cfg.strategy == "sta"
+    tab = [dne and m for m in cfg.cta_mask()]
+
+    def keep(per_layer, needed: list[bool]):
+        return [[t.detach() for t in per_layer[l][:n]] if needed[l] else [None] * n
+                for l in range(cfg.layers)]
+
+    n_cls = sum(ex.n_classes for ex in model.experts[:n])
+    return FrozenOutputs(
+        n=n,
+        r=keep(res.r_layers, [dne and cfg.cta_in_mhsa] * cfg.layers),
+        s=keep(res.s_layers, [m and cfg.cta_in_fc1 for m in tab]),
+        o=keep(res.o_layers, [m and cfg.cta_in_fc2 for m in tab]),
+        k=keep(res.k_layers, [sta] * cfg.layers),
+        v=keep(res.v_layers, [sta] * cfg.layers),
+        token_feats=[f.detach() for f in res.token_feats[:n]],
+        logits=Tensor(res.logits.data[:n_cls].reshape(1, n_cls)),
+        features=[f.detach() for f in res.features[n:]] if features else None)
+
+
+def _cached(frozen: FrozenOutputs | None, name: str, layer: int) -> list:
+    """Experts 0..n-1's kept ``name`` tensors at ``layer``, as a fresh list."""
+    if frozen is None:
+        return []
+    per_layer = getattr(frozen, name)
+    return list(per_layer[layer]) if layer < len(per_layer) else [None] * frozen.n
 
 
 # ----------------------------------------------------------------- task attention
@@ -514,8 +587,8 @@ def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
     """Run both TA applications of one expert's TAB.
 
     ``s_list`` holds post-MHSA features of tasks 0..task; ``o_prior`` the
-    already-computed intermediates of tasks 0..task-1 (the frozen experts
-    recompute them every forward pass).  Returns (o_t, r_t, (A1, A2)).
+    intermediates of tasks 0..task-1, computed earlier in the same forward
+    pass or taken from ``FrozenOutputs``.  Returns (o_t, r_t, (A1, A2)).
     """
     if len(o_prior) != task:
         raise T.ContractError(
@@ -578,18 +651,19 @@ def _cta_mhsa_task(model: CilModel, layer: int, task: int, r_list: list[Tensor])
     return s, attn
 
 
-def cross_task_mhsa(model: CilModel, layer: int, r_list: list[Tensor]):
+def cross_task_mhsa(model: CilModel, layer: int, r_list: list[Tensor], start: int = 0):
     """Spatial attention stage for the ia/dne wirings.
 
     Every expert runs its own frozen-or-trainable heads over its own
     feature slice; with ``cta_in_mhsa`` the projections of each expert are
-    additionally mixed across all visible tasks.  Returns per-task outputs
-    and per-task (H_i, P, P) attention weights.
+    additionally mixed across all visible tasks.  Experts before ``start``
+    are skipped.  Returns the outputs and (H_i, P, P) attention weights of
+    experts start.. .
     """
     d = model.cfg.head_dim
     s_list, attns = [], []
-    for t, ex in enumerate(model.experts):
-        blk = ex.blocks[layer]
+    for t in range(start, model.task_count):
+        blk = model.experts[t].blocks[layer]
         if isinstance(blk.attn, CtaAttentionParams):
             s, a = _cta_mhsa_task(model, layer, t, r_list)
         elif isinstance(blk.attn, StaAttentionParams):
@@ -636,29 +710,34 @@ def sta_group_mask(n_query_heads: int, query_offset: int, pool_heads: int,
 
 
 def sta_attention_stage(model: CilModel, layer: int, r_list: list[Tensor],
-                        variant: str):
+                        variant: str, k_prior: Sequence[Tensor] = (),
+                        v_prior: Sequence[Tensor] = ()):
     """Joint masked attention over the (patch, head) tokens of visible tasks.
 
     All heads share one tied q/k/v projection per block, so keys are
     comparable across heads; each task's heads query the pool of tasks up
     to and including itself, keeping earlier experts' outputs intact after
-    later tasks are added.
+    later tasks are added.  ``k_prior``/``v_prior`` are the keys and values
+    of the first n experts, which are then skipped.  Returns the outputs
+    and attention weights of experts n.., and the keys and values of all.
     """
     if model.tied_attn is None:
         raise T.ContractError("joint wiring needs tied projections (strategy 'sta')")
     cfg = model.cfg
     d = cfg.head_dim
-    p = r_list[0].shape[0]
-    qs, ks, vs = [], [], []
-    for t, ex in enumerate(model.experts):
+    n = len(k_prior)
+    p = r_list[n].shape[0]
+    qs, ks, vs = [None] * n, list(k_prior), list(v_prior)
+    for t in range(n, model.task_count):
         q, k, v = B.tied_head_projections(r_list[t], model.tied_attn[layer], d)
         qs.append(q)
         ks.append(k)
         vs.append(v)
 
     s_list, attns = [], []
-    offset = 0
-    for t, ex in enumerate(model.experts):
+    offset = sum(ex.heads for ex in model.experts[:n])
+    for t in range(n, model.task_count):
+        ex = model.experts[t]
         pool = ks[: t + 1]
         m_heads = offset + ex.heads
         k_flat = T.reshape(pool[0] if len(pool) == 1 else T.concat(pool, axis=0),
@@ -676,24 +755,30 @@ def sta_attention_stage(model: CilModel, layer: int, r_list: list[Tensor],
         s_list.append(s)
         attns.append(attn)
         offset += ex.heads
-    return s_list, attns
+    return s_list, attns, ks, vs
 
 
 # ----------------------------------------------------------------- token head
 
-def task_token_head(model: CilModel, features: list[Tensor], *, collect_attn=False):
+def task_token_head(model: CilModel, features: list[Tensor],
+                    frozen: FrozenOutputs | None = None):
     """Read out one feature vector per task token and classify.
 
     Each task token attends over its own expert's final patch tokens
     through a per-task frozen-after-training block; the per-task classifier
     slices are concatenated and the auxiliary head sees all token features.
+    The token features and logits of experts covered by ``frozen`` are
+    taken from it.
     """
     if len(features) != model.task_count:
         raise T.ContractError(
             f"token head got {len(features)} feature maps for {model.task_count} tasks")
     d = model.cfg.head_dim
-    feats, logit_parts = [], []
-    for t, ex in enumerate(model.experts):
+    n = 0 if frozen is None else frozen.n
+    feats = [] if frozen is None else list(frozen.token_feats)
+    logit_parts = [frozen.logits] if n else []
+    for t in range(n, model.task_count):
+        ex = model.experts[t]
         tp = ex.token_block
         tok = T.layer_norm(T.reshape(ex.token, (1, ex.heads, d)), tp.ln_gain, tp.ln_bias)
         pat = T.layer_norm(T.reshape(features[t], (-1, ex.heads, d)), tp.ln_gain, tp.ln_bias)
@@ -716,7 +801,12 @@ def task_token_head(model: CilModel, features: list[Tensor], *, collect_attn=Fal
 # ----------------------------------------------------------------- drivers
 
 def _forward(model: CilModel, image, *, collect_attn=False,
-             strategy: str | None = None, sta_variant: str | None = None) -> ForwardResult:
+             strategy: str | None = None, sta_variant: str | None = None,
+             frozen: FrozenOutputs | None = None) -> ForwardResult:
+    """One forward pass; with ``frozen`` only experts ``frozen.n``.. run.
+
+    Attention weights, when collected, cover the experts that run.
+    """
     cfg = model.cfg
     strategy = strategy or cfg.strategy
     variant = sta_variant or cfg.sta_variant
@@ -729,55 +819,70 @@ def _forward(model: CilModel, image, *, collect_attn=False,
                     raise T.ContractError(
                         f"{strategy} wiring needs plain MLP stages, model has task attention")
 
-    img = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=np.float64))
     d = cfg.head_dim
-    r_list = []
-    for ex in model.experts:
-        ecfg = B.PatchEmbedConfig(cfg.image_size, cfg.patch_size, cfg.in_channels,
-                                  d, ex.heads)
-        r_list.append(B.patch_embed(img, ex.embed, model.pos, ecfg))
-
-    r_layers = [r_list]
+    n = 0 if frozen is None else frozen.n
+    r_layers: list[list[Tensor]] = []
+    s_layers: list[list[Tensor]] = []
     o_layers: list[list[Tensor]] = []
+    k_layers: list[list[Tensor]] = []
+    v_layers: list[list[Tensor]] = []
     sp_attn: list[list[np.ndarray]] = []
     tab_attn: list[list] = []
 
-    for layer in range(cfg.layers):
-        if strategy == "sta":
-            s_list, attns = sta_attention_stage(model, layer, r_list, variant)
-        else:
-            s_list, attns = cross_task_mhsa(model, layer, r_list)
-        o_list: list[Tensor] = []
-        new_r: list[Tensor] = []
-        tab_l: list = []
-        for t, ex in enumerate(model.experts):
-            if strategy == "dne":
-                o_t, r_t, pair = tab_forward(s_list, o_list, model, layer, t)
-            else:
-                blk = ex.blocks[layer]
-                o_t = T.gelu(T.linear(
-                    B.per_head_layer_norm(s_list[t], blk.fc1.mlp.ln_gain,
-                                          blk.fc1.mlp.ln_bias, d),
-                    blk.fc1.mlp.w, blk.fc1.mlp.b))
-                upd = T.linear(
-                    B.per_head_layer_norm(o_t, blk.fc2.mlp.ln_gain,
-                                          blk.fc2.mlp.ln_bias, cfg.gamma * d),
-                    blk.fc2.mlp.w, blk.fc2.mlp.b)
-                r_t = T.add(s_list[t], upd)
-                pair = None
-            o_list.append(o_t)
-            new_r.append(r_t)
-            tab_l.append(pair)
-        r_list = new_r
-        r_layers.append(r_list)
-        o_layers.append(o_list)
-        if collect_attn:
-            sp_attn.append([a.data for a in attns])
-            tab_attn.append(tab_l)
+    if frozen is not None and frozen.features is not None:
+        r_list = [None] * n + frozen.features
+    else:
+        img = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=np.float64))
+        r_list = _cached(frozen, "r", 0)
+        for ex in model.experts[n:]:
+            ecfg = B.PatchEmbedConfig(cfg.image_size, cfg.patch_size, cfg.in_channels,
+                                      d, ex.heads)
+            r_list.append(B.patch_embed(img, ex.embed, model.pos, ecfg))
 
-    token_feats, logits, aux = task_token_head(model, r_list)
+        for layer in range(cfg.layers):
+            r_layers.append(r_list)
+            if strategy == "sta":
+                s_new, attns, k_list, v_list = sta_attention_stage(
+                    model, layer, r_list, variant,
+                    _cached(frozen, "k", layer), _cached(frozen, "v", layer))
+                k_layers.append(k_list)
+                v_layers.append(v_list)
+            else:
+                s_new, attns = cross_task_mhsa(model, layer, r_list, start=n)
+            s_list = _cached(frozen, "s", layer) + s_new
+            o_list = _cached(frozen, "o", layer)
+            new_r = _cached(frozen, "r", layer + 1)
+            tab_l: list = []
+            for t in range(n, model.task_count):
+                if strategy == "dne":
+                    o_t, r_t, pair = tab_forward(s_list, o_list, model, layer, t)
+                else:
+                    blk = model.experts[t].blocks[layer]
+                    o_t = T.gelu(T.linear(
+                        B.per_head_layer_norm(s_list[t], blk.fc1.mlp.ln_gain,
+                                              blk.fc1.mlp.ln_bias, d),
+                        blk.fc1.mlp.w, blk.fc1.mlp.b))
+                    upd = T.linear(
+                        B.per_head_layer_norm(o_t, blk.fc2.mlp.ln_gain,
+                                              blk.fc2.mlp.ln_bias, cfg.gamma * d),
+                        blk.fc2.mlp.w, blk.fc2.mlp.b)
+                    r_t = T.add(s_list[t], upd)
+                    pair = None
+                o_list.append(o_t)
+                new_r.append(r_t)
+                tab_l.append(pair)
+            r_list = new_r
+            s_layers.append(s_list)
+            o_layers.append(o_list)
+            if collect_attn:
+                sp_attn.append([a.data for a in attns])
+                tab_attn.append(tab_l)
+    r_layers.append(r_list)
+
+    token_feats, logits, aux = task_token_head(model, r_list, frozen)
     return ForwardResult(
-        r_layers=r_layers, o_layers=o_layers, token_feats=token_feats,
+        r_layers=r_layers, s_layers=s_layers, o_layers=o_layers,
+        k_layers=k_layers, v_layers=v_layers, token_feats=token_feats,
         logits=logits, aux_logits=aux,
         spatial_attn=sp_attn if collect_attn else None,
         tab_attn=tab_attn if collect_attn else None)
@@ -794,10 +899,6 @@ def sta_forward(model: CilModel, image, variant: str, *, collect_attn=False) -> 
         raise ConfigError(f"unknown sta variant {variant!r}")
     return _forward(model, image, collect_attn=collect_attn,
                     strategy="sta", sta_variant=variant)
-
-
-def add_expert(model: CilModel, new_heads: int, new_classes: int) -> CilModel:
-    return model.add_expert(new_heads, new_classes)
 
 
 # ----------------------------------------------------------------- checkpoints
@@ -828,24 +929,39 @@ def save_checkpoint(model: CilModel, path) -> None:
 
 
 def model_from_bytes(raw: bytes) -> CilModel:
+    """Rebuild a model from ``checkpoint_bytes`` output.
+
+    Every registered parameter must be stored exactly once; any malformed
+    or inconsistent input raises ``CheckpointError``.
+    """
     buf = io.BytesIO(raw)
     version = buf.read(1)
     if len(version) != 1 or version[0] != CKPT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version!r}")
-    (hlen,) = struct.unpack("<I", buf.read(4))
+    hlen_raw = buf.read(4)
+    if len(hlen_raw) != 4:
+        raise CheckpointError("checkpoint truncated in the header length field")
+    (hlen,) = struct.unpack("<I", hlen_raw)
     try:
         header = json.loads(buf.read(hlen).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"corrupt checkpoint header: {e}") from None
-    cfg = _config_from_record(header["config"])
-    model = CilModel(cfg, seed=0)
-    for heads, n_cls in zip(header["heads_per_task"], header["classes_per_task"]):
-        model.add_expert(heads, n_cls)
+    try:
+        model = CilModel(_config_from_record(header["config"]), seed=0)
+        for heads, n_cls in zip(header["heads_per_task"], header["classes_per_task"],
+                                strict=True):
+            model.add_expert(heads, n_cls)
+        records = [(rec["name"], tuple(rec["shape"])) for rec in header["params"]]
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"malformed checkpoint header: {e!r}") from None
     registry = dict(model.named_parameters())
-    for rec in header["params"]:
-        name, shape = rec["name"], tuple(rec["shape"])
+    loaded: set[str] = set()
+    for name, shape in records:
         if name not in registry:
             raise CheckpointError(f"checkpoint names unknown parameter {name!r}")
+        if name in loaded:
+            raise CheckpointError(f"checkpoint stores parameter {name!r} twice")
+        loaded.add(name)
         tensor = registry[name]
         if tensor.shape != shape:
             raise CheckpointError(
@@ -855,6 +971,9 @@ def model_from_bytes(raw: bytes) -> CilModel:
         if len(blob) != 8 * n:
             raise CheckpointError(f"checkpoint truncated at parameter {name!r}")
         tensor.data = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
+    missing = [name for name in registry if name not in loaded]
+    if missing:
+        raise CheckpointError(f"checkpoint lacks {len(missing)} parameters, first {missing[0]!r}")
     if buf.read(1):
         raise CheckpointError("trailing bytes after final parameter blob")
     return model

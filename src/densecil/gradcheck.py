@@ -9,6 +9,8 @@ Jacobian.
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 
 from . import expansion as E
@@ -138,7 +140,7 @@ def run_all(points: int = 10, seed: int = 0, verbose: bool = False) -> list[tupl
     for name, case in sorted(op_cases().items()):
         worst = 0.0
         for point in range(points):
-            rng = np.random.default_rng(seed + 7919 * point + hash(name) % 104729)
+            rng = np.random.default_rng(seed + 7919 * point + zlib.crc32(name.encode()) % 104729)
             arrays, build = case(rng)
             worst = max(worst, check_function(build, arrays, seed=seed + point))
         ok = worst < TOL.fd_rel

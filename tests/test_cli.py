@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,20 @@ def test_flops_subcommand_prints_crossover(capsys):
 def test_gradcheck_subcommand_passes(capsys):
     assert cli.main(["gradcheck", "--points", "1"]) == 0
     assert "passed" in capsys.readouterr().out
+
+
+def test_gradcheck_output_independent_of_hash_seed():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "densecil.cli", "gradcheck",
+                               "--points", "1", "--seed", "0"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_train_writes_all_artifacts(tmp_path):
@@ -102,10 +120,11 @@ def test_config_file_with_flag_override(tmp_path):
 
 def test_config_file_rejects_unknown_keys(tmp_path):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"not_a_key": 1}))
-    args = _parse(["train", "--config", str(cfg_file)])
-    with pytest.raises(ConfigError):
-        cli.load_run_config(args)
+    for values in ({"not_a_key": 1}, {"lw_distill": 1.0}):
+        cfg_file.write_text(json.dumps(values))
+        args = _parse(["train", "--config", str(cfg_file)])
+        with pytest.raises(ConfigError):
+            cli.load_run_config(args)
 
 
 def test_invalid_strategy_exits_nonzero(tmp_path, capsys):

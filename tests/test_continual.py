@@ -117,26 +117,13 @@ def test_total_loss_first_task_has_no_distillation_term():
     reg.extend([0, 1])
     C.bind_class_index(model, reg)
     batch = stream.tasks[0].train[:2]
-    loss = C.total_loss(batch, model, None, C.LossWeights(), [0, 1], 0)
+    loss = C.total_loss(batch, model, C.LossWeights(), [0, 1], 0)
     assert np.isfinite(loss.item())
-
-
-def test_total_loss_requires_old_model_when_distilling():
-    cfg, stream = _tiny_model_and_stream()
-    model = E.CilModel(cfg, seed=0)
-    model.add_expert(2, 2)
-    model.add_expert(1, 2)
-    reg = C.ClassIndex()
-    reg.extend([0, 1, 2, 3])
-    C.bind_class_index(model, reg)
-    with pytest.raises(T.ContractError):
-        C.total_loss(stream.tasks[1].train[:1], model, None, C.LossWeights(),
-                     [2, 3], 2)
 
 
 def test_total_loss_defaults_weigh_terms():
     w = C.LossWeights()
-    assert (w.ce, w.aux, w.distill) == (1.0, 0.1, 1.0)
+    assert (w.ce, w.aux) == (1.0, 0.1)
     with pytest.raises(ConfigError):
         C.LossWeights(ce=-1.0)
 
@@ -149,7 +136,7 @@ def test_total_loss_ce_only_equals_plain_cross_entropy():
     reg.extend([0, 1])
     C.bind_class_index(model, reg)
     batch = stream.tasks[0].train[:3]
-    got = C.total_loss(batch, model, None, C.LossWeights(1.0, 0.0, 0.0), [0, 1], 0)
+    got = C.total_loss(batch, model, C.LossWeights(1.0, 0.0), [0, 1], 0)
     want = np.mean([T.cross_entropy_logits(model.forward(s.image).logits,
                                            reg.index(s.label)).item()
                     for s in batch])
@@ -160,12 +147,11 @@ def test_total_loss_gradient_skips_frozen():
     cfg, stream = _tiny_model_and_stream()
     model = E.CilModel(cfg, seed=0)
     model.add_expert(2, 2)
-    old = E.clone_model(model)
     model.add_expert(1, 2)
     reg = C.ClassIndex()
     reg.extend([0, 1, 2, 3])
     C.bind_class_index(model, reg)
-    loss = C.total_loss(stream.tasks[1].train[:2], model, old, C.LossWeights(),
+    loss = C.total_loss(stream.tasks[1].train[:2], model, C.LossWeights(),
                         [2, 3], 2)
     T.backward(loss)
     for name, t in model.named_parameters():
@@ -372,3 +358,31 @@ def test_run_stream_deterministic():
     _, rec2 = C.run_stream(cfg, _micro_stream(), tc, seed=9, buffer_capacity=6)
     assert rec1.accuracies == rec2.accuracies
     assert rec1.per_task_final == rec2.per_task_final
+
+
+@pytest.mark.parametrize("strategy", ["dne", "sta", "ia"])
+def test_run_stream_cache_is_bit_exact_against_recomputing(strategy, monkeypatch):
+    cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
+                        gamma=2, layers=2, strategy=strategy)
+    tc = C.TrainConfig(epochs=2, tune_epochs=2, lr=0.05, batch_size=5,
+                       heads_first=2, heads_per_step=1)
+    forward = E.CilModel.forward
+    cached_calls = []
+
+    def counting_forward(self, image, **kw):
+        cached_calls.append(kw.get("frozen") is not None)
+        return forward(self, image, **kw)
+
+    monkeypatch.setattr(E.CilModel, "forward", counting_forward)
+
+    def run():
+        cached_calls.clear()
+        model, rec = C.run_stream(cfg, _micro_stream(), tc, seed=4, buffer_capacity=8)
+        return E.checkpoint_bytes(model), rec.accuracies, sum(cached_calls)
+
+    ckpt, acc, n_cached = run()
+    monkeypatch.setattr(C, "CACHE_BYTES", 0)
+    ckpt0, acc0, n_cached0 = run()
+    assert n_cached > 0 and n_cached0 == 0
+    assert ckpt == ckpt0
+    assert acc == acc0

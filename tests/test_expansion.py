@@ -1,7 +1,9 @@
 """Expansion tests: expert growth, TAB oracles, reduction equivalences,
 freezing semantics, checkpoint round trips."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -30,6 +32,13 @@ def build_model(cfg, heads=(2, 1), classes=(3, 2), seed=0):
 def rand_image(cfg, seed=0):
     rng = np.random.default_rng(seed)
     return rng.random((cfg.in_channels, cfg.image_size, cfg.image_size))
+
+
+@pytest.mark.parametrize("name", ["image_size", "patch_size", "in_channels",
+                                  "head_dim", "gamma", "layers"])
+def test_model_config_rejects_nonpositive_sizes(name):
+    with pytest.raises(ConfigError):
+        small_cfg(**{name: 0})
 
 
 # --------------------------------------------------------------- add_expert
@@ -544,3 +553,124 @@ def test_checkpoint_truncation_detected(tmp_path):
     (tmp_path / "bad.ckpt").write_bytes(raw[:-8])
     with pytest.raises(E.CheckpointError):
         E.load_checkpoint(tmp_path / "bad.ckpt")
+
+
+def _rewrite_header(raw: bytes, edit) -> bytes:
+    """Re-encode a checkpoint after ``edit(header, blobs) -> (header, blobs)``."""
+    (hlen,) = struct.unpack("<I", raw[1:5])
+    header, blobs = edit(json.loads(raw[5:5 + hlen]), raw[5 + hlen:])
+    hj = json.dumps(header).encode("utf-8")
+    return raw[:1] + struct.pack("<I", len(hj)) + hj + blobs
+
+
+def _drop_last_param(header, blobs):
+    last = header["params"].pop()
+    return header, blobs[: len(blobs) - 8 * int(np.prod(last["shape"]))]
+
+
+def _repeat_first_param(header, blobs):
+    first = header["params"][0]
+    header["params"].append(first)
+    return header, blobs + blobs[: 8 * int(np.prod(first["shape"]))]
+
+
+def _add_config_field(header, blobs):
+    header["config"]["bogus"] = 1
+    return header, blobs
+
+
+def _drop_config(header, blobs):
+    del header["config"]
+    return header, blobs
+
+
+CORRUPTIONS = {
+    "empty_params": lambda raw: _rewrite_header(raw, lambda h, b: ({**h, "params": []}, b"")),
+    "partial_params": lambda raw: _rewrite_header(raw, _drop_last_param),
+    "duplicate_param": lambda raw: _rewrite_header(raw, _repeat_first_param),
+    "truncated_length_field": lambda raw: raw[:3],
+    "missing_config": lambda raw: _rewrite_header(raw, _drop_config),
+    "unknown_config_field": lambda raw: _rewrite_header(raw, _add_config_field),
+    "header_not_a_dict": lambda raw: _rewrite_header(raw, lambda h, b: ([h], b)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_checkpoint_loader_rejects_malformed_input(case):
+    m = build_model(small_cfg(), heads=(2, 1), classes=(2, 2))
+    raw = E.checkpoint_bytes(m)
+    E.model_from_bytes(raw)
+    with pytest.raises(E.CheckpointError):
+        E.model_from_bytes(CORRUPTIONS[case](raw))
+
+
+# --------------------------------------------------------------- frozen-expert cache
+
+CACHE_WIRINGS = {
+    "dne": dict(strategy="dne"),
+    "dne_cta_mhsa": dict(strategy="dne", cta_in_mhsa=True),
+    "dne_share_f": dict(strategy="dne", share_q="f", share_k="f"),
+    "dne_cta_layers_10": dict(strategy="dne", cta_layers=(True, False)),
+    **{f"sta_{v}": dict(strategy="sta", sta_variant=v) for v in E.STA_VARIANTS},
+    "ia": dict(strategy="ia"),
+}
+
+
+def _loss_and_grads(m, img, frozen):
+    """Forward, a loss reading logits and aux logits, backward; grads by name."""
+    for t in m.trainable_parameters():
+        t.grad = None
+    res = m.forward(img, frozen=frozen)
+    rng = np.random.default_rng(31)
+    loss = T.add(T.sum_all(T.mul(res.logits, T.Tensor(rng.normal(size=res.logits.shape)))),
+                 T.sum_all(T.mul(res.aux_logits,
+                                 T.Tensor(rng.normal(size=res.aux_logits.shape)))))
+    nodes = len(T.topo_order(loss))
+    T.backward(loss)
+    grads = {n: None if t.grad is None else t.grad.copy() for n, t in m.named_parameters()}
+    return res, nodes, grads
+
+
+@pytest.mark.parametrize("wiring", sorted(CACHE_WIRINGS))
+def test_frozen_outputs_reproduce_forward_bit_exactly(wiring):
+    cfg = small_cfg(**CACHE_WIRINGS[wiring])
+    m = build_model(cfg, heads=(2, 1, 1), classes=(2, 3, 2), seed=3)
+    img = rand_image(cfg, 30)
+    full, n_full, g_full = _loss_and_grads(m, img, None)
+    frozen = E.freeze_outputs(m, full, 2)
+    cached, n_cached, g_cached = _loss_and_grads(m, img, frozen)
+
+    np.testing.assert_array_equal(cached.logits.data, full.logits.data)
+    np.testing.assert_array_equal(cached.aux_logits.data, full.aux_logits.data)
+    assert len(cached.token_feats) == 3
+    for a, b in zip(cached.token_feats, full.token_feats):
+        np.testing.assert_array_equal(a.data, b.data)
+    assert n_cached == n_full
+    assert g_cached.keys() == g_full.keys()
+    for name, g in g_full.items():
+        if g is None:
+            assert g_cached[name] is None, name
+        else:
+            np.testing.assert_array_equal(g_cached[name], g, err_msg=name)
+
+
+@pytest.mark.parametrize("wiring", ["dne", "sta_both", "ia"])
+def test_frozen_features_run_only_the_newest_token_head(wiring):
+    cfg = small_cfg(**CACHE_WIRINGS[wiring])
+    m = build_model(cfg, heads=(2, 1, 1), classes=(2, 3, 2), seed=4)
+    img = rand_image(cfg, 31)
+    full, _, g_full = _loss_and_grads(m, img, None)
+    with T.no_grad():
+        prefix = E.freeze_outputs(m, m.forward(img), 2)
+        head_only = E.freeze_outputs(m, m.forward(img, frozen=prefix), 2, features=True)
+    assert head_only.nbytes > prefix.nbytes
+    cached, _, g_cached = _loss_and_grads(m, img, head_only)
+
+    np.testing.assert_array_equal(cached.logits.data, full.logits.data)
+    np.testing.assert_array_equal(cached.aux_logits.data, full.aux_logits.data)
+    tuned = ("task2.tok_blk", "task2.head", "task2.token", "aux.")
+    for name, g in g_full.items():
+        if name.startswith(tuned):
+            np.testing.assert_array_equal(g_cached[name], g, err_msg=name)
+        else:
+            assert g_cached[name] is None, name
