@@ -18,7 +18,7 @@ import numpy as np
 from . import expansion as E
 from . import tensor as T
 
-GROUPS = ("SPSH", "SPDH", "DPSH", "DPDH")
+GROUPS = E.GROUPS
 
 
 # ------------------------------------------------------------- combinatorics
@@ -72,20 +72,6 @@ class AttentionStats:
         }
 
 
-def _group_masks(H: int, P: int):
-    idx = np.arange(H * P)
-    heads = idx // P
-    patches = idx % P
-    same_head = heads[:, None] == heads[None, :]
-    same_patch = patches[:, None] == patches[None, :]
-    return {
-        "SPSH": same_patch & same_head,
-        "SPDH": same_patch & ~same_head,
-        "DPSH": ~same_patch & same_head,
-        "DPDH": ~same_patch & ~same_head,
-    }, heads
-
-
 def attention_group_stats(attn, head_to_task, H: int, P: int) -> AttentionStats:
     """Classify every (query, key) entry of a joint attention matrix.
 
@@ -99,7 +85,7 @@ def attention_group_stats(attn, head_to_task, H: int, P: int) -> AttentionStats:
     head_to_task = list(head_to_task)
     if len(head_to_task) != H:
         raise T.ShapeError(f"head_to_task has {len(head_to_task)} entries for H={H}")
-    masks, heads = _group_masks(H, P)
+    masks = E.group_masks(H, 0, H, P)
     total = float(attn.sum())
     groups = {}
     for name, mask in masks.items():
@@ -110,7 +96,7 @@ def attention_group_stats(attn, head_to_task, H: int, P: int) -> AttentionStats:
             mean=mass / count if count else 0.0,
             count=count,
         )
-    tasks = np.asarray(head_to_task)[heads]
+    tasks = np.repeat(head_to_task, P)
     cross = tasks[:, None] != tasks[None, :]
     cross_portion = float(attn[cross].sum()) / total if total else 0.0
     return AttentionStats(groups=groups, cross_task_portion=cross_portion,

@@ -93,7 +93,7 @@ def patch_embed(image: Tensor, params: PatchEmbedParams, pos: Tensor,
     Returns (P, D*H) token rows.
     """
     patches = Tensor(extract_patches(image.data, cfg))
-    tokens = T.linear(patches, params.weight, params.bias)
+    tokens = T.matmul(patches, params.weight, params.bias)
     toks3 = T.reshape(tokens, (cfg.num_patches, cfg.heads, cfg.head_dim))
     pos3 = T.reshape(pos, (cfg.num_patches, 1, cfg.head_dim))
     return T.reshape(T.add(toks3, pos3), (cfg.num_patches, cfg.width))
@@ -180,7 +180,7 @@ def tied_head_projections(r: Tensor, params: TiedAttentionParams, head_dim: int)
     out = []
     for w, b in ((params.wq, params.bq), (params.wk, params.bk),
                  (params.wv, params.bv)):
-        y = T.reshape(T.linear(flat, w, b), (p, heads, head_dim))
+        y = T.reshape(T.matmul(flat, w, b), (p, heads, head_dim))
         out.append(T.swap_axes(y, 0, 1))
     return tuple(out)
 
@@ -192,26 +192,29 @@ def head_projections(r: Tensor, params: SelfAttentionParams, head_dim: int):
     toks = T.reshape(r, (p, heads, head_dim))
     x = T.layer_norm(toks, params.ln_gain, params.ln_bias)
     xh = T.swap_axes(x, 0, 1)                      # (H, P, D)
-    q = T.add(T.bmm(xh, params.wq), params.bq)
-    k = T.add(T.bmm(xh, params.wk), params.bk)
-    v = T.add(T.bmm(xh, params.wv), params.bv)
+    q = T.add(T.matmul(xh, params.wq), params.bq)
+    k = T.add(T.matmul(xh, params.wk), params.bk)
+    v = T.add(T.matmul(xh, params.wv), params.bv)
     return q, k, v
 
 
 def attention_readout(r: Tensor, q: Tensor, k: Tensor, v: Tensor,
-                      fuse_w: Tensor, fuse_b: Tensor, head_dim: int):
-    """Per-head scaled dot-product attention plus residual fusion.
+                      fuse_w: Tensor, fuse_b: Tensor, head_dim: int,
+                      mask: np.ndarray | None = None):
+    """Scaled dot-product attention plus residual fusion: r + fuse(softmax(q k^T) v).
 
-    q/k/v are head-major (H, P, D); returns the (P, D*H) block output and
-    the (H, P, P) attention weights.
+    q/k/v are head-major (H, P, D) stacks, each head attending within
+    itself, or flattened (H*P, D) queries over (M*P, D) keys and values,
+    with ``mask`` enabling (query, key) pairs.  Returns the (P, D*H) block
+    output and the attention weights, (H, P, P) or (H*P, M*P).
     """
     p, width = r.shape
-    logits = T.bmm(q, T.swap_axes(k, 1, 2))        # (H, P, P)
-    attn = T.softmax_rows(logits, math.sqrt(head_dim))
-    av = T.bmm(attn, v)                            # (H, P, D)
+    attn = T.softmax_rows(T.matmul(q, T.swap_axes(k, -1, -2)), math.sqrt(head_dim), mask)
+    av = T.matmul(attn, v)
+    if av.data.ndim == 2:
+        av = T.reshape(av, (width // head_dim, p, head_dim))
     cat = T.reshape(T.swap_axes(av, 0, 1), (p, width))
-    s = T.add(r, T.linear(cat, fuse_w, fuse_b))
-    return s, attn
+    return T.add(r, T.matmul(cat, fuse_w, fuse_b)), attn
 
 
 def mhsa_block(r: Tensor, params: SelfAttentionParams, head_dim: int):
@@ -262,18 +265,20 @@ def init_mlp(rng: np.random.Generator, heads: int, head_dim: int, gamma: int) ->
     )
 
 
+def mlp_stage(x: Tensor, stage: MlpStageParams, head_dim: int) -> Tensor:
+    """One linear stage over per-head normalized tokens of width ``head_dim``."""
+    return T.matmul(per_head_layer_norm(x, stage.ln_gain, stage.ln_bias, head_dim),
+                    stage.w, stage.b)
+
+
 def mlp_block(s: Tensor, params: MlpParams, head_dim: int, gamma: int):
     """Two-stage mixing with residual: r = s + fc2(ln(gelu(fc1(ln(s))))).
 
     Norms run per head token (dim D before fc1, gamma*D before fc2).
     Returns (r, o) with o the post-GELU intermediate.
     """
-    o = T.gelu(T.linear(per_head_layer_norm(s, params.fc1.ln_gain, params.fc1.ln_bias, head_dim),
-                        params.fc1.w, params.fc1.b))
-    upd = T.linear(per_head_layer_norm(o, params.fc2.ln_gain, params.fc2.ln_bias,
-                                       gamma * head_dim),
-                   params.fc2.w, params.fc2.b)
-    return T.add(s, upd), o
+    o = T.gelu(mlp_stage(s, params.fc1, head_dim))
+    return T.add(s, mlp_stage(o, params.fc2, gamma * head_dim)), o
 
 
 @dataclass

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -25,6 +26,7 @@ from . import analysis as A
 from . import continual as C
 from . import datasets as D
 from . import expansion as E
+from . import tensor as T
 from .config import ConfigError
 
 
@@ -85,6 +87,12 @@ class RunConfig:
         for name in ("epochs", "tune_epochs", "buffer", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
+        for name in ("weight_decay", "momentum", "noise"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
         if self.strategy not in E.STRATEGIES:
             raise ConfigError(f"strategy must be one of {E.STRATEGIES}")
         if self.dataset not in ("synthetic", "cifar100"):
@@ -132,10 +140,7 @@ def build_stream(cfg: RunConfig) -> C.TaskStream:
         by_label_test.setdefault(s.label, []).append(s)
     rng = np.random.default_rng(cfg.seed)
     tasks = []
-    start = 0
-    while start < cfg.classes:
-        width = cfg.first_task if start == 0 else cfg.step_size
-        ids = list(range(start, start + width))
+    for ids in D.split_classes(cfg.classes, cfg.first_task, cfg.step_size):
         tr, ev = [], []
         for c in ids:
             pool = by_label_train.get(c, [])
@@ -145,7 +150,6 @@ def build_stream(cfg: RunConfig) -> C.TaskStream:
             tr.extend(pool)
             ev.extend(by_label_test.get(c, [])[: cfg.eval_per_class])
         tasks.append(C.Task(tuple(ids), tr, ev))
-        start += width
     return C.TaskStream(tasks, step_size=cfg.step_size)
 
 
@@ -299,7 +303,8 @@ def main(argv=None) -> int:
             return _cmd_gradcheck(args)
         if args.command == "counts":
             return _cmd_counts(args)
-    except (ConfigError, C.StreamError, D.FormatError, E.CheckpointError) as e:
+    except (ConfigError, C.StreamError, D.FormatError, E.CheckpointError,
+            T.NumericError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

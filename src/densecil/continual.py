@@ -429,15 +429,21 @@ class TrainConfig:
     heads_per_step: int = 1
 
 
-def _sgd_epochs(model, params, data, epochs, cfg: TrainConfig, rng, loss_fn):
+def _sgd_epochs(params, data, epochs, cfg: TrainConfig, rng, loss_fn, where: str):
+    """SGD over ``data``; a ``NumericError`` is re-raised naming ``where``
+    (task and phase), the epoch and the batch."""
     opt = T.SGD(params, lr=cfg.lr, weight_decay=cfg.weight_decay,
                 momentum=cfg.momentum)
     n = len(data)
-    for _ in range(epochs):
+    for epoch in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = [data[i] for i in order[start:start + cfg.batch_size]]
-            loss = loss_fn(batch)
+            try:
+                loss = loss_fn(batch)
+            except T.NumericError as e:
+                raise T.NumericError(
+                    f"{where}, epoch {epoch}, batch {start // cfg.batch_size}: {e}") from e
             opt.zero_grad()
             T.backward(loss)
             opt.step()
@@ -461,8 +467,9 @@ def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
         phase1_data = list(task.train) + buffer.samples()
 
     cache = FrozenCache(model)
-    _sgd_epochs(model, model.trainable_parameters(), phase1_data, cfg.epochs, cfg, rng,
-                lambda batch: total_loss(batch, model, w, task_cols, prior, cache.forward))
+    _sgd_epochs(model.trainable_parameters(), phase1_data, cfg.epochs, cfg, rng,
+                lambda batch: total_loss(batch, model, w, task_cols, prior, cache.forward),
+                f"task {t}, phase 1")
     cache.body_fixed = True
 
     # herding refresh: features from the freshly trained model
@@ -483,9 +490,10 @@ def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
             if buffer.capacity > 0 else list(task.train)
         tune_params = model.parameters_with_prefix(f"task{t}.tok_blk", f"task{t}.head")
         cache.prefetch(balanced)
-        _sgd_epochs(model, tune_params, balanced, cfg.tune_epochs, cfg, rng,
+        _sgd_epochs(tune_params, balanced, cfg.tune_epochs, cfg, rng,
                     lambda batch: total_loss(batch, model, LossWeights(w.ce, 0.0),
-                                             task_cols, prior, cache.forward))
+                                             task_cols, prior, cache.forward),
+                    f"task {t}, phase 2")
     return model
 
 

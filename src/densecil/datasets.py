@@ -93,36 +93,37 @@ def make_synthetic_samples(classes, per_class: int, image_size: int,
     return out
 
 
+def split_classes(classes: int, first_task: int | None = None,
+                  step_size: int = 2) -> list[list[int]]:
+    """Class ids 0..classes-1 split into tasks: the first takes ``first_task``
+    classes (defaults to half) and each later task takes ``step_size``."""
+    if classes < 2:
+        raise ConfigError(f"need at least 2 classes, got {classes}")
+    first = first_task if first_task is not None else classes // 2
+    if first < 1 or first > classes:
+        raise ConfigError(f"first task size {first} out of range for {classes} classes")
+    if step_size < 1 or (classes - first) % step_size != 0:
+        raise ConfigError(
+            f"remaining {classes - first} classes do not split into steps of {step_size}")
+    return [list(range(first))] + [list(range(start, start + step_size))
+                                   for start in range(first, classes, step_size)]
+
+
 def synth_stream(classes: int, per_class: int, image_size: int, seed: int, *,
                  first_task: int | None = None, step_size: int = 2,
                  eval_per_class: int = 10, noise: float = 0.08) -> TaskStream:
-    """Seeded class-conditional stream split into disjoint-class tasks.
-
-    The first task takes ``first_task`` classes (defaults to half) and each
-    later task takes ``step_size``; identical seeds produce byte-identical
-    datasets.
-    """
-    if classes < 2:
-        raise ConfigError(f"need at least 2 classes, got {classes}")
-    first = first_task if first_task is not None else max(classes // 2, 1)
-    if first < 1 or first > classes:
-        raise ConfigError(f"first task size {first} out of range for {classes} classes")
-    if (classes - first) % step_size != 0:
-        raise ConfigError(
-            f"remaining {classes - first} classes do not split into steps of {step_size}")
+    """Seeded class-conditional stream split into disjoint-class tasks by
+    ``split_classes``; identical seeds produce byte-identical datasets."""
+    split = split_classes(classes, first_task, step_size)
     rng = np.random.default_rng(seed)
-    n_colors = min(first, len(_PALETTE))
+    n_colors = min(len(split[0]), len(_PALETTE))
     tasks: list[Task] = []
-    start = 0
-    while start < classes:
-        width = first if start == 0 else step_size
-        ids = list(range(start, start + width))
+    for ids in split:
         train = make_synthetic_samples(ids, per_class, image_size, rng,
                                        n_colors=n_colors, noise=noise)
         ev = make_synthetic_samples(ids, eval_per_class, image_size, rng,
                                     n_colors=n_colors, noise=noise)
         tasks.append(Task(tuple(ids), train, ev))
-        start += width
     return TaskStream(tasks, step_size=step_size)
 
 

@@ -39,7 +39,10 @@ from .config import ConfigError
 from .tensor import Tensor
 
 STRATEGIES = ("ia", "sta", "dne")
-STA_VARIANTS = ("none", "spdh", "dpdh", "both")
+GROUPS = ("SPSH", "SPDH", "DPSH", "DPDH")
+STA_CROSS_HEAD = {"none": (), "spdh": ("SPDH",), "dpdh": ("DPDH",), "both": ("SPDH", "DPDH")}
+"""Cross-head groups each sta variant adds to the always-on same-head pairs."""
+STA_VARIANTS = tuple(STA_CROSS_HEAD)
 SHARE_MODES = ("s", "f")
 
 CKPT_VERSION = 1
@@ -139,12 +142,6 @@ class TaStageParams:
     wk: Tensor | None
     wv_own: Tensor            # (n_own, din_head, dout_head)
     lam: Tensor               # (H_t,) learned per-new-head scale
-
-
-@dataclass
-class TabParams:
-    stage1: TaStageParams     # tokens D -> intermediate heads gamma*D
-    stage2: TaStageParams     # intermediates gamma*D -> update heads D
 
 
 @dataclass
@@ -552,14 +549,14 @@ def task_attention(tokens: Tensor, n_query: int, view: StageView,
     qtok = T.narrow(x, 1, h_pool - n_query, n_query)
     q = T.reshape(T.matmul(T.reshape(qtok, (p * n_query, din)), view.wq),
                   (p, n_query, view.attn_dim))
-    scores = T.bmm(q, T.swap_axes(k, 1, 2))
+    scores = T.matmul(q, T.swap_axes(k, 1, 2))
     if attn_override is not None:
         attn = Tensor(np.broadcast_to(attn_override, (p, n_query, h_pool)).copy())
     else:
         attn = T.softmax_rows(scores, math.sqrt(view.attn_dim))
     wv = view.wv_stacks[0] if len(view.wv_stacks) == 1 else T.concat(view.wv_stacks, axis=0)
-    v = T.swap_axes(T.bmm(T.swap_axes(x, 0, 1), wv), 0, 1)    # (P, H_pool, dout)
-    out = T.bmm(attn, v)
+    v = T.swap_axes(T.matmul(T.swap_axes(x, 0, 1), wv), 0, 1)    # (P, H_pool, dout)
+    out = T.matmul(attn, v)
     out = T.mul(out, T.reshape(view.lam, (1, n_query, 1)))
     return out, attn
 
@@ -607,9 +604,7 @@ def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
         o3 = T.gelu(raw1)                                   # (P, H_t, gamma*D)
         o_t = T.reshape(o3, (p, cfg.gamma * d * h_t))
     else:
-        st = blk.fc1.mlp
-        o_t = T.gelu(T.linear(B.per_head_layer_norm(s_t, st.ln_gain, st.ln_bias, d),
-                              st.w, st.b))
+        o_t = T.gelu(B.mlp_stage(s_t, blk.fc1.mlp, d))
         a1 = None
 
     if blk.fc2.kind == "ta":
@@ -618,10 +613,7 @@ def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
         raw2, a2 = task_attention(o_tokens, h_t, view2, attn_override=attn_override)
         r_t = T.add(s_t, T.reshape(raw2, (p, d * h_t)))
     else:
-        st = blk.fc2.mlp
-        upd = T.linear(B.per_head_layer_norm(o_t, st.ln_gain, st.ln_bias, cfg.gamma * d),
-                       st.w, st.b)
-        r_t = T.add(s_t, upd)
+        r_t = T.add(s_t, B.mlp_stage(o_t, blk.fc2.mlp, cfg.gamma * d))
         a2 = None
 
     pair = (None if a1 is None else a1.data, None if a2 is None else a2.data)
@@ -632,8 +624,7 @@ def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
 
 def _cta_mhsa_task(model: CilModel, layer: int, task: int, r_list: list[Tensor]):
     """Per-head spatial attention whose q/k/v come from task attentions."""
-    cfg = model.cfg
-    d = cfg.head_dim
+    d = model.cfg.head_dim
     ex = model.experts[task]
     blk = ex.blocks[layer]
     tokens = _head_tokens(r_list[: task + 1], d)
@@ -642,13 +633,8 @@ def _cta_mhsa_task(model: CilModel, layer: int, task: int, r_list: list[Tensor])
         view = model._stage_view(layer, name, task)
         out, _ = task_attention(tokens, ex.heads, view)
         outs[name] = T.swap_axes(out, 0, 1)                 # (H_t, P, D)
-    logits = T.bmm(outs["ta_q"], T.swap_axes(outs["ta_k"], 1, 2))
-    attn = T.softmax_rows(logits, math.sqrt(d))
-    av = T.bmm(attn, outs["ta_v"])
-    p = r_list[task].shape[0]
-    cat = T.reshape(T.swap_axes(av, 0, 1), (p, d * ex.heads))
-    s = T.add(r_list[task], T.linear(cat, blk.attn.fuse_w, blk.attn.fuse_b))
-    return s, attn
+    return B.attention_readout(r_list[task], outs["ta_q"], outs["ta_k"], outs["ta_v"],
+                               blk.attn.fuse_w, blk.attn.fuse_b, d)
 
 
 def cross_task_mhsa(model: CilModel, layer: int, r_list: list[Tensor], start: int = 0):
@@ -680,33 +666,34 @@ def cross_task_mhsa(model: CilModel, layer: int, r_list: list[Tensor], start: in
 _MASK_CACHE: dict[tuple, np.ndarray] = {}
 
 
+def group_masks(n_query_heads: int, query_offset: int, pool_heads: int,
+                patches: int) -> dict[str, np.ndarray]:
+    """The four (query, key) groups of head-major tokens (token = head * P + patch).
+
+    Queries are the tokens of heads ``query_offset``.. (``n_query_heads``
+    of them), keys those of heads 0..pool_heads-1; same/different patch
+    (SP/DP) crossed with same/different head (SH/DH).
+    """
+    q = np.arange(n_query_heads * patches) + query_offset * patches
+    k = np.arange(pool_heads * patches)
+    same_head = (q // patches)[:, None] == (k // patches)[None, :]
+    same_patch = (q % patches)[:, None] == (k % patches)[None, :]
+    return {"SPSH": same_patch & same_head, "SPDH": same_patch & ~same_head,
+            "DPSH": ~same_patch & same_head, "DPDH": ~same_patch & ~same_head}
+
+
 def sta_group_mask(n_query_heads: int, query_offset: int, pool_heads: int,
                    patches: int, variant: str) -> np.ndarray:
-    """Enabled (query, key) pairs for joint spatial-task attention.
-
-    Tokens are flattened head-major: token = head * P + patch.  Same-head
-    and same-patch predicates pick the four groups; the variant selects
-    which cross-head groups join the always-on same-head pairs.
-    """
+    """Enabled (query, key) pairs for joint spatial-task attention: the
+    same-head groups plus the variant's cross-head groups."""
     if variant not in STA_VARIANTS:
         raise ConfigError(f"unknown sta variant {variant!r}")
     key = (n_query_heads, query_offset, pool_heads, patches, variant)
-    cached = _MASK_CACHE.get(key)
-    if cached is not None:
-        return cached
-    q_heads = (np.arange(n_query_heads * patches) // patches) + query_offset
-    q_patch = np.arange(n_query_heads * patches) % patches
-    k_heads = np.arange(pool_heads * patches) // patches
-    k_patch = np.arange(pool_heads * patches) % patches
-    same_head = q_heads[:, None] == k_heads[None, :]
-    same_patch = q_patch[:, None] == k_patch[None, :]
-    mask = same_head.copy()                                  # SPSH + DPSH
-    if variant in ("spdh", "both"):
-        mask |= same_patch & ~same_head                      # SPDH
-    if variant in ("dpdh", "both"):
-        mask |= ~same_patch & ~same_head                     # DPDH
-    _MASK_CACHE[key] = mask
-    return mask
+    if key not in _MASK_CACHE:
+        groups = group_masks(n_query_heads, query_offset, pool_heads, patches)
+        _MASK_CACHE[key] = np.logical_or.reduce(
+            [groups[g] for g in ("SPSH", "DPSH", *STA_CROSS_HEAD[variant])])
+    return _MASK_CACHE[key]
 
 
 def sta_attention_stage(model: CilModel, layer: int, r_list: list[Tensor],
@@ -745,13 +732,10 @@ def sta_attention_stage(model: CilModel, layer: int, r_list: list[Tensor],
         v_flat = T.reshape(vs[0] if t == 0 else T.concat(vs[: t + 1], axis=0),
                            (m_heads * p, d))
         q_flat = T.reshape(qs[t], (ex.heads * p, d))
-        logits = T.matmul(q_flat, T.swap_axes(k_flat, 0, 1))
-        mask = sta_group_mask(ex.heads, offset, m_heads, p, variant)
-        attn = T.masked_softmax_rows(logits, mask, math.sqrt(d))
-        av = T.reshape(T.matmul(attn, v_flat), (ex.heads, p, d))
-        cat = T.reshape(T.swap_axes(av, 0, 1), (p, d * ex.heads))
         blk = ex.blocks[layer]
-        s = T.add(r_list[t], T.linear(cat, blk.attn.fuse_w, blk.attn.fuse_b))
+        mask = sta_group_mask(ex.heads, offset, m_heads, p, variant)
+        s, attn = B.attention_readout(r_list[t], q_flat, k_flat, v_flat,
+                                      blk.attn.fuse_w, blk.attn.fuse_b, d, mask)
         s_list.append(s)
         attns.append(attn)
         offset += ex.heads
@@ -782,18 +766,16 @@ def task_token_head(model: CilModel, features: list[Tensor],
         tp = ex.token_block
         tok = T.layer_norm(T.reshape(ex.token, (1, ex.heads, d)), tp.ln_gain, tp.ln_bias)
         pat = T.layer_norm(T.reshape(features[t], (-1, ex.heads, d)), tp.ln_gain, tp.ln_bias)
-        qh = T.add(T.bmm(T.swap_axes(tok, 0, 1), tp.wq), tp.bq)      # (H, 1, D)
-        kh = T.add(T.bmm(T.swap_axes(pat, 0, 1), tp.wk), tp.bk)      # (H, P, D)
-        vh = T.add(T.bmm(T.swap_axes(pat, 0, 1), tp.wv), tp.bv)
-        attn = T.softmax_rows(T.bmm(qh, T.swap_axes(kh, 1, 2)), math.sqrt(d))
-        av = T.reshape(T.swap_axes(T.bmm(attn, vh), 0, 1), (1, d * ex.heads))
-        e2 = T.add(ex.token, T.linear(av, tp.fuse_w, tp.fuse_b))
+        qh = T.add(T.matmul(T.swap_axes(tok, 0, 1), tp.wq), tp.bq)      # (H, 1, D)
+        kh = T.add(T.matmul(T.swap_axes(pat, 0, 1), tp.wk), tp.bk)      # (H, P, D)
+        vh = T.add(T.matmul(T.swap_axes(pat, 0, 1), tp.wv), tp.bv)
+        e2, _ = B.attention_readout(ex.token, qh, kh, vh, tp.fuse_w, tp.fuse_b, d)
         feats.append(e2)
-        logit_parts.append(T.linear(e2, ex.head_w, ex.head_b))
+        logit_parts.append(T.matmul(e2, ex.head_w, ex.head_b))
     logits = T.reshape(logit_parts[0] if len(logit_parts) == 1
                        else T.concat(logit_parts, axis=1), (model.total_classes,))
     aux_in = feats[0] if len(feats) == 1 else T.concat(feats, axis=1)
-    aux = T.reshape(T.linear(aux_in, model.aux_w, model.aux_b),
+    aux = T.reshape(T.matmul(aux_in, model.aux_w, model.aux_b),
                     (model.experts[-1].n_classes + 1,))
     return feats, logits, aux
 
@@ -858,15 +840,8 @@ def _forward(model: CilModel, image, *, collect_attn=False,
                     o_t, r_t, pair = tab_forward(s_list, o_list, model, layer, t)
                 else:
                     blk = model.experts[t].blocks[layer]
-                    o_t = T.gelu(T.linear(
-                        B.per_head_layer_norm(s_list[t], blk.fc1.mlp.ln_gain,
-                                              blk.fc1.mlp.ln_bias, d),
-                        blk.fc1.mlp.w, blk.fc1.mlp.b))
-                    upd = T.linear(
-                        B.per_head_layer_norm(o_t, blk.fc2.mlp.ln_gain,
-                                              blk.fc2.mlp.ln_bias, cfg.gamma * d),
-                        blk.fc2.mlp.w, blk.fc2.mlp.b)
-                    r_t = T.add(s_list[t], upd)
+                    r_t, o_t = B.mlp_block(s_list[t], B.MlpParams(blk.fc1.mlp, blk.fc2.mlp),
+                                           d, cfg.gamma)
                     pair = None
                 o_list.append(o_t)
                 new_r.append(r_t)

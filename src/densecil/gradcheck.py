@@ -1,5 +1,5 @@
 """Central-difference gradient verification for every registered op and for
-a full densely-connected block.
+whole two-expert models in each wiring.
 
 The numeric side perturbs raw input arrays and re-runs the forward pass,
 so it never touches the backward implementation it is checking.  Outputs
@@ -73,83 +73,106 @@ def op_cases() -> dict:
         "add": lambda r: ([_r(r, 3, 4), _r(r, 3, 4)], lambda t: T.add(t[0], t[1])),
         "sub": lambda r: ([_r(r, 3, 4), _r(r, 3, 4)], lambda t: T.sub(t[0], t[1])),
         "mul": lambda r: ([_r(r, 3, 4), _r(r, 1, 4)], lambda t: T.mul(t[0], t[1])),
-        "neg": lambda r: ([_r(r, 5)], lambda t: T.neg(t[0])),
         "matmul": lambda r: ([_r(r, 3, 4), _r(r, 4, 2)], lambda t: T.matmul(t[0], t[1])),
-        "bmm": lambda r: ([_r(r, 2, 3, 4), _r(r, 2, 4, 3)], lambda t: T.bmm(t[0], t[1])),
-        "linear": lambda r: ([_r(r, 3, 4), _r(r, 4, 2), _r(r, 2)],
-                             lambda t: T.linear(t[0], t[1], t[2])),
+        "matmul_batched": lambda r: ([_r(r, 2, 3, 4), _r(r, 2, 4, 3)],
+                                     lambda t: T.matmul(t[0], t[1])),
+        "matmul_bias": lambda r: ([_r(r, 3, 4), _r(r, 4, 2), _r(r, 2)],
+                                  lambda t: T.matmul(t[0], t[1], t[2])),
         "reshape": lambda r: ([_r(r, 2, 6)], lambda t: T.reshape(t[0], (3, 4))),
         "swap_axes": lambda r: ([_r(r, 2, 3, 4)], lambda t: T.swap_axes(t[0], 0, 2)),
         "concat": lambda r: ([_r(r, 2, 3), _r(r, 2, 2)], lambda t: T.concat(t, axis=1)),
         "narrow": lambda r: ([_r(r, 4, 5)], lambda t: T.narrow(t[0], 1, 1, 3)),
         "sum": lambda r: ([_r(r, 3, 4)], lambda t: T.sum_all(t[0])),
-        "mean": lambda r: ([_r(r, 3, 4)], lambda t: T.mean_all(t[0])),
         "softmax_rows": lambda r: ([_r(r, 3, 5)], lambda t: T.softmax_rows(t[0], 2.0)),
-        "masked_softmax_rows": lambda r: (
+        "softmax_rows_masked": lambda r: (
             [_r(r, 3, 5)],
-            lambda t: T.masked_softmax_rows(
-                t[0], np.tile([True, False, True, True, False], (3, 1)), 2.0)),
+            lambda t: T.softmax_rows(t[0], 2.0,
+                                     np.tile([True, False, True, True, False], (3, 1)))),
         "log_softmax_rows": lambda r: ([_r(r, 3, 5)], lambda t: T.log_softmax_rows(t[0])),
         "layer_norm": lambda r: ([_r(r, 4, 6), _r(r, 6), _r(r, 6)],
                                  lambda t: T.layer_norm(t[0], t[1], t[2], 1e-5)),
         "gelu": lambda r: ([_r(r, 4, 4)], lambda t: T.gelu(t[0])),
-        "log": lambda r: ([np.abs(_r(r, 3, 3)) + 0.5], lambda t: T.log(t[0])),
         "exp": lambda r: ([_r(r, 3, 3)], lambda t: T.exp(t[0])),
         "cross_entropy": lambda r: ([_r(r, 6)],
                                     lambda t: T.cross_entropy_logits(t[0], 2)),
     }
 
 
-def dne_block_case(seed: int = 0):
-    """A 2-task densely-connected model; checks the gradient of the logits
-    with respect to every trainable parameter through MHSA, TAB and the
-    token head at once."""
-    cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
-                        gamma=2, layers=1, strategy="dne")
+MODEL_CASES = {
+    "model_dne": {},
+    "model_dne_cta_mhsa": {"cta_in_mhsa": True},
+    "model_dne_share_f": {"share_q": "f", "share_k": "f"},
+    "model_sta_both": {"strategy": "sta", "sta_variant": "both"},
+    "model_ia": {"strategy": "ia"},
+}
+"""``ModelConfig`` overrides of each whole-model check."""
+
+
+def model_case(seed: int = 0, **overrides) -> float:
+    """A 2-expert model; checks the gradient of its logits and auxiliary
+    logits with respect to every trainable parameter, through every stage
+    of the wiring that ``overrides`` select, at once.
+
+    The numeric side reruns only the trainable expert on the frozen
+    expert's kept outputs, and only its token head for the parameters read
+    after its last block; both equal a full forward bit for bit.
+    """
+    cfg = E.ModelConfig(**{**dict(image_size=8, patch_size=4, in_channels=3, head_dim=4,
+                                  gamma=2, layers=1, strategy="dne"), **overrides})
     model = E.CilModel(cfg, seed=seed)
     model.add_expert(2, 2)
     model.add_expert(1, 2)
     rng = np.random.default_rng(seed + 77)
     image = rng.random((3, 8, 8))
     params = model.trainable_parameters()
-    arrays = [p.data for p in params]
-    probe = rng.normal(size=(model.total_classes,))
+    probe = T.Tensor(rng.normal(size=(model.total_classes,)))
+    aux_probe = T.Tensor(rng.normal(size=(model.experts[-1].n_classes + 1,)))
 
-    def scalar() -> float:
-        with T.no_grad():
-            res = model.forward(image)
-        return float(res.logits.data @ probe)
+    def loss(res: E.ForwardResult) -> T.Tensor:
+        return T.add(T.sum_all(T.mul(res.logits, probe)),
+                     T.sum_all(T.mul(res.aux_logits, aux_probe)))
 
     res = model.forward(image)
-    loss = T.sum_all(T.mul(res.logits, T.Tensor(probe)))
-    T.backward(loss)
+    T.backward(loss(res))
+    body = E.freeze_outputs(model, res, 1)
+    head = E.freeze_outputs(model, res, 1, features=True)
+    head_params = {id(p) for p in model.parameters_with_prefix(
+        "task1.token", "task1.tok_blk", "task1.head", "aux")}
+
+    def scalar(frozen: E.FrozenOutputs) -> float:
+        with T.no_grad():
+            return loss(model.forward(image, frozen=frozen)).item()
+
     worst = 0.0
-    for p, a in zip(params, arrays):
-        fd = central_difference(scalar, a)
-        ad = p.grad if p.grad is not None else np.zeros_like(a)
+    for p in params:
+        frozen = head if id(p) in head_params else body
+        fd = central_difference(lambda: scalar(frozen), p.data)
+        ad = p.grad if p.grad is not None else np.zeros_like(p.data)
         worst = max(worst, relative_error(ad, fd))
     return worst
 
 
 def run_all(points: int = 10, seed: int = 0, verbose: bool = False) -> list[tuple[str, float, bool]]:
-    """Check every op at ``points`` seeded inputs plus the full block.
+    """Check every op at ``points`` seeded inputs plus every model case.
 
     Returns (name, worst relative error, passed) per case.
     """
+    def checks():
+        for name, case in sorted(op_cases().items()):
+            worst = 0.0
+            for point in range(points):
+                rng = np.random.default_rng(
+                    seed + 7919 * point + zlib.crc32(name.encode()) % 104729)
+                arrays, build = case(rng)
+                worst = max(worst, check_function(build, arrays, seed=seed + point))
+            yield name, worst
+        for name, overrides in MODEL_CASES.items():
+            yield name, model_case(seed, **overrides)
+
     results = []
-    for name, case in sorted(op_cases().items()):
-        worst = 0.0
-        for point in range(points):
-            rng = np.random.default_rng(seed + 7919 * point + zlib.crc32(name.encode()) % 104729)
-            arrays, build = case(rng)
-            worst = max(worst, check_function(build, arrays, seed=seed + point))
+    for name, worst in checks():
         ok = worst < TOL.fd_rel
         results.append((name, worst, ok))
         if verbose:
             print(f"  {name:<22s} rel_err={worst:.3e} {'ok' if ok else 'FAIL'}")
-    block_err = dne_block_case(seed)
-    ok = block_err < TOL.fd_rel
-    results.append(("dne_block", block_err, ok))
-    if verbose:
-        print(f"  {'dne_block':<22s} rel_err={block_err:.3e} {'ok' if ok else 'FAIL'}")
     return results

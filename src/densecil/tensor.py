@@ -1,10 +1,11 @@
 """Minimal deterministic reverse-mode autodiff over numpy arrays.
 
 Only the primitives the transformer blocks need are implemented: same-shape
-(and suffix-broadcast) elementwise arithmetic, 2-D and batched matmul, axis
-plumbing (reshape / swap / concat / narrow), row softmax, layer norm, GELU
-(exact Gaussian CDF form), log / exp, and two fused loss kernels.  Data is
-float64 throughout.
+(and suffix-broadcast) elementwise arithmetic, one matmul (2-D or stacked,
+with an optional fused bias), axis plumbing (reshape / swap / concat /
+narrow), row softmax with an optional mask, layer norm, GELU (exact
+Gaussian CDF form), exp, and two fused loss kernels.  Data is float64
+throughout.
 
 A tensor produced by an op remembers its parents and a backward closure;
 ``backward`` on a scalar root walks the graph once in reverse topological
@@ -38,22 +39,16 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "neg",
     "matmul",
-    "bmm",
-    "linear",
     "reshape",
     "swap_axes",
     "concat",
     "narrow",
     "sum_all",
-    "mean_all",
     "softmax_rows",
-    "masked_softmax_rows",
     "log_softmax_rows",
     "layer_norm",
     "gelu",
-    "log",
     "exp",
     "cross_entropy_logits",
     "SGD",
@@ -97,10 +92,10 @@ class no_grad:
 
 
 class MacCounter:
-    """Counts multiply-accumulates of matmul-family ops run inside it.
+    """Counts multiply-accumulates of ``matmul`` calls run inside it.
 
-    Only forward-pass linear algebra is counted (matmul, bmm, linear);
-    elementwise ops, norms and softmax are excluded by design.
+    Only forward-pass ``matmul`` work is counted; elementwise ops, norms
+    and softmax are excluded by design.
     """
 
     def __init__(self):
@@ -166,37 +161,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
-
-    # operator sugar -----------------------------------------------------
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], op: str,
@@ -304,61 +268,28 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), "mul", bwd)
 
 
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), "neg", lambda g: (-g,))
-
-
 # -- linear algebra --------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product with the usual transpose gradient rules."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree for {a.shape} @ {b.shape}")
-    _count_macs(a.shape[0] * a.shape[1] * b.shape[1])
-    out = a.data @ b.data
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b (+ bias) over 2-D operands or stacks with equal leading axes.
+
+    Operands are not broadcast against each other; ``bias`` broadcasts over
+    the output and its gradient sums over the broadcast axes.
+    """
+    ad, bd = a.data, b.data
+    if (ad.ndim < 2 or ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2]
+            or ad.shape[-1] != bd.shape[-2]):
+        raise ShapeError(f"matmul: shapes disagree for {a.shape} @ {b.shape}")
+    out = ad @ bd
+    _count_macs(out.size * ad.shape[-1])
+    if bias is not None:
+        out = out + bias.data
 
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+        grads = (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g)
+        return grads if bias is None else grads + (_sum_to_shape(g, bias.shape),)
 
-    return _make(out, (a, b), "matmul", bwd)
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul over a shared leading axis: (B,m,k) @ (B,k,n)."""
-    if a.data.ndim != 3 or b.data.ndim != 3:
-        raise ShapeError(f"bmm expects 3-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ShapeError(f"bmm: shapes disagree for {a.shape} @ {b.shape}")
-    _count_macs(a.shape[0] * a.shape[1] * a.shape[2] * b.shape[2])
-    out = a.data @ b.data
-
-    def bwd(g):
-        return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
-
-    return _make(out, (a, b), "bmm", bwd)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Fused x @ w + b for 2-D x (rows are samples/tokens)."""
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ShapeError(f"linear expects 2-D operands, got {x.shape} @ {w.shape}")
-    if x.shape[1] != w.shape[0]:
-        raise ShapeError(f"linear: inner dimensions disagree for {x.shape} @ {w.shape}")
-    _count_macs(x.shape[0] * x.shape[1] * w.shape[1])
-    out = x.data @ w.data
-    if b is not None:
-        out = out + b.data
-
-    def bwd(g):
-        gx = g @ w.data.T
-        gw = x.data.T @ g
-        gb = g.sum(axis=0) if b is not None else None
-        return (gx, gw, gb) if b is not None else (gx, gw)
-
-    parents = (x, w, b) if b is not None else (x, w)
-    return _make(out, parents, "linear", bwd)
+    return _make(out, (a, b) if bias is None else (a, b, bias), "matmul", bwd)
 
 
 # -- shape plumbing ---------------------------------------------------------
@@ -424,29 +355,28 @@ def sum_all(a: Tensor) -> Tensor:
     return _make(out, (a,), "sum", bwd)
 
 
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = np.asarray(a.data.mean())
-
-    def bwd(g):
-        return (np.broadcast_to(g / n, a.shape).copy(),)
-
-    return _make(out, (a,), "mean", bwd)
-
-
 # -- nonlinear kernels -------------------------------------------------------
 
-def softmax_rows(x: Tensor, scale: float = 1.0) -> Tensor:
+def softmax_rows(x: Tensor, scale: float = 1.0, mask: np.ndarray | None = None) -> Tensor:
     """Row-wise softmax of x/scale over the last axis.
 
     The row maximum is subtracted before exponentiation so large logits
-    stay finite.  Rows of the output sum to 1.
+    stay finite.  Rows of the output sum to 1.  With ``mask`` the softmax
+    is restricted to its enabled entries: disabled ones get exactly zero
+    weight, and every row must keep at least one enabled entry.
     """
     if scale <= 0:
         raise ContractError(f"softmax_rows: scale must be positive, got {scale}")
     if not np.isfinite(x.data).all():
         raise NumericError("softmax_rows: non-finite input")
     z = x.data / scale
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != x.shape:
+            raise ShapeError(f"softmax_rows: mask {mask.shape} vs input {x.shape}")
+        if not mask.any(axis=-1).all():
+            raise ContractError("softmax_rows: a row has no enabled entries")
+        z = np.where(mask, z, -np.inf)
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
@@ -456,34 +386,6 @@ def softmax_rows(x: Tensor, scale: float = 1.0) -> Tensor:
         return ((y * (g - inner)) / scale,)
 
     return _make(y, (x,), "softmax_rows", bwd)
-
-
-def masked_softmax_rows(x: Tensor, mask: np.ndarray, scale: float = 1.0) -> Tensor:
-    """Softmax over the last axis restricted to ``mask``-enabled entries.
-
-    Disabled entries get exactly zero weight.  Every row must keep at
-    least one enabled entry.
-    """
-    if scale <= 0:
-        raise ContractError(f"masked_softmax_rows: scale must be positive, got {scale}")
-    if not np.isfinite(x.data).all():
-        raise NumericError("masked_softmax_rows: non-finite input")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != x.shape:
-        raise ShapeError(f"masked_softmax_rows: mask {mask.shape} vs input {x.shape}")
-    if not mask.any(axis=-1).all():
-        raise ContractError("masked_softmax_rows: a row has no enabled entries")
-    z = x.data / scale
-    z = np.where(mask, z, -np.inf)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.where(mask, np.exp(z), 0.0)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return ((y * (g - inner)) / scale,)
-
-    return _make(y, (x,), "masked_softmax_rows", bwd)
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
@@ -540,15 +442,6 @@ def gelu(x: Tensor) -> Tensor:
         return (g * (cdf + x.data * pdf),)
 
     return _make(out, (x,), "gelu", bwd)
-
-
-def log(x: Tensor) -> Tensor:
-    out = np.log(x.data)
-
-    def bwd(g):
-        return (g / x.data,)
-
-    return _make(out, (x,), "log", bwd)
 
 
 def exp(x: Tensor) -> Tensor:

@@ -144,3 +144,50 @@ def test_analyze_attention_subcommand(tmp_path, capsys):
     data = json.loads((tmp_path / "attn.json").read_text())
     portions = [g["portion"] for g in data["groups"].values()]
     assert sum(portions) == pytest.approx(1.0, abs=1e-6)
+
+
+def _cifar_stream(tmp_path, **kw):
+    """``build_stream`` over a tiny CIFAR pair whose pixels hold each record's index."""
+    def write(path, labels):
+        path.write_bytes(b"".join(bytes([0, c]) + bytes([i]) * 3072
+                                  for i, c in enumerate(labels)))
+    write(tmp_path / "train.bin", [c for _ in range(3) for c in range(12)])
+    write(tmp_path / "test.bin", [c for _ in range(2) for c in range(12)])
+    cfg = cli.RunConfig(dataset="cifar100", cifar_train=str(tmp_path / "train.bin"),
+                        cifar_test=str(tmp_path / "test.bin"), per_class=2,
+                        eval_per_class=1, **kw)
+    return cli.build_stream(cfg)
+
+
+def test_cifar_stream_validates_task_split(tmp_path):
+    for kw in (dict(classes=10, first_task=4, step_size=4), dict(classes=3, first_task=4)):
+        with pytest.raises(ConfigError):
+            _cifar_stream(tmp_path, **kw)
+    stream = _cifar_stream(tmp_path, classes=6, first_task=2, step_size=2, seed=3)
+    record = lambda s: round(s.image[0, 0, 0] * 255)
+    got = [(t.classes, [record(s) for s in t.train], [record(s) for s in t.eval])
+           for t in stream.tasks]
+    assert got == [((0, 1), [0, 12, 1, 25], [0, 1]), ((2, 3), [14, 26, 3, 27], [2, 3]),
+                   ((4, 5), [16, 28, 5, 29], [4, 5])]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_run_names_task_phase_epoch_and_batch(tmp_path, capsys):
+    rc = cli.main(["train", "--lr", "1e300", "--epochs", "2", "--tune-epochs", "0",
+                   "--classes", "4", "--first-task", "2", "--per-class", "4",
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: task 0, phase 1, epoch 1, batch 0:")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lr", 0.0), ("lr", -0.1), ("lr", float("inf")), ("lr", float("nan")),
+    ("weight_decay", -1e-6), ("weight_decay", float("nan")),
+    ("momentum", -0.5), ("momentum", float("inf")), ("noise", float("nan")),
+])
+def test_config_rejects_nonfinite_or_negative_optimizer_values(tmp_path, capsys, field, value):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({field: value}))
+    assert cli.main(["train", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
