@@ -5,6 +5,9 @@ Tokens are kept per head throughout: a width-``d`` feature row is really
 to each head token separately.  That per-head discipline is what lets the
 same blocks be stitched across task experts later without re-normalizing
 foreign widths.
+
+Every block takes token rows (P, D*H) of one image or (B, P, D*H) of a
+batch; leading axes pass through unchanged.
 """
 
 from __future__ import annotations
@@ -73,30 +76,32 @@ def init_positional_table(rng: np.random.Generator, num_patches: int, head_dim: 
 
 
 def extract_patches(image: np.ndarray, cfg: PatchEmbedConfig) -> np.ndarray:
-    """Flatten non-overlapping patches in row-major grid order -> (P, C*ps*ps)."""
-    c, h, w = image.shape
-    if c != cfg.in_channels or h != cfg.image_size or w != cfg.image_size:
-        raise ConfigError(
-            f"image shape {image.shape} does not match config "
-            f"({cfg.in_channels}, {cfg.image_size}, {cfg.image_size})")
-    ps = cfg.patch_size
-    side = h // ps
-    patches = image.reshape(c, side, ps, side, ps)
-    patches = patches.transpose(1, 3, 0, 2, 4).reshape(side * side, c * ps * ps)
-    return np.ascontiguousarray(patches)
+    """Flatten non-overlapping patches in row-major grid order:
+    (C, h, w) -> (P, C*ps*ps), or (B, C, h, w) -> (B, P, C*ps*ps)."""
+    want = (cfg.in_channels, cfg.image_size, cfg.image_size)
+    if image.ndim not in (3, 4) or image.shape[-3:] != want:
+        raise ConfigError(f"image shape {image.shape} does not match config {want}")
+    lead = image.shape[:-3]
+    c, ps = cfg.in_channels, cfg.patch_size
+    side = cfg.image_size // ps
+    patches = image.reshape(*lead, c, side, ps, side, ps)
+    k = len(lead)
+    patches = patches.transpose(*range(k), k + 1, k + 3, k, k + 2, k + 4)
+    return np.ascontiguousarray(patches.reshape(*lead, side * side, c * ps * ps))
 
 
 def patch_embed(image: Tensor, params: PatchEmbedParams, pos: Tensor,
                 cfg: PatchEmbedConfig) -> Tensor:
     """Project flattened patches and add the per-head positional table.
 
-    Returns (P, D*H) token rows.
+    Returns (P, D*H) token rows, with the image's leading batch axis if any.
     """
     patches = Tensor(extract_patches(image.data, cfg))
     tokens = T.matmul(patches, params.weight, params.bias)
-    toks3 = T.reshape(tokens, (cfg.num_patches, cfg.heads, cfg.head_dim))
+    lead = patches.shape[:-1]
+    toks = T.reshape(tokens, (*lead, cfg.heads, cfg.head_dim))
     pos3 = T.reshape(pos, (cfg.num_patches, 1, cfg.head_dim))
-    return T.reshape(T.add(toks3, pos3), (cfg.num_patches, cfg.width))
+    return T.reshape(T.add(toks, pos3), (*lead, cfg.width))
 
 
 # ------------------------------------------------------------- attention
@@ -135,11 +140,9 @@ def init_self_attention(rng: np.random.Generator, heads: int, head_dim: int) -> 
 
 def per_head_layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
                         head_dim: int, eps: float = 1e-5) -> Tensor:
-    """Layer norm applied to each head token of a (P, D*H) row matrix."""
-    p, width = x.shape
-    heads = width // head_dim
-    toks = T.reshape(x, (p, heads, head_dim))
-    return T.reshape(T.layer_norm(toks, gain, bias, eps), (p, width))
+    """Layer norm applied to each head token of (..., P, D*H) rows."""
+    toks = T.reshape(x, (*x.shape[:-1], x.shape[-1] // head_dim, head_dim))
+    return T.reshape(T.layer_norm(toks, gain, bias, eps), x.shape)
 
 
 @dataclass
@@ -171,27 +174,25 @@ def init_tied_attention(rng: np.random.Generator, head_dim: int) -> TiedAttentio
 
 
 def tied_head_projections(r: Tensor, params: TiedAttentionParams, head_dim: int):
-    """q/k/v of every head through the shared matrices: each (H, P, D)."""
-    p, width = r.shape
+    """q/k/v of every head through the shared matrices: each (..., H, P, D)."""
+    *lead, p, width = r.shape
     heads = width // head_dim
-    toks = T.reshape(r, (p, heads, head_dim))
+    toks = T.reshape(r, (*lead, p, heads, head_dim))
     x = T.layer_norm(toks, params.ln_gain, params.ln_bias)
-    flat = T.reshape(x, (p * heads, head_dim))
+    flat = T.reshape(x, (*lead, p * heads, head_dim))
     out = []
     for w, b in ((params.wq, params.bq), (params.wk, params.bk),
                  (params.wv, params.bv)):
-        y = T.reshape(T.matmul(flat, w, b), (p, heads, head_dim))
-        out.append(T.swap_axes(y, 0, 1))
+        y = T.reshape(T.matmul(flat, w, b), (*lead, p, heads, head_dim))
+        out.append(T.swap_axes(y, -3, -2))
     return tuple(out)
 
 
 def head_projections(r: Tensor, params: SelfAttentionParams, head_dim: int):
-    """Normalized per-head q/k/v stacks, head-major: each (H, P, D)."""
-    p, width = r.shape
-    heads = width // head_dim
-    toks = T.reshape(r, (p, heads, head_dim))
+    """Normalized per-head q/k/v stacks, head-major: each (..., H, P, D)."""
+    toks = T.reshape(r, (*r.shape[:-1], r.shape[-1] // head_dim, head_dim))
     x = T.layer_norm(toks, params.ln_gain, params.ln_bias)
-    xh = T.swap_axes(x, 0, 1)                      # (H, P, D)
+    xh = T.swap_axes(x, -3, -2)                    # (..., H, P, D)
     q = T.add(T.matmul(xh, params.wq), params.bq)
     k = T.add(T.matmul(xh, params.wk), params.bk)
     v = T.add(T.matmul(xh, params.wv), params.bv)
@@ -204,16 +205,18 @@ def attention_readout(r: Tensor, q: Tensor, k: Tensor, v: Tensor,
     """Scaled dot-product attention plus residual fusion: r + fuse(softmax(q k^T) v).
 
     q/k/v are head-major (H, P, D) stacks, each head attending within
-    itself, or flattened (H*P, D) queries over (M*P, D) keys and values,
-    with ``mask`` enabling (query, key) pairs.  Returns the (P, D*H) block
-    output and the attention weights, (H, P, P) or (H*P, M*P).
+    itself, or, with ``mask`` enabling (query, key) pairs, flattened
+    (H*P, D) queries over (M*P, D) keys and values.  Any operand may carry
+    a leading batch axis.  Returns the (P, D*H) block output and the
+    attention weights, (H, P, P) or (H*P, M*P), batched like the inputs.
     """
-    p, width = r.shape
+    p, width = r.shape[-2:]
+    heads = width // head_dim
     attn = T.softmax_rows(T.matmul(q, T.swap_axes(k, -1, -2)), math.sqrt(head_dim), mask)
     av = T.matmul(attn, v)
-    if av.data.ndim == 2:
-        av = T.reshape(av, (width // head_dim, p, head_dim))
-    cat = T.reshape(T.swap_axes(av, 0, 1), (p, width))
+    if mask is not None:
+        av = T.reshape(av, (*av.shape[:-2], heads, p, head_dim))
+    cat = T.reshape(T.swap_axes(av, -3, -2), (*av.shape[:-3], p, width))
     return T.add(r, T.matmul(cat, fuse_w, fuse_b)), attn
 
 
@@ -221,9 +224,9 @@ def mhsa_block(r: Tensor, params: SelfAttentionParams, head_dim: int):
     """Residual multi-head self-attention: s = r + fuse(per-head attention).
 
     Each head attends over all P patches within itself.  Returns the block
-    output and the (H, P, P) attention weights.
+    output and the (H, P, P) attention weights (batched like ``r``).
     """
-    width = r.shape[1]
+    width = r.shape[-1]
     if width % head_dim != 0:
         raise T.ShapeError(f"width {width} not divisible by head dim {head_dim}")
     q, k, v = head_projections(r, params, head_dim)

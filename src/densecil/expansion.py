@@ -20,6 +20,11 @@ Each TAB applies task attention twice per block: once over the post-MHSA
 tokens to produce the widened intermediate, once over the intermediates of
 all tasks to produce the residual update (head width gamma*D on the way up,
 D on the way down).
+
+No operation couples two images, so ``forward`` takes one (C, h, w) image
+or a (B, C, h, w) batch through the same code; every activation then
+carries the batch axis in front, and each image's outputs equal its own
+single-image forward bit for bit.
 """
 
 from __future__ import annotations
@@ -432,6 +437,7 @@ class CilModel:
     def forward(self, image, *, collect_attn: bool = False,
                 strategy: str | None = None, sta_variant: str | None = None,
                 frozen: "FrozenOutputs | None" = None) -> "ForwardResult":
+        """Run one (C, h, w) image or a (B, C, h, w) batch; see ``_forward``."""
         return _forward(self, image, collect_attn=collect_attn,
                         strategy=strategy, sta_variant=sta_variant, frozen=frozen)
 
@@ -444,8 +450,10 @@ class CilModel:
 class ForwardResult:
     """Activations of one forward pass.
 
-    Experts covered by ``frozen`` outputs have their cached tensors in the
-    per-layer lists where the cache keeps them, and None elsewhere; with
+    Shapes are those of one image; a batched forward puts the batch axis
+    in front of every tensor and attention array.  Experts covered by
+    ``frozen`` outputs have their cached tensors in the per-layer lists
+    where the cache keeps them, and None elsewhere; with
     ``frozen.features`` only ``r_layers[-1]`` is filled.
     """
     r_layers: list[list[Tensor]]         # [layers+1][task] block inputs/outputs
@@ -466,7 +474,7 @@ class ForwardResult:
 
 @dataclass
 class FrozenOutputs:
-    """What experts n.. read from experts 0..n-1, for one image.
+    """What experts n.. read from experts 0..n-1, for one image or a batch.
 
     Old experts are frozen and read only older ones, so while a newer
     expert trains these are fixed functions of the image.  Each per-layer
@@ -475,7 +483,9 @@ class FrozenOutputs:
     (dne), block inputs ``r`` (dne with ``cta_in_mhsa``), tied keys ``k``
     and values ``v`` (sta).  ``features``, when set, holds the final block
     outputs of experts n.., whose bodies are then fixed as well: forward
-    runs only their token heads.
+    runs only their token heads.  Tensors are batched exactly when the
+    forward that uses them is; ``stack_frozen`` and ``split_frozen``
+    convert between the two.
     """
     n: int
     r: list[list[Tensor | None]]
@@ -493,6 +503,37 @@ class FrozenOutputs:
                 for items in per_layer for t in items if t is not None]
         kept += self.token_feats + [self.logits] + (self.features or [])
         return sum(t.data.nbytes for t in kept)
+
+
+def _zip_frozen(parts: list[FrozenOutputs], fn, features: bool) -> FrozenOutputs:
+    """``fn`` applied to the data arrays at each kept position across ``parts``."""
+    def one(xs):
+        return None if xs[0] is None else Tensor(fn([x.data for x in xs]))
+
+    def per_layer(name):
+        return [[one(xs) for xs in zip(*items)]
+                for items in zip(*(getattr(p, name) for p in parts))]
+
+    return FrozenOutputs(
+        n=parts[0].n, r=per_layer("r"), s=per_layer("s"), o=per_layer("o"),
+        k=per_layer("k"), v=per_layer("v"),
+        token_feats=[one(xs) for xs in zip(*(p.token_feats for p in parts))],
+        logits=one([p.logits for p in parts]),
+        features=[one(xs) for xs in zip(*(p.features for p in parts))] if features else None)
+
+
+def stack_frozen(parts: list[FrozenOutputs], features: bool = False) -> FrozenOutputs:
+    """Per-image outputs batched along a new leading axis; with ``features``
+    every part must hold its final features, else they are dropped."""
+    return _zip_frozen(parts, np.stack, features)
+
+
+def split_frozen(frozen: FrozenOutputs) -> list[FrozenOutputs]:
+    """Batched outputs as one per-image record each, holding copies, so no
+    record keeps the batch arrays alive."""
+    count = frozen.logits.shape[0]
+    return [_zip_frozen([frozen], lambda xs, i=i: xs[0][i].copy(),
+                        frozen.features is not None) for i in range(count)]
 
 
 def freeze_outputs(model: CilModel, res: ForwardResult, n: int, *,
@@ -519,7 +560,7 @@ def freeze_outputs(model: CilModel, res: ForwardResult, n: int, *,
         k=keep(res.k_layers, [sta] * cfg.layers),
         v=keep(res.v_layers, [sta] * cfg.layers),
         token_feats=[f.detach() for f in res.token_feats[:n]],
-        logits=Tensor(res.logits.data[:n_cls].reshape(1, n_cls)),
+        logits=Tensor(res.logits.data[..., None, :n_cls]),
         features=[f.detach() for f in res.features[n:]] if features else None)
 
 
@@ -537,25 +578,26 @@ def task_attention(tokens: Tensor, n_query: int, view: StageView,
                    attn_override: np.ndarray | None = None):
     """Attend the last ``n_query`` head tokens over the whole pool.
 
-    ``tokens`` is (P, H_pool, din).  Queries come from the newest task's
-    heads only; keys span every head; each source head has its own value
-    matrix.  Returns (P, n_query, dout) outputs scaled by the per-head
-    lambdas and the (P, n_query, H_pool) attention weights.
+    ``tokens`` is (P, H_pool, din), with a leading batch axis if batched.
+    Queries come from the newest task's heads only; keys span every head;
+    each source head has its own value matrix.  Returns (P, n_query, dout)
+    outputs scaled by the per-head lambdas and the (P, n_query, H_pool)
+    attention weights.
     """
-    p, h_pool, din = tokens.shape
+    *lead, p, h_pool, din = tokens.shape
     x = T.layer_norm(tokens, view.ln_gain, view.ln_bias)
-    flat = T.reshape(x, (p * h_pool, din))
-    k = T.reshape(T.matmul(flat, view.wk), (p, h_pool, view.attn_dim))
-    qtok = T.narrow(x, 1, h_pool - n_query, n_query)
-    q = T.reshape(T.matmul(T.reshape(qtok, (p * n_query, din)), view.wq),
-                  (p, n_query, view.attn_dim))
-    scores = T.matmul(q, T.swap_axes(k, 1, 2))
+    flat = T.reshape(x, (*lead, p * h_pool, din))
+    k = T.reshape(T.matmul(flat, view.wk), (*lead, p, h_pool, view.attn_dim))
+    qtok = T.narrow(x, -2, h_pool - n_query, n_query)
+    q = T.reshape(T.matmul(T.reshape(qtok, (*lead, p * n_query, din)), view.wq),
+                  (*lead, p, n_query, view.attn_dim))
+    scores = T.matmul(q, T.swap_axes(k, -1, -2))
     if attn_override is not None:
-        attn = Tensor(np.broadcast_to(attn_override, (p, n_query, h_pool)).copy())
+        attn = Tensor(np.broadcast_to(attn_override, scores.shape).copy())
     else:
         attn = T.softmax_rows(scores, math.sqrt(view.attn_dim))
     wv = view.wv_stacks[0] if len(view.wv_stacks) == 1 else T.concat(view.wv_stacks, axis=0)
-    v = T.swap_axes(T.matmul(T.swap_axes(x, 0, 1), wv), 0, 1)    # (P, H_pool, dout)
+    v = T.swap_axes(T.matmul(T.swap_axes(x, -3, -2), wv), -3, -2)   # (P, H_pool, dout)
     out = T.matmul(attn, v)
     out = T.mul(out, T.reshape(view.lam, (1, n_query, 1)))
     return out, attn
@@ -563,11 +605,9 @@ def task_attention(tokens: Tensor, n_query: int, view: StageView,
 
 def _head_tokens(feats: list[Tensor], head_dim: int) -> Tensor:
     """Concat per-task (P, D*H_i) features into (P, H_pool, D) head tokens."""
-    parts = []
-    for f in feats:
-        p, width = f.shape
-        parts.append(T.reshape(f, (p, width // head_dim, head_dim)))
-    return parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
+    parts = [T.reshape(f, (*f.shape[:-1], f.shape[-1] // head_dim, head_dim))
+             for f in feats]
+    return parts[0] if len(parts) == 1 else T.concat(parts, axis=-2)
 
 
 def tab_attention(s_list: list[Tensor], model: CilModel, layer: int,
@@ -595,14 +635,14 @@ def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
     h_t = model.experts[task].heads
     blk = model.experts[task].blocks[layer]
     s_t = s_list[task]
-    p = s_t.shape[0]
+    rows = s_t.shape[:-1]
 
     if blk.fc1.kind == "ta":
         view1 = model._stage_view(layer, "fc1", task)
         raw1, a1 = task_attention(_head_tokens(s_list[: task + 1], d), h_t, view1,
                                   attn_override=attn_override)
         o3 = T.gelu(raw1)                                   # (P, H_t, gamma*D)
-        o_t = T.reshape(o3, (p, cfg.gamma * d * h_t))
+        o_t = T.reshape(o3, (*rows, cfg.gamma * d * h_t))
     else:
         o_t = T.gelu(B.mlp_stage(s_t, blk.fc1.mlp, d))
         a1 = None
@@ -611,7 +651,7 @@ def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
         view2 = model._stage_view(layer, "fc2", task)
         o_tokens = _head_tokens(o_prior + [o_t], cfg.gamma * d)
         raw2, a2 = task_attention(o_tokens, h_t, view2, attn_override=attn_override)
-        r_t = T.add(s_t, T.reshape(raw2, (p, d * h_t)))
+        r_t = T.add(s_t, T.reshape(raw2, (*rows, d * h_t)))
     else:
         r_t = T.add(s_t, B.mlp_stage(o_t, blk.fc2.mlp, cfg.gamma * d))
         a2 = None
@@ -632,7 +672,7 @@ def _cta_mhsa_task(model: CilModel, layer: int, task: int, r_list: list[Tensor])
     for name in ("ta_q", "ta_k", "ta_v"):
         view = model._stage_view(layer, name, task)
         out, _ = task_attention(tokens, ex.heads, view)
-        outs[name] = T.swap_axes(out, 0, 1)                 # (H_t, P, D)
+        outs[name] = T.swap_axes(out, -3, -2)               # (H_t, P, D)
     return B.attention_readout(r_list[task], outs["ta_q"], outs["ta_k"], outs["ta_v"],
                                blk.attn.fuse_w, blk.attn.fuse_b, d)
 
@@ -713,7 +753,7 @@ def sta_attention_stage(model: CilModel, layer: int, r_list: list[Tensor],
     cfg = model.cfg
     d = cfg.head_dim
     n = len(k_prior)
-    p = r_list[n].shape[0]
+    *lead, p, _ = r_list[n].shape
     qs, ks, vs = [None] * n, list(k_prior), list(v_prior)
     for t in range(n, model.task_count):
         q, k, v = B.tied_head_projections(r_list[t], model.tied_attn[layer], d)
@@ -727,11 +767,11 @@ def sta_attention_stage(model: CilModel, layer: int, r_list: list[Tensor],
         ex = model.experts[t]
         pool = ks[: t + 1]
         m_heads = offset + ex.heads
-        k_flat = T.reshape(pool[0] if len(pool) == 1 else T.concat(pool, axis=0),
-                           (m_heads * p, d))
-        v_flat = T.reshape(vs[0] if t == 0 else T.concat(vs[: t + 1], axis=0),
-                           (m_heads * p, d))
-        q_flat = T.reshape(qs[t], (ex.heads * p, d))
+        k_flat = T.reshape(pool[0] if len(pool) == 1 else T.concat(pool, axis=-3),
+                           (*lead, m_heads * p, d))
+        v_flat = T.reshape(vs[0] if t == 0 else T.concat(vs[: t + 1], axis=-3),
+                           (*lead, m_heads * p, d))
+        q_flat = T.reshape(qs[t], (*lead, ex.heads * p, d))
         blk = ex.blocks[layer]
         mask = sta_group_mask(ex.heads, offset, m_heads, p, variant)
         s, attn = B.attention_readout(r_list[t], q_flat, k_flat, v_flat,
@@ -752,31 +792,35 @@ def task_token_head(model: CilModel, features: list[Tensor],
     through a per-task frozen-after-training block; the per-task classifier
     slices are concatenated and the auxiliary head sees all token features.
     The token features and logits of experts covered by ``frozen`` are
-    taken from it.
+    taken from it.  The token queries do not depend on the image and are
+    computed once for a whole batch.
     """
     if len(features) != model.task_count:
         raise T.ContractError(
             f"token head got {len(features)} feature maps for {model.task_count} tasks")
     d = model.cfg.head_dim
     n = 0 if frozen is None else frozen.n
+    lead = (features[-1] if frozen is None else frozen.logits).shape[:-2]
     feats = [] if frozen is None else list(frozen.token_feats)
     logit_parts = [frozen.logits] if n else []
     for t in range(n, model.task_count):
         ex = model.experts[t]
         tp = ex.token_block
         tok = T.layer_norm(T.reshape(ex.token, (1, ex.heads, d)), tp.ln_gain, tp.ln_bias)
-        pat = T.layer_norm(T.reshape(features[t], (-1, ex.heads, d)), tp.ln_gain, tp.ln_bias)
+        pat = T.layer_norm(T.reshape(features[t], (*lead, -1, ex.heads, d)),
+                           tp.ln_gain, tp.ln_bias)
+        pat = T.swap_axes(pat, -3, -2)
         qh = T.add(T.matmul(T.swap_axes(tok, 0, 1), tp.wq), tp.bq)      # (H, 1, D)
-        kh = T.add(T.matmul(T.swap_axes(pat, 0, 1), tp.wk), tp.bk)      # (H, P, D)
-        vh = T.add(T.matmul(T.swap_axes(pat, 0, 1), tp.wv), tp.bv)
+        kh = T.add(T.matmul(pat, tp.wk), tp.bk)                         # (H, P, D)
+        vh = T.add(T.matmul(pat, tp.wv), tp.bv)
         e2, _ = B.attention_readout(ex.token, qh, kh, vh, tp.fuse_w, tp.fuse_b, d)
         feats.append(e2)
         logit_parts.append(T.matmul(e2, ex.head_w, ex.head_b))
     logits = T.reshape(logit_parts[0] if len(logit_parts) == 1
-                       else T.concat(logit_parts, axis=1), (model.total_classes,))
-    aux_in = feats[0] if len(feats) == 1 else T.concat(feats, axis=1)
+                       else T.concat(logit_parts, axis=-1), (*lead, model.total_classes))
+    aux_in = feats[0] if len(feats) == 1 else T.concat(feats, axis=-1)
     aux = T.reshape(T.matmul(aux_in, model.aux_w, model.aux_b),
-                    (model.experts[-1].n_classes + 1,))
+                    (*lead, model.experts[-1].n_classes + 1))
     return feats, logits, aux
 
 
@@ -785,7 +829,8 @@ def task_token_head(model: CilModel, features: list[Tensor],
 def _forward(model: CilModel, image, *, collect_attn=False,
              strategy: str | None = None, sta_variant: str | None = None,
              frozen: FrozenOutputs | None = None) -> ForwardResult:
-    """One forward pass; with ``frozen`` only experts ``frozen.n``.. run.
+    """One forward pass of a (C, h, w) image or a (B, C, h, w) batch; with
+    ``frozen`` (batched like ``image``) only experts ``frozen.n``.. run.
 
     Attention weights, when collected, cover the experts that run.
     """

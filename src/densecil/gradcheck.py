@@ -78,6 +78,8 @@ def op_cases() -> dict:
                                      lambda t: T.matmul(t[0], t[1])),
         "matmul_bias": lambda r: ([_r(r, 3, 4), _r(r, 4, 2), _r(r, 2)],
                                   lambda t: T.matmul(t[0], t[1], t[2])),
+        "matmul_broadcast": lambda r: ([_r(r, 2, 3, 4), _r(r, 4, 2)],
+                                       lambda t: T.matmul(t[0], t[1])),
         "reshape": lambda r: ([_r(r, 2, 6)], lambda t: T.reshape(t[0], (3, 4))),
         "swap_axes": lambda r: ([_r(r, 2, 3, 4)], lambda t: T.swap_axes(t[0], 0, 2)),
         "concat": lambda r: ([_r(r, 2, 3), _r(r, 2, 2)], lambda t: T.concat(t, axis=1)),
@@ -93,8 +95,8 @@ def op_cases() -> dict:
                                  lambda t: T.layer_norm(t[0], t[1], t[2], 1e-5)),
         "gelu": lambda r: ([_r(r, 4, 4)], lambda t: T.gelu(t[0])),
         "exp": lambda r: ([_r(r, 3, 3)], lambda t: T.exp(t[0])),
-        "cross_entropy": lambda r: ([_r(r, 6)],
-                                    lambda t: T.cross_entropy_logits(t[0], 2)),
+        "cross_entropy": lambda r: ([_r(r, 2, 6)],
+                                    lambda t: T.cross_entropy_logits(t[0], [2, 5])),
     }
 
 
@@ -102,6 +104,8 @@ MODEL_CASES = {
     "model_dne": {},
     "model_dne_cta_mhsa": {"cta_in_mhsa": True},
     "model_dne_share_f": {"share_q": "f", "share_k": "f"},
+    "model_dne_share_v_s": {"share_v": "s"},
+    "model_dne_cta_layers_10": {"layers": 2, "cta_layers": (True, False), "cta_in_fc1": False},
     "model_sta_both": {"strategy": "sta", "sta_variant": "both"},
     "model_ia": {"strategy": "ia"},
 }
@@ -109,9 +113,10 @@ MODEL_CASES = {
 
 
 def model_case(seed: int = 0, **overrides) -> float:
-    """A 2-expert model; checks the gradient of its logits and auxiliary
-    logits with respect to every trainable parameter, through every stage
-    of the wiring that ``overrides`` select, at once.
+    """A 2-expert model on a batch of 2 images; checks the gradient of its
+    logits and auxiliary logits with respect to every trainable parameter,
+    through every stage of the wiring that ``overrides`` select, at once.
+    The batch makes every weight's gradient a sum over images.
 
     The numeric side reruns only the trainable expert on the frozen
     expert's kept outputs, and only its token head for the parameters read
@@ -123,10 +128,10 @@ def model_case(seed: int = 0, **overrides) -> float:
     model.add_expert(2, 2)
     model.add_expert(1, 2)
     rng = np.random.default_rng(seed + 77)
-    image = rng.random((3, 8, 8))
+    image = rng.random((2, 3, 8, 8))
     params = model.trainable_parameters()
-    probe = T.Tensor(rng.normal(size=(model.total_classes,)))
-    aux_probe = T.Tensor(rng.normal(size=(model.experts[-1].n_classes + 1,)))
+    probe = T.Tensor(rng.normal(size=(2, model.total_classes)))
+    aux_probe = T.Tensor(rng.normal(size=(2, model.experts[-1].n_classes + 1)))
 
     def loss(res: E.ForwardResult) -> T.Tensor:
         return T.add(T.sum_all(T.mul(res.logits, probe)),
@@ -174,5 +179,5 @@ def run_all(points: int = 10, seed: int = 0, verbose: bool = False) -> list[tupl
         ok = worst < TOL.fd_rel
         results.append((name, worst, ok))
         if verbose:
-            print(f"  {name:<22s} rel_err={worst:.3e} {'ok' if ok else 'FAIL'}")
+            print(f"  {name:<24s} rel_err={worst:.3e} {'ok' if ok else 'FAIL'}")
     return results

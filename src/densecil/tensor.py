@@ -7,6 +7,14 @@ narrow), row softmax with an optional mask, layer norm, GELU (exact
 Gaussian CDF form), exp, and two fused loss kernels.  Data is float64
 throughout.
 
+Every op acts on the last one or two axes and carries any leading axes
+through, so a batch of images runs as one graph: a (B, P, K) activation
+times a (K, N) weight is B independent products, each bit-identical to the
+same product on one image.  The lower-rank operand of ``matmul`` and a
+``softmax_rows`` mask broadcast over the leading axes they lack.  The
+kernels reuse their temporaries in place where the operations and their
+order stay the same, which keeps batched arrays in cache.
+
 A tensor produced by an op remembers its parents and a backward closure;
 ``backward`` on a scalar root walks the graph once in reverse topological
 order.  Tensors with ``requires_grad=False`` act as constants: no closure is
@@ -95,7 +103,8 @@ class MacCounter:
     """Counts multiply-accumulates of ``matmul`` calls run inside it.
 
     Only forward-pass ``matmul`` work is counted; elementwise ops, norms
-    and softmax are excluded by design.
+    and softmax are excluded by design.  A forward over a batch of B images
+    counts B times the MACs of one image.
     """
 
     def __init__(self):
@@ -171,6 +180,12 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], op: str,
     return Tensor(data, op=op)
 
 
+def _sum_leading(g: np.ndarray, ndim: int) -> np.ndarray:
+    """Sum ``g`` over the leading axes an operand of rank ``ndim`` was
+    broadcast along, in index order."""
+    return g if g.ndim == ndim else g.sum(axis=tuple(range(g.ndim - ndim)))
+
+
 def _sum_to_shape(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to the operand's shape."""
     if g.shape == shape:
@@ -225,8 +240,11 @@ def backward(root: Tensor) -> None:
             if g is None or not parent.requires_grad:
                 continue
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += g
+                # the tensor's own memory layout: later products round by it
+                parent.grad = np.empty_like(parent.data)
+                parent.grad[...] = g
+            else:
+                parent.grad += g
 
 
 # -- elementwise arithmetic ------------------------------------------------
@@ -262,8 +280,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}") from None
 
     def bwd(g):
-        return (_sum_to_shape(g * b.data, a.shape),
-                _sum_to_shape(g * a.data, b.shape))
+        return (_sum_to_shape(g * b.data, a.shape) if a.requires_grad else None,
+                _sum_to_shape(g * a.data, b.shape) if b.requires_grad else None)
 
     return _make(out, (a, b), "mul", bwd)
 
@@ -271,14 +289,20 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 # -- linear algebra --------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """a @ b (+ bias) over 2-D operands or stacks with equal leading axes.
+    """a @ b (+ bias) over 2-D operands or stacks of matrices.
 
-    Operands are not broadcast against each other; ``bias`` broadcasts over
-    the output and its gradient sums over the broadcast axes.
+    The leading (stack) axes of the lower-rank operand must equal the
+    innermost leading axes of the other, which it broadcasts over: a 2-D
+    weight times a (B, P, K) batch is B products.  The broadcast operand's
+    gradient is the sum of its per-slice gradients over the extra axes, in
+    batch order.  ``bias`` broadcasts over the output and its gradient sums
+    over the broadcast axes.  MACs are ``out.size * K``, so a batch counts
+    each slice.
     """
     ad, bd = a.data, b.data
-    if (ad.ndim < 2 or ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2]
-            or ad.shape[-1] != bd.shape[-2]):
+    short = min(ad.ndim, bd.ndim)
+    if (short < 2 or ad.shape[-1] != bd.shape[-2]
+            or ad.shape[ad.ndim - short:-2] != bd.shape[bd.ndim - short:-2]):
         raise ShapeError(f"matmul: shapes disagree for {a.shape} @ {b.shape}")
     out = ad @ bd
     _count_macs(out.size * ad.shape[-1])
@@ -286,8 +310,9 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         out = out + bias.data
 
     def bwd(g):
-        grads = (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g)
-        return grads if bias is None else grads + (_sum_to_shape(g, bias.shape),)
+        ga = _sum_leading(g @ bd.swapaxes(-1, -2), ad.ndim) if a.requires_grad else None
+        gb = _sum_leading(ad.swapaxes(-1, -2) @ g, bd.ndim) if b.requires_grad else None
+        return (ga, gb) if bias is None else (ga, gb, _sum_to_shape(g, bias.shape))
 
     return _make(out, (a, b) if bias is None else (a, b, bias), "matmul", bwd)
 
@@ -363,7 +388,8 @@ def softmax_rows(x: Tensor, scale: float = 1.0, mask: np.ndarray | None = None) 
     The row maximum is subtracted before exponentiation so large logits
     stay finite.  Rows of the output sum to 1.  With ``mask`` the softmax
     is restricted to its enabled entries: disabled ones get exactly zero
-    weight, and every row must keep at least one enabled entry.
+    weight, and every row must keep at least one enabled entry.  A mask
+    with fewer axes than ``x`` is shared by every leading index.
     """
     if scale <= 0:
         raise ContractError(f"softmax_rows: scale must be positive, got {scale}")
@@ -372,18 +398,20 @@ def softmax_rows(x: Tensor, scale: float = 1.0, mask: np.ndarray | None = None) 
     z = x.data / scale
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != x.shape:
+        if mask.ndim > x.data.ndim or mask.shape != x.shape[x.data.ndim - mask.ndim:]:
             raise ShapeError(f"softmax_rows: mask {mask.shape} vs input {x.shape}")
         if not mask.any(axis=-1).all():
             raise ContractError("softmax_rows: a row has no enabled entries")
         z = np.where(mask, z, -np.inf)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    z -= z.max(axis=-1, keepdims=True)
+    y = np.exp(z, out=z)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return ((y * (g - inner)) / scale,)
+        dx = g - (g * y).sum(axis=-1, keepdims=True)
+        dx *= y
+        dx /= scale
+        return (dx,)
 
     return _make(y, (x,), "softmax_rows", bwd)
 
@@ -408,21 +436,25 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} vs feature dim {d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    mu = x.data.sum(axis=-1, keepdims=True) / d
+    xhat = x.data - mu
+    out = xhat * xhat
+    var = out.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def bwd(g):
         lead = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead)
-        dbias = g.sum(axis=lead)
-        dxhat = g * gain.data
-        dx = inv * (dxhat
-                    - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        dgain = (g * xhat).sum(axis=lead) if gain.requires_grad else None
+        dbias = g.sum(axis=lead) if bias.requires_grad else None
+        dx = g * gain.data
+        proj = dx * xhat
+        proj = np.multiply(xhat, proj.sum(axis=-1, keepdims=True) / d, out=proj)
+        dx -= dx.sum(axis=-1, keepdims=True) / d
+        dx -= proj
+        dx *= inv
         return dx, dgain, dbias
 
     return _make(out, (x, gain, bias), "layer_norm", bwd)
@@ -434,12 +466,21 @@ def gelu(x: Tensor) -> Tensor:
     The erf-based form is used (not the tanh approximation) so reference
     oracles are unambiguous.
     """
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    cdf = x.data * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = x.data * cdf
 
     def bwd(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        return (g * (cdf + x.data * pdf),)
+        dx = -0.5 * x.data
+        dx *= x.data
+        np.exp(dx, out=dx)
+        dx *= _INV_SQRT2PI
+        dx *= x.data
+        dx += cdf
+        dx *= g
+        return (dx,)
 
     return _make(out, (x,), "gelu", bwd)
 
@@ -453,23 +494,32 @@ def exp(x: Tensor) -> Tensor:
     return _make(out, (x,), "exp", bwd)
 
 
-def cross_entropy_logits(logits: Tensor, label: int) -> Tensor:
-    """Cross entropy of a single 1-D logit vector against an integer label."""
-    if logits.data.ndim != 1:
-        raise ShapeError(f"cross_entropy_logits expects 1-D logits, got {logits.shape}")
-    n = logits.shape[0]
-    if not 0 <= label < n:
-        raise ContractError(f"label {label} outside logit range {n}")
-    m = logits.data.max()
-    shifted = logits.data - m
-    lse = m + np.log(np.exp(shifted).sum())
-    out = np.asarray(lse - logits.data[label])
+def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
+    """Cross entropy of each last-axis logit row against its integer label.
+
+    ``labels`` has the shape of the leading axes: an int for one 1-D logit
+    vector, B labels for (B, C) logits.  Returns one loss per row, of that
+    same shape.
+    """
+    x = logits.data
+    labels = np.asarray(labels)
+    if x.ndim < 1 or labels.shape != x.shape[:-1]:
+        raise ShapeError(
+            f"cross_entropy_logits: labels {labels.shape} vs logits {logits.shape}")
+    n = x.shape[-1]
+    if not np.issubdtype(labels.dtype, np.integer) or ((labels < 0) | (labels >= n)).any():
+        raise ContractError(f"labels {labels.tolist()} outside logit range {n}")
+    idx = labels[..., None]
+    m = x.max(axis=-1, keepdims=True)
+    shifted = x - m
+    lse = m + np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    out = (lse - np.take_along_axis(x, idx, axis=-1))[..., 0]
 
     def bwd(g):
         soft = np.exp(shifted)
-        soft = soft / soft.sum()
-        soft[label] -= 1.0
-        return (g * soft,)
+        soft = soft / soft.sum(axis=-1, keepdims=True)
+        np.put_along_axis(soft, idx, np.take_along_axis(soft, idx, axis=-1) - 1.0, axis=-1)
+        return (g[..., None] * soft,)
 
     return _make(out, (logits,), "cross_entropy", bwd)
 

@@ -32,11 +32,6 @@ def test_flops_subcommand_prints_crossover(capsys):
     assert "T < 2300" in out
 
 
-def test_gradcheck_subcommand_passes(capsys):
-    assert cli.main(["gradcheck", "--points", "1"]) == 0
-    assert "passed" in capsys.readouterr().out
-
-
 def test_gradcheck_output_independent_of_hash_seed():
     src = str(Path(cli.__file__).resolve().parents[1])
     outputs = []
@@ -47,6 +42,7 @@ def test_gradcheck_output_independent_of_hash_seed():
                                "--points", "1", "--seed", "0"],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+        assert "passed" in proc.stdout
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
 
@@ -171,14 +167,14 @@ def test_cifar_stream_validates_task_split(tmp_path):
                    ((4, 5), [16, 28, 5, 29], [4, 5])]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_run_names_task_phase_epoch_and_batch(tmp_path, capsys):
     rc = cli.main(["train", "--lr", "1e300", "--epochs", "2", "--tune-epochs", "0",
                    "--classes", "4", "--first-task", "2", "--per-class", "4",
                    "--out", str(tmp_path / "run")])
     assert rc == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: task 0, phase 1, epoch 1, batch 0:")
+    assert capsys.readouterr().err == (
+        "error: task 0, phase 1, epoch 1, batch 0: softmax_rows: non-finite input\n")
 
 
 @pytest.mark.parametrize("field,value", [

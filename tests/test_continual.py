@@ -159,6 +159,32 @@ def test_total_loss_gradient_skips_frozen():
             assert t.grad is None, name
 
 
+def test_total_loss_batch_gradient_is_sum_of_per_sample_gradients():
+    cfg, stream = _tiny_model_and_stream()
+    model = E.CilModel(cfg, seed=0)
+    model.add_expert(2, 2)
+    model.add_expert(1, 2)
+    reg = C.ClassIndex()
+    reg.extend([0, 1, 2, 3])
+    C.bind_class_index(model, reg)
+    batch = stream.tasks[1].train[:2] + stream.tasks[0].train[:1]
+    params = model.trainable_parameters()
+
+    def grads(samples):
+        for p in params:
+            p.grad = None
+        loss = C.total_loss(samples, model, C.LossWeights(), [2, 3], 2)
+        T.backward(loss)
+        return loss.item(), [p.grad.copy() for p in params]
+
+    loss, batched = grads(batch)
+    singles = [grads([s]) for s in batch]
+    assert abs(loss - np.mean([l for l, _ in singles])) < TOL.loss
+    for i, g in enumerate(batched):
+        want = sum(gs[i] for _, gs in singles) / len(batch)
+        assert np.abs(g - want).max() < TOL.block
+
+
 # ------------------------------------------------------------ herding
 
 def herding_oracle(features, m):
@@ -362,27 +388,43 @@ def test_run_stream_deterministic():
 
 @pytest.mark.parametrize("strategy", ["dne", "sta", "ia"])
 def test_run_stream_cache_is_bit_exact_against_recomputing(strategy, monkeypatch):
+    """Full cache, no cache, and a budget that holds only some samples, so
+    that batches mix cached and first-seen samples."""
     cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
                         gamma=2, layers=2, strategy=strategy)
     tc = C.TrainConfig(epochs=2, tune_epochs=2, lr=0.05, batch_size=5,
                        heads_first=2, heads_per_step=1)
     forward = E.CilModel.forward
     cached_calls = []
+    caches = []
 
     def counting_forward(self, image, **kw):
         cached_calls.append(kw.get("frozen") is not None)
         return forward(self, image, **kw)
 
+    init = C.FrozenCache.__init__
+
+    def recording_init(self, model):
+        init(self, model)
+        caches.append(self)
+
     monkeypatch.setattr(E.CilModel, "forward", counting_forward)
+    monkeypatch.setattr(C.FrozenCache, "__init__", recording_init)
 
     def run():
         cached_calls.clear()
+        caches.clear()
         model, rec = C.run_stream(cfg, _micro_stream(), tc, seed=4, buffer_capacity=8)
-        return E.checkpoint_bytes(model), rec.accuracies, sum(cached_calls)
+        largest = max(caches, key=lambda c: c.nbytes)
+        return (E.checkpoint_bytes(model), rec.accuracies, sum(cached_calls),
+                largest.nbytes, len(largest._entries))
 
-    ckpt, acc, n_cached = run()
+    ckpt, acc, n_cached, nbytes, entries = run()
+    monkeypatch.setattr(C, "CACHE_BYTES", nbytes // 2)
+    ckpt_part, acc_part, n_cached_part, _, entries_part = run()
     monkeypatch.setattr(C, "CACHE_BYTES", 0)
-    ckpt0, acc0, n_cached0 = run()
-    assert n_cached > 0 and n_cached0 == 0
-    assert ckpt == ckpt0
-    assert acc == acc0
+    ckpt0, acc0, n_cached0, _, _ = run()
+    assert n_cached > 0 and n_cached_part > 0 and n_cached0 == 0
+    assert 0 < entries_part < entries
+    assert ckpt == ckpt0 == ckpt_part
+    assert acc == acc0 == acc_part

@@ -610,6 +610,7 @@ CACHE_WIRINGS = {
     "dne": dict(strategy="dne"),
     "dne_cta_mhsa": dict(strategy="dne", cta_in_mhsa=True),
     "dne_share_f": dict(strategy="dne", share_q="f", share_k="f"),
+    "dne_share_v_s": dict(strategy="dne", share_v="s"),
     "dne_cta_layers_10": dict(strategy="dne", cta_layers=(True, False)),
     **{f"sta_{v}": dict(strategy="sta", sta_variant=v) for v in E.STA_VARIANTS},
     "ia": dict(strategy="ia"),
@@ -631,46 +632,85 @@ def _loss_and_grads(m, img, frozen):
     return res, nodes, grads
 
 
+def _assert_same_outputs(got, want):
+    np.testing.assert_array_equal(got.logits.data, want.logits.data)
+    np.testing.assert_array_equal(got.aux_logits.data, want.aux_logits.data)
+    assert len(got.token_feats) == len(want.token_feats)
+    for a, b in zip(got.token_feats, want.token_feats):
+        np.testing.assert_array_equal(a.data, b.data)
+
+
+def _assert_rows_are_single_forwards(m, images, res):
+    """Each image's outputs in a batched result equal its own forward."""
+    with T.no_grad():
+        for i, img in enumerate(images):
+            one = m.forward(img)
+            np.testing.assert_array_equal(res.logits.data[i], one.logits.data)
+            np.testing.assert_array_equal(res.aux_logits.data[i], one.aux_logits.data)
+            for a, b in zip(res.token_feats, one.token_feats):
+                np.testing.assert_array_equal(a.data[i], b.data)
+
+
+def _image_batch(cfg, first):
+    return np.stack([rand_image(cfg, first + i) for i in range(3)])
+
+
 @pytest.mark.parametrize("wiring", sorted(CACHE_WIRINGS))
 def test_frozen_outputs_reproduce_forward_bit_exactly(wiring):
+    """Also for a batch of 3 images, each of which must match its own forward."""
     cfg = small_cfg(**CACHE_WIRINGS[wiring])
     m = build_model(cfg, heads=(2, 1, 1), classes=(2, 3, 2), seed=3)
-    img = rand_image(cfg, 30)
-    full, n_full, g_full = _loss_and_grads(m, img, None)
-    frozen = E.freeze_outputs(m, full, 2)
-    cached, n_cached, g_cached = _loss_and_grads(m, img, frozen)
+    for img in (rand_image(cfg, 30), _image_batch(cfg, 40)):
+        full, n_full, g_full = _loss_and_grads(m, img, None)
+        frozen = E.freeze_outputs(m, full, 2)
+        cached, n_cached, g_cached = _loss_and_grads(m, img, frozen)
 
-    np.testing.assert_array_equal(cached.logits.data, full.logits.data)
-    np.testing.assert_array_equal(cached.aux_logits.data, full.aux_logits.data)
-    assert len(cached.token_feats) == 3
-    for a, b in zip(cached.token_feats, full.token_feats):
-        np.testing.assert_array_equal(a.data, b.data)
-    assert n_cached == n_full
-    assert g_cached.keys() == g_full.keys()
-    for name, g in g_full.items():
-        if g is None:
-            assert g_cached[name] is None, name
-        else:
-            np.testing.assert_array_equal(g_cached[name], g, err_msg=name)
+        _assert_same_outputs(cached, full)
+        assert len(cached.token_feats) == 3
+        assert n_cached == n_full
+        assert g_cached.keys() == g_full.keys()
+        for name, g in g_full.items():
+            if g is None:
+                assert g_cached[name] is None, name
+            else:
+                np.testing.assert_array_equal(g_cached[name], g, err_msg=name)
+        if img.ndim == 4:
+            _assert_rows_are_single_forwards(m, img, full)
+            _assert_rows_are_single_forwards(m, img, cached)
+            parts = E.split_frozen(frozen)
+            assert sum(p.nbytes for p in parts) == frozen.nbytes
+            for p in parts:     # copies, not views that keep the batch alive
+                kept = [t for per_layer in (p.r, p.s, p.o, p.k, p.v)
+                        for items in per_layer for t in items if t is not None]
+                assert all(t.data.base is None for t in kept + p.token_feats + [p.logits])
+            with T.no_grad():
+                restacked = m.forward(img, frozen=E.stack_frozen(parts))
+            _assert_same_outputs(restacked, full)
 
 
 @pytest.mark.parametrize("wiring", ["dne", "sta_both", "ia"])
 def test_frozen_features_run_only_the_newest_token_head(wiring):
     cfg = small_cfg(**CACHE_WIRINGS[wiring])
     m = build_model(cfg, heads=(2, 1, 1), classes=(2, 3, 2), seed=4)
-    img = rand_image(cfg, 31)
-    full, _, g_full = _loss_and_grads(m, img, None)
-    with T.no_grad():
-        prefix = E.freeze_outputs(m, m.forward(img), 2)
-        head_only = E.freeze_outputs(m, m.forward(img, frozen=prefix), 2, features=True)
-    assert head_only.nbytes > prefix.nbytes
-    cached, _, g_cached = _loss_and_grads(m, img, head_only)
+    for img in (rand_image(cfg, 31), _image_batch(cfg, 50)):
+        full, _, g_full = _loss_and_grads(m, img, None)
+        with T.no_grad():
+            prefix = E.freeze_outputs(m, m.forward(img), 2)
+            head_only = E.freeze_outputs(m, m.forward(img, frozen=prefix), 2, features=True)
+        assert head_only.nbytes > prefix.nbytes
+        cached, _, g_cached = _loss_and_grads(m, img, head_only)
 
-    np.testing.assert_array_equal(cached.logits.data, full.logits.data)
-    np.testing.assert_array_equal(cached.aux_logits.data, full.aux_logits.data)
-    tuned = ("task2.tok_blk", "task2.head", "task2.token", "aux.")
-    for name, g in g_full.items():
-        if name.startswith(tuned):
-            np.testing.assert_array_equal(g_cached[name], g, err_msg=name)
-        else:
-            assert g_cached[name] is None, name
+        _assert_same_outputs(cached, full)
+        tuned = ("task2.tok_blk", "task2.head", "task2.token", "aux.")
+        for name, g in g_full.items():
+            if name.startswith(tuned):
+                np.testing.assert_array_equal(g_cached[name], g, err_msg=name)
+            else:
+                assert g_cached[name] is None, name
+        if img.ndim == 4:
+            _assert_rows_are_single_forwards(m, img, cached)
+            parts = E.split_frozen(head_only)
+            assert [p.features is not None for p in parts] == [True] * 3
+            with T.no_grad():
+                restacked = m.forward(img, frozen=E.stack_frozen(parts, features=True))
+            _assert_same_outputs(restacked, full)

@@ -15,7 +15,12 @@ from densecil.config import TOL
 # ---------------------------------------------------------------- oracles
 
 def matmul_oracle(a, b, bias=None):
-    """Triple-loop reference product, per matrix of a stack, plus bias."""
+    """Triple-loop reference product, per matrix of a stack, plus bias; the
+    lower-rank operand is reused for every matrix of the other's extra axes."""
+    if a.ndim > b.ndim:
+        return np.stack([matmul_oracle(x, b, bias) for x in a])
+    if b.ndim > a.ndim:
+        return np.stack([matmul_oracle(a, y, bias) for y in b])
     if a.ndim > 2:
         return np.stack([matmul_oracle(x, y, bias) for x, y in zip(a, b)])
     m, k = a.shape
@@ -110,7 +115,9 @@ def test_matmul_zeros():
 def test_matmul_matches_triple_loop():
     rng = np.random.default_rng(7)
     cases = [((3, 3), (3, 3), False), ((2, 3, 4), (2, 4, 5), False),
-             ((3, 4), (4, 2), True), ((2, 3, 4), (2, 4, 5), True)]
+             ((3, 4), (4, 2), True), ((2, 3, 4), (2, 4, 5), True),
+             ((2, 3, 4), (4, 5), True), ((2, 2, 1, 4), (2, 4, 5), False),
+             ((2, 1, 4), (3, 2, 4, 5), False)]
     for a_shape, b_shape, bias in cases:
         a = rng.normal(size=a_shape)
         b = rng.normal(size=b_shape)
@@ -134,7 +141,8 @@ def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(T.ShapeError) as exc:
         T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 2))))
     assert "(2, 3)" in str(exc.value) and "(4, 2)" in str(exc.value)
-    for a, b in [((2, 3), (2, 3, 4)), ((2, 2, 3), (3, 3, 4))]:   # rank, leading axes
+    for a, b in [((3,), (3, 4)), ((2, 2, 3), (3, 3, 4)),         # rank < 2, leading axes
+                 ((2, 2, 3), (2, 3, 3, 4))]:                      # broadcast axes disagree
         with pytest.raises(T.ShapeError):
             T.matmul(T.Tensor(np.zeros(a)), T.Tensor(np.zeros(b)))
 
@@ -184,6 +192,17 @@ def test_masked_softmax_restricts_support():
     np.testing.assert_allclose(out.data[0, [0, 2]], dense.data[0], atol=1e-15)
 
 
+def test_masked_softmax_mask_broadcasts_over_leading_axes():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(3, 2, 5))
+    mask = np.array([[True, False, True, True, False], [False, True, True, False, True]])
+    out = T.softmax_rows(T.Tensor(x), 2.0, mask).data
+    for i in range(3):
+        np.testing.assert_array_equal(out[i], T.softmax_rows(T.Tensor(x[i]), 2.0, mask).data)
+    with pytest.raises(T.ShapeError):
+        T.softmax_rows(T.Tensor(x), 2.0, mask[:, :4])
+
+
 def test_masked_softmax_rejects_empty_row():
     with pytest.raises(T.ContractError):
         T.softmax_rows(T.Tensor(np.zeros((1, 2))), 1.0, np.zeros((1, 2), dtype=bool))
@@ -211,6 +230,26 @@ def test_layer_norm_matches_two_pass_oracle():
     got = T.layer_norm(T.Tensor(x), T.Tensor(gain), T.Tensor(bias), 1e-5).data
     want = layer_norm_oracle(x, gain, bias, 1e-5)
     assert np.abs(got - want).max() < TOL.layer_norm
+
+
+def test_layer_norm_sum_form_equals_mean_form_bit_for_bit():
+    """``sum / d`` is the reduction and division ``ndarray.mean`` performs."""
+    rng = np.random.default_rng(8)
+    for shape in [(5, 7), (4, 16), (2, 16, 4, 16), (3, 5, 64), (1, 1, 3)]:
+        d = shape[-1]
+        x, g = rng.normal(size=shape), rng.normal(size=shape)
+        gain, bias = rng.normal(size=d), rng.normal(size=d)
+        xt = T.Tensor(x, requires_grad=True)
+        out = T.layer_norm(xt, T.Tensor(gain), T.Tensor(bias), 1e-5)
+        T.backward(T.sum_all(T.mul(out, T.Tensor(g))))
+        mu = x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(((x - mu) * (x - mu)).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat = (x - mu) * inv
+        dxhat = g * gain
+        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(out.data, xhat * gain + bias)
+        np.testing.assert_array_equal(xt.grad, dx)
 
 
 # ---------------------------------------------------------------- gelu
@@ -304,6 +343,12 @@ OP_CASES = {
     "gelu": lambda r: ([_rand(r, 4, 4)], lambda ts: T.gelu(ts[0])),
     "exp": lambda r: ([_rand(r, 3, 3)], lambda ts: T.exp(ts[0])),
     "cross_entropy": lambda r: ([_rand(r, 6)], lambda ts: T.cross_entropy_logits(ts[0], 2)),
+    "cross_entropy_batched": lambda r: ([_rand(r, 3, 6)],
+                                        lambda ts: T.cross_entropy_logits(ts[0], [2, 0, 5])),
+    "matmul_broadcast": lambda r: ([_rand(r, 2, 3, 4), _rand(r, 4, 2), _rand(r, 2)],
+                                   lambda ts: T.matmul(ts[0], ts[1], ts[2])),
+    "matmul_broadcast_left": lambda r: ([_rand(r, 2, 1, 4), _rand(r, 3, 2, 4, 3)],
+                                        lambda ts: T.matmul(ts[0], ts[1])),
 }
 
 
@@ -314,6 +359,20 @@ def test_finite_difference_gradients(name):
         arrays, build = OP_CASES[name](rng)
         err = check_grad(build, arrays, seed=point)
         assert err < TOL.fd_rel, f"{name} point {point}: rel err {err:.2e}"
+
+
+def test_cross_entropy_rows_equal_single_vectors():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(4, 6))
+    labels = [5, 0, 2, 2]
+    batched = T.cross_entropy_logits(T.Tensor(x), labels).data
+    assert batched.shape == (4,)
+    for row, y, got in zip(x, labels, batched):
+        assert got == T.cross_entropy_logits(T.Tensor(row), y).data
+    with pytest.raises(T.ShapeError):
+        T.cross_entropy_logits(T.Tensor(x), labels[:3])
+    with pytest.raises(T.ContractError):
+        T.cross_entropy_logits(T.Tensor(x), [0, 6, 1, 1])
 
 
 # ---------------------------------------------------------------- determinism & misc
@@ -334,8 +393,9 @@ def test_mac_counter_counts_matmul_family():
         T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((3, 4))))
         T.matmul(T.Tensor(np.zeros((5, 2, 3))), T.Tensor(np.zeros((5, 3, 4))))
         T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((3, 4))), T.Tensor(np.zeros(4)))
+        T.matmul(T.Tensor(np.zeros((6, 2, 3))), T.Tensor(np.zeros((3, 4))))
         T.gelu(T.Tensor(np.zeros((10, 10))))
-    assert c.macs == 2 * 3 * 4 + 5 * 2 * 3 * 4 + 2 * 3 * 4
+    assert c.macs == 2 * 3 * 4 + 5 * 2 * 3 * 4 + 2 * 3 * 4 + 6 * 2 * 3 * 4
 
 
 def test_sgd_rejects_frozen_params():
