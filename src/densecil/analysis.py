@@ -17,6 +17,7 @@ import numpy as np
 
 from . import expansion as E
 from . import tensor as T
+from .config import ConfigError
 
 GROUPS = E.GROUPS
 
@@ -30,7 +31,7 @@ def group_entry_counts(H: int, P: int) -> dict[str, int]:
     the four always sum to (HP)^2.
     """
     if H < 1 or P < 1:
-        raise ValueError(f"need H, P >= 1, got H={H}, P={P}")
+        raise ConfigError(f"need H, P >= 1, got H={H}, P={P}")
     hp = H * P
     return {
         "SPSH": hp,
@@ -44,7 +45,7 @@ def crossover_bound(H: int, P: int) -> int:
     """Largest task count for which the densely-connected model is cheaper
     than independent experts of H heads each: H^2 + (H-1)P."""
     if H < 1 or P < 1:
-        raise ValueError(f"need H, P >= 1, got H={H}, P={P}")
+        raise ConfigError(f"need H, P >= 1, got H={H}, P={P}")
     return H * H + (H - 1) * P
 
 
@@ -110,8 +111,7 @@ def assemble_joint_attention(model: E.CilModel, result: E.ForwardResult,
     Pairs the wiring never computes stay zero, so independent-attention
     models show exactly zero cross-head mass.
     """
-    layout = model.layout
-    H = layout.total_heads
+    H = model.total_heads
     P = model.cfg.num_patches
     full = np.zeros((H * P, H * P))
     mats = result.spatial_attn[layer]
@@ -134,9 +134,8 @@ def model_attention_stats(model: E.CilModel, images, mode: str = "layer_mean",
     """Average the assembled joint attention over images (and layers, unless
     ``mode='final'``) and decompose it by group."""
     if mode not in ("layer_mean", "final"):
-        raise ValueError(f"unknown aggregation mode {mode!r}")
-    layout = model.layout
-    H, P = layout.total_heads, model.cfg.num_patches
+        raise ConfigError(f"unknown aggregation mode {mode!r}")
+    H, P = model.total_heads, model.cfg.num_patches
     acc = np.zeros((H * P, H * P))
     n = 0
     with T.no_grad():
@@ -147,7 +146,9 @@ def model_attention_stats(model: E.CilModel, images, mode: str = "layer_mean",
             for l in layers:
                 acc += assemble_joint_attention(model, res, l)
                 n += 1
-    return attention_group_stats(acc / n, layout.head_to_task(), H, P)
+    if not n:
+        raise ConfigError("attention statistics need at least one image")
+    return attention_group_stats(acc / n, model.head_to_task(), H, P)
 
 
 # ------------------------------------------------------------- MAC accounting
@@ -297,6 +298,8 @@ def flops_report(T_: int, H: int, P: int, D: int, instrumented: int | None = Non
     The measured ratio follows the 1-head-per-task dense configuration,
     matching the regime the ratio formula describes.
     """
+    if min(T_, H, P, D) < 1:
+        raise ConfigError(f"need tasks, heads, patches, dim >= 1, got {T_}, {H}, {P}, {D}")
     ia = flops_ia(T_, H, P, D, **kw)
     dne = flops_dne(T_, 1, P, D, **kw)
     return FlopsReport(

@@ -174,9 +174,8 @@ def run(cfg: RunConfig) -> int:
     stats = A.model_attention_stats(model, probe, mode=cfg.attention_mode)
     A.write_attention_json(stats, out_dir / "attention.json",
                            extra={"mode": cfg.attention_mode,
-                                  "heads_per_task": list(model.layout.heads_per_task)})
+                                  "heads_per_task": list(model.heads_per_task)})
 
-    layout = model.layout
     report = A.flops_report(model.task_count, cfg.h1, cfg.model_config().num_patches,
                             cfg.head_dim, instrumented=A.instrumented_macs(
                                 model, stream.tasks[0].eval[0].image),
@@ -186,7 +185,7 @@ def run(cfg: RunConfig) -> int:
 
     for i, acc in enumerate(record.accuracies, start=1):
         print(f"step {i}: accuracy {acc:.2f}")
-    print(f"LA {record.la:.2f}  AA {record.aa:.2f}  heads {layout.heads_per_task}")
+    print(f"LA {record.la:.2f}  AA {record.aa:.2f}  heads {model.heads_per_task}")
     if record.d_gap is not None:
         print(f"D_gap {record.d_gap:.2f}")
     print(f"artifacts in {out_dir}")
@@ -200,7 +199,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--strategy", choices=list(E.STRATEGIES), default=None)
     p.add_argument("--sta-variant", dest="sta_variant",
-                   choices=["spdh", "dpdh", "both"], default=None)
+                   choices=list(E.STA_VARIANTS), default=None)
     p.add_argument("--k", type=int, default=None, help="heads added per task")
     p.add_argument("--h1", type=int, default=None, help="first-task heads")
     p.add_argument("--step-size", dest="step_size", type=int, default=None)

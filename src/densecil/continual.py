@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -557,11 +557,7 @@ def train_joint(model_cfg: E.ModelConfig, stream: TaskStream, cfg: TrainConfig,
     joint_task = Task(tuple(all_classes), train,
                       [s for task in stream.tasks for s in task.eval])
     joint_stream = TaskStream([joint_task], step_size=stream.step_size)
-    joint_cfg = TrainConfig(epochs=cfg.epochs, tune_epochs=0, lr=cfg.lr,
-                            weight_decay=cfg.weight_decay, momentum=cfg.momentum,
-                            batch_size=cfg.batch_size,
-                            loss_weights=LossWeights(cfg.loss_weights.ce, 0.0),
-                            heads_first=cfg.heads_first)
+    joint_cfg = replace(cfg, tune_epochs=0, loss_weights=LossWeights(cfg.loss_weights.ce, 0.0))
     _, rec = run_stream(model_cfg, joint_stream, joint_cfg, seed, buffer_capacity=0)
     return rec.la
 

@@ -21,6 +21,9 @@ tokens to produce the widened intermediate, once over the intermediates of
 all tasks to produce the residual update (head width gamma*D on the way up,
 D on the way down).
 
+The wiring is a field of ``ModelConfig``: ``add_expert`` builds each
+expert's blocks for it, and ``forward`` runs the model in it.
+
 No operation couples two images, so ``forward`` takes one (C, h, w) image
 or a (B, C, h, w) batch through the same code; every activation then
 carries the batch axis in front, and each image's outputs equal its own
@@ -35,6 +38,7 @@ import math
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -57,33 +61,7 @@ class CheckpointError(ValueError):
     """Malformed or inconsistent checkpoint container."""
 
 
-# ----------------------------------------------------------------- layout
-
-@dataclass(frozen=True)
-class ExpertLayout:
-    """How many spatial-attention heads each task expert owns."""
-    heads_per_task: tuple[int, ...]
-    head_dim: int
-    gamma: int
-
-    def __post_init__(self):
-        if any(h < 1 for h in self.heads_per_task):
-            raise ConfigError("every expert needs at least one head")
-
-    @property
-    def total_heads(self) -> int:
-        return sum(self.heads_per_task)
-
-    def pool_heads(self, task: int) -> int:
-        """Heads visible to ``task``: its own plus all earlier experts'."""
-        return sum(self.heads_per_task[: task + 1])
-
-    def head_to_task(self) -> list[int]:
-        out = []
-        for t, h in enumerate(self.heads_per_task):
-            out.extend([t] * h)
-        return out
-
+# ----------------------------------------------------------------- config
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -172,17 +150,14 @@ class StaAttentionParams:
 
 
 @dataclass
-class BlockStage:
-    kind: str                        # "mlp" | "ta"
-    mlp: B.MlpStageParams | None = None
-    ta: TaStageParams | None = None
-
-
-@dataclass
 class ExpertBlock:
+    """One expert's parameters of one block; the types of its stages give the
+    wiring: an ``sta`` expert has ``StaAttentionParams``, a ``cta_in_mhsa``
+    expert ``CtaAttentionParams``, and a TAB stage of a ``dne`` expert is a
+    ``TaStageParams`` where the other wirings have an MLP stage."""
     attn: B.SelfAttentionParams | CtaAttentionParams | StaAttentionParams
-    fc1: BlockStage
-    fc2: BlockStage
+    fc1: B.MlpStageParams | TaStageParams
+    fc2: B.MlpStageParams | TaStageParams
 
 
 @dataclass
@@ -207,7 +182,6 @@ class StageView:
     wk: Tensor
     wv_stacks: list[Tensor]          # concat along head axis gives (H_pool, din, dout)
     lam: Tensor
-    attn_dim: int
 
 
 # ----------------------------------------------------------------- model
@@ -232,9 +206,12 @@ class CilModel:
         return len(self.experts)
 
     @property
-    def layout(self) -> ExpertLayout:
-        return ExpertLayout(tuple(e.heads for e in self.experts),
-                            self.cfg.head_dim, self.cfg.gamma)
+    def heads_per_task(self) -> tuple[int, ...]:
+        return tuple(e.heads for e in self.experts)
+
+    @property
+    def total_heads(self) -> int:
+        return sum(e.heads for e in self.experts)
 
     @property
     def classes_per_task(self) -> list[int]:
@@ -259,13 +236,15 @@ class CilModel:
             t.requires_grad = False
 
     def head_to_task(self) -> list[int]:
-        return self.layout.head_to_task()
+        """The owning task of each head, in head order."""
+        return [e.index for e in self.experts for _ in range(e.heads)]
 
     def _register(self, name: str, tensor: Tensor) -> Tensor:
         self._params[name] = tensor
         return tensor
 
-    def _register_attn(self, prefix: str, p: B.SelfAttentionParams) -> None:
+    def _register_fields(self, prefix: str, p) -> None:
+        """Register every tensor field of the dataclass ``p`` as ``prefix.field``."""
         for f in fields(p):
             self._register(f"{prefix}.{f.name}", getattr(p, f.name))
 
@@ -278,10 +257,6 @@ class CilModel:
             self._register(f"{prefix}.wk", p.wk)
         self._register(f"{prefix}.wv", p.wv_own)
         self._register(f"{prefix}.lam", p.lam)
-
-    def _register_mlp_stage(self, prefix: str, p: B.MlpStageParams) -> None:
-        for f in fields(p):
-            self._register(f"{prefix}.{f.name}", getattr(p, f.name))
 
     # -- expansion ----------------------------------------------------------
 
@@ -312,16 +287,13 @@ class CilModel:
             if cfg.strategy == "sta":
                 self.tied_attn = []
                 for l in range(cfg.layers):
-                    tied = B.init_tied_attention(rng, d)
-                    for f in fields(tied):
-                        self._register(f"shared.attn{l}.{f.name}", getattr(tied, f.name))
-                    self.tied_attn.append(tied)
+                    self.tied_attn.append(B.init_tied_attention(rng, d))
+                    self._register_fields(f"shared.attn{l}", self.tied_attn[-1])
 
         ecfg = B.PatchEmbedConfig(cfg.image_size, cfg.patch_size, cfg.in_channels,
                                   d, new_heads)
         embed = B.init_patch_embed(rng, ecfg)
-        self._register(f"task{t}.embed.weight", embed.weight)
-        self._register(f"task{t}.embed.bias", embed.bias)
+        self._register_fields(f"task{t}.embed", embed)
 
         def ta_stage(prefix: str, din: int, dout: int, shared_ok: bool) -> TaStageParams:
             own_q = t == 0 or cfg.share_q == "f" or not shared_ok
@@ -364,29 +336,26 @@ class CilModel:
                                           Tensor(np.zeros(width), requires_grad=True)),
                 )
             else:
-                sa = B.init_self_attention(rng, new_heads, d)
-                self._register_attn(f"{pfx}.attn", sa)
-                attn = sa
+                attn = B.init_self_attention(rng, new_heads, d)
+                self._register_fields(f"{pfx}.attn", attn)
 
             use_tab = cfg.strategy == "dne" and cta_mask[l]
             if use_tab and cfg.cta_in_fc1:
-                fc1 = BlockStage("ta", ta=ta_stage(f"{pfx}.fc1", d, dp, shared_ok=True))
+                fc1 = ta_stage(f"{pfx}.fc1", d, dp, shared_ok=True)
             else:
-                st = B.init_mlp_stage(rng, d, width, cfg.gamma * width)
-                self._register_mlp_stage(f"{pfx}.fc1", st)
-                fc1 = BlockStage("mlp", mlp=st)
+                fc1 = B.init_mlp_stage(rng, d, width, cfg.gamma * width)
+                self._register_fields(f"{pfx}.fc1", fc1)
             if use_tab and cfg.cta_in_fc2:
-                fc2 = BlockStage("ta", ta=ta_stage(f"{pfx}.fc2", dp, d, shared_ok=True))
+                fc2 = ta_stage(f"{pfx}.fc2", dp, d, shared_ok=True)
             else:
-                st = B.init_mlp_stage(rng, dp, cfg.gamma * width, width)
-                self._register_mlp_stage(f"{pfx}.fc2", st)
-                fc2 = BlockStage("mlp", mlp=st)
+                fc2 = B.init_mlp_stage(rng, dp, cfg.gamma * width, width)
+                self._register_fields(f"{pfx}.fc2", fc2)
             blocks.append(ExpertBlock(attn=attn, fc1=fc1, fc2=fc2))
 
         token = Tensor(T.trunc_normal(rng, (1, width)), requires_grad=True)
         self._register(f"task{t}.token", token)
         token_block = B.init_self_attention(rng, new_heads, d)
-        self._register_attn(f"task{t}.tok_blk", token_block)
+        self._register_fields(f"task{t}.tok_blk", token_block)
 
         head_w = Tensor(T.fan_in_normal(rng, (width, new_classes)), requires_grad=True)
         head_b = Tensor(np.zeros(new_classes), requires_grad=True)
@@ -409,37 +378,28 @@ class CilModel:
     # -- sharing resolution ---------------------------------------------------
 
     def _stage_view(self, layer: int, which: str, task: int) -> StageView:
-        """Resolve shared matrices and collect value stacks for one TA stage."""
+        """Resolve shared matrices and collect value stacks for one TA stage;
+        ``which`` is its path in an ``ExpertBlock``: "fc1", "fc2" or
+        "attn.ta_q" (and k, v)."""
         def stage_of(i: int) -> TaStageParams:
-            blk = self.experts[i].blocks[layer]
-            if which == "fc1":
-                st = blk.fc1.ta
-            elif which == "fc2":
-                st = blk.fc2.ta
-            else:
-                st = getattr(blk.attn, which)
-            if st is None:
-                raise T.ContractError(f"block {layer} stage {which} is not task attention")
-            return st
+            return attrgetter(which)(self.experts[i].blocks[layer])
 
         own = stage_of(task)
         wq = own.wq if own.wq is not None else stage_of(0).wq
         wk = own.wk if own.wk is not None else stage_of(0).wk
-        if own.wv_own.shape[0] == self.layout.pool_heads(task):
+        if own.wv_own.shape[0] == sum(self.heads_per_task[: task + 1]):
             stacks = [own.wv_own]
         else:
             stacks = [stage_of(i).wv_own for i in range(task + 1)]
         return StageView(ln_gain=own.ln_gain, ln_bias=own.ln_bias, wq=wq, wk=wk,
-                         wv_stacks=stacks, lam=own.lam, attn_dim=self.cfg.head_dim)
+                         wv_stacks=stacks, lam=own.lam)
 
     # -- forward ---------------------------------------------------------------
 
     def forward(self, image, *, collect_attn: bool = False,
-                strategy: str | None = None, sta_variant: str | None = None,
                 frozen: "FrozenOutputs | None" = None) -> "ForwardResult":
         """Run one (C, h, w) image or a (B, C, h, w) batch; see ``_forward``."""
-        return _forward(self, image, collect_attn=collect_attn,
-                        strategy=strategy, sta_variant=sta_variant, frozen=frozen)
+        return _forward(self, image, collect_attn=collect_attn, frozen=frozen)
 
     def eval_logits(self, image) -> np.ndarray:
         with T.no_grad():
@@ -448,7 +408,7 @@ class CilModel:
 
 @dataclass
 class ForwardResult:
-    """Activations of one forward pass.
+    """Activations of one forward pass in the model's own wiring.
 
     Shapes are those of one image; a batched forward puts the batch axis
     in front of every tensor and attention array.  Experts covered by
@@ -585,17 +545,18 @@ def task_attention(tokens: Tensor, n_query: int, view: StageView,
     attention weights.
     """
     *lead, p, h_pool, din = tokens.shape
+    attn_dim = view.wq.shape[-1]
     x = T.layer_norm(tokens, view.ln_gain, view.ln_bias)
     flat = T.reshape(x, (*lead, p * h_pool, din))
-    k = T.reshape(T.matmul(flat, view.wk), (*lead, p, h_pool, view.attn_dim))
+    k = T.reshape(T.matmul(flat, view.wk), (*lead, p, h_pool, attn_dim))
     qtok = T.narrow(x, -2, h_pool - n_query, n_query)
     q = T.reshape(T.matmul(T.reshape(qtok, (*lead, p * n_query, din)), view.wq),
-                  (*lead, p, n_query, view.attn_dim))
+                  (*lead, p, n_query, attn_dim))
     scores = T.matmul(q, T.swap_axes(k, -1, -2))
     if attn_override is not None:
         attn = Tensor(np.broadcast_to(attn_override, scores.shape).copy())
     else:
-        attn = T.softmax_rows(scores, math.sqrt(view.attn_dim))
+        attn = T.softmax_rows(scores, math.sqrt(attn_dim))
     wv = view.wv_stacks[0] if len(view.wv_stacks) == 1 else T.concat(view.wv_stacks, axis=0)
     v = T.swap_axes(T.matmul(T.swap_axes(x, -3, -2), wv), -3, -2)   # (P, H_pool, dout)
     out = T.matmul(attn, v)
@@ -637,23 +598,23 @@ def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
     s_t = s_list[task]
     rows = s_t.shape[:-1]
 
-    if blk.fc1.kind == "ta":
+    if isinstance(blk.fc1, TaStageParams):
         view1 = model._stage_view(layer, "fc1", task)
         raw1, a1 = task_attention(_head_tokens(s_list[: task + 1], d), h_t, view1,
                                   attn_override=attn_override)
         o3 = T.gelu(raw1)                                   # (P, H_t, gamma*D)
         o_t = T.reshape(o3, (*rows, cfg.gamma * d * h_t))
     else:
-        o_t = T.gelu(B.mlp_stage(s_t, blk.fc1.mlp, d))
+        o_t = T.gelu(B.mlp_stage(s_t, blk.fc1, d))
         a1 = None
 
-    if blk.fc2.kind == "ta":
+    if isinstance(blk.fc2, TaStageParams):
         view2 = model._stage_view(layer, "fc2", task)
         o_tokens = _head_tokens(o_prior + [o_t], cfg.gamma * d)
         raw2, a2 = task_attention(o_tokens, h_t, view2, attn_override=attn_override)
         r_t = T.add(s_t, T.reshape(raw2, (*rows, d * h_t)))
     else:
-        r_t = T.add(s_t, B.mlp_stage(o_t, blk.fc2.mlp, cfg.gamma * d))
+        r_t = T.add(s_t, B.mlp_stage(o_t, blk.fc2, cfg.gamma * d))
         a2 = None
 
     pair = (None if a1 is None else a1.data, None if a2 is None else a2.data)
@@ -670,7 +631,7 @@ def _cta_mhsa_task(model: CilModel, layer: int, task: int, r_list: list[Tensor])
     tokens = _head_tokens(r_list[: task + 1], d)
     outs = {}
     for name in ("ta_q", "ta_k", "ta_v"):
-        view = model._stage_view(layer, name, task)
+        view = model._stage_view(layer, f"attn.{name}", task)
         out, _ = task_attention(tokens, ex.heads, view)
         outs[name] = T.swap_axes(out, -3, -2)               # (H_t, P, D)
     return B.attention_readout(r_list[task], outs["ta_q"], outs["ta_k"], outs["ta_v"],
@@ -692,10 +653,6 @@ def cross_task_mhsa(model: CilModel, layer: int, r_list: list[Tensor], start: in
         blk = model.experts[t].blocks[layer]
         if isinstance(blk.attn, CtaAttentionParams):
             s, a = _cta_mhsa_task(model, layer, t, r_list)
-        elif isinstance(blk.attn, StaAttentionParams):
-            q, k, v = B.tied_head_projections(r_list[t], model.tied_attn[layer], d)
-            s, a = B.attention_readout(r_list[t], q, k, v,
-                                       blk.attn.fuse_w, blk.attn.fuse_b, d)
         else:
             s, a = B.mhsa_block(r_list[t], blk.attn, d)
         s_list.append(s)
@@ -726,8 +683,6 @@ def sta_group_mask(n_query_heads: int, query_offset: int, pool_heads: int,
                    patches: int, variant: str) -> np.ndarray:
     """Enabled (query, key) pairs for joint spatial-task attention: the
     same-head groups plus the variant's cross-head groups."""
-    if variant not in STA_VARIANTS:
-        raise ConfigError(f"unknown sta variant {variant!r}")
     key = (n_query_heads, query_offset, pool_heads, patches, variant)
     if key not in _MASK_CACHE:
         groups = group_masks(n_query_heads, query_offset, pool_heads, patches)
@@ -737,16 +692,16 @@ def sta_group_mask(n_query_heads: int, query_offset: int, pool_heads: int,
 
 
 def sta_attention_stage(model: CilModel, layer: int, r_list: list[Tensor],
-                        variant: str, k_prior: Sequence[Tensor] = (),
-                        v_prior: Sequence[Tensor] = ()):
+                        k_prior: Sequence[Tensor] = (), v_prior: Sequence[Tensor] = ()):
     """Joint masked attention over the (patch, head) tokens of visible tasks.
 
     All heads share one tied q/k/v projection per block, so keys are
     comparable across heads; each task's heads query the pool of tasks up
     to and including itself, keeping earlier experts' outputs intact after
-    later tasks are added.  ``k_prior``/``v_prior`` are the keys and values
-    of the first n experts, which are then skipped.  Returns the outputs
-    and attention weights of experts n.., and the keys and values of all.
+    later tasks are added.  ``cfg.sta_variant`` picks the enabled groups.
+    ``k_prior``/``v_prior`` are the keys and values of the first n
+    experts, which are then skipped.  Returns the outputs and attention
+    weights of experts n.., and the keys and values of all.
     """
     if model.tied_attn is None:
         raise T.ContractError("joint wiring needs tied projections (strategy 'sta')")
@@ -773,7 +728,7 @@ def sta_attention_stage(model: CilModel, layer: int, r_list: list[Tensor],
                            (*lead, m_heads * p, d))
         q_flat = T.reshape(qs[t], (*lead, ex.heads * p, d))
         blk = ex.blocks[layer]
-        mask = sta_group_mask(ex.heads, offset, m_heads, p, variant)
+        mask = sta_group_mask(ex.heads, offset, m_heads, p, cfg.sta_variant)
         s, attn = B.attention_readout(r_list[t], q_flat, k_flat, v_flat,
                                       blk.attn.fuse_w, blk.attn.fuse_b, d, mask)
         s_list.append(s)
@@ -827,7 +782,6 @@ def task_token_head(model: CilModel, features: list[Tensor],
 # ----------------------------------------------------------------- drivers
 
 def _forward(model: CilModel, image, *, collect_attn=False,
-             strategy: str | None = None, sta_variant: str | None = None,
              frozen: FrozenOutputs | None = None) -> ForwardResult:
     """One forward pass of a (C, h, w) image or a (B, C, h, w) batch; with
     ``frozen`` (batched like ``image``) only experts ``frozen.n``.. run.
@@ -835,16 +789,8 @@ def _forward(model: CilModel, image, *, collect_attn=False,
     Attention weights, when collected, cover the experts that run.
     """
     cfg = model.cfg
-    strategy = strategy or cfg.strategy
-    variant = sta_variant or cfg.sta_variant
     if model.task_count == 0:
         raise T.ContractError("forward on a model with no experts")
-    if strategy != "dne":
-        for ex in model.experts:
-            for blk in ex.blocks:
-                if blk.fc1.kind == "ta" or blk.fc2.kind == "ta":
-                    raise T.ContractError(
-                        f"{strategy} wiring needs plain MLP stages, model has task attention")
 
     d = cfg.head_dim
     n = 0 if frozen is None else frozen.n
@@ -868,9 +814,9 @@ def _forward(model: CilModel, image, *, collect_attn=False,
 
         for layer in range(cfg.layers):
             r_layers.append(r_list)
-            if strategy == "sta":
+            if cfg.strategy == "sta":
                 s_new, attns, k_list, v_list = sta_attention_stage(
-                    model, layer, r_list, variant,
+                    model, layer, r_list,
                     _cached(frozen, "k", layer), _cached(frozen, "v", layer))
                 k_layers.append(k_list)
                 v_layers.append(v_list)
@@ -881,11 +827,11 @@ def _forward(model: CilModel, image, *, collect_attn=False,
             new_r = _cached(frozen, "r", layer + 1)
             tab_l: list = []
             for t in range(n, model.task_count):
-                if strategy == "dne":
+                if cfg.strategy == "dne":
                     o_t, r_t, pair = tab_forward(s_list, o_list, model, layer, t)
                 else:
                     blk = model.experts[t].blocks[layer]
-                    r_t, o_t = B.mlp_block(s_list[t], B.MlpParams(blk.fc1.mlp, blk.fc2.mlp),
+                    r_t, o_t = B.mlp_block(s_list[t], B.MlpParams(blk.fc1, blk.fc2),
                                            d, cfg.gamma)
                     pair = None
                 o_list.append(o_t)
@@ -906,19 +852,6 @@ def _forward(model: CilModel, image, *, collect_attn=False,
         logits=logits, aux_logits=aux,
         spatial_attn=sp_attn if collect_attn else None,
         tab_attn=tab_attn if collect_attn else None)
-
-
-def ia_forward(model: CilModel, image, *, collect_attn=False) -> ForwardResult:
-    """Independent-attention wiring: every expert runs alone."""
-    return _forward(model, image, collect_attn=collect_attn, strategy="ia")
-
-
-def sta_forward(model: CilModel, image, variant: str, *, collect_attn=False) -> ForwardResult:
-    """Joint spatial-task attention with the given group variant."""
-    if variant not in STA_VARIANTS:
-        raise ConfigError(f"unknown sta variant {variant!r}")
-    return _forward(model, image, collect_attn=collect_attn,
-                    strategy="sta", sta_variant=variant)
 
 
 # ----------------------------------------------------------------- checkpoints

@@ -106,6 +106,7 @@ MODEL_CASES = {
     "model_dne_share_f": {"share_q": "f", "share_k": "f"},
     "model_dne_share_v_s": {"share_v": "s"},
     "model_dne_cta_layers_10": {"layers": 2, "cta_layers": (True, False), "cta_in_fc1": False},
+    "model_dne_cta_fc2_off": {"cta_in_fc2": False},
     "model_sta_both": {"strategy": "sta", "sta_variant": "both"},
     "model_ia": {"strategy": "ia"},
 }

@@ -187,3 +187,48 @@ def test_config_rejects_nonfinite_or_negative_optimizer_values(tmp_path, capsys,
     cfg_file.write_text(json.dumps({field: value}))
     assert cli.main(["train", "--config", str(cfg_file)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+
+
+def _tiny_checkpoint(tmp_path):
+    cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
+                        gamma=2, layers=1)
+    model = E.CilModel(cfg, seed=0).add_expert(1, 2)
+    E.save_checkpoint(model, tmp_path / "model.ckpt")
+    return str(tmp_path / "model.ckpt")
+
+
+@pytest.mark.parametrize("argv", [
+    ["flops", "--heads", "0", "--patches", "4"],
+    ["flops", "--heads", "2", "--patches", "4", "--tasks", "0"],
+    ["flops", "--heads", "2", "--patches", "4", "--dim", "0"],
+    ["counts", "--heads", "0", "--patches", "4"],
+    ["analyze-attention", "--ckpt", "{ckpt}", "--images", "0"],
+    ["analyze-attention", "--ckpt", "{ckpt}", "--mode", "final", "--images", "-1"],
+])
+def test_subcommand_rejects_degenerate_sizes_with_one_error_line(tmp_path, capsys, argv):
+    argv = [_tiny_checkpoint(tmp_path) if a == "{ckpt}" else a for a in argv]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert "NaN" not in captured.out
+
+
+def test_sta_variant_flag_accepts_every_variant():
+    for variant in E.STA_VARIANTS:
+        cfg = cli.load_run_config(_parse(["train", "--strategy", "sta",
+                                          "--sta-variant", variant]))
+        assert cfg.model_config().sta_variant == variant
+
+
+def test_joint_run_reports_gap_to_joint_accuracy(tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--joint", "--classes", "4", "--first-task", "2",
+                     "--step-size", "1", "--per-class", "4", "--epochs", "1",
+                     "--tune-epochs", "0", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(open(out / "metrics.csv")))
+    d_gap = [float(r["value"]) for r in rows if r["metric"] == "D_gap"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["joint_accuracy"] is not None
+    assert d_gap == [summary["joint_accuracy"] - summary["LA"]]
+    assert summary["D_gap"] == d_gap[0]

@@ -372,7 +372,7 @@ def test_run_stream_produces_metrics_and_respects_buffer():
     model, rec = C.run_stream(cfg, stream, tc, seed=3, buffer_capacity=6)
     assert len(rec.accuracies) == 2
     assert model.task_count == 2
-    assert model.layout.heads_per_task == (2, 1)
+    assert model.heads_per_task == (2, 1)
 
 
 def test_run_stream_deterministic():

@@ -46,7 +46,7 @@ def test_model_config_rejects_nonpositive_sizes(name):
 def test_head_budget_grows_by_k():
     m = build_model(small_cfg(strategy="dne"), heads=(12,), classes=(4,))
     m.add_expert(1, 2)
-    assert m.layout.total_heads == 13
+    assert m.total_heads == 13
 
 
 def test_add_expert_rejects_zero():
@@ -109,20 +109,20 @@ def test_old_params_frozen_after_expansion():
             assert t.requires_grad, name
 
 
-# --------------------------------------------------------------- ia_forward
+# --------------------------------------------------------------- ia
 
 def test_single_task_ia_equals_plain_backbone():
     cfg = small_cfg(strategy="ia")
     m = build_model(cfg, heads=(2,), classes=(3,))
     img = rand_image(cfg, 2)
-    res = E.ia_forward(m, img)
+    res = m.forward(img)
 
     ecfg = B.PatchEmbedConfig(cfg.image_size, cfg.patch_size, cfg.in_channels,
                               cfg.head_dim, 2)
     r = B.patch_embed(T.Tensor(img), m.experts[0].embed, m.pos, ecfg)
     for blk in m.experts[0].blocks:
         r, _ = B.transformer_block(
-            r, B.TransformerBlockParams(blk.attn, B.MlpParams(blk.fc1.mlp, blk.fc2.mlp)),
+            r, B.TransformerBlockParams(blk.attn, B.MlpParams(blk.fc1, blk.fc2)),
             cfg.head_dim, cfg.gamma)
     np.testing.assert_array_equal(res.features[0].data, r.data)
 
@@ -130,10 +130,10 @@ def test_single_task_ia_equals_plain_backbone():
 def test_ia_concatenated_width():
     cfg = small_cfg(strategy="ia")
     m = build_model(cfg, heads=(2, 1), classes=(3, 2))
-    res = E.ia_forward(m, rand_image(cfg, 3))
+    res = m.forward(rand_image(cfg, 3))
     widths = [f.shape[1] for f in res.features]
     assert widths == [8, 4]
-    assert sum(widths) == cfg.head_dim * m.layout.total_heads
+    assert sum(widths) == cfg.head_dim * m.total_heads
 
 
 def test_ia_old_features_bit_identical_after_expansion():
@@ -141,10 +141,10 @@ def test_ia_old_features_bit_identical_after_expansion():
     m = build_model(cfg, heads=(2,), classes=(3,))
     img = rand_image(cfg, 4)
     with T.no_grad():
-        before = E.ia_forward(m, img).features[0].data.copy()
+        before = m.forward(img).features[0].data.copy()
     m.add_expert(1, 2)
     with T.no_grad():
-        after = E.ia_forward(m, img).features[0].data
+        after = m.forward(img).features[0].data
     np.testing.assert_array_equal(after, before)
 
 
@@ -158,14 +158,19 @@ def test_sta_group_mask_counts():
 
 
 def test_sta_reduces_to_ia_with_same_head_groups():
-    cfg = small_cfg(strategy="sta")
+    # with only the same-head groups enabled, joint attention is each
+    # expert's own per-head attention over its tied projections
+    cfg = small_cfg(strategy="sta", sta_variant="none")
     m = build_model(cfg, heads=(2, 1), classes=(3, 2))
-    img = rand_image(cfg, 5)
-    res_sta = E.sta_forward(m, img, "none")
-    res_ia = E.ia_forward(m, img)
-    for a, b in zip(res_sta.features, res_ia.features):
-        assert np.abs(a.data - b.data).max() < TOL.ia_reduction
-    assert np.abs(res_sta.logits.data - res_ia.logits.data).max() < TOL.ia_reduction
+    res = m.forward(rand_image(cfg, 5))
+    d = cfg.head_dim
+    for l in range(cfg.layers):
+        for t, ex in enumerate(m.experts):
+            r = res.r_layers[l][t]
+            q, k, v = B.tied_head_projections(r, m.tied_attn[l], d)
+            attn = ex.blocks[l].attn
+            want, _ = B.attention_readout(r, q, k, v, attn.fuse_w, attn.fuse_b, d)
+            assert np.abs(res.s_layers[l][t].data - want.data).max() < TOL.ia_reduction
 
 
 def test_sta_same_patch_logits_match_constructed_input():
@@ -299,7 +304,7 @@ def test_tab_forward_matches_scalar_oracle():
 def test_tab_lambda_zero_kills_intermediate():
     cfg = small_cfg(strategy="dne", layers=1)
     m = build_model(cfg, heads=(1, 1), classes=(2, 2))
-    m.experts[1].blocks[0].fc1.ta.lam.data[...] = 0.0
+    m.experts[1].blocks[0].fc1.lam.data[...] = 0.0
     rng = np.random.default_rng(13)
     P = cfg.num_patches
     s_list = [T.Tensor(rng.normal(size=(P, 4))), T.Tensor(rng.normal(size=(P, 4)))]
@@ -354,7 +359,7 @@ def test_tab_all_ones_attention_equals_generalized_mlp():
     for stage in ("fc1", "fc2"):
         for t in range(2):
             blk = m.experts[t].blocks[0]
-            getattr(blk, stage).ta.lam.data[...] = 1.0
+            getattr(blk, stage).lam.data[...] = 1.0
     rng = np.random.default_rng(22)
     P = cfg.num_patches
     s1 = rng.normal(size=(P, 8))
@@ -381,7 +386,7 @@ def test_tab_attention_rows_shape_and_sum():
         for t, pair in enumerate(layer_pairs):
             a1, a2 = pair
             h_t = m.experts[t].heads
-            pool = m.layout.pool_heads(t)
+            pool = sum(m.heads_per_task[: t + 1])
             assert a1.shape == (cfg.num_patches, h_t, pool)
             np.testing.assert_allclose(a1.sum(axis=-1), 1.0, atol=TOL.row_sum)
             np.testing.assert_allclose(a2.sum(axis=-1), 1.0, atol=TOL.row_sum)
@@ -486,13 +491,13 @@ def test_gradients_never_reach_frozen_params():
 def test_sharing_modes_control_ownership():
     cfg_s = small_cfg(strategy="dne", share_q="s", share_k="s", share_v="f")
     m = build_model(cfg_s, heads=(2, 1), classes=(2, 2))
-    st = m.experts[1].blocks[0].fc1.ta
+    st = m.experts[1].blocks[0].fc1
     assert st.wq is None and st.wk is None
     assert st.wv_own.shape[0] == 3          # flexible: one matrix per visible head
 
     cfg_f = small_cfg(strategy="dne", share_q="f", share_k="f", share_v="s")
     m2 = build_model(cfg_f, heads=(2, 1), classes=(2, 2))
-    st2 = m2.experts[1].blocks[0].fc1.ta
+    st2 = m2.experts[1].blocks[0].fc1
     assert st2.wq is not None and st2.wk is not None
     assert st2.wv_own.shape[0] == 1         # shared: only its own head's matrix
     view = m2._stage_view(0, "fc1", 1)
@@ -503,8 +508,8 @@ def test_shared_qk_are_task0_matrices():
     cfg = small_cfg(strategy="dne", share_q="s", share_k="s")
     m = build_model(cfg, heads=(2, 1), classes=(2, 2))
     view = m._stage_view(0, "fc1", 1)
-    assert view.wq is m.experts[0].blocks[0].fc1.ta.wq
-    assert view.wk is m.experts[0].blocks[0].fc1.ta.wk
+    assert view.wq is m.experts[0].blocks[0].fc1.wq
+    assert view.wk is m.experts[0].blocks[0].fc1.wk
 
 
 # --------------------------------------------------------------- cta_in_mhsa
