@@ -105,8 +105,9 @@ def attention_group_stats(attn, head_to_task, H: int, P: int) -> AttentionStats:
 
 
 def assemble_joint_attention(model: E.CilModel, result: E.ForwardResult,
-                             layer: int) -> np.ndarray:
-    """Scatter one layer's attention into the full (HP) x (HP) matrix.
+                             layer: int, image: int | None = None) -> np.ndarray:
+    """Scatter one layer's attention into the full (HP) x (HP) matrix; of a
+    batched ``result``, that of batch entry ``image``.
 
     Pairs the wiring never computes stay zero, so independent-attention
     models show exactly zero cross-head mass.
@@ -115,6 +116,8 @@ def assemble_joint_attention(model: E.CilModel, result: E.ForwardResult,
     P = model.cfg.num_patches
     full = np.zeros((H * P, H * P))
     mats = result.spatial_attn[layer]
+    if image is not None:
+        mats = [a[image] for a in mats]
     offset = 0
     for t, ex in enumerate(model.experts):
         a = mats[t]
@@ -132,23 +135,21 @@ def assemble_joint_attention(model: E.CilModel, result: E.ForwardResult,
 def model_attention_stats(model: E.CilModel, images, mode: str = "layer_mean",
                           ) -> AttentionStats:
     """Average the assembled joint attention over images (and layers, unless
-    ``mode='final'``) and decompose it by group."""
+    ``mode='final'``) and decompose it by group; all images run as one batch."""
     if mode not in ("layer_mean", "final"):
         raise ConfigError(f"unknown aggregation mode {mode!r}")
-    H, P = model.total_heads, model.cfg.num_patches
-    acc = np.zeros((H * P, H * P))
-    n = 0
-    with T.no_grad():
-        for img in images:
-            res = model.forward(img, collect_attn=True)
-            layers = range(model.cfg.layers) if mode == "layer_mean" \
-                else [model.cfg.layers - 1]
-            for l in layers:
-                acc += assemble_joint_attention(model, res, l)
-                n += 1
-    if not n:
+    if not len(images):
         raise ConfigError("attention statistics need at least one image")
-    return attention_group_stats(acc / n, model.head_to_task(), H, P)
+    H, P = model.total_heads, model.cfg.num_patches
+    layers = range(model.cfg.layers) if mode == "layer_mean" else [model.cfg.layers - 1]
+    with T.no_grad():
+        res = model.forward(np.stack(images), collect_attn=True)
+    acc = np.zeros((H * P, H * P))
+    for i in range(len(images)):
+        for l in layers:
+            acc += assemble_joint_attention(model, res, l, i)
+    return attention_group_stats(acc / (len(images) * len(layers)),
+                                 model.head_to_task(), H, P)
 
 
 # ------------------------------------------------------------- MAC accounting
@@ -162,7 +163,7 @@ def _attention_macs(strategy: str, heads: list[int], P: int, D: int,
         if strategy == "sta":
             total += 3 * h * P * D * D                   # own-head projections
             total += 2 * h * P * pool * P * D            # joint scores + weighted sum
-        elif cta_in_mhsa:
+        elif strategy == "dne" and cta_in_mhsa:
             total += 3 * _ta_macs(P, pool, h, D, D, D)   # q/k/v via task attention
             total += 2 * h * P * P * D                   # per-head spatial attention
         else:

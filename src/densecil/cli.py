@@ -78,8 +78,9 @@ class RunConfig:
     attention_mode: str = "layer_mean"
 
     def validate(self) -> None:
-        positive = ("classes", "per_class", "eval_per_class", "image_size",
-                    "patch_size", "channels", "head_dim", "gamma", "layers",
+        """Reject bad values before anything runs; the model geometry and
+        wiring are checked by building the ``ModelConfig``."""
+        positive = ("classes", "per_class", "eval_per_class",
                     "first_task", "step_size", "h1", "k", "batch_size")
         for name in positive:
             if getattr(self, name) < 1:
@@ -93,8 +94,6 @@ class RunConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
-        if self.strategy not in E.STRATEGIES:
-            raise ConfigError(f"strategy must be one of {E.STRATEGIES}")
         if self.dataset not in ("synthetic", "cifar100"):
             raise ConfigError(f"unknown dataset {self.dataset!r}")
         if self.dataset == "cifar100" and not (self.cifar_train and self.cifar_test):
@@ -103,6 +102,7 @@ class RunConfig:
             if len(self.cta_layers) != self.layers or set(self.cta_layers) - {"0", "1"}:
                 raise ConfigError(
                     f"cta_layers mask must be {self.layers} chars of 0/1")
+        self.model_config()
 
     def model_config(self) -> E.ModelConfig:
         mask = None

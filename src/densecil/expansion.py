@@ -22,7 +22,10 @@ all tasks to produce the residual update (head width gamma*D on the way up,
 D on the way down).
 
 The wiring is a field of ``ModelConfig``: ``add_expert`` builds each
-expert's blocks for it, and ``forward`` runs the model in it.
+expert's blocks for it, and ``forward`` runs the model in it.  The share
+modes are resolved there too: a TA stage holds every tensor it runs with,
+whether its expert owns it or reads it from an older expert, and registers
+only what it owns.
 
 No operation couples two images, so ``forward`` takes one (C, h, w) image
 or a (B, C, h, w) batch through the same code; every activation then
@@ -38,7 +41,6 @@ import math
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from operator import attrgetter
 
 import numpy as np
 
@@ -113,17 +115,19 @@ class ModelConfig:
 
 @dataclass
 class TaStageParams:
-    """One task-attention application.
+    """One task-attention application, with sharing already resolved.
 
-    ``wq``/``wk`` are ``None`` on experts that reuse the shared (task-1)
-    matrices; ``wv_own`` holds only the value matrices this expert owns --
-    the full per-head stack is assembled at forward time.
+    ``wq``/``wk`` are the first expert's own tensors where the share mode is
+    ``'s'``.  ``wv`` lists the value stacks of the visible heads in pool
+    order, this expert's own stack last: one stack for every visible head,
+    or under shared values each expert's own stack.  Concatenated along the
+    head axis they give the (H_pool, din, dout) value matrices.
     """
     ln_gain: Tensor           # (din_head,)
     ln_bias: Tensor
-    wq: Tensor | None         # (din_head, attn_dim)
-    wk: Tensor | None
-    wv_own: Tensor            # (n_own, din_head, dout_head)
+    wq: Tensor                # (din_head, attn_dim)
+    wk: Tensor
+    wv: list[Tensor]          # [(n_i, din_head, dout_head)], sum n_i = H_pool
     lam: Tensor               # (H_t,) learned per-new-head scale
 
 
@@ -171,17 +175,6 @@ class TaskExpert:
     token_block: B.SelfAttentionParams
     head_w: Tensor                   # (D*H_t, n_classes)
     head_b: Tensor
-
-
-@dataclass
-class StageView:
-    """A TA stage with sharing resolved: ready-to-run tensors."""
-    ln_gain: Tensor
-    ln_bias: Tensor
-    wq: Tensor
-    wk: Tensor
-    wv_stacks: list[Tensor]          # concat along head axis gives (H_pool, din, dout)
-    lam: Tensor
 
 
 # ----------------------------------------------------------------- model
@@ -248,16 +241,6 @@ class CilModel:
         for f in fields(p):
             self._register(f"{prefix}.{f.name}", getattr(p, f.name))
 
-    def _register_ta(self, prefix: str, p: TaStageParams) -> None:
-        self._register(f"{prefix}.ln_gain", p.ln_gain)
-        self._register(f"{prefix}.ln_bias", p.ln_bias)
-        if p.wq is not None:
-            self._register(f"{prefix}.wq", p.wq)
-        if p.wk is not None:
-            self._register(f"{prefix}.wk", p.wk)
-        self._register(f"{prefix}.wv", p.wv_own)
-        self._register(f"{prefix}.lam", p.lam)
-
     # -- expansion ----------------------------------------------------------
 
     def add_expert(self, new_heads: int, new_classes: int) -> "CilModel":
@@ -295,21 +278,22 @@ class CilModel:
         embed = B.init_patch_embed(rng, ecfg)
         self._register_fields(f"task{t}.embed", embed)
 
-        def ta_stage(prefix: str, din: int, dout: int, shared_ok: bool) -> TaStageParams:
-            own_q = t == 0 or cfg.share_q == "f" or not shared_ok
-            own_k = t == 0 or cfg.share_k == "f" or not shared_ok
-            own_all_v = cfg.share_v == "f" or not shared_ok
-            n_own = pool if own_all_v else new_heads
-            p = TaStageParams(
-                ln_gain=Tensor(np.ones(din), requires_grad=True),
-                ln_bias=Tensor(np.zeros(din), requires_grad=True),
-                wq=Tensor(T.fan_in_normal(rng, (din, d)), requires_grad=True) if own_q else None,
-                wk=Tensor(T.fan_in_normal(rng, (din, d)), requires_grad=True) if own_k else None,
-                wv_own=Tensor(T.fan_in_normal(rng, (n_own, din, dout)), requires_grad=True),
-                lam=Tensor(np.ones(new_heads), requires_grad=True),
-            )
-            self._register_ta(prefix, p)
-            return p
+        def ta_stage(prefix: str, din: int, dout: int,
+                     prior: Sequence[TaStageParams] = ()) -> TaStageParams:
+            """A TA stage sharing with ``prior``, the same stage of experts
+            0..t-1, as the share modes say; registers only what it owns."""
+            def own(name: str, data: np.ndarray) -> Tensor:
+                return self._register(f"{prefix}.{name}", Tensor(data, requires_grad=True))
+
+            ln_gain, ln_bias = own("ln_gain", np.ones(din)), own("ln_bias", np.zeros(din))
+            wq = (prior[0].wq if prior and cfg.share_q == "s"
+                  else own("wq", T.fan_in_normal(rng, (din, d))))
+            wk = (prior[0].wk if prior and cfg.share_k == "s"
+                  else own("wk", T.fan_in_normal(rng, (din, d))))
+            shared_v = [p.wv[-1] for p in prior] if cfg.share_v == "s" else []
+            wv = own("wv", T.fan_in_normal(rng, (new_heads if shared_v else pool, din, dout)))
+            return TaStageParams(ln_gain, ln_bias, wq, wk, shared_v + [wv],
+                                 own("lam", np.ones(new_heads)))
 
         cta_mask = cfg.cta_mask()
         blocks: list[ExpertBlock] = []
@@ -326,9 +310,9 @@ class CilModel:
                 )
             elif cfg.strategy == "dne" and cfg.cta_in_mhsa:
                 attn = CtaAttentionParams(
-                    ta_q=ta_stage(f"{pfx}.attn.ta_q", d, d, shared_ok=False),
-                    ta_k=ta_stage(f"{pfx}.attn.ta_k", d, d, shared_ok=False),
-                    ta_v=ta_stage(f"{pfx}.attn.ta_v", d, d, shared_ok=False),
+                    ta_q=ta_stage(f"{pfx}.attn.ta_q", d, d),
+                    ta_k=ta_stage(f"{pfx}.attn.ta_k", d, d),
+                    ta_v=ta_stage(f"{pfx}.attn.ta_v", d, d),
                     fuse_w=self._register(f"{pfx}.attn.fuse_w",
                                           Tensor(T.fan_in_normal(rng, (width, width)),
                                                  requires_grad=True)),
@@ -341,12 +325,12 @@ class CilModel:
 
             use_tab = cfg.strategy == "dne" and cta_mask[l]
             if use_tab and cfg.cta_in_fc1:
-                fc1 = ta_stage(f"{pfx}.fc1", d, dp, shared_ok=True)
+                fc1 = ta_stage(f"{pfx}.fc1", d, dp, [e.blocks[l].fc1 for e in self.experts])
             else:
                 fc1 = B.init_mlp_stage(rng, d, width, cfg.gamma * width)
                 self._register_fields(f"{pfx}.fc1", fc1)
             if use_tab and cfg.cta_in_fc2:
-                fc2 = ta_stage(f"{pfx}.fc2", dp, d, shared_ok=True)
+                fc2 = ta_stage(f"{pfx}.fc2", dp, d, [e.blocks[l].fc2 for e in self.experts])
             else:
                 fc2 = B.init_mlp_stage(rng, dp, cfg.gamma * width, width)
                 self._register_fields(f"{pfx}.fc2", fc2)
@@ -374,25 +358,6 @@ class CilModel:
         self._register("aux.w", self.aux_w)
         self._register("aux.b", self.aux_b)
         return self
-
-    # -- sharing resolution ---------------------------------------------------
-
-    def _stage_view(self, layer: int, which: str, task: int) -> StageView:
-        """Resolve shared matrices and collect value stacks for one TA stage;
-        ``which`` is its path in an ``ExpertBlock``: "fc1", "fc2" or
-        "attn.ta_q" (and k, v)."""
-        def stage_of(i: int) -> TaStageParams:
-            return attrgetter(which)(self.experts[i].blocks[layer])
-
-        own = stage_of(task)
-        wq = own.wq if own.wq is not None else stage_of(0).wq
-        wk = own.wk if own.wk is not None else stage_of(0).wk
-        if own.wv_own.shape[0] == sum(self.heads_per_task[: task + 1]):
-            stacks = [own.wv_own]
-        else:
-            stacks = [stage_of(i).wv_own for i in range(task + 1)]
-        return StageView(ln_gain=own.ln_gain, ln_bias=own.ln_bias, wq=wq, wk=wk,
-                         wv_stacks=stacks, lam=own.lam)
 
     # -- forward ---------------------------------------------------------------
 
@@ -501,24 +466,24 @@ def freeze_outputs(model: CilModel, res: ForwardResult, n: int, *,
     """Detach from ``res`` what experts n.. read from experts 0..n-1.
 
     ``res`` comes from a forward pass in the model's own wiring.  With
-    ``features`` the final block outputs of experts n.. are kept too.
+    ``features`` the final block outputs of experts n.. are kept too.  What
+    a layer keeps follows the stage types of the newest expert's block.
     """
-    cfg = model.cfg
-    dne, sta = cfg.strategy == "dne", cfg.strategy == "sta"
-    tab = [dne and m for m in cfg.cta_mask()]
+    blocks = model.experts[-1].blocks
 
-    def keep(per_layer, needed: list[bool]):
-        return [[t.detach() for t in per_layer[l][:n]] if needed[l] else [None] * n
-                for l in range(cfg.layers)]
+    def keep(per_layer, stage: str, kind: type):
+        return [[t.detach() for t in per_layer[l][:n]]
+                if isinstance(getattr(blk, stage), kind) else [None] * n
+                for l, blk in enumerate(blocks)]
 
     n_cls = sum(ex.n_classes for ex in model.experts[:n])
     return FrozenOutputs(
         n=n,
-        r=keep(res.r_layers, [dne and cfg.cta_in_mhsa] * cfg.layers),
-        s=keep(res.s_layers, [m and cfg.cta_in_fc1 for m in tab]),
-        o=keep(res.o_layers, [m and cfg.cta_in_fc2 for m in tab]),
-        k=keep(res.k_layers, [sta] * cfg.layers),
-        v=keep(res.v_layers, [sta] * cfg.layers),
+        r=keep(res.r_layers, "attn", CtaAttentionParams),
+        s=keep(res.s_layers, "fc1", TaStageParams),
+        o=keep(res.o_layers, "fc2", TaStageParams),
+        k=keep(res.k_layers, "attn", StaAttentionParams),
+        v=keep(res.v_layers, "attn", StaAttentionParams),
         token_feats=[f.detach() for f in res.token_feats[:n]],
         logits=Tensor(res.logits.data[..., None, :n_cls]),
         features=[f.detach() for f in res.features[n:]] if features else None)
@@ -534,7 +499,7 @@ def _cached(frozen: FrozenOutputs | None, name: str, layer: int) -> list:
 
 # ----------------------------------------------------------------- task attention
 
-def task_attention(tokens: Tensor, n_query: int, view: StageView,
+def task_attention(tokens: Tensor, n_query: int, stage: TaStageParams,
                    attn_override: np.ndarray | None = None):
     """Attend the last ``n_query`` head tokens over the whole pool.
 
@@ -545,22 +510,22 @@ def task_attention(tokens: Tensor, n_query: int, view: StageView,
     attention weights.
     """
     *lead, p, h_pool, din = tokens.shape
-    attn_dim = view.wq.shape[-1]
-    x = T.layer_norm(tokens, view.ln_gain, view.ln_bias)
+    attn_dim = stage.wq.shape[-1]
+    x = T.layer_norm(tokens, stage.ln_gain, stage.ln_bias)
     flat = T.reshape(x, (*lead, p * h_pool, din))
-    k = T.reshape(T.matmul(flat, view.wk), (*lead, p, h_pool, attn_dim))
+    k = T.reshape(T.matmul(flat, stage.wk), (*lead, p, h_pool, attn_dim))
     qtok = T.narrow(x, -2, h_pool - n_query, n_query)
-    q = T.reshape(T.matmul(T.reshape(qtok, (*lead, p * n_query, din)), view.wq),
+    q = T.reshape(T.matmul(T.reshape(qtok, (*lead, p * n_query, din)), stage.wq),
                   (*lead, p, n_query, attn_dim))
     scores = T.matmul(q, T.swap_axes(k, -1, -2))
     if attn_override is not None:
         attn = Tensor(np.broadcast_to(attn_override, scores.shape).copy())
     else:
         attn = T.softmax_rows(scores, math.sqrt(attn_dim))
-    wv = view.wv_stacks[0] if len(view.wv_stacks) == 1 else T.concat(view.wv_stacks, axis=0)
+    wv = stage.wv[0] if len(stage.wv) == 1 else T.concat(stage.wv, axis=0)
     v = T.swap_axes(T.matmul(T.swap_axes(x, -3, -2), wv), -3, -2)   # (P, H_pool, dout)
     out = T.matmul(attn, v)
-    out = T.mul(out, T.reshape(view.lam, (1, n_query, 1)))
+    out = T.mul(out, T.reshape(stage.lam, (1, n_query, 1)))
     return out, attn
 
 
@@ -574,9 +539,9 @@ def _head_tokens(feats: list[Tensor], head_dim: int) -> Tensor:
 def tab_attention(s_list: list[Tensor], model: CilModel, layer: int,
                   task: int) -> Tensor:
     """First-application attention weights A of the TAB: (P, H_t, H_pool)."""
-    view = model._stage_view(layer, "fc1", task)
+    ex = model.experts[task]
     tokens = _head_tokens(s_list[: task + 1], model.cfg.head_dim)
-    _, attn = task_attention(tokens, model.experts[task].heads, view)
+    _, attn = task_attention(tokens, ex.heads, ex.blocks[layer].fc1)
     return attn
 
 
@@ -599,8 +564,7 @@ def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
     rows = s_t.shape[:-1]
 
     if isinstance(blk.fc1, TaStageParams):
-        view1 = model._stage_view(layer, "fc1", task)
-        raw1, a1 = task_attention(_head_tokens(s_list[: task + 1], d), h_t, view1,
+        raw1, a1 = task_attention(_head_tokens(s_list[: task + 1], d), h_t, blk.fc1,
                                   attn_override=attn_override)
         o3 = T.gelu(raw1)                                   # (P, H_t, gamma*D)
         o_t = T.reshape(o3, (*rows, cfg.gamma * d * h_t))
@@ -609,9 +573,8 @@ def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
         a1 = None
 
     if isinstance(blk.fc2, TaStageParams):
-        view2 = model._stage_view(layer, "fc2", task)
         o_tokens = _head_tokens(o_prior + [o_t], cfg.gamma * d)
-        raw2, a2 = task_attention(o_tokens, h_t, view2, attn_override=attn_override)
+        raw2, a2 = task_attention(o_tokens, h_t, blk.fc2, attn_override=attn_override)
         r_t = T.add(s_t, T.reshape(raw2, (*rows, d * h_t)))
     else:
         r_t = T.add(s_t, B.mlp_stage(o_t, blk.fc2, cfg.gamma * d))
@@ -627,15 +590,11 @@ def _cta_mhsa_task(model: CilModel, layer: int, task: int, r_list: list[Tensor])
     """Per-head spatial attention whose q/k/v come from task attentions."""
     d = model.cfg.head_dim
     ex = model.experts[task]
-    blk = ex.blocks[layer]
+    attn = ex.blocks[layer].attn
     tokens = _head_tokens(r_list[: task + 1], d)
-    outs = {}
-    for name in ("ta_q", "ta_k", "ta_v"):
-        view = model._stage_view(layer, f"attn.{name}", task)
-        out, _ = task_attention(tokens, ex.heads, view)
-        outs[name] = T.swap_axes(out, -3, -2)               # (H_t, P, D)
-    return B.attention_readout(r_list[task], outs["ta_q"], outs["ta_k"], outs["ta_v"],
-                               blk.attn.fuse_w, blk.attn.fuse_b, d)
+    q, k, v = (T.swap_axes(task_attention(tokens, ex.heads, stage)[0], -3, -2)  # (H_t, P, D)
+               for stage in (attn.ta_q, attn.ta_k, attn.ta_v))
+    return B.attention_readout(r_list[task], q, k, v, attn.fuse_w, attn.fuse_b, d)
 
 
 def cross_task_mhsa(model: CilModel, layer: int, r_list: list[Tensor], start: int = 0):

@@ -108,6 +108,9 @@ MODEL_CASES = {
     "model_dne_cta_layers_10": {"layers": 2, "cta_layers": (True, False), "cta_in_fc1": False},
     "model_dne_cta_fc2_off": {"cta_in_fc2": False},
     "model_sta_both": {"strategy": "sta", "sta_variant": "both"},
+    "model_sta_none": {"strategy": "sta", "sta_variant": "none"},
+    "model_sta_spdh": {"strategy": "sta", "sta_variant": "spdh"},
+    "model_sta_dpdh": {"strategy": "sta", "sta_variant": "dpdh"},
     "model_ia": {"strategy": "ia"},
 }
 """``ModelConfig`` overrides of each whole-model check."""

@@ -169,6 +169,8 @@ def test_instrumented_equals_analytic_two_task_reference():
     ("dne", [2, 1], [2, 2], {"cta_layers": (True, False), "layers": 2}),
     ("dne", [2, 1], [2, 2], {"cta_in_fc1": False}),
     ("dne", [2, 1], [2, 2], {"cta_in_fc2": False}),
+    ("ia", [2, 1], [2, 2], {"cta_in_mhsa": True}),
+    ("sta", [2, 1], [2, 2], {"cta_in_mhsa": True}),
 ])
 def test_instrumented_equals_analytic_grid(strategy, heads, classes, kw):
     _check_instrumented(strategy, heads, classes, **kw)

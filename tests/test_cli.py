@@ -131,6 +131,19 @@ def test_invalid_strategy_exits_nonzero(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values", [
+    {"sta_variant": "bogus"}, {"share_q": "x"}, {"image_size": 10}, {"gamma": 0},
+])
+def test_bad_model_config_fails_before_making_the_run_directory(tmp_path, capsys, values):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(values))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_file), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not out.exists()
+
+
 def test_analyze_attention_subcommand(tmp_path, capsys):
     out = tmp_path / "run"
     cli.main(["train", *FAST, "--seed", "12", "--out", str(out)])

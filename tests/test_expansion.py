@@ -246,19 +246,19 @@ def tab_scalar_oracle(model, s1, s2, layer=0):
         var = ((vec - mu) ** 2).mean()
         return (vec - mu) / math.sqrt(var + 1e-5) * gain + bias
 
-    def stage(tokens_per_head, view, n_query, dout):
+    def stage(tokens_per_head, st, n_query, dout):
         # tokens_per_head: list over pool heads of (P, din)
         H = len(tokens_per_head)
         outs = np.zeros((P, n_query, dout))
         attn = np.zeros((P, n_query, H))
-        wv = np.concatenate([w.data for w in view.wv_stacks], axis=0)
+        wv = np.concatenate([w.data for w in st.wv], axis=0)
         for p in range(P):
-            normed = [ln(tok[p], view.ln_gain.data, view.ln_bias.data)
+            normed = [ln(tok[p], st.ln_gain.data, st.ln_bias.data)
                       for tok in tokens_per_head]
-            keys = [n @ view.wk.data for n in normed]
+            keys = [n @ st.wk.data for n in normed]
             vals = [normed[j] @ wv[j] for j in range(H)]
             for i in range(n_query):
-                qvec = normed[H - n_query + i] @ view.wq.data
+                qvec = normed[H - n_query + i] @ st.wq.data
                 scores = np.array([qvec @ kj for kj in keys]) / math.sqrt(d)
                 scores -= scores.max()
                 w = np.exp(scores)
@@ -266,22 +266,20 @@ def tab_scalar_oracle(model, s1, s2, layer=0):
                 acc = np.zeros(dout)
                 for j in range(H):
                     acc += w[j] * vals[j]
-                outs[p, i] = view.lam.data[i] * acc
+                outs[p, i] = st.lam.data[i] * acc
                 attn[p, i] = w
         return outs, attn
 
     gelu = lambda x: x * 0.5 * (1 + erf(x / math.sqrt(2)))
-    v1 = model._stage_view(layer, "fc1", 1)
-    o_new, _ = stage([s1, s2], v1, 1, g * d)
+    new_blk, old_blk = model.experts[1].blocks[layer], model.experts[0].blocks[layer]
+    o_new, _ = stage([s1, s2], new_blk.fc1, 1, g * d)
     o2 = gelu(o_new[:, 0, :])
 
     # frozen task-1 intermediate from its own (single-head) TAB
-    v1_old = model._stage_view(layer, "fc1", 0)
-    o_old_raw, _ = stage([s1], v1_old, 1, g * d)
+    o_old_raw, _ = stage([s1], old_blk.fc1, 1, g * d)
     o1 = gelu(o_old_raw[:, 0, :])
 
-    v2 = model._stage_view(layer, "fc2", 1)
-    upd, _ = stage([o1, o2], v2, 1, d)
+    upd, _ = stage([o1, o2], new_blk.fc2, 1, d)
     return o2, s2 + upd[:, 0, :]
 
 
@@ -338,16 +336,16 @@ def generalized_mlp_reference(model, s_arrays, o_prior_arrays, layer, task):
 
     gelu = lambda x: x * 0.5 * (1 + erf(x / math.sqrt(2)))
 
-    v1 = model._stage_view(layer, "fc1", task)
+    blk = model.experts[task].blocks[layer]
+    v1, v2 = blk.fc1, blk.fc2
     toks = ln_tokens(s_arrays, d, v1.ln_gain.data, v1.ln_bias.data)
-    wv1 = np.concatenate([w.data for w in v1.wv_stacks], axis=0)
+    wv1 = np.concatenate([w.data for w in v1.wv], axis=0)
     summed = np.einsum("phd,hde->pe", toks, wv1)
     o = gelu(np.tile(summed[:, None, :], (1, h_t, 1)) * v1.lam.data[None, :, None])
     o_flat = o.reshape(P, -1)
 
-    v2 = model._stage_view(layer, "fc2", task)
     toks2 = ln_tokens(o_prior_arrays + [o_flat], g * d, v2.ln_gain.data, v2.ln_bias.data)
-    wv2 = np.concatenate([w.data for w in v2.wv_stacks], axis=0)
+    wv2 = np.concatenate([w.data for w in v2.wv], axis=0)
     summed2 = np.einsum("phd,hde->pe", toks2, wv2)
     upd = np.tile(summed2[:, None, :], (1, h_t, 1)) * v2.lam.data[None, :, None]
     return o_flat, s_arrays[task] + upd.reshape(P, -1)
@@ -491,25 +489,29 @@ def test_gradients_never_reach_frozen_params():
 def test_sharing_modes_control_ownership():
     cfg_s = small_cfg(strategy="dne", share_q="s", share_k="s", share_v="f")
     m = build_model(cfg_s, heads=(2, 1), classes=(2, 2))
+    names = dict(m.named_parameters())
+    assert "task1.blk0.fc1.wq" not in names and "task1.blk0.fc1.wk" not in names
     st = m.experts[1].blocks[0].fc1
-    assert st.wq is None and st.wk is None
-    assert st.wv_own.shape[0] == 3          # flexible: one matrix per visible head
+    assert len(st.wv) == 1 and st.wv[0].shape[0] == 3   # flexible: one matrix per visible head
+    assert names["task1.blk0.fc1.wv"] is st.wv[0]
 
     cfg_f = small_cfg(strategy="dne", share_q="f", share_k="f", share_v="s")
-    m2 = build_model(cfg_f, heads=(2, 1), classes=(2, 2))
-    st2 = m2.experts[1].blocks[0].fc1
-    assert st2.wq is not None and st2.wk is not None
-    assert st2.wv_own.shape[0] == 1         # shared: only its own head's matrix
-    view = m2._stage_view(0, "fc1", 1)
-    assert sum(w.shape[0] for w in view.wv_stacks) == 3
+    m2 = build_model(cfg_f, heads=(2, 1, 1), classes=(2, 2, 2))
+    names2 = dict(m2.named_parameters())
+    st0, st1, st2 = (ex.blocks[0].fc1 for ex in m2.experts)
+    assert names2["task1.blk0.fc1.wq"] is st1.wq and names2["task1.blk0.fc1.wk"] is st1.wk
+    assert st1.wq is not st0.wq
+    # shared values: each older expert's own stack, then only its own heads' matrices
+    assert [w.shape[0] for w in st2.wv] == [2, 1, 1]
+    assert st2.wv[0] is st0.wv[0] and st2.wv[1] is st1.wv[1]
+    assert names2["task2.blk0.fc1.wv"] is st2.wv[2]
 
 
 def test_shared_qk_are_task0_matrices():
     cfg = small_cfg(strategy="dne", share_q="s", share_k="s")
     m = build_model(cfg, heads=(2, 1), classes=(2, 2))
-    view = m._stage_view(0, "fc1", 1)
-    assert view.wq is m.experts[0].blocks[0].fc1.wq
-    assert view.wk is m.experts[0].blocks[0].fc1.wk
+    assert m.experts[1].blocks[0].fc1.wq is m.experts[0].blocks[0].fc1.wq
+    assert m.experts[1].blocks[0].fc1.wk is m.experts[0].blocks[0].fc1.wk
 
 
 # --------------------------------------------------------------- cta_in_mhsa
