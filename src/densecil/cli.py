@@ -79,7 +79,14 @@ class RunConfig:
 
     def validate(self) -> None:
         """Reject bad values before anything runs; the model geometry and
-        wiring are checked by building the ``ModelConfig``."""
+        wiring are checked by building the ``ModelConfig``.  Each value must
+        have its field's type exactly (an int is a valid float, a bool is
+        not a valid int)."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = type(value).__name__.replace("NoneType", "None")
+            if kind not in f.type.replace("float", "float | int").split(" | "):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         positive = ("classes", "per_class", "eval_per_class",
                     "first_task", "step_size", "h1", "k", "batch_size")
         for name in positive:
@@ -156,9 +163,9 @@ def build_stream(cfg: RunConfig) -> C.TaskStream:
 def run(cfg: RunConfig) -> int:
     """Execute the full train/evaluate protocol and write all artifacts."""
     cfg.validate()
+    stream = build_stream(cfg)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stream = build_stream(cfg)
     model, record = C.run_stream(cfg.model_config(), stream, cfg.train_config(),
                                  cfg.seed, buffer_capacity=cfg.buffer)
     if cfg.joint:
@@ -242,13 +249,17 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     """Defaults < JSON config file < explicit command-line flags."""
     values: dict = {}
     if args.config:
-        with open(args.config) as f:
-            file_values = json.load(f)
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(file_values) - known
+        try:
+            with open(args.config) as f:
+                values = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"config file {args.config} is not valid JSON: {e}") from None
+        if not isinstance(values, dict):
+            raise ConfigError(f"config file {args.config} holds a JSON "
+                              f"{type(values).__name__}, not an object")
+        unknown = set(values) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        values.update(file_values)
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)
         if flag is not None:
@@ -303,7 +314,7 @@ def main(argv=None) -> int:
         if args.command == "counts":
             return _cmd_counts(args)
     except (ConfigError, C.StreamError, D.FormatError, E.CheckpointError,
-            T.NumericError) as e:
+            T.NumericError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

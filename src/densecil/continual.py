@@ -5,8 +5,8 @@ plus the replay buffer with a two-part objective (joint cross entropy and
 a new-vs-old auxiliary cross entropy).  Phase 2 rebalances: the buffer is
 refreshed by herding, then only the newest token block and classifier
 slice are tuned on an equal-count-per-class subset.  The frozen experts
-run once per training sample per task; ``FrozenCache`` serves their
-outputs afterwards.
+run once per training sample per task; ``FrozenCache`` keeps their
+outputs batch-major, one row per phase-1 sample, under a per-level budget.
 
 Every model call takes a batch: one graph per SGD batch in training, and
 one graph-free forward per ``EVAL_CHUNK`` images in evaluation, herding
@@ -378,65 +378,79 @@ EVAL_CHUNK = 16
 than both smaller and larger chunks."""
 
 CACHE_BYTES = 256 * 2**20
-"""Byte budget of one task's ``FrozenCache``; samples past it are recomputed."""
+"""Byte budget of one task's ``FrozenCache``; a level past it is not stored."""
 
 
 class FrozenCache:
-    """Frozen-expert outputs of each training sample, for one task.
+    """Frozen-expert outputs of one task's training samples, batch-major.
 
     While the newest expert trains, experts 0..t-1 are frozen and read only
-    older experts, so their outputs are fixed functions of the image.  A
-    sample's first forward runs the whole model and keeps those outputs;
-    later forwards run only the newest expert.  Once ``body_fixed`` is set
-    (phase 1 is over), the newest expert's final features are kept as well,
-    so the tuning phase runs only its token head.
+    older experts, so their outputs are fixed functions of the image.  Row
+    i of every kept array belongs to ``samples[i]``, and ``level[i]`` says
+    what that row holds: 0 nothing, 1 the frozen prefix, 2 the prefix plus
+    the newest expert's final features.  Rows are filled to level 1 by
+    forwards in phase 1 and to level 2 once ``body_fixed`` is set (phase 1
+    is over), so the tuning phase runs only the newest token head.
 
-    ``forward`` takes a batch.  Entries are per sample: a batch runs from
-    the deepest level all its samples have cached (nothing, the frozen
-    prefix, or the final features), so a batch that mixes cached and
-    first-seen samples is recomputed whole.  New entries are copied out of
-    the batch arrays, so none keeps a batch alive.  Results are
-    bit-identical to uncached forwards.  Entries hold their sample, so no
-    ``id`` key is reused while the cache lives.
+    ``forward`` takes a batch of the cache's samples.  It runs from the
+    deepest level all its rows hold, with one index gather per kept array,
+    and fills the rows it computed with one scatter.  The first fill sizes
+    the store for every row: a level whose bytes do not fit ``CACHE_BYTES``
+    is not stored, and with no frozen expert level 1 holds nothing and is
+    skipped.  Results are bit-identical to uncached forwards.
     """
 
-    def __init__(self, model: E.CilModel):
+    def __init__(self, model: E.CilModel, samples: list[Sample]):
         self.model = model
         self.n = model.task_count - 1
         self.body_fixed = False
+        self.samples = samples
+        self.level = np.zeros(len(samples), dtype=np.int8)
+        self.top: int | None = None     # deepest storable level, set by the first fill
         self.nbytes = 0
-        self._entries: dict[int, tuple[Sample, E.FrozenOutputs]] = {}
+        self._rows = {id(s): i for i, s in enumerate(samples)}
+        self._store: E.FrozenOutputs | None = None
 
-    def _frozen(self, sample: Sample) -> E.FrozenOutputs | None:
-        entry = self._entries.get(id(sample))
-        return None if entry is None else entry[1]
+    def _target(self) -> int:
+        """The level a forward now fills its rows to."""
+        want = 2 if self.body_fixed else int(self.n > 0)
+        return want if self.top is None else min(want, self.top)
 
-    def _incomplete(self, frozen: E.FrozenOutputs | None) -> bool:
-        """Whether a forward would keep more than ``frozen`` holds."""
-        return frozen is None or (self.body_fixed and frozen.features is None)
+    def _allocate(self, kept: E.FrozenOutputs) -> None:
+        """Size the store from one batch's outputs, prefix and features: the
+        deepest level whose bytes for every row fit ``CACHE_BYTES``."""
+        count = len(self.samples)
+        sizes = [count * a[0].nbytes for a in kept.arrays()]
+        prefix, total = sum(sizes[:-len(kept.features)]), sum(sizes)
+        self.top = 2 if total <= CACHE_BYTES else int(0 < prefix <= CACHE_BYTES)
+        self.nbytes = (0, prefix, total)[self.top]
+        if self.top:
+            self._store = E.map_frozen(kept, lambda a: np.empty((count, *a.shape[1:])),
+                                       self.top == 2)
 
     def forward(self, samples: list[Sample]) -> E.ForwardResult:
-        old = [self._frozen(s) for s in samples]
-        frozen = None
-        if all(f is not None for f in old):
-            frozen = E.stack_frozen(old, all(f.features is not None for f in old))
+        rows = np.array([self._rows[id(s)] for s in samples])
+        depth = int(self.level[rows].min())
+        frozen = (None if depth == 0 else
+                  E.map_frozen(self._store, lambda a: a[rows], depth == 2))
         res = self.model.forward(images(samples), frozen=frozen)
-        if self.nbytes < CACHE_BYTES and any(self._incomplete(f) for f in old):
-            kept = E.split_frozen(
-                E.freeze_outputs(self.model, res, self.n, features=self.body_fixed))
-            for sample, before, entry in zip(samples, old, kept):
-                if not self._incomplete(before):
-                    continue
-                grow = entry.nbytes - (0 if before is None else before.nbytes)
-                if 0 < grow <= CACHE_BYTES - self.nbytes:
-                    self._entries[id(sample)] = (sample, entry)
-                    self.nbytes += grow
+        if self.top is None:
+            self._allocate(E.freeze_outputs(self.model, res, self.n, features=True))
+        want = self._target()
+        if depth < want:
+            kept = E.freeze_outputs(self.model, res, self.n, features=want == 2)
+            # below level 2, ``kept`` stops before the store's feature arrays
+            for dst, src in zip(self._store.arrays(), kept.arrays()):
+                dst[rows] = src
+            self.level[rows] = want
         return res
 
     def prefetch(self, samples: list[Sample]) -> None:
         """Compute without a graph what later forwards of ``samples`` reuse."""
+        want = self._target()
+        todo = [s for s in samples if self.level[self._rows[id(s)]] < want]
         with T.no_grad():
-            for chunk in chunks([s for s in samples if self._incomplete(self._frozen(s))]):
+            for chunk in chunks(todo):
                 self.forward(chunk)
 
 
@@ -496,7 +510,7 @@ def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
     else:
         phase1_data = list(task.train) + buffer.samples()
 
-    cache = FrozenCache(model)
+    cache = FrozenCache(model, phase1_data)
     _sgd_epochs(model.trainable_parameters(), phase1_data, cfg.epochs, cfg, rng,
                 lambda batch: total_loss(batch, model, w, task_cols, prior, cache.forward),
                 f"task {t}, phase 1")

@@ -409,8 +409,8 @@ class FrozenOutputs:
     and values ``v`` (sta).  ``features``, when set, holds the final block
     outputs of experts n.., whose bodies are then fixed as well: forward
     runs only their token heads.  Tensors are batched exactly when the
-    forward that uses them is; ``stack_frozen`` and ``split_frozen``
-    convert between the two.
+    forward that uses them is; ``map_frozen`` maps an array function,
+    such as a row gather, over all of them.
     """
     n: int
     r: list[list[Tensor | None]]
@@ -422,43 +422,28 @@ class FrozenOutputs:
     logits: Tensor                       # (1, classes of experts 0..n-1)
     features: list[Tensor] | None = None
 
-    @property
-    def nbytes(self) -> int:
+    def arrays(self) -> list[np.ndarray]:
+        """The data of every kept tensor, the final features last."""
         kept = [t for per_layer in (self.r, self.s, self.o, self.k, self.v)
                 for items in per_layer for t in items if t is not None]
         kept += self.token_feats + [self.logits] + (self.features or [])
-        return sum(t.data.nbytes for t in kept)
+        return [t.data for t in kept]
 
 
-def _zip_frozen(parts: list[FrozenOutputs], fn, features: bool) -> FrozenOutputs:
-    """``fn`` applied to the data arrays at each kept position across ``parts``."""
-    def one(xs):
-        return None if xs[0] is None else Tensor(fn([x.data for x in xs]))
+def map_frozen(frozen: FrozenOutputs, fn, features: bool) -> FrozenOutputs:
+    """``fn`` applied to the data array of every kept tensor; the final
+    features are kept only with ``features``."""
+    def one(t):
+        return None if t is None else Tensor(fn(t.data))
 
-    def per_layer(name):
-        return [[one(xs) for xs in zip(*items)]
-                for items in zip(*(getattr(p, name) for p in parts))]
+    def per_layer(items):
+        return [[one(t) for t in layer] for layer in items]
 
     return FrozenOutputs(
-        n=parts[0].n, r=per_layer("r"), s=per_layer("s"), o=per_layer("o"),
-        k=per_layer("k"), v=per_layer("v"),
-        token_feats=[one(xs) for xs in zip(*(p.token_feats for p in parts))],
-        logits=one([p.logits for p in parts]),
-        features=[one(xs) for xs in zip(*(p.features for p in parts))] if features else None)
-
-
-def stack_frozen(parts: list[FrozenOutputs], features: bool = False) -> FrozenOutputs:
-    """Per-image outputs batched along a new leading axis; with ``features``
-    every part must hold its final features, else they are dropped."""
-    return _zip_frozen(parts, np.stack, features)
-
-
-def split_frozen(frozen: FrozenOutputs) -> list[FrozenOutputs]:
-    """Batched outputs as one per-image record each, holding copies, so no
-    record keeps the batch arrays alive."""
-    count = frozen.logits.shape[0]
-    return [_zip_frozen([frozen], lambda xs, i=i: xs[0][i].copy(),
-                        frozen.features is not None) for i in range(count)]
+        n=frozen.n, r=per_layer(frozen.r), s=per_layer(frozen.s), o=per_layer(frozen.o),
+        k=per_layer(frozen.k), v=per_layer(frozen.v),
+        token_feats=[one(t) for t in frozen.token_feats], logits=one(frozen.logits),
+        features=[one(t) for t in frozen.features] if features else None)
 
 
 def freeze_outputs(model: CilModel, res: ForwardResult, n: int, *,
@@ -499,8 +484,7 @@ def _cached(frozen: FrozenOutputs | None, name: str, layer: int) -> list:
 
 # ----------------------------------------------------------------- task attention
 
-def task_attention(tokens: Tensor, n_query: int, stage: TaStageParams,
-                   attn_override: np.ndarray | None = None):
+def task_attention(tokens: Tensor, n_query: int, stage: TaStageParams):
     """Attend the last ``n_query`` head tokens over the whole pool.
 
     ``tokens`` is (P, H_pool, din), with a leading batch axis if batched.
@@ -518,10 +502,7 @@ def task_attention(tokens: Tensor, n_query: int, stage: TaStageParams,
     q = T.reshape(T.matmul(T.reshape(qtok, (*lead, p * n_query, din)), stage.wq),
                   (*lead, p, n_query, attn_dim))
     scores = T.matmul(q, T.swap_axes(k, -1, -2))
-    if attn_override is not None:
-        attn = Tensor(np.broadcast_to(attn_override, scores.shape).copy())
-    else:
-        attn = T.softmax_rows(scores, math.sqrt(attn_dim))
+    attn = T.softmax_rows(scores, math.sqrt(attn_dim))
     wv = stage.wv[0] if len(stage.wv) == 1 else T.concat(stage.wv, axis=0)
     v = T.swap_axes(T.matmul(T.swap_axes(x, -3, -2), wv), -3, -2)   # (P, H_pool, dout)
     out = T.matmul(attn, v)
@@ -536,17 +517,8 @@ def _head_tokens(feats: list[Tensor], head_dim: int) -> Tensor:
     return parts[0] if len(parts) == 1 else T.concat(parts, axis=-2)
 
 
-def tab_attention(s_list: list[Tensor], model: CilModel, layer: int,
-                  task: int) -> Tensor:
-    """First-application attention weights A of the TAB: (P, H_t, H_pool)."""
-    ex = model.experts[task]
-    tokens = _head_tokens(s_list[: task + 1], model.cfg.head_dim)
-    _, attn = task_attention(tokens, ex.heads, ex.blocks[layer].fc1)
-    return attn
-
-
 def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
-                layer: int, task: int, *, attn_override: np.ndarray | None = None):
+                layer: int, task: int):
     """Run both TA applications of one expert's TAB.
 
     ``s_list`` holds post-MHSA features of tasks 0..task; ``o_prior`` the
@@ -564,8 +536,7 @@ def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
     rows = s_t.shape[:-1]
 
     if isinstance(blk.fc1, TaStageParams):
-        raw1, a1 = task_attention(_head_tokens(s_list[: task + 1], d), h_t, blk.fc1,
-                                  attn_override=attn_override)
+        raw1, a1 = task_attention(_head_tokens(s_list[: task + 1], d), h_t, blk.fc1)
         o3 = T.gelu(raw1)                                   # (P, H_t, gamma*D)
         o_t = T.reshape(o3, (*rows, cfg.gamma * d * h_t))
     else:
@@ -574,7 +545,7 @@ def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
 
     if isinstance(blk.fc2, TaStageParams):
         o_tokens = _head_tokens(o_prior + [o_t], cfg.gamma * d)
-        raw2, a2 = task_attention(o_tokens, h_t, blk.fc2, attn_override=attn_override)
+        raw2, a2 = task_attention(o_tokens, h_t, blk.fc2)
         r_t = T.add(s_t, T.reshape(raw2, (*rows, d * h_t)))
     else:
         r_t = T.add(s_t, B.mlp_stage(o_t, blk.fc2, cfg.gamma * d))

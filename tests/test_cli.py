@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -121,6 +122,55 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         args = _parse(["train", "--config", str(cfg_file)])
         with pytest.raises(ConfigError):
             cli.load_run_config(args)
+
+
+@pytest.mark.parametrize("text,problem", [
+    pytest.param('{"epochs": ', "not valid JSON", id="truncated"),
+    pytest.param("[1, 2]", "holds a JSON list, not an object", id="list"),
+    pytest.param('"epochs"', "holds a JSON str, not an object", id="string"),
+    pytest.param('{"epochs": "5"}', "epochs must be int, got '5'", id="str-for-int"),
+    pytest.param('{"epochs": 2.5}', "epochs must be int, got 2.5", id="float-for-int"),
+    pytest.param('{"joint": 1}', "joint must be bool, got 1", id="int-for-bool"),
+    pytest.param('{"seed": true}', "seed must be int, got True", id="bool-for-int"),
+    pytest.param('{"lr": "0.1"}', "lr must be float, got '0.1'", id="str-for-float"),
+    pytest.param('{"strategy": null}', "strategy must be str, got None", id="null-for-str"),
+    pytest.param('{"cta_layers": 10}', "cta_layers must be str | None, got 10", id="int-for-mask"),
+])
+def test_config_file_rejects_malformed_json_and_wrong_types(tmp_path, capsys, text, problem):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(problem)):
+        cli.load_run_config(_parse(["train", "--config", str(cfg_file)]))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_file), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and problem in lines[0], lines
+    assert not out.exists()
+
+
+def test_config_file_accepts_ints_for_floats_and_null_for_optional_paths(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"lr": 1, "noise": 0, "cifar_train": None}))
+    cfg = cli.load_run_config(_parse(["train", "--config", str(cfg_file)]))
+    assert (cfg.lr, cfg.noise, cfg.cifar_train) == (1, 0, None)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["train", "--config", "{tmp}/missing.json"], id="config"),
+    pytest.param(["train", "--dataset", "cifar100", "--cifar-train", "{tmp}/missing.bin",
+                  "--cifar-test", "{tmp}/missing.bin"], id="cifar-missing"),
+    pytest.param(["train", "--dataset", "cifar100", "--cifar-train", "{tmp}/short.bin",
+                  "--cifar-test", "{tmp}/short.bin"], id="cifar-short"),
+    pytest.param(["analyze-attention", "--ckpt", "{tmp}/missing.ckpt"], id="ckpt"),
+])
+def test_missing_or_short_input_file_is_one_error_line(tmp_path, capsys, argv):
+    (tmp_path / "short.bin").write_bytes(b"\x00")
+    out = tmp_path / "run"
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not out.exists()
 
 
 def test_invalid_strategy_exits_nonzero(tmp_path, capsys):

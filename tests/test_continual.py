@@ -388,43 +388,66 @@ def test_run_stream_deterministic():
 
 @pytest.mark.parametrize("strategy", ["dne", "sta", "ia"])
 def test_run_stream_cache_is_bit_exact_against_recomputing(strategy, monkeypatch):
-    """Full cache, no cache, and a budget that holds only some samples, so
-    that batches mix cached and first-seen samples."""
+    """The full budget, a budget that holds the last task's frozen prefix
+    but not its final features, and no budget give the same run."""
     cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
                         gamma=2, layers=2, strategy=strategy)
     tc = C.TrainConfig(epochs=2, tune_epochs=2, lr=0.05, batch_size=5,
                        heads_first=2, heads_per_step=1)
     forward = E.CilModel.forward
-    cached_calls = []
+    served = []         # level each forward was served from
     caches = []
 
     def counting_forward(self, image, **kw):
-        cached_calls.append(kw.get("frozen") is not None)
+        frozen = kw.get("frozen")
+        served.append(0 if frozen is None else 1 if frozen.features is None else 2)
         return forward(self, image, **kw)
 
     init = C.FrozenCache.__init__
 
-    def recording_init(self, model):
-        init(self, model)
+    def recording_init(self, model, samples):
+        init(self, model, samples)
         caches.append(self)
 
     monkeypatch.setattr(E.CilModel, "forward", counting_forward)
     monkeypatch.setattr(C.FrozenCache, "__init__", recording_init)
 
     def run():
-        cached_calls.clear()
+        served.clear()
         caches.clear()
         model, rec = C.run_stream(cfg, _micro_stream(), tc, seed=4, buffer_capacity=8)
-        largest = max(caches, key=lambda c: c.nbytes)
-        return (E.checkpoint_bytes(model), rec.accuracies, sum(cached_calls),
-                largest.nbytes, len(largest._entries))
+        return E.checkpoint_bytes(model), rec.accuracies, list(served), caches[-1]
 
-    ckpt, acc, n_cached, nbytes, entries = run()
-    monkeypatch.setattr(C, "CACHE_BYTES", nbytes // 2)
-    ckpt_part, acc_part, n_cached_part, _, entries_part = run()
+    ckpt, acc, served_full, last = run()
+    assert last.top == 2 and last.level.max() == 2 and 2 in served_full
+    monkeypatch.setattr(C, "CACHE_BYTES", last.nbytes - 1)
+    ckpt_part, acc_part, served_part, last_part = run()
+    assert last_part.top == 1 and (last_part.level == 1).all()
+    assert 0 < last_part.nbytes < last.nbytes and 1 in served_part
     monkeypatch.setattr(C, "CACHE_BYTES", 0)
-    ckpt0, acc0, n_cached0, _, _ = run()
-    assert n_cached > 0 and n_cached_part > 0 and n_cached0 == 0
-    assert 0 < entries_part < entries
+    ckpt0, acc0, served0, last0 = run()
+    assert last0.top == 0 and last0.nbytes == 0 and set(served0) == {0}
     assert ckpt == ckpt0 == ckpt_part
     assert acc == acc0 == acc_part
+
+
+def test_frozen_cache_serves_each_batch_from_its_shallowest_row():
+    cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
+                        gamma=2, layers=1, strategy="dne")
+    model = E.CilModel(cfg, seed=5)
+    model.add_expert(2, 2)
+    model.add_expert(1, 2)
+    samples = _micro_stream().tasks[0].train[:6]
+    cache = C.FrozenCache(model, samples)
+    with T.no_grad():
+        want = model.forward(C.images(samples)).logits.data
+        cache.forward(samples[:3])
+        assert list(cache.level) == [1, 1, 1, 0, 0, 0]
+        cache.body_fixed = True
+        got = cache.forward([samples[4], samples[0]]).logits.data
+        assert list(cache.level) == [2, 1, 1, 0, 2, 0]
+        np.testing.assert_array_equal(got, want[[4, 0]])
+        cache.prefetch(samples)
+        assert list(cache.level) == [2] * 6
+        got = cache.forward(samples[::-1]).logits.data
+    np.testing.assert_array_equal(got, want[::-1])
