@@ -6,6 +6,12 @@ to each head token separately.  That per-head discipline is what lets the
 same blocks be stitched across task experts later without re-normalizing
 foreign widths.
 
+Every expert reads the same image: ``extract_patches`` flattens it once and
+each expert's ``patch_embed`` projects those patches.  ``mlp_stage`` is the
+one MLP stage; the model mixes features stage by stage in
+``expansion.tab_forward``, while ``mlp_block`` and ``transformer_block``
+stay here as the plain-ViT reference.
+
 Every block takes token rows (P, D*H) of one image or (B, P, D*H) of a
 batch; leading axes pass through unchanged.
 """
@@ -22,46 +28,16 @@ from .config import ConfigError
 from .tensor import Tensor
 
 
-@dataclass(frozen=True)
-class PatchEmbedConfig:
-    image_size: int
-    patch_size: int
-    in_channels: int
-    head_dim: int
-    heads: int
-
-    def __post_init__(self):
-        if self.image_size % self.patch_size != 0:
-            raise ConfigError(
-                f"image size {self.image_size} not divisible by patch size {self.patch_size}")
-        for name in ("image_size", "patch_size", "in_channels", "head_dim", "heads"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
-
-    @property
-    def num_patches(self) -> int:
-        side = self.image_size // self.patch_size
-        return side * side
-
-    @property
-    def patch_dim(self) -> int:
-        return self.in_channels * self.patch_size * self.patch_size
-
-    @property
-    def width(self) -> int:
-        return self.head_dim * self.heads
-
-
 @dataclass
 class PatchEmbedParams:
     weight: Tensor    # (C*ps*ps, D*H)
     bias: Tensor      # (D*H,)
 
 
-def init_patch_embed(rng: np.random.Generator, cfg: PatchEmbedConfig) -> PatchEmbedParams:
+def init_patch_embed(rng: np.random.Generator, patch_dim: int, width: int) -> PatchEmbedParams:
     return PatchEmbedParams(
-        weight=Tensor(T.fan_in_normal(rng, (cfg.patch_dim, cfg.width)), requires_grad=True),
-        bias=Tensor(np.zeros(cfg.width), requires_grad=True),
+        weight=Tensor(T.fan_in_normal(rng, (patch_dim, width)), requires_grad=True),
+        bias=Tensor(np.zeros(width), requires_grad=True),
     )
 
 
@@ -75,33 +51,34 @@ def init_positional_table(rng: np.random.Generator, num_patches: int, head_dim: 
     return Tensor(rng.normal(0.0, std, size=(num_patches, head_dim)), requires_grad=True)
 
 
-def extract_patches(image: np.ndarray, cfg: PatchEmbedConfig) -> np.ndarray:
+def extract_patches(image: np.ndarray, in_channels: int, image_size: int,
+                    patch_size: int) -> np.ndarray:
     """Flatten non-overlapping patches in row-major grid order:
     (C, h, w) -> (P, C*ps*ps), or (B, C, h, w) -> (B, P, C*ps*ps)."""
-    want = (cfg.in_channels, cfg.image_size, cfg.image_size)
+    want = (in_channels, image_size, image_size)
     if image.ndim not in (3, 4) or image.shape[-3:] != want:
         raise ConfigError(f"image shape {image.shape} does not match config {want}")
     lead = image.shape[:-3]
-    c, ps = cfg.in_channels, cfg.patch_size
-    side = cfg.image_size // ps
+    c, ps = in_channels, patch_size
+    side = image_size // ps
     patches = image.reshape(*lead, c, side, ps, side, ps)
     k = len(lead)
     patches = patches.transpose(*range(k), k + 1, k + 3, k, k + 2, k + 4)
     return np.ascontiguousarray(patches.reshape(*lead, side * side, c * ps * ps))
 
 
-def patch_embed(image: Tensor, params: PatchEmbedParams, pos: Tensor,
-                cfg: PatchEmbedConfig) -> Tensor:
-    """Project flattened patches and add the per-head positional table.
+def patch_embed(patches: Tensor, params: PatchEmbedParams, pos: Tensor,
+                head_dim: int) -> Tensor:
+    """Project flattened (P, C*ps*ps) patches and add the per-head positional
+    table.
 
-    Returns (P, D*H) token rows, with the image's leading batch axis if any.
+    Returns (P, D*H) token rows, with the patches' leading batch axis if any.
     """
-    patches = Tensor(extract_patches(image.data, cfg))
     tokens = T.matmul(patches, params.weight, params.bias)
-    lead = patches.shape[:-1]
-    toks = T.reshape(tokens, (*lead, cfg.heads, cfg.head_dim))
-    pos3 = T.reshape(pos, (cfg.num_patches, 1, cfg.head_dim))
-    return T.reshape(T.add(toks, pos3), (*lead, cfg.width))
+    *lead, p, width = tokens.shape
+    toks = T.reshape(tokens, (*lead, p, width // head_dim, head_dim))
+    pos3 = T.reshape(pos, (p, 1, head_dim))
+    return T.reshape(T.add(toks, pos3), tokens.shape)
 
 
 # ------------------------------------------------------------- attention
@@ -188,11 +165,16 @@ def tied_head_projections(r: Tensor, params: TiedAttentionParams, head_dim: int)
     return tuple(out)
 
 
+def head_major(r: Tensor, params: SelfAttentionParams, head_dim: int) -> Tensor:
+    """Per-head layer norm of (..., P, D*H) rows with ``params``' gain and
+    bias, swapped to head-major (..., H, P, D)."""
+    toks = T.reshape(r, (*r.shape[:-1], r.shape[-1] // head_dim, head_dim))
+    return T.swap_axes(T.layer_norm(toks, params.ln_gain, params.ln_bias), -3, -2)
+
+
 def head_projections(r: Tensor, params: SelfAttentionParams, head_dim: int):
     """Normalized per-head q/k/v stacks, head-major: each (..., H, P, D)."""
-    toks = T.reshape(r, (*r.shape[:-1], r.shape[-1] // head_dim, head_dim))
-    x = T.layer_norm(toks, params.ln_gain, params.ln_bias)
-    xh = T.swap_axes(x, -3, -2)                    # (..., H, P, D)
+    xh = head_major(r, params, head_dim)
     q = T.add(T.matmul(xh, params.wq), params.bq)
     k = T.add(T.matmul(xh, params.wk), params.bk)
     v = T.add(T.matmul(xh, params.wv), params.bv)

@@ -157,7 +157,7 @@ def build_stream(cfg: RunConfig) -> C.TaskStream:
             tr.extend(pool)
             ev.extend(by_label_test.get(c, [])[: cfg.eval_per_class])
         tasks.append(C.Task(tuple(ids), tr, ev))
-    return C.TaskStream(tasks, step_size=cfg.step_size)
+    return C.TaskStream(tasks)
 
 
 def run(cfg: RunConfig) -> int:

@@ -48,7 +48,7 @@ class Task:
 class TaskStream:
     """Ordered tasks over pairwise-disjoint class sets."""
 
-    def __init__(self, tasks: list[Task], step_size: int):
+    def __init__(self, tasks: list[Task]):
         seen: set[int] = set()
         for i, task in enumerate(tasks):
             overlap = seen & set(task.classes)
@@ -58,7 +58,6 @@ class TaskStream:
                 raise StreamError(f"task {i} is empty")
             seen.update(task.classes)
         self.tasks = tasks
-        self.step_size = step_size
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -570,7 +569,7 @@ def train_joint(model_cfg: E.ModelConfig, stream: TaskStream, cfg: TrainConfig,
     train = [s for task in stream.tasks for s in task.train]
     joint_task = Task(tuple(all_classes), train,
                       [s for task in stream.tasks for s in task.eval])
-    joint_stream = TaskStream([joint_task], step_size=stream.step_size)
+    joint_stream = TaskStream([joint_task])
     joint_cfg = replace(cfg, tune_epochs=0, loss_weights=LossWeights(cfg.loss_weights.ce, 0.0))
     _, rec = run_stream(model_cfg, joint_stream, joint_cfg, seed, buffer_capacity=0)
     return rec.la

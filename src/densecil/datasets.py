@@ -124,7 +124,7 @@ def synth_stream(classes: int, per_class: int, image_size: int, seed: int, *,
         ev = make_synthetic_samples(ids, eval_per_class, image_size, rng,
                                     n_colors=n_colors, noise=noise)
         tasks.append(Task(tuple(ids), train, ev))
-    return TaskStream(tasks, step_size=step_size)
+    return TaskStream(tasks)
 
 
 def class_mean_separation(samples: list[Sample]) -> float:

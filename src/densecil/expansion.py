@@ -19,7 +19,9 @@ Three wirings are supported:
 Each TAB applies task attention twice per block: once over the post-MHSA
 tokens to produce the widened intermediate, once over the intermediates of
 all tasks to produce the residual update (head width gamma*D on the way up,
-D on the way down).
+D on the way down).  The TAB is the expert's feature-mixing block, so every
+wiring mixes through ``tab_forward``: a stage that is not a task attention
+is a plain MLP stage.
 
 The wiring is a field of ``ModelConfig``: ``add_expert`` builds each
 expert's blocks for it, and ``forward`` runs the model in it.  The share
@@ -99,6 +101,12 @@ class ModelConfig:
                 f"image size {self.image_size} not divisible by patch {self.patch_size}")
         if self.cta_layers is not None and len(self.cta_layers) != self.layers:
             raise ConfigError("cta_layers mask length must equal layer count")
+        unused = [f.name for f in fields(self)
+                  if getattr(self, f.name) != f.default
+                  and (self.strategy != "dne" and f.name.startswith(("cta_", "share_"))
+                       or self.strategy != "sta" and f.name == "sta_variant")]
+        if unused:
+            raise ConfigError(f"strategy {self.strategy!r} does not use {', '.join(unused)}")
 
     @property
     def num_patches(self) -> int:
@@ -273,9 +281,7 @@ class CilModel:
                     self.tied_attn.append(B.init_tied_attention(rng, d))
                     self._register_fields(f"shared.attn{l}", self.tied_attn[-1])
 
-        ecfg = B.PatchEmbedConfig(cfg.image_size, cfg.patch_size, cfg.in_channels,
-                                  d, new_heads)
-        embed = B.init_patch_embed(rng, ecfg)
+        embed = B.init_patch_embed(rng, cfg.in_channels * cfg.patch_size ** 2, width)
         self._register_fields(f"task{t}.embed", embed)
 
         def ta_stage(prefix: str, din: int, dout: int,
@@ -390,7 +396,7 @@ class ForwardResult:
     logits: Tensor                       # (total classes,)
     aux_logits: Tensor                   # (|Y_t| + 1,)
     spatial_attn: list[list[np.ndarray]] | None = None
-    tab_attn: list[list[tuple[np.ndarray, np.ndarray] | None]] | None = None
+    tab_attn: list[list[tuple[np.ndarray | None, np.ndarray | None]]] | None = None
 
     @property
     def features(self) -> list[Tensor]:
@@ -519,11 +525,16 @@ def _head_tokens(feats: list[Tensor], head_dim: int) -> Tensor:
 
 def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
                 layer: int, task: int):
-    """Run both TA applications of one expert's TAB.
+    """Run one expert's feature-mixing block: r_t = s_t + fc2(gelu(fc1(s_t))).
 
-    ``s_list`` holds post-MHSA features of tasks 0..task; ``o_prior`` the
-    intermediates of tasks 0..task-1, computed earlier in the same forward
-    pass or taken from ``FrozenOutputs``.  Returns (o_t, r_t, (A1, A2)).
+    This is the mixing block of every wiring.  Each stage is a task
+    attention (a TAB stage of a dne expert) or an MLP stage, by the type of
+    its parameters; a TA stage reads the features of every visible expert,
+    an MLP stage only its own.  ``s_list`` holds post-MHSA features of tasks
+    0..task; ``o_prior`` the intermediates of tasks 0..task-1, computed
+    earlier in the same forward pass or taken from ``FrozenOutputs`` (None
+    where no TA stage reads them).  Returns (o_t, r_t, (A1, A2)), with A1
+    or A2 None for an MLP stage.
     """
     if len(o_prior) != task:
         raise T.ContractError(
@@ -639,24 +650,18 @@ def sta_attention_stage(model: CilModel, layer: int, r_list: list[Tensor],
     d = cfg.head_dim
     n = len(k_prior)
     *lead, p, _ = r_list[n].shape
-    qs, ks, vs = [None] * n, list(k_prior), list(v_prior)
-    for t in range(n, model.task_count):
-        q, k, v = B.tied_head_projections(r_list[t], model.tied_attn[layer], d)
-        qs.append(q)
-        ks.append(k)
-        vs.append(v)
-
+    ks, vs = list(k_prior), list(v_prior)
     s_list, attns = [], []
     offset = sum(ex.heads for ex in model.experts[:n])
     for t in range(n, model.task_count):
         ex = model.experts[t]
-        pool = ks[: t + 1]
+        q, k, v = B.tied_head_projections(r_list[t], model.tied_attn[layer], d)
+        ks.append(k)
+        vs.append(v)
         m_heads = offset + ex.heads
-        k_flat = T.reshape(pool[0] if len(pool) == 1 else T.concat(pool, axis=-3),
-                           (*lead, m_heads * p, d))
-        v_flat = T.reshape(vs[0] if t == 0 else T.concat(vs[: t + 1], axis=-3),
-                           (*lead, m_heads * p, d))
-        q_flat = T.reshape(qs[t], (*lead, ex.heads * p, d))
+        k_flat = T.reshape(ks[0] if t == 0 else T.concat(ks, axis=-3), (*lead, m_heads * p, d))
+        v_flat = T.reshape(vs[0] if t == 0 else T.concat(vs, axis=-3), (*lead, m_heads * p, d))
+        q_flat = T.reshape(q, (*lead, ex.heads * p, d))
         blk = ex.blocks[layer]
         mask = sta_group_mask(ex.heads, offset, m_heads, p, cfg.sta_variant)
         s, attn = B.attention_readout(r_list[t], q_flat, k_flat, v_flat,
@@ -691,12 +696,9 @@ def task_token_head(model: CilModel, features: list[Tensor],
     for t in range(n, model.task_count):
         ex = model.experts[t]
         tp = ex.token_block
-        tok = T.layer_norm(T.reshape(ex.token, (1, ex.heads, d)), tp.ln_gain, tp.ln_bias)
-        pat = T.layer_norm(T.reshape(features[t], (*lead, -1, ex.heads, d)),
-                           tp.ln_gain, tp.ln_bias)
-        pat = T.swap_axes(pat, -3, -2)
-        qh = T.add(T.matmul(T.swap_axes(tok, 0, 1), tp.wq), tp.bq)      # (H, 1, D)
-        kh = T.add(T.matmul(pat, tp.wk), tp.bk)                         # (H, P, D)
+        pat = B.head_major(features[t], tp, d)
+        qh = T.add(T.matmul(B.head_major(ex.token, tp, d), tp.wq), tp.bq)   # (H, 1, D)
+        kh = T.add(T.matmul(pat, tp.wk), tp.bk)                             # (H, P, D)
         vh = T.add(T.matmul(pat, tp.wv), tp.bv)
         e2, _ = B.attention_readout(ex.token, qh, kh, vh, tp.fuse_w, tp.fuse_b, d)
         feats.append(e2)
@@ -735,12 +737,11 @@ def _forward(model: CilModel, image, *, collect_attn=False,
     if frozen is not None and frozen.features is not None:
         r_list = [None] * n + frozen.features
     else:
-        img = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=np.float64))
-        r_list = _cached(frozen, "r", 0)
-        for ex in model.experts[n:]:
-            ecfg = B.PatchEmbedConfig(cfg.image_size, cfg.patch_size, cfg.in_channels,
-                                      d, ex.heads)
-            r_list.append(B.patch_embed(img, ex.embed, model.pos, ecfg))
+        img = np.asarray(image.data if isinstance(image, Tensor) else image, dtype=np.float64)
+        patches = Tensor(B.extract_patches(img, cfg.in_channels, cfg.image_size,
+                                           cfg.patch_size))
+        r_list = _cached(frozen, "r", 0) + [B.patch_embed(patches, ex.embed, model.pos, d)
+                                            for ex in model.experts[n:]]
 
         for layer in range(cfg.layers):
             r_layers.append(r_list)
@@ -757,13 +758,7 @@ def _forward(model: CilModel, image, *, collect_attn=False,
             new_r = _cached(frozen, "r", layer + 1)
             tab_l: list = []
             for t in range(n, model.task_count):
-                if cfg.strategy == "dne":
-                    o_t, r_t, pair = tab_forward(s_list, o_list, model, layer, t)
-                else:
-                    blk = model.experts[t].blocks[layer]
-                    r_t, o_t = B.mlp_block(s_list[t], B.MlpParams(blk.fc1, blk.fc2),
-                                           d, cfg.gamma)
-                    pair = None
+                o_t, r_t, pair = tab_forward(s_list, o_list, model, layer, t)
                 o_list.append(o_t)
                 new_r.append(r_t)
                 tab_l.append(pair)

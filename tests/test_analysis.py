@@ -169,11 +169,16 @@ def test_instrumented_equals_analytic_two_task_reference():
     ("dne", [2, 1], [2, 2], {"cta_layers": (True, False), "layers": 2}),
     ("dne", [2, 1], [2, 2], {"cta_in_fc1": False}),
     ("dne", [2, 1], [2, 2], {"cta_in_fc2": False}),
-    ("ia", [2, 1], [2, 2], {"cta_in_mhsa": True}),
-    ("sta", [2, 1], [2, 2], {"cta_in_mhsa": True}),
 ])
 def test_instrumented_equals_analytic_grid(strategy, heads, classes, kw):
     _check_instrumented(strategy, heads, classes, **kw)
+
+
+@pytest.mark.parametrize("strategy", ["ia", "sta"])
+def test_flops_layout_ignores_cta_in_mhsa_outside_dne(strategy):
+    kw = dict(P=4, D=8, gamma=2, layers=1, in_channels=3, patch_size=4, strategy=strategy)
+    assert A.flops_layout([2, 1], [2, 2], cta_in_mhsa=True, **kw) == \
+        A.flops_layout([2, 1], [2, 2], **kw)
 
 
 def test_flops_uniform_wrappers_match_layout():

@@ -6,55 +6,58 @@ import numpy as np
 import pytest
 
 from densecil import backbone as B
+from densecil import expansion as E
 from densecil import tensor as T
 from densecil.config import TOL, ConfigError
 
 
-def _cfg(image=8, patch=4, heads=2, d=4):
-    return B.PatchEmbedConfig(image_size=image, patch_size=patch,
-                              in_channels=3, head_dim=d, heads=heads)
+def _patches(cfg, image):
+    return B.extract_patches(image, cfg.in_channels, cfg.image_size, cfg.patch_size)
 
 
 # ------------------------------------------------------------- patch embed
 
 def test_patch_count_cifar_scale():
-    cfg = B.PatchEmbedConfig(32, 4, 3, 8, 2)
+    cfg = E.ModelConfig(image_size=32, patch_size=4, in_channels=3, head_dim=8)
     assert cfg.num_patches == 64
     rng = np.random.default_rng(0)
-    params = B.init_patch_embed(rng, cfg)
+    patches = _patches(cfg, rng.random((3, 32, 32)))
+    params = B.init_patch_embed(rng, patches.shape[-1], 2 * cfg.head_dim)
     pos = B.init_positional_table(rng, cfg.num_patches, cfg.head_dim)
-    out = B.patch_embed(T.Tensor(rng.random((3, 32, 32))), params, pos, cfg)
+    out = B.patch_embed(T.Tensor(patches), params, pos, cfg.head_dim)
     assert out.shape == (64, 16)
 
 
 def test_patch_count_single_token():
-    cfg = B.PatchEmbedConfig(4, 4, 3, 4, 1)
+    cfg = E.ModelConfig(image_size=4, patch_size=4, in_channels=3, head_dim=4)
     assert cfg.num_patches == 1
     rng = np.random.default_rng(1)
-    params = B.init_patch_embed(rng, cfg)
+    patches = _patches(cfg, rng.random((3, 4, 4)))
+    params = B.init_patch_embed(rng, patches.shape[-1], cfg.head_dim)
     pos = B.init_positional_table(rng, 1, 4)
-    out = B.patch_embed(T.Tensor(rng.random((3, 4, 4))), params, pos, cfg)
+    out = B.patch_embed(T.Tensor(patches), params, pos, cfg.head_dim)
     assert out.shape == (1, 4)
 
 
 def test_zero_image_zero_pos_gives_zero_tokens():
-    cfg = _cfg()
+    cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4)
     rng = np.random.default_rng(2)
-    params = B.init_patch_embed(rng, cfg)
+    patches = _patches(cfg, np.zeros((3, 8, 8)))
+    params = B.init_patch_embed(rng, patches.shape[-1], 2 * cfg.head_dim)
     pos = T.Tensor(np.zeros((cfg.num_patches, cfg.head_dim)), requires_grad=True)
-    out = B.patch_embed(T.Tensor(np.zeros((3, 8, 8))), params, pos, cfg)
+    out = B.patch_embed(T.Tensor(patches), params, pos, cfg.head_dim)
     np.testing.assert_array_equal(out.data, 0.0)
 
 
 def test_indivisible_image_size_rejected():
     with pytest.raises(ConfigError):
-        B.PatchEmbedConfig(10, 4, 3, 4, 1)
+        E.ModelConfig(image_size=10, patch_size=4)
 
 
 def test_patch_order_is_row_major():
-    cfg = B.PatchEmbedConfig(4, 2, 1, 2, 1)
+    cfg = E.ModelConfig(image_size=4, patch_size=2, in_channels=1, head_dim=2)
     img = np.arange(16.0).reshape(1, 4, 4)
-    patches = B.extract_patches(img, cfg)
+    patches = _patches(cfg, img)
     np.testing.assert_array_equal(patches[0], [0, 1, 4, 5])
     np.testing.assert_array_equal(patches[1], [2, 3, 6, 7])
     np.testing.assert_array_equal(patches[2], [8, 9, 12, 13])

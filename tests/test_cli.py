@@ -60,7 +60,8 @@ def test_train_writes_all_artifacts(tmp_path):
 def test_train_csv_accuracy_rows_consistent_with_aa(tmp_path):
     out = tmp_path / "run"
     cli.main(["train", *FAST, "--seed", "6", "--out", str(out)])
-    rows = list(csv.DictReader(open(out / "metrics.csv")))
+    with open(out / "metrics.csv") as f:
+        rows = list(csv.DictReader(f))
     accs = [float(r["value"]) for r in rows if r["metric"] == "accuracy"]
     aa = [float(r["value"]) for r in rows if r["metric"] == "AA"][0]
     assert aa == pytest.approx(sum(accs) / len(accs))
@@ -194,6 +195,15 @@ def test_bad_model_config_fails_before_making_the_run_directory(tmp_path, capsys
     assert not out.exists()
 
 
+def test_wiring_flag_the_strategy_ignores_fails_before_making_the_run_directory(
+        tmp_path, capsys):
+    out = tmp_path / "d"
+    assert cli.main(["train", "--strategy", "ia", "--cta-mhsa", "true", "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not out.exists()
+
+
 def test_analyze_attention_subcommand(tmp_path, capsys):
     out = tmp_path / "run"
     cli.main(["train", *FAST, "--seed", "12", "--out", str(out)])
@@ -289,7 +299,8 @@ def test_joint_run_reports_gap_to_joint_accuracy(tmp_path):
     assert cli.main(["train", "--joint", "--classes", "4", "--first-task", "2",
                      "--step-size", "1", "--per-class", "4", "--epochs", "1",
                      "--tune-epochs", "0", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(open(out / "metrics.csv")))
+    with open(out / "metrics.csv") as f:
+        rows = list(csv.DictReader(f))
     d_gap = [float(r["value"]) for r in rows if r["metric"] == "D_gap"]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["joint_accuracy"] is not None

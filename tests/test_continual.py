@@ -24,12 +24,12 @@ def _task(classes, n_train=3, n_eval=2, size=8):
 
 def test_stream_rejects_overlap():
     with pytest.raises(C.StreamError):
-        C.TaskStream([_task([0, 1]), _task([1, 2])], step_size=2)
+        C.TaskStream([_task([0, 1]), _task([1, 2])])
 
 
 def test_stream_rejects_empty_task():
     with pytest.raises(C.StreamError):
-        C.TaskStream([C.Task((0,), [], [])], step_size=1)
+        C.TaskStream([C.Task((0,), [], [])])
 
 
 # ------------------------------------------------------------ auxiliary label
@@ -105,7 +105,7 @@ def test_distillation_gradient_flows_to_new_logits():
 def _tiny_model_and_stream(strategy="dne"):
     cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
                         gamma=2, layers=1, strategy=strategy)
-    stream = C.TaskStream([_task([0, 1]), _task([2, 3])], step_size=2)
+    stream = C.TaskStream([_task([0, 1]), _task([2, 3])])
     return cfg, stream
 
 
@@ -360,7 +360,7 @@ def _micro_stream(seed=0, size=8):
 
     tasks = [C.Task((0, 1), mk(0, 6) + mk(1, 6), mk(0, 3) + mk(1, 3)),
              C.Task((2, 3), mk(2, 6) + mk(3, 6), mk(2, 3) + mk(3, 3))]
-    return C.TaskStream(tasks, step_size=2)
+    return C.TaskStream(tasks)
 
 
 def test_run_stream_produces_metrics_and_respects_buffer():

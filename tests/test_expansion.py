@@ -43,6 +43,18 @@ def test_model_config_rejects_nonpositive_sizes(name):
         small_cfg(**{name: 0})
 
 
+@pytest.mark.parametrize("strategy,name,value", [
+    *[pytest.param(s, name, value, id=f"{s}-{name}") for s in ("ia", "sta")
+      for name, value in [("cta_layers", (True, True)), ("cta_in_mhsa", True),
+                          ("cta_in_fc1", False), ("cta_in_fc2", False),
+                          ("share_q", "f"), ("share_k", "f"), ("share_v", "s")]],
+    *[pytest.param(s, "sta_variant", "none", id=f"{s}-sta_variant") for s in ("ia", "dne")],
+])
+def test_model_config_rejects_wiring_fields_the_strategy_ignores(strategy, name, value):
+    with pytest.raises(ConfigError, match=name):
+        small_cfg(strategy=strategy, **{name: value})
+
+
 # --------------------------------------------------------------- add_expert
 
 def test_head_budget_grows_by_k():
@@ -119,14 +131,47 @@ def test_single_task_ia_equals_plain_backbone():
     img = rand_image(cfg, 2)
     res = m.forward(img)
 
-    ecfg = B.PatchEmbedConfig(cfg.image_size, cfg.patch_size, cfg.in_channels,
-                              cfg.head_dim, 2)
-    r = B.patch_embed(T.Tensor(img), m.experts[0].embed, m.pos, ecfg)
+    patches = B.extract_patches(img, cfg.in_channels, cfg.image_size, cfg.patch_size)
+    r = B.patch_embed(T.Tensor(patches), m.experts[0].embed, m.pos, cfg.head_dim)
     for blk in m.experts[0].blocks:
         r, _ = B.transformer_block(
             r, B.TransformerBlockParams(blk.attn, B.MlpParams(blk.fc1, blk.fc2)),
             cfg.head_dim, cfg.gamma)
     np.testing.assert_array_equal(res.features[0].data, r.data)
+
+
+@pytest.mark.parametrize("kw,mlp_layers", [
+    pytest.param(dict(strategy="ia"), (0, 1), id="ia"),
+    pytest.param(dict(strategy="sta"), (0, 1), id="sta"),
+    pytest.param(dict(strategy="dne", cta_layers=(True, False)), (1,), id="dne_cta_layers_10"),
+])
+@pytest.mark.parametrize("batched", [False, True], ids=["image", "batch"])
+def test_mlp_layers_equal_plain_mlp_block(kw, mlp_layers, batched):
+    cfg = small_cfg(**kw)
+    m = build_model(cfg, heads=(2, 1), classes=(3, 2))
+    img = rand_image(cfg, 9)
+    res = m.forward(np.stack([img, rand_image(cfg, 10)]) if batched else img)
+    for l in mlp_layers:
+        for t, ex in enumerate(m.experts):
+            blk = ex.blocks[l]
+            want, _ = B.mlp_block(res.s_layers[l][t], B.MlpParams(blk.fc1, blk.fc2),
+                                  cfg.head_dim, cfg.gamma)
+            np.testing.assert_array_equal(res.r_layers[l + 1][t].data, want.data)
+
+
+def test_forward_extracts_patches_once(monkeypatch):
+    cfg = small_cfg()
+    m = build_model(cfg, heads=(2, 1, 1), classes=(3, 2, 2))
+    calls = []
+    extract = B.extract_patches
+
+    def counting(*args):
+        calls.append(args)
+        return extract(*args)
+
+    monkeypatch.setattr(B, "extract_patches", counting)
+    m.forward(np.stack([rand_image(cfg, 1), rand_image(cfg, 2)]))
+    assert len(calls) == 1
 
 
 def test_ia_concatenated_width():
