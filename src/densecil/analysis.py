@@ -20,6 +20,8 @@ from . import tensor as T
 from .config import ConfigError
 
 GROUPS = E.GROUPS
+ATTENTION_MODES = ("layer_mean", "final")
+"""Aggregations of ``model_attention_stats``: mean over layers, or the last layer."""
 
 
 # ------------------------------------------------------------- combinatorics
@@ -136,7 +138,7 @@ def model_attention_stats(model: E.CilModel, images, mode: str = "layer_mean",
                           ) -> AttentionStats:
     """Average the assembled joint attention over images (and layers, unless
     ``mode='final'``) and decompose it by group; all images run as one batch."""
-    if mode not in ("layer_mean", "final"):
+    if mode not in ATTENTION_MODES:
         raise ConfigError(f"unknown aggregation mode {mode!r}")
     if not len(images):
         raise ConfigError("attention statistics need at least one image")
@@ -277,6 +279,7 @@ def compute_ratio_formula(T_: int, H: int, P: int) -> float:
 class FlopsReport:
     analytic: dict[str, int]
     instrumented: int | None
+    model_macs: int | None
     ratio_dne_over_ia: float
     ratio_formula: float
     crossover_tasks: int
@@ -286,6 +289,7 @@ class FlopsReport:
             "analytic_macs": self.analytic,
             "analytic_flops": {k: 2 * v for k, v in self.analytic.items()},
             "instrumented_macs": self.instrumented,
+            "model_macs": self.model_macs,
             "ratio_dne_over_ia": self.ratio_dne_over_ia,
             "ratio_formula": self.ratio_formula,
             "crossover_tasks": self.crossover_tasks,
@@ -293,8 +297,10 @@ class FlopsReport:
 
 
 def flops_report(T_: int, H: int, P: int, D: int, instrumented: int | None = None,
-                 **kw) -> FlopsReport:
-    """Analytic counts for both wirings plus the closed-form comparisons.
+                 model_macs: int | None = None, **kw) -> FlopsReport:
+    """Analytic counts for both wirings plus the closed-form comparisons;
+    ``instrumented`` and ``model_macs`` are the counted and the analytic
+    MACs of one forward of a live model, reported as given.
 
     The measured ratio follows the 1-head-per-task dense configuration,
     matching the regime the ratio formula describes.
@@ -306,6 +312,7 @@ def flops_report(T_: int, H: int, P: int, D: int, instrumented: int | None = Non
     return FlopsReport(
         analytic={"ia": ia, "dne": dne},
         instrumented=instrumented,
+        model_macs=model_macs,
         ratio_dne_over_ia=dne / ia,
         ratio_formula=compute_ratio_formula(T_, H, P),
         crossover_tasks=crossover_bound(H, P),

@@ -101,6 +101,8 @@ class RunConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
+        if self.attention_mode not in A.ATTENTION_MODES:
+            raise ConfigError(f"unknown attention mode {self.attention_mode!r}")
         if self.dataset not in ("synthetic", "cifar100"):
             raise ConfigError(f"unknown dataset {self.dataset!r}")
         if self.dataset == "cifar100" and not (self.cifar_train and self.cifar_test):
@@ -186,6 +188,7 @@ def run(cfg: RunConfig) -> int:
     report = A.flops_report(model.task_count, cfg.h1, cfg.model_config().num_patches,
                             cfg.head_dim, instrumented=A.instrumented_macs(
                                 model, stream.tasks[0].eval[0].image),
+                            model_macs=record.flops_macs,
                             layers=cfg.layers, gamma=cfg.gamma,
                             classes_per_task=max(model.classes_per_task))
     A.write_flops_json(report, out_dir / "flops.json")
@@ -282,7 +285,7 @@ def main(argv=None) -> int:
                             help="group decomposition of a trained model's attention")
     p_attn.add_argument("--ckpt", required=True)
     p_attn.add_argument("--out", default=None, help="output JSON path")
-    p_attn.add_argument("--mode", choices=["layer_mean", "final"], default="layer_mean")
+    p_attn.add_argument("--mode", choices=list(A.ATTENTION_MODES), default="layer_mean")
     p_attn.add_argument("--seed", type=int, default=0)
     p_attn.add_argument("--images", type=int, default=4)
 

@@ -27,7 +27,14 @@ The wiring is a field of ``ModelConfig``: ``add_expert`` builds each
 expert's blocks for it, and ``forward`` runs the model in it.  The share
 modes are resolved there too: a TA stage holds every tensor it runs with,
 whether its expert owns it or reads it from an older expert, and registers
-only what it owns.
+only what it owns.  Likewise every ``sta`` expert holds its block's tied
+q/k/v projection, which the first expert owns.
+
+``forward`` runs one loop over the experts per layer.  For each expert it
+runs the attention stage that the type of the expert's attention
+parameters picks (``cross_task_mhsa``), then its mixing block
+(``tab_forward``); a stage reads only what experts 0..t have produced
+earlier in that loop or in the cache.
 
 No operation couples two images, so ``forward`` takes one (C, h, w) image
 or a (B, C, h, w) batch through the same code; every activation then
@@ -42,7 +49,7 @@ import json
 import math
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -99,8 +106,10 @@ class ModelConfig:
         if self.image_size % self.patch_size != 0:
             raise ConfigError(
                 f"image size {self.image_size} not divisible by patch {self.patch_size}")
-        if self.cta_layers is not None and len(self.cta_layers) != self.layers:
-            raise ConfigError("cta_layers mask length must equal layer count")
+        if self.cta_layers is not None:
+            object.__setattr__(self, "cta_layers", tuple(bool(v) for v in self.cta_layers))
+            if len(self.cta_layers) != self.layers:
+                raise ConfigError("cta_layers mask length must equal layer count")
         unused = [f.name for f in fields(self)
                   if getattr(self, f.name) != f.default
                   and (self.strategy != "dne" and f.name.startswith(("cta_", "share_"))
@@ -114,9 +123,7 @@ class ModelConfig:
         return side * side
 
     def cta_mask(self) -> tuple[bool, ...]:
-        if self.cta_layers is None:
-            return tuple([True] * self.layers)
-        return tuple(bool(v) for v in self.cta_layers)
+        return (True,) * self.layers if self.cta_layers is None else self.cta_layers
 
 
 # ----------------------------------------------------------------- TAB params
@@ -151,12 +158,14 @@ class CtaAttentionParams:
 
 @dataclass
 class StaAttentionParams:
-    """Per-task piece of the joint wiring: only the fusion layer.
+    """One expert's joint attention: the block's tied q/k/v projection and
+    the expert's own fusion layer.
 
-    The q/k/v projections live in one tied set per block (owned by the
-    first task, frozen afterwards) so that every head's keys are the same
+    ``tied`` is the first expert's projection, frozen afterwards; every
+    expert holds that same object, so that every head's keys are the same
     function of its tokens.
     """
+    tied: B.TiedAttentionParams
     fuse_w: Tensor
     fuse_b: Tensor
 
@@ -195,7 +204,6 @@ class CilModel:
         self.rng = np.random.default_rng(seed)
         self.experts: list[TaskExpert] = []
         self.pos: Tensor | None = None
-        self.tied_attn: list[B.TiedAttentionParams] | None = None
         self.aux_w: Tensor | None = None
         self.aux_b: Tensor | None = None
         self._params: dict[str, Tensor] = {}
@@ -275,56 +283,53 @@ class CilModel:
         if t == 0:
             self.pos = B.init_positional_table(rng, cfg.num_patches, d)
             self._register("pos", self.pos)
-            if cfg.strategy == "sta":
-                self.tied_attn = []
-                for l in range(cfg.layers):
-                    self.tied_attn.append(B.init_tied_attention(rng, d))
-                    self._register_fields(f"shared.attn{l}", self.tied_attn[-1])
+        if cfg.strategy != "sta":
+            tied = []
+        elif t:
+            tied = [blk.attn.tied for blk in self.experts[0].blocks]
+        else:
+            tied = [B.init_tied_attention(rng, d) for _ in range(cfg.layers)]
+            for l, p in enumerate(tied):
+                self._register_fields(f"shared.attn{l}", p)
 
         embed = B.init_patch_embed(rng, cfg.in_channels * cfg.patch_size ** 2, width)
         self._register_fields(f"task{t}.embed", embed)
+
+        def own(name: str, data: np.ndarray) -> Tensor:
+            return self._register(name, Tensor(data, requires_grad=True))
 
         def ta_stage(prefix: str, din: int, dout: int,
                      prior: Sequence[TaStageParams] = ()) -> TaStageParams:
             """A TA stage sharing with ``prior``, the same stage of experts
             0..t-1, as the share modes say; registers only what it owns."""
-            def own(name: str, data: np.ndarray) -> Tensor:
-                return self._register(f"{prefix}.{name}", Tensor(data, requires_grad=True))
-
-            ln_gain, ln_bias = own("ln_gain", np.ones(din)), own("ln_bias", np.zeros(din))
+            ln_gain = own(f"{prefix}.ln_gain", np.ones(din))
+            ln_bias = own(f"{prefix}.ln_bias", np.zeros(din))
             wq = (prior[0].wq if prior and cfg.share_q == "s"
-                  else own("wq", T.fan_in_normal(rng, (din, d))))
+                  else own(f"{prefix}.wq", T.fan_in_normal(rng, (din, d))))
             wk = (prior[0].wk if prior and cfg.share_k == "s"
-                  else own("wk", T.fan_in_normal(rng, (din, d))))
+                  else own(f"{prefix}.wk", T.fan_in_normal(rng, (din, d))))
             shared_v = [p.wv[-1] for p in prior] if cfg.share_v == "s" else []
-            wv = own("wv", T.fan_in_normal(rng, (new_heads if shared_v else pool, din, dout)))
+            wv = own(f"{prefix}.wv",
+                     T.fan_in_normal(rng, (new_heads if shared_v else pool, din, dout)))
             return TaStageParams(ln_gain, ln_bias, wq, wk, shared_v + [wv],
-                                 own("lam", np.ones(new_heads)))
+                                 own(f"{prefix}.lam", np.ones(new_heads)))
+
+        def fuse(prefix: str) -> tuple[Tensor, Tensor]:
+            return (own(f"{prefix}.fuse_w", T.fan_in_normal(rng, (width, width))),
+                    own(f"{prefix}.fuse_b", np.zeros(width)))
 
         cta_mask = cfg.cta_mask()
         blocks: list[ExpertBlock] = []
         for l in range(cfg.layers):
             pfx = f"task{t}.blk{l}"
+            attn: B.SelfAttentionParams | CtaAttentionParams | StaAttentionParams
             if cfg.strategy == "sta":
-                attn: B.SelfAttentionParams | CtaAttentionParams | StaAttentionParams
-                attn = StaAttentionParams(
-                    fuse_w=self._register(f"{pfx}.attn.fuse_w",
-                                          Tensor(T.fan_in_normal(rng, (width, width)),
-                                                 requires_grad=True)),
-                    fuse_b=self._register(f"{pfx}.attn.fuse_b",
-                                          Tensor(np.zeros(width), requires_grad=True)),
-                )
-            elif cfg.strategy == "dne" and cfg.cta_in_mhsa:
-                attn = CtaAttentionParams(
-                    ta_q=ta_stage(f"{pfx}.attn.ta_q", d, d),
-                    ta_k=ta_stage(f"{pfx}.attn.ta_k", d, d),
-                    ta_v=ta_stage(f"{pfx}.attn.ta_v", d, d),
-                    fuse_w=self._register(f"{pfx}.attn.fuse_w",
-                                          Tensor(T.fan_in_normal(rng, (width, width)),
-                                                 requires_grad=True)),
-                    fuse_b=self._register(f"{pfx}.attn.fuse_b",
-                                          Tensor(np.zeros(width), requires_grad=True)),
-                )
+                attn = StaAttentionParams(tied[l], *fuse(f"{pfx}.attn"))
+            elif cfg.cta_in_mhsa:
+                attn = CtaAttentionParams(ta_stage(f"{pfx}.attn.ta_q", d, d),
+                                          ta_stage(f"{pfx}.attn.ta_k", d, d),
+                                          ta_stage(f"{pfx}.attn.ta_v", d, d),
+                                          *fuse(f"{pfx}.attn"))
             else:
                 attn = B.init_self_attention(rng, new_heads, d)
                 self._register_fields(f"{pfx}.attn", attn)
@@ -390,8 +395,8 @@ class ForwardResult:
     r_layers: list[list[Tensor]]         # [layers+1][task] block inputs/outputs
     s_layers: list[list[Tensor]]         # [layers][task] post-MHSA features
     o_layers: list[list[Tensor]]         # [layers][task] mixing intermediates
-    k_layers: list[list[Tensor]]         # [layers][task] tied keys (sta only)
-    v_layers: list[list[Tensor]]         # [layers][task] tied values (sta only)
+    k_layers: list[list[Tensor]]         # [layers][task] tied keys, appended by
+    v_layers: list[list[Tensor]]         # sta stages (empty or None elsewhere)
     token_feats: list[Tensor]            # per task (1, D*H_t)
     logits: Tensor                       # (total classes,)
     aux_logits: Tensor                   # (|Y_t| + 1,)
@@ -579,26 +584,24 @@ def _cta_mhsa_task(model: CilModel, layer: int, task: int, r_list: list[Tensor])
     return B.attention_readout(r_list[task], q, k, v, attn.fuse_w, attn.fuse_b, d)
 
 
-def cross_task_mhsa(model: CilModel, layer: int, r_list: list[Tensor], start: int = 0):
-    """Spatial attention stage for the ia/dne wirings.
+def cross_task_mhsa(model: CilModel, layer: int, task: int, r_list: list[Tensor],
+                    k_list: list[Tensor], v_list: list[Tensor]):
+    """Expert ``task``'s spatial attention stage at ``layer``.
 
-    Every expert runs its own frozen-or-trainable heads over its own
-    feature slice; with ``cta_in_mhsa`` the projections of each expert are
-    additionally mixed across all visible tasks.  Experts before ``start``
-    are skipped.  Returns the outputs and (H_i, P, P) attention weights of
-    experts start.. .
+    The type of the expert's attention parameters picks the stage: its own
+    heads over its own features, those heads with q/k/v mixed across every
+    visible expert (``cta_in_mhsa``), or the joint attention of the ``sta``
+    wiring, which appends the expert's keys and values to ``k_list`` and
+    ``v_list``.  ``r_list`` holds the block inputs of experts 0..task.
+    Returns the output and the attention weights: (H_t, P, P), or
+    (H_t*P, M*P) for the joint attention.
     """
-    d = model.cfg.head_dim
-    s_list, attns = [], []
-    for t in range(start, model.task_count):
-        blk = model.experts[t].blocks[layer]
-        if isinstance(blk.attn, CtaAttentionParams):
-            s, a = _cta_mhsa_task(model, layer, t, r_list)
-        else:
-            s, a = B.mhsa_block(r_list[t], blk.attn, d)
-        s_list.append(s)
-        attns.append(a)
-    return s_list, attns
+    attn = model.experts[task].blocks[layer].attn
+    if isinstance(attn, StaAttentionParams):
+        return sta_attention_stage(model, layer, task, r_list, k_list, v_list)
+    if isinstance(attn, CtaAttentionParams):
+        return _cta_mhsa_task(model, layer, task, r_list)
+    return B.mhsa_block(r_list[task], attn, model.cfg.head_dim)
 
 
 _MASK_CACHE: dict[tuple, np.ndarray] = {}
@@ -632,44 +635,37 @@ def sta_group_mask(n_query_heads: int, query_offset: int, pool_heads: int,
     return _MASK_CACHE[key]
 
 
-def sta_attention_stage(model: CilModel, layer: int, r_list: list[Tensor],
-                        k_prior: Sequence[Tensor] = (), v_prior: Sequence[Tensor] = ()):
-    """Joint masked attention over the (patch, head) tokens of visible tasks.
+def sta_attention_stage(model: CilModel, layer: int, task: int, r_list: list[Tensor],
+                        k_list: list[Tensor], v_list: list[Tensor]):
+    """Expert ``task``'s joint masked attention over the (patch, head)
+    tokens of experts 0..task.
 
-    All heads share one tied q/k/v projection per block, so keys are
-    comparable across heads; each task's heads query the pool of tasks up
-    to and including itself, keeping earlier experts' outputs intact after
-    later tasks are added.  ``cfg.sta_variant`` picks the enabled groups.
-    ``k_prior``/``v_prior`` are the keys and values of the first n
-    experts, which are then skipped.  Returns the outputs and attention
-    weights of experts n.., and the keys and values of all.
+    Every head projects through the block's tied q/k/v, so keys are
+    comparable across heads; the expert's heads query the pool of experts
+    up to and including itself, keeping earlier experts' outputs intact
+    after later ones are added.  ``cfg.sta_variant`` picks the enabled
+    groups.  ``k_list``/``v_list`` hold the keys and values of experts
+    0..task-1; this expert's are appended.  Returns the output and the
+    (H_t*P, M*P) attention weights.
     """
-    if model.tied_attn is None:
-        raise T.ContractError("joint wiring needs tied projections (strategy 'sta')")
-    cfg = model.cfg
-    d = cfg.head_dim
-    n = len(k_prior)
-    *lead, p, _ = r_list[n].shape
-    ks, vs = list(k_prior), list(v_prior)
-    s_list, attns = [], []
-    offset = sum(ex.heads for ex in model.experts[:n])
-    for t in range(n, model.task_count):
-        ex = model.experts[t]
-        q, k, v = B.tied_head_projections(r_list[t], model.tied_attn[layer], d)
-        ks.append(k)
-        vs.append(v)
-        m_heads = offset + ex.heads
-        k_flat = T.reshape(ks[0] if t == 0 else T.concat(ks, axis=-3), (*lead, m_heads * p, d))
-        v_flat = T.reshape(vs[0] if t == 0 else T.concat(vs, axis=-3), (*lead, m_heads * p, d))
-        q_flat = T.reshape(q, (*lead, ex.heads * p, d))
-        blk = ex.blocks[layer]
-        mask = sta_group_mask(ex.heads, offset, m_heads, p, cfg.sta_variant)
-        s, attn = B.attention_readout(r_list[t], q_flat, k_flat, v_flat,
-                                      blk.attn.fuse_w, blk.attn.fuse_b, d, mask)
-        s_list.append(s)
-        attns.append(attn)
-        offset += ex.heads
-    return s_list, attns, ks, vs
+    if len(k_list) != task or len(v_list) != task:
+        raise T.ContractError(f"joint attention of task {task} needs {task} cached "
+                              f"keys and values, got {len(k_list)} and {len(v_list)}")
+    d = model.cfg.head_dim
+    ex = model.experts[task]
+    attn = ex.blocks[layer].attn
+    *lead, p, _ = r_list[task].shape
+    q, k, v = B.tied_head_projections(r_list[task], attn.tied, d)
+    k_list.append(k)
+    v_list.append(v)
+    offset = sum(e.heads for e in model.experts[:task])
+    m_heads = offset + ex.heads
+    k_flat = T.reshape(k if task == 0 else T.concat(k_list, axis=-3), (*lead, m_heads * p, d))
+    v_flat = T.reshape(v if task == 0 else T.concat(v_list, axis=-3), (*lead, m_heads * p, d))
+    q_flat = T.reshape(q, (*lead, ex.heads * p, d))
+    mask = sta_group_mask(ex.heads, offset, m_heads, p, model.cfg.sta_variant)
+    return B.attention_readout(r_list[task], q_flat, k_flat, v_flat,
+                               attn.fuse_w, attn.fuse_b, d, mask)
 
 
 # ----------------------------------------------------------------- token head
@@ -745,28 +741,25 @@ def _forward(model: CilModel, image, *, collect_attn=False,
 
         for layer in range(cfg.layers):
             r_layers.append(r_list)
-            if cfg.strategy == "sta":
-                s_new, attns, k_list, v_list = sta_attention_stage(
-                    model, layer, r_list,
-                    _cached(frozen, "k", layer), _cached(frozen, "v", layer))
-                k_layers.append(k_list)
-                v_layers.append(v_list)
-            else:
-                s_new, attns = cross_task_mhsa(model, layer, r_list, start=n)
-            s_list = _cached(frozen, "s", layer) + s_new
-            o_list = _cached(frozen, "o", layer)
+            s_list, o_list, k_list, v_list = (_cached(frozen, name, layer) for name in "sokv")
             new_r = _cached(frozen, "r", layer + 1)
+            sp_l: list[np.ndarray] = []
             tab_l: list = []
             for t in range(n, model.task_count):
+                s_t, attn = cross_task_mhsa(model, layer, t, r_list, k_list, v_list)
+                s_list.append(s_t)
                 o_t, r_t, pair = tab_forward(s_list, o_list, model, layer, t)
                 o_list.append(o_t)
                 new_r.append(r_t)
+                sp_l.append(attn.data)
                 tab_l.append(pair)
             r_list = new_r
             s_layers.append(s_list)
             o_layers.append(o_list)
+            k_layers.append(k_list)
+            v_layers.append(v_list)
             if collect_attn:
-                sp_attn.append([a.data for a in attns])
+                sp_attn.append(sp_l)
                 tab_attn.append(tab_l)
     r_layers.append(r_list)
 
@@ -785,7 +778,7 @@ def checkpoint_bytes(model: CilModel) -> bytes:
     """Self-describing binary container: version byte, JSON layout record,
     then named float64 little-endian parameter blobs in declaration order."""
     header = {
-        "config": _config_record(model.cfg),
+        "config": asdict(model.cfg),
         "heads_per_task": [e.heads for e in model.experts],
         "classes_per_task": [e.n_classes for e in model.experts],
         "params": [{"name": n, "shape": list(t.shape)}
@@ -825,7 +818,7 @@ def model_from_bytes(raw: bytes) -> CilModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"corrupt checkpoint header: {e}") from None
     try:
-        model = CilModel(_config_from_record(header["config"]), seed=0)
+        model = CilModel(ModelConfig(**header["config"]), seed=0)
         for heads, n_cls in zip(header["heads_per_task"], header["classes_per_task"],
                                 strict=True):
             model.add_expert(heads, n_cls)
@@ -860,20 +853,6 @@ def model_from_bytes(raw: bytes) -> CilModel:
 def load_checkpoint(path) -> CilModel:
     with open(path, "rb") as f:
         return model_from_bytes(f.read())
-
-
-def _config_record(cfg: ModelConfig) -> dict:
-    rec = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    if rec["cta_layers"] is not None:
-        rec["cta_layers"] = list(rec["cta_layers"])
-    return rec
-
-
-def _config_from_record(rec: dict) -> ModelConfig:
-    rec = dict(rec)
-    if rec.get("cta_layers") is not None:
-        rec["cta_layers"] = tuple(bool(v) for v in rec["cta_layers"])
-    return ModelConfig(**rec)
 
 
 def clone_model(model: CilModel) -> CilModel:

@@ -174,12 +174,6 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], op: str,
     return Tensor(data, op=op)
 
 
-def _sum_leading(g: np.ndarray, ndim: int) -> np.ndarray:
-    """Sum ``g`` over the leading axes an operand of rank ``ndim`` was
-    broadcast along, in index order."""
-    return g if g.ndim == ndim else g.sum(axis=tuple(range(g.ndim - ndim)))
-
-
 def _sum_to_shape(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to the operand's shape."""
     if g.shape == shape:
@@ -304,8 +298,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         out = out + bias.data
 
     def bwd(g):
-        ga = _sum_leading(g @ bd.swapaxes(-1, -2), ad.ndim) if a.requires_grad else None
-        gb = _sum_leading(ad.swapaxes(-1, -2) @ g, bd.ndim) if b.requires_grad else None
+        ga = _sum_to_shape(g @ bd.swapaxes(-1, -2), ad.shape) if a.requires_grad else None
+        gb = _sum_to_shape(ad.swapaxes(-1, -2) @ g, bd.shape) if b.requires_grad else None
         return (ga, gb) if bias is None else (ga, gb, _sum_to_shape(g, bias.shape))
 
     return _make(out, (a, b) if bias is None else (a, b, bias), "matmul", bwd)

@@ -55,6 +55,8 @@ def test_train_writes_all_artifacts(tmp_path):
     for name in ("metrics.csv", "summary.json", "attention.json",
                  "flops.json", "model.ckpt"):
         assert (out / name).exists(), name
+    flops = json.loads((out / "flops.json").read_text())
+    assert flops["model_macs"] == flops["instrumented_macs"] > 0
 
 
 def test_train_csv_accuracy_rows_consistent_with_aa(tmp_path):
@@ -184,6 +186,7 @@ def test_invalid_strategy_exits_nonzero(tmp_path, capsys):
 
 @pytest.mark.parametrize("values", [
     {"sta_variant": "bogus"}, {"share_q": "x"}, {"image_size": 10}, {"gamma": 0},
+    {"attention_mode": "bogus"},
 ])
 def test_bad_model_config_fails_before_making_the_run_directory(tmp_path, capsys, values):
     cfg_file = tmp_path / "cfg.json"

@@ -214,10 +214,43 @@ def test_sta_reduces_to_ia_with_same_head_groups():
     for l in range(cfg.layers):
         for t, ex in enumerate(m.experts):
             r = res.r_layers[l][t]
-            q, k, v = B.tied_head_projections(r, m.tied_attn[l], d)
             attn = ex.blocks[l].attn
+            q, k, v = B.tied_head_projections(r, attn.tied, d)
             want, _ = B.attention_readout(r, q, k, v, attn.fuse_w, attn.fuse_b, d)
             assert np.abs(res.s_layers[l][t].data - want.data).max() < TOL.ia_reduction
+
+
+def test_sta_experts_hold_the_first_experts_tied_projection():
+    cfg = small_cfg(strategy="sta")
+    m = build_model(cfg, heads=(2,), classes=(2,))
+    names = [n for n, _ in m.named_parameters()]
+    tied_names = [f"shared.attn{l}.{f}" for l in range(cfg.layers)
+                  for f in ("ln_gain", "ln_bias", "wq", "wk", "wv", "bq", "bk", "bv")]
+    assert names[: 1 + len(tied_names)] == ["pos", *tied_names]
+    assert names[1 + len(tied_names)].startswith("task0.embed.")
+    m.add_expert(1, 2)
+    m.add_expert(1, 2)
+    params = dict(m.named_parameters())
+    assert [n for n in params if n.startswith("shared.")] == tied_names
+    for l in range(cfg.layers):
+        tied = m.experts[0].blocks[l].attn.tied
+        assert tied.wq is params[f"shared.attn{l}.wq"]
+        for ex in m.experts:
+            assert ex.blocks[l].attn.tied is tied
+    assert not any(params[n].requires_grad for n in tied_names)
+
+
+def test_sta_stage_needs_the_keys_and_values_of_earlier_experts():
+    cfg = small_cfg(strategy="sta")
+    m = build_model(cfg, heads=(2, 1), classes=(2, 2))
+    res = m.forward(rand_image(cfg, 3))
+    k_list, v_list = res.k_layers[0][:1], res.v_layers[0][:1]
+    with pytest.raises(T.ContractError):
+        E.cross_task_mhsa(m, 0, 1, res.r_layers[0], [], [])
+    s, _ = E.cross_task_mhsa(m, 0, 1, res.r_layers[0], k_list, v_list)
+    np.testing.assert_array_equal(s.data, res.s_layers[0][1].data)
+    np.testing.assert_array_equal(k_list[1].data, res.k_layers[0][1].data)
+    np.testing.assert_array_equal(v_list[1].data, res.v_layers[0][1].data)
 
 
 def test_sta_same_patch_logits_match_constructed_input():
@@ -230,8 +263,9 @@ def test_sta_same_patch_logits_match_constructed_input():
     P, d = cfg.num_patches, cfg.head_dim
     tok = rng.normal(size=(P, d))
     r_list = [T.Tensor(np.concatenate([tok, tok], axis=1)), T.Tensor(tok)]
-    q1, k1, _ = B.tied_head_projections(r_list[0], m.tied_attn[0], d)
-    q2, k2, _ = B.tied_head_projections(r_list[1], m.tied_attn[0], d)
+    tied = m.experts[0].blocks[0].attn.tied
+    q1, k1, _ = B.tied_head_projections(r_list[0], tied, d)
+    q2, k2, _ = B.tied_head_projections(r_list[1], tied, d)
     qf = np.concatenate([q1.data, q2.data]).reshape(-1, d)
     kf = np.concatenate([k1.data, k2.data]).reshape(-1, d)
     logits = qf @ kf.T
@@ -442,9 +476,9 @@ def test_cross_task_mhsa_single_task_equals_backbone_block():
     m = build_model(cfg, heads=(2,), classes=(3,))
     rng = np.random.default_rng(16)
     r = T.Tensor(rng.normal(size=(cfg.num_patches, 8)))
-    s_list, _ = E.cross_task_mhsa(m, 0, [r])
+    s, _ = E.cross_task_mhsa(m, 0, 0, [r], [], [])
     want, _ = B.mhsa_block(r, m.experts[0].blocks[0].attn, cfg.head_dim)
-    np.testing.assert_array_equal(s_list[0].data, want.data)
+    np.testing.assert_array_equal(s.data, want.data)
 
 
 def test_cross_task_mhsa_zero_fusion_is_residual():
@@ -456,8 +490,8 @@ def test_cross_task_mhsa_zero_fusion_is_residual():
     rng = np.random.default_rng(17)
     r_list = [T.Tensor(rng.normal(size=(cfg.num_patches, 8))),
               T.Tensor(rng.normal(size=(cfg.num_patches, 4)))]
-    s_list, _ = E.cross_task_mhsa(m, 0, r_list)
-    for s, r in zip(s_list, r_list):
+    for t, r in enumerate(r_list):
+        s, _ = E.cross_task_mhsa(m, 0, t, r_list, [], [])
         np.testing.assert_array_equal(s.data, r.data)
 
 
@@ -584,6 +618,16 @@ def test_checkpoint_round_trip_bit_exact():
         np.testing.assert_array_equal(t1.data, t2.data)
 
 
+def test_model_config_stores_cta_layers_as_bools_through_checkpoints():
+    cfg = small_cfg(cta_layers=[1, 0])
+    assert cfg.cta_layers == cfg.cta_mask() == (True, False)
+    assert small_cfg().cta_mask() == (True, True)
+    raw = E.checkpoint_bytes(build_model(cfg, heads=(1,), classes=(2,)))
+    (hlen,) = struct.unpack("<I", raw[1:5])
+    assert json.loads(raw[5:5 + hlen])["config"]["cta_layers"] == [True, False]
+    assert E.model_from_bytes(raw).cfg == cfg
+
+
 def test_checkpoint_file_round_trip(tmp_path):
     cfg = small_cfg(strategy="sta")
     m = build_model(cfg, heads=(2, 1), classes=(3, 2), seed=6)
@@ -631,6 +675,11 @@ def _add_config_field(header, blobs):
     return header, blobs
 
 
+def _scalar_cta_layers(header, blobs):
+    header["config"]["cta_layers"] = 1
+    return header, blobs
+
+
 def _drop_config(header, blobs):
     del header["config"]
     return header, blobs
@@ -644,6 +693,7 @@ CORRUPTIONS = {
     "missing_config": lambda raw: _rewrite_header(raw, _drop_config),
     "unknown_config_field": lambda raw: _rewrite_header(raw, _add_config_field),
     "header_not_a_dict": lambda raw: _rewrite_header(raw, lambda h, b: ([h], b)),
+    "cta_layers_not_iterable": lambda raw: _rewrite_header(raw, _scalar_cta_layers),
 }
 
 
