@@ -236,18 +236,21 @@ _FLOPS_DEFAULTS = dict(gamma=4, layers=2, in_channels=3, patch_size=4,
                        classes_per_task=2)
 
 
-def flops_ia(T_: int, H: int, P: int, D: int, **kw) -> int:
-    """MACs of T independent experts with H heads each."""
+def _flops_uniform(strategy: str, T_: int, H: int, P: int, D: int, kw: dict) -> int:
+    """MACs of T experts with H heads each in ``strategy``'s wiring."""
     opts = {**_FLOPS_DEFAULTS, **kw}
     cls = opts.pop("classes_per_task")
-    return flops_layout([H] * T_, [cls] * T_, P=P, D=D, strategy="ia", **opts)
+    return flops_layout([H] * T_, [cls] * T_, P=P, D=D, strategy=strategy, **opts)
+
+
+def flops_ia(T_: int, H: int, P: int, D: int, **kw) -> int:
+    """MACs of T independent experts with H heads each."""
+    return _flops_uniform("ia", T_, H, P, D, kw)
 
 
 def flops_dne(T_: int, H: int, P: int, D: int, **kw) -> int:
     """MACs of T densely-connected experts with H heads each."""
-    opts = {**_FLOPS_DEFAULTS, **kw}
-    cls = opts.pop("classes_per_task")
-    return flops_layout([H] * T_, [cls] * T_, P=P, D=D, strategy="dne", **opts)
+    return _flops_uniform("dne", T_, H, P, D, kw)
 
 
 def flops_model(model: E.CilModel) -> int:

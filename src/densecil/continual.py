@@ -6,11 +6,12 @@ a new-vs-old auxiliary cross entropy).  Phase 2 rebalances: the buffer is
 refreshed by herding, then only the newest token block and classifier
 slice are tuned on an equal-count-per-class subset.  The frozen experts
 run once per training sample per task; ``FrozenCache`` keeps their
-outputs batch-major, one row per phase-1 sample, under a per-level budget.
+outputs, the forward's own ``ForwardResult`` cut at the newest expert,
+batch-major, one row per phase-1 sample, under a per-level budget.
 
 Every model call takes a batch: one graph per SGD batch in training, and
-one graph-free forward per ``EVAL_CHUNK`` images in evaluation, herding
-and cache filling.
+one graph-free forward per ``chunks`` piece of at most ``EVAL_CHUNK``
+images in evaluation, herding and cache filling.
 """
 
 from __future__ import annotations
@@ -267,8 +268,11 @@ def herding_select(features: np.ndarray, m: int) -> list[int]:
 
 
 def chunks(samples: list) -> list[list]:
-    """Consecutive pieces of at most ``EVAL_CHUNK`` items."""
-    return [samples[i:i + EVAL_CHUNK] for i in range(0, len(samples), EVAL_CHUNK)]
+    """ceil(n / ``EVAL_CHUNK``) consecutive pieces of the n items, whose
+    sizes differ by at most one."""
+    n = len(samples)
+    count = -(-n // EVAL_CHUNK)
+    return [samples[i * n // count:(i + 1) * n // count] for i in range(count)]
 
 
 def token_features(model: E.CilModel, samples: list[Sample],
@@ -372,7 +376,7 @@ def evaluate(model: E.CilModel, seen_tasks: list[Task]) -> tuple[float, list[flo
 # ------------------------------------------------------------------ frozen-expert cache
 
 EVAL_CHUNK = 16
-"""Images per graph-free forward in ``evaluate``, ``token_features`` and
+"""Most images per graph-free forward in ``evaluate``, ``token_features`` and
 ``FrozenCache.prefetch``; measured per image on this code, 16 was faster
 than both smaller and larger chunks."""
 
@@ -408,19 +412,19 @@ class FrozenCache:
         self.top: int | None = None     # deepest storable level, set by the first fill
         self.nbytes = 0
         self._rows = {id(s): i for i, s in enumerate(samples)}
-        self._store: E.FrozenOutputs | None = None
+        self._store: E.ForwardResult | None = None
 
     def _target(self) -> int:
         """The level a forward now fills its rows to."""
         want = 2 if self.body_fixed else int(self.n > 0)
         return want if self.top is None else min(want, self.top)
 
-    def _allocate(self, kept: E.FrozenOutputs) -> None:
+    def _allocate(self, kept: E.ForwardResult) -> None:
         """Size the store from one batch's outputs, prefix and features: the
         deepest level whose bytes for every row fit ``CACHE_BYTES``."""
         count = len(self.samples)
-        sizes = [count * a[0].nbytes for a in kept.arrays()]
-        prefix, total = sum(sizes[:-len(kept.features)]), sum(sizes)
+        sizes = [count * a[0].nbytes for a in kept.arrays()]  # newest features last
+        prefix, total = sum(sizes[:-1]), sum(sizes)
         self.top = 2 if total <= CACHE_BYTES else int(0 < prefix <= CACHE_BYTES)
         self.nbytes = (0, prefix, total)[self.top]
         if self.top:

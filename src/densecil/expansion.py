@@ -34,7 +34,9 @@ q/k/v projection, which the first expert owns.
 runs the attention stage that the type of the expert's attention
 parameters picks (``cross_task_mhsa``), then its mixing block
 (``tab_forward``); a stage reads only what experts 0..t have produced
-earlier in that loop or in the cache.
+earlier in that loop or in a frozen prefix.  Old experts never change,
+so ``freeze_outputs`` cuts a forward's ``ForwardResult`` at expert n, and
+a forward given that prefix runs only the experts from n on.
 
 No operation couples two images, so ``forward`` takes one (C, h, w) image
 or a (B, C, h, w) batch through the same code; every activation then
@@ -107,6 +109,8 @@ class ModelConfig:
             raise ConfigError(
                 f"image size {self.image_size} not divisible by patch {self.patch_size}")
         if self.cta_layers is not None:
+            if any(not isinstance(v, int) or v not in (0, 1) for v in self.cta_layers):
+                raise ConfigError(f"cta_layers must hold bools or 0/1, got {self.cta_layers!r}")
             object.__setattr__(self, "cta_layers", tuple(bool(v) for v in self.cta_layers))
             if len(self.cta_layers) != self.layers:
                 raise ConfigError("cta_layers mask length must equal layer count")
@@ -373,7 +377,7 @@ class CilModel:
     # -- forward ---------------------------------------------------------------
 
     def forward(self, image, *, collect_attn: bool = False,
-                frozen: "FrozenOutputs | None" = None) -> "ForwardResult":
+                frozen: "ForwardResult | None" = None) -> "ForwardResult":
         """Run one (C, h, w) image or a (B, C, h, w) batch; see ``_forward``."""
         return _forward(self, image, collect_attn=collect_attn, frozen=frozen)
 
@@ -384,86 +388,70 @@ class CilModel:
 
 @dataclass
 class ForwardResult:
-    """Activations of one forward pass in the model's own wiring.
+    """Activations of one forward pass in the model's own wiring, or of
+    its frozen prefix.
 
     Shapes are those of one image; a batched forward puts the batch axis
-    in front of every tensor and attention array.  Experts covered by
-    ``frozen`` outputs have their cached tensors in the per-layer lists
-    where the cache keeps them, and None elsewhere; with
-    ``frozen.features`` only ``r_layers[-1]`` is filled.
+    in front of every tensor and attention array.  A frozen prefix
+    (``freeze_outputs``) holds experts 0..n-1, n = ``len(token_feats)``,
+    and a forward from it keeps its entries; one that is ``head_only``
+    also holds the final block outputs of experts n.. in ``r_layers[-1]``.
     """
-    r_layers: list[list[Tensor]]         # [layers+1][task] block inputs/outputs
-    s_layers: list[list[Tensor]]         # [layers][task] post-MHSA features
-    o_layers: list[list[Tensor]]         # [layers][task] mixing intermediates
-    k_layers: list[list[Tensor]]         # [layers][task] tied keys, appended by
-    v_layers: list[list[Tensor]]         # sta stages (empty or None elsewhere)
+    r_layers: list[list[Tensor | None]]  # [layers+1][task] block inputs/outputs
+    s_layers: list[list[Tensor | None]]  # [layers][task] post-MHSA features
+    o_layers: list[list[Tensor | None]]  # [layers][task] mixing intermediates
+    k_layers: list[list[Tensor | None]]  # [layers][task] tied keys, appended by
+    v_layers: list[list[Tensor | None]]  # sta stages (empty or None elsewhere)
     token_feats: list[Tensor]            # per task (1, D*H_t)
-    logits: Tensor                       # (total classes,)
-    aux_logits: Tensor                   # (|Y_t| + 1,)
+    logits: Tensor                       # (total classes,); a prefix's (1, its classes)
+    aux_logits: Tensor | None            # (|Y_t| + 1,); None in a prefix
     spatial_attn: list[list[np.ndarray]] | None = None
     tab_attn: list[list[tuple[np.ndarray | None, np.ndarray | None]]] | None = None
 
     @property
-    def features(self) -> list[Tensor]:
+    def features(self) -> list[Tensor | None]:
         return self.r_layers[-1]
 
-
-@dataclass
-class FrozenOutputs:
-    """What experts n.. read from experts 0..n-1, for one image or a batch.
-
-    Old experts are frozen and read only older ones, so while a newer
-    expert trains these are fixed functions of the image.  Each per-layer
-    list holds n entries, None where the wiring reads nothing: post-MHSA
-    features ``s`` for a TAB fc1 and intermediates ``o`` for a TAB fc2
-    (dne), block inputs ``r`` (dne with ``cta_in_mhsa``), tied keys ``k``
-    and values ``v`` (sta).  ``features``, when set, holds the final block
-    outputs of experts n.., whose bodies are then fixed as well: forward
-    runs only their token heads.  Tensors are batched exactly when the
-    forward that uses them is; ``map_frozen`` maps an array function,
-    such as a row gather, over all of them.
-    """
-    n: int
-    r: list[list[Tensor | None]]
-    s: list[list[Tensor | None]]
-    o: list[list[Tensor | None]]
-    k: list[list[Tensor | None]]
-    v: list[list[Tensor | None]]
-    token_feats: list[Tensor]
-    logits: Tensor                       # (1, classes of experts 0..n-1)
-    features: list[Tensor] | None = None
+    @property
+    def head_only(self) -> bool:
+        """Whether this prefix holds final block outputs past its experts."""
+        return len(self.features) > len(self.token_feats)
 
     def arrays(self) -> list[np.ndarray]:
-        """The data of every kept tensor, the final features last."""
-        kept = [t for per_layer in (self.r, self.s, self.o, self.k, self.v)
-                for items in per_layer for t in items if t is not None]
-        kept += self.token_feats + [self.logits] + (self.features or [])
-        return [t.data for t in kept]
+        """The data of every tensor a prefix keeps, the final features last."""
+        parts = (self.r_layers[:-1], self.s_layers, self.o_layers, self.k_layers,
+                 self.v_layers, [self.token_feats, [self.logits]], self.r_layers[-1:])
+        return [t.data for per_layer in parts for items in per_layer
+                for t in items if t is not None]
 
 
-def map_frozen(frozen: FrozenOutputs, fn, features: bool) -> FrozenOutputs:
-    """``fn`` applied to the data array of every kept tensor; the final
-    features are kept only with ``features``."""
-    def one(t):
-        return None if t is None else Tensor(fn(t.data))
+def map_frozen(frozen: ForwardResult, fn, features: bool) -> ForwardResult:
+    """The prefix ``frozen`` with ``fn`` applied to the data array of every
+    kept tensor; its final features are kept only with ``features``."""
+    def each(items):
+        return [None if t is None else Tensor(fn(t.data)) for t in items]
 
-    def per_layer(items):
-        return [[one(t) for t in layer] for layer in items]
-
-    return FrozenOutputs(
-        n=frozen.n, r=per_layer(frozen.r), s=per_layer(frozen.s), o=per_layer(frozen.o),
-        k=per_layer(frozen.k), v=per_layer(frozen.v),
-        token_feats=[one(t) for t in frozen.token_feats], logits=one(frozen.logits),
-        features=[one(t) for t in frozen.features] if features else None)
+    last = frozen.features if features else frozen.features[:len(frozen.token_feats)]
+    return ForwardResult(
+        *([each(items) for items in per_layer] for per_layer in (
+            frozen.r_layers[:-1] + [last], frozen.s_layers, frozen.o_layers,
+            frozen.k_layers, frozen.v_layers)),
+        token_feats=each(frozen.token_feats), logits=each([frozen.logits])[0],
+        aux_logits=None)
 
 
 def freeze_outputs(model: CilModel, res: ForwardResult, n: int, *,
-                   features: bool = False) -> FrozenOutputs:
-    """Detach from ``res`` what experts n.. read from experts 0..n-1.
+                   features: bool = False) -> ForwardResult:
+    """The frozen prefix of ``res`` at expert n: what experts n.. read from
+    experts 0..n-1, detached.
 
-    ``res`` comes from a forward pass in the model's own wiring.  With
-    ``features`` the final block outputs of experts n.. are kept too.  What
-    a layer keeps follows the stage types of the newest expert's block.
+    Old experts are frozen and read only older ones, so while a newer
+    expert trains these are fixed functions of the image.  An entry is
+    None where the stage type of the newest expert's block reads nothing:
+    it keeps post-MHSA features for a TAB fc1, intermediates for a TAB fc2,
+    block inputs with ``cta_in_mhsa`` and tied keys and values for sta.
+    With ``features`` the final block outputs of experts n.. are kept too:
+    a forward from the prefix then runs only their token heads.
     """
     blocks = model.experts[-1].blocks
 
@@ -472,25 +460,16 @@ def freeze_outputs(model: CilModel, res: ForwardResult, n: int, *,
                 if isinstance(getattr(blk, stage), kind) else [None] * n
                 for l, blk in enumerate(blocks)]
 
+    last = [None] * n + ([f.detach() for f in res.features[n:]] if features else [])
     n_cls = sum(ex.n_classes for ex in model.experts[:n])
-    return FrozenOutputs(
-        n=n,
-        r=keep(res.r_layers, "attn", CtaAttentionParams),
-        s=keep(res.s_layers, "fc1", TaStageParams),
-        o=keep(res.o_layers, "fc2", TaStageParams),
-        k=keep(res.k_layers, "attn", StaAttentionParams),
-        v=keep(res.v_layers, "attn", StaAttentionParams),
+    return ForwardResult(
+        r_layers=keep(res.r_layers, "attn", CtaAttentionParams) + [last],
+        s_layers=keep(res.s_layers, "fc1", TaStageParams),
+        o_layers=keep(res.o_layers, "fc2", TaStageParams),
+        k_layers=keep(res.k_layers, "attn", StaAttentionParams),
+        v_layers=keep(res.v_layers, "attn", StaAttentionParams),
         token_feats=[f.detach() for f in res.token_feats[:n]],
-        logits=Tensor(res.logits.data[..., None, :n_cls]),
-        features=[f.detach() for f in res.features[n:]] if features else None)
-
-
-def _cached(frozen: FrozenOutputs | None, name: str, layer: int) -> list:
-    """Experts 0..n-1's kept ``name`` tensors at ``layer``, as a fresh list."""
-    if frozen is None:
-        return []
-    per_layer = getattr(frozen, name)
-    return list(per_layer[layer]) if layer < len(per_layer) else [None] * frozen.n
+        logits=Tensor(res.logits.data[..., None, :n_cls]), aux_logits=None)
 
 
 # ----------------------------------------------------------------- task attention
@@ -537,7 +516,7 @@ def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
     its parameters; a TA stage reads the features of every visible expert,
     an MLP stage only its own.  ``s_list`` holds post-MHSA features of tasks
     0..task; ``o_prior`` the intermediates of tasks 0..task-1, computed
-    earlier in the same forward pass or taken from ``FrozenOutputs`` (None
+    earlier in the same forward pass or taken from a frozen prefix (None
     where no TA stage reads them).  Returns (o_t, r_t, (A1, A2)), with A1
     or A2 None for an MLP stage.
     """
@@ -670,24 +649,23 @@ def sta_attention_stage(model: CilModel, layer: int, task: int, r_list: list[Ten
 
 # ----------------------------------------------------------------- token head
 
-def task_token_head(model: CilModel, features: list[Tensor],
-                    frozen: FrozenOutputs | None = None):
+def task_token_head(model: CilModel, features: list[Tensor | None], frozen: ForwardResult):
     """Read out one feature vector per task token and classify.
 
     Each task token attends over its own expert's final patch tokens
     through a per-task frozen-after-training block; the per-task classifier
     slices are concatenated and the auxiliary head sees all token features.
-    The token features and logits of experts covered by ``frozen`` are
-    taken from it.  The token queries do not depend on the image and are
-    computed once for a whole batch.
+    The token features and logits of the experts in the frozen prefix
+    ``frozen`` are taken from it.  The token queries do not depend on the
+    image and are computed once for a whole batch.
     """
     if len(features) != model.task_count:
         raise T.ContractError(
             f"token head got {len(features)} feature maps for {model.task_count} tasks")
     d = model.cfg.head_dim
-    n = 0 if frozen is None else frozen.n
-    lead = (features[-1] if frozen is None else frozen.logits).shape[:-2]
-    feats = [] if frozen is None else list(frozen.token_feats)
+    feats = list(frozen.token_feats)
+    n = len(feats)
+    lead = (frozen.logits if n else features[-1]).shape[:-2]
     logit_parts = [frozen.logits] if n else []
     for t in range(n, model.task_count):
         ex = model.experts[t]
@@ -710,66 +688,50 @@ def task_token_head(model: CilModel, features: list[Tensor],
 # ----------------------------------------------------------------- drivers
 
 def _forward(model: CilModel, image, *, collect_attn=False,
-             frozen: FrozenOutputs | None = None) -> ForwardResult:
+             frozen: ForwardResult | None = None) -> ForwardResult:
     """One forward pass of a (C, h, w) image or a (B, C, h, w) batch; with
-    ``frozen`` (batched like ``image``) only experts ``frozen.n``.. run.
-
-    Attention weights, when collected, cover the experts that run.
-    """
+    the frozen prefix ``frozen`` (batched like ``image``) of experts 0..n-1
+    only experts n.. run, and attention weights are collected for them."""
     cfg = model.cfg
     if model.task_count == 0:
         raise T.ContractError("forward on a model with no experts")
+    if frozen is None:          # the prefix of no experts; its lists are only read
+        empty = [[]] * (cfg.layers + 1)
+        frozen = ForwardResult(empty, empty, empty, empty, empty, [], None, None)
+    n = len(frozen.token_feats)
+    res = ForwardResult([], [], [], [], [], [], None, None, *([[], []] if collect_attn else []))
 
-    d = cfg.head_dim
-    n = 0 if frozen is None else frozen.n
-    r_layers: list[list[Tensor]] = []
-    s_layers: list[list[Tensor]] = []
-    o_layers: list[list[Tensor]] = []
-    k_layers: list[list[Tensor]] = []
-    v_layers: list[list[Tensor]] = []
-    sp_attn: list[list[np.ndarray]] = []
-    tab_attn: list[list] = []
-
-    if frozen is not None and frozen.features is not None:
-        r_list = [None] * n + frozen.features
+    if frozen.head_only:
+        r_list = list(frozen.features)
     else:
         img = np.asarray(image.data if isinstance(image, Tensor) else image, dtype=np.float64)
         patches = Tensor(B.extract_patches(img, cfg.in_channels, cfg.image_size,
                                            cfg.patch_size))
-        r_list = _cached(frozen, "r", 0) + [B.patch_embed(patches, ex.embed, model.pos, d)
-                                            for ex in model.experts[n:]]
-
+        r_list = frozen.r_layers[0] + [B.patch_embed(patches, ex.embed, model.pos, cfg.head_dim)
+                                       for ex in model.experts[n:]]
         for layer in range(cfg.layers):
-            r_layers.append(r_list)
-            s_list, o_list, k_list, v_list = (_cached(frozen, name, layer) for name in "sokv")
-            new_r = _cached(frozen, "r", layer + 1)
-            sp_l: list[np.ndarray] = []
-            tab_l: list = []
+            res.r_layers.append(r_list)
+            r_list = list(frozen.r_layers[layer + 1])
+            s_list, o_list, k_list, v_list = pools = [list(p[layer]) for p in (
+                frozen.s_layers, frozen.o_layers, frozen.k_layers, frozen.v_layers)]
+            sp_l, tab_l = [], []
             for t in range(n, model.task_count):
-                s_t, attn = cross_task_mhsa(model, layer, t, r_list, k_list, v_list)
+                s_t, attn = cross_task_mhsa(model, layer, t, res.r_layers[-1], k_list, v_list)
                 s_list.append(s_t)
                 o_t, r_t, pair = tab_forward(s_list, o_list, model, layer, t)
                 o_list.append(o_t)
-                new_r.append(r_t)
+                r_list.append(r_t)
                 sp_l.append(attn.data)
                 tab_l.append(pair)
-            r_list = new_r
-            s_layers.append(s_list)
-            o_layers.append(o_list)
-            k_layers.append(k_list)
-            v_layers.append(v_list)
+            for per_layer, pool in zip((res.s_layers, res.o_layers, res.k_layers,
+                                        res.v_layers), pools):
+                per_layer.append(pool)
             if collect_attn:
-                sp_attn.append(sp_l)
-                tab_attn.append(tab_l)
-    r_layers.append(r_list)
-
-    token_feats, logits, aux = task_token_head(model, r_list, frozen)
-    return ForwardResult(
-        r_layers=r_layers, s_layers=s_layers, o_layers=o_layers,
-        k_layers=k_layers, v_layers=v_layers, token_feats=token_feats,
-        logits=logits, aux_logits=aux,
-        spatial_attn=sp_attn if collect_attn else None,
-        tab_attn=tab_attn if collect_attn else None)
+                res.spatial_attn.append(sp_l)
+                res.tab_attn.append(tab_l)
+    res.r_layers.append(r_list)
+    res.token_feats, res.logits, res.aux_logits = task_token_head(model, r_list, frozen)
+    return res
 
 
 # ----------------------------------------------------------------- checkpoints

@@ -148,7 +148,7 @@ def model_case(seed: int = 0, **overrides) -> float:
     head_params = {id(p) for p in model.parameters_with_prefix(
         "task1.token", "task1.tok_blk", "task1.head", "aux")}
 
-    def scalar(frozen: E.FrozenOutputs) -> float:
+    def scalar(frozen: E.ForwardResult) -> float:
         with T.no_grad():
             return loss(model.forward(image, frozen=frozen)).item()
 

@@ -344,6 +344,18 @@ def test_metrics_csv_rows(tmp_path):
     assert any(r.startswith("2,AA") for r in rows)
 
 
+# ------------------------------------------------------------ evaluation chunks
+
+@pytest.mark.parametrize("n,sizes", [(1, [1]), (16, [16]), (17, [8, 9]),
+                                     (33, [11, 11, 11]), (40, [13, 13, 14])])
+def test_chunks_balance_consecutive_pieces(n, sizes):
+    items = list(range(n))
+    pieces = C.chunks(items)
+    assert [len(p) for p in pieces] == sizes
+    assert len(pieces) == -(-n // C.EVAL_CHUNK)
+    assert [x for p in pieces for x in p] == items
+
+
 # ------------------------------------------------------------ end-to-end small run
 
 def _micro_stream(seed=0, size=8):
@@ -400,7 +412,7 @@ def test_run_stream_cache_is_bit_exact_against_recomputing(strategy, monkeypatch
 
     def counting_forward(self, image, **kw):
         frozen = kw.get("frozen")
-        served.append(0 if frozen is None else 1 if frozen.features is None else 2)
+        served.append(0 if frozen is None else 2 if frozen.head_only else 1)
         return forward(self, image, **kw)
 
     init = C.FrozenCache.__init__

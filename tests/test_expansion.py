@@ -626,6 +626,9 @@ def test_model_config_stores_cta_layers_as_bools_through_checkpoints():
     (hlen,) = struct.unpack("<I", raw[1:5])
     assert json.loads(raw[5:5 + hlen])["config"]["cta_layers"] == [True, False]
     assert E.model_from_bytes(raw).cfg == cfg
+    for bad in BAD_CTA_LAYERS.values():
+        with pytest.raises(ConfigError, match="cta_layers"):
+            small_cfg(cta_layers=tuple(bad))
 
 
 def test_checkpoint_file_round_trip(tmp_path):
@@ -675,9 +678,15 @@ def _add_config_field(header, blobs):
     return header, blobs
 
 
-def _scalar_cta_layers(header, blobs):
-    header["config"]["cta_layers"] = 1
-    return header, blobs
+def _cta_layers(value):
+    def edit(header, blobs):
+        header["config"]["cta_layers"] = value
+        return header, blobs
+    return edit
+
+
+BAD_CTA_LAYERS = {"str": ["0", "0"], "int_2": [2, 0], "none": [None, True]}
+"""Masks whose entries are neither bools nor the ints 0 and 1."""
 
 
 def _drop_config(header, blobs):
@@ -693,7 +702,9 @@ CORRUPTIONS = {
     "missing_config": lambda raw: _rewrite_header(raw, _drop_config),
     "unknown_config_field": lambda raw: _rewrite_header(raw, _add_config_field),
     "header_not_a_dict": lambda raw: _rewrite_header(raw, lambda h, b: ([h], b)),
-    "cta_layers_not_iterable": lambda raw: _rewrite_header(raw, _scalar_cta_layers),
+    "cta_layers_not_iterable": lambda raw: _rewrite_header(raw, _cta_layers(1)),
+    **{f"cta_layers_{k}": lambda raw, v=v: _rewrite_header(raw, _cta_layers(v))
+       for k, v in BAD_CTA_LAYERS.items()},
 }
 
 
@@ -798,12 +809,35 @@ def _assert_gather_reproduces_permuted_forward(m, images, frozen):
     """Rows of ``frozen`` gathered in a permuted order serve the permuted
     batch exactly as its own full forward."""
     order = np.array([2, 0, 1])
-    features = frozen.features is not None
+    features = frozen.head_only
     gathered = E.map_frozen(frozen, lambda a: a[order], features)
-    assert (gathered.features is not None) == features
+    assert gathered.head_only == features
     with T.no_grad():
         _assert_same_outputs(m.forward(images[order], frozen=gathered),
                              m.forward(images[order]))
+
+
+def _assert_cut_keeps_only_what_is_read(m, frozen):
+    """Block inputs only with ``cta_in_mhsa``, post-MHSA features and
+    intermediates only where fc1/fc2 is a TA stage, tied keys and values
+    only for sta: nothing per layer for ia."""
+    cfg = m.cfg
+    n, layers = len(frozen.token_feats), cfg.layers
+    tab = [cfg.strategy == "dne" and on for on in cfg.cta_mask()]
+
+    def kept(per_layer):
+        return [[t is not None for t in items] for items in per_layer]
+
+    def expect(flags):
+        return [[flag] * n for flag in flags]
+
+    assert kept(frozen.r_layers) == expect([cfg.cta_in_mhsa] * layers + [False])
+    assert kept(frozen.s_layers) == expect([on and cfg.cta_in_fc1 for on in tab])
+    assert kept(frozen.o_layers) == expect([on and cfg.cta_in_fc2 for on in tab])
+    sta = expect([cfg.strategy == "sta"] * layers)
+    assert kept(frozen.k_layers) == kept(frozen.v_layers) == sta
+    if cfg.strategy == "ia":
+        assert len(frozen.arrays()) == n + 1        # token features and logits
 
 
 @pytest.mark.parametrize("wiring", sorted(CACHE_WIRINGS))
@@ -814,6 +848,7 @@ def test_frozen_outputs_reproduce_forward_bit_exactly(wiring):
     for img in (rand_image(cfg, 30), _image_batch(cfg, 40)):
         full, n_full, g_full = _loss_and_grads(m, img, None)
         frozen = E.freeze_outputs(m, full, 2)
+        _assert_cut_keeps_only_what_is_read(m, frozen)
         cached, n_cached, g_cached = _loss_and_grads(m, img, frozen)
 
         _assert_same_outputs(cached, full)
