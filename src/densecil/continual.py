@@ -10,8 +10,8 @@ outputs, the forward's own ``ForwardResult`` cut at the newest expert,
 batch-major, one row per phase-1 sample, under a per-level budget.
 
 Every model call takes a batch: one graph per SGD batch in training, and
-one graph-free forward per ``chunks`` piece of at most ``EVAL_CHUNK``
-images in evaluation, herding and cache filling.
+one graph-free forward per ``EVAL_CHUNK`` images in evaluation, herding
+and cache filling.
 """
 
 from __future__ import annotations
@@ -268,11 +268,8 @@ def herding_select(features: np.ndarray, m: int) -> list[int]:
 
 
 def chunks(samples: list) -> list[list]:
-    """ceil(n / ``EVAL_CHUNK``) consecutive pieces of the n items, whose
-    sizes differ by at most one."""
-    n = len(samples)
-    count = -(-n // EVAL_CHUNK)
-    return [samples[i * n // count:(i + 1) * n // count] for i in range(count)]
+    """Consecutive pieces of at most ``EVAL_CHUNK`` items."""
+    return [samples[i:i + EVAL_CHUNK] for i in range(0, len(samples), EVAL_CHUNK)]
 
 
 def token_features(model: E.CilModel, samples: list[Sample],
@@ -376,7 +373,7 @@ def evaluate(model: E.CilModel, seen_tasks: list[Task]) -> tuple[float, list[flo
 # ------------------------------------------------------------------ frozen-expert cache
 
 EVAL_CHUNK = 16
-"""Most images per graph-free forward in ``evaluate``, ``token_features`` and
+"""Images per graph-free forward in ``evaluate``, ``token_features`` and
 ``FrozenCache.prefetch``; measured per image on this code, 16 was faster
 than both smaller and larger chunks."""
 

@@ -403,7 +403,8 @@ class ForwardResult:
     k_layers: list[list[Tensor | None]]  # [layers][task] tied keys, appended by
     v_layers: list[list[Tensor | None]]  # sta stages (empty or None elsewhere)
     token_feats: list[Tensor]            # per task (1, D*H_t)
-    logits: Tensor                       # (total classes,); a prefix's (1, its classes)
+    logits: Tensor | None                # (total classes,); a prefix's (1, its classes),
+                                         # None in the prefix of no experts
     aux_logits: Tensor | None            # (|Y_t| + 1,); None in a prefix
     spatial_attn: list[list[np.ndarray]] | None = None
     tab_attn: list[list[tuple[np.ndarray | None, np.ndarray | None]]] | None = None
@@ -431,11 +432,14 @@ def map_frozen(frozen: ForwardResult, fn, features: bool) -> ForwardResult:
     def each(items):
         return [None if t is None else Tensor(fn(t.data)) for t in items]
 
+    def per_layer(layers):
+        return [each(items) for items in layers]
+
     last = frozen.features if features else frozen.features[:len(frozen.token_feats)]
     return ForwardResult(
-        *([each(items) for items in per_layer] for per_layer in (
-            frozen.r_layers[:-1] + [last], frozen.s_layers, frozen.o_layers,
-            frozen.k_layers, frozen.v_layers)),
+        r_layers=per_layer(frozen.r_layers[:-1]) + [each(last)],
+        s_layers=per_layer(frozen.s_layers), o_layers=per_layer(frozen.o_layers),
+        k_layers=per_layer(frozen.k_layers), v_layers=per_layer(frozen.v_layers),
         token_feats=each(frozen.token_feats), logits=each([frozen.logits])[0],
         aux_logits=None)
 
@@ -697,9 +701,14 @@ def _forward(model: CilModel, image, *, collect_attn=False,
         raise T.ContractError("forward on a model with no experts")
     if frozen is None:          # the prefix of no experts; its lists are only read
         empty = [[]] * (cfg.layers + 1)
-        frozen = ForwardResult(empty, empty, empty, empty, empty, [], None, None)
+        frozen = ForwardResult(r_layers=empty, s_layers=empty, o_layers=empty,
+                               k_layers=empty, v_layers=empty, token_feats=[],
+                               logits=None, aux_logits=None)
     n = len(frozen.token_feats)
-    res = ForwardResult([], [], [], [], [], [], None, None, *([[], []] if collect_attn else []))
+    res = ForwardResult(r_layers=[], s_layers=[], o_layers=[], k_layers=[], v_layers=[],
+                        token_feats=[], logits=None, aux_logits=None,  # set by the token head
+                        spatial_attn=[] if collect_attn else None,
+                        tab_attn=[] if collect_attn else None)
 
     if frozen.head_only:
         r_list = list(frozen.features)
@@ -712,8 +721,10 @@ def _forward(model: CilModel, image, *, collect_attn=False,
         for layer in range(cfg.layers):
             res.r_layers.append(r_list)
             r_list = list(frozen.r_layers[layer + 1])
-            s_list, o_list, k_list, v_list = pools = [list(p[layer]) for p in (
-                frozen.s_layers, frozen.o_layers, frozen.k_layers, frozen.v_layers)]
+            s_list = list(frozen.s_layers[layer])
+            o_list = list(frozen.o_layers[layer])
+            k_list = list(frozen.k_layers[layer])
+            v_list = list(frozen.v_layers[layer])
             sp_l, tab_l = [], []
             for t in range(n, model.task_count):
                 s_t, attn = cross_task_mhsa(model, layer, t, res.r_layers[-1], k_list, v_list)
@@ -723,9 +734,10 @@ def _forward(model: CilModel, image, *, collect_attn=False,
                 r_list.append(r_t)
                 sp_l.append(attn.data)
                 tab_l.append(pair)
-            for per_layer, pool in zip((res.s_layers, res.o_layers, res.k_layers,
-                                        res.v_layers), pools):
-                per_layer.append(pool)
+            res.s_layers.append(s_list)
+            res.o_layers.append(o_list)
+            res.k_layers.append(k_list)
+            res.v_layers.append(v_list)
             if collect_attn:
                 res.spatial_attn.append(sp_l)
                 res.tab_attn.append(tab_l)
