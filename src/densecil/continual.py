@@ -8,6 +8,8 @@ slice are tuned on an equal-count-per-class subset.  The frozen experts
 run once per training sample per task; ``FrozenCache`` keeps their
 outputs, the forward's own ``ForwardResult`` cut at the newest expert,
 batch-major, one row per phase-1 sample, under a per-level budget.
+``run_stream`` keeps each eval chunk's last forward cut at the whole model,
+so the next step's evaluation runs only the new expert.
 
 Every model call takes a batch: one graph per SGD batch in training, and
 one graph-free forward per ``EVAL_CHUNK`` images in evaluation, herding
@@ -347,22 +349,37 @@ class MetricsRecord:
         }
 
 
-def evaluate(model: E.CilModel, seen_tasks: list[Task]) -> tuple[float, list[float]]:
+def evaluate(model: E.CilModel, seen_tasks: list[Task],
+             store: dict[tuple[int, int], E.ForwardResult] | None = None,
+             ) -> tuple[float, list[float]]:
     """Top-1 accuracy over the union of seen eval sets, plus per-task accuracy.
 
     Counts are integers accumulated in task order, so the result does not
-    depend on evaluation order.
+    depend on evaluation order.  With ``store``, keyed by (task, chunk), a
+    chunk runs from its entry, a frozen prefix, if it has one, and its entry
+    becomes this forward's cut at all the model's experts.  Chunks past
+    ``CACHE_BYTES``, counted in order, lose their entry.
     """
     per_task: list[float] = []
     correct_total = 0
     n_total = 0
+    nbytes = 0
     with T.no_grad():
-        for task in seen_tasks:
+        for j, task in enumerate(seen_tasks):
             correct = 0
-            for chunk in chunks(task.eval):
-                pred = np.argmax(model.forward(images(chunk)).logits.data, axis=-1)
+            for c, chunk in enumerate(chunks(task.eval)):
+                frozen = None if store is None else store.get((j, c))
+                res = model.forward(images(chunk), frozen=frozen)
+                pred = np.argmax(res.logits.data, axis=-1)
                 correct += sum(class_index(model, s.label) == int(p)
                                for s, p in zip(chunk, pred))
+                if store is not None:
+                    cut = E.freeze_outputs(model, res, model.task_count)
+                    nbytes += sum(a.nbytes for a in cut.arrays())
+                    if nbytes <= CACHE_BYTES:
+                        store[j, c] = cut
+                    else:
+                        store.pop((j, c), None)
             per_task.append(100.0 * correct / len(task.eval) if task.eval else 0.0)
             correct_total += correct
             n_total += len(task.eval)
@@ -378,7 +395,9 @@ EVAL_CHUNK = 16
 than both smaller and larger chunks."""
 
 CACHE_BYTES = 256 * 2**20
-"""Byte budget of one task's ``FrozenCache``; a level past it is not stored."""
+"""Byte budget of one task's ``FrozenCache``, where a level past it is not
+stored, and of a run's evaluation store, where a chunk's prefix past it is
+not stored and the chunk runs a full forward at the next step."""
 
 
 class FrozenCache:
@@ -551,13 +570,14 @@ def run_stream(model_cfg: E.ModelConfig, stream: TaskStream, cfg: TrainConfig,
     bind_class_index(model, registry)
     buffer = MemoryBuffer(buffer_capacity)
     record = MetricsRecord()
+    eval_store: dict[tuple[int, int], E.ForwardResult] = {}
     for i, task in enumerate(stream.tasks):
         heads = cfg.heads_first if i == 0 else cfg.heads_per_step
         model.add_expert(heads, len(task.classes))
         registry.extend(task.classes)
         rng = np.random.default_rng(seeds[i])
         train_task(model, task, buffer, cfg, class_registry=registry, rng=rng)
-        acc, per_task = evaluate(model, stream.tasks[: i + 1])
+        acc, per_task = evaluate(model, stream.tasks[: i + 1], eval_store)
         record.accuracies.append(acc)
         record.per_task_final = per_task
     return model, record

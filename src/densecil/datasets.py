@@ -126,16 +126,3 @@ def synth_stream(classes: int, per_class: int, image_size: int, seed: int, *,
         tasks.append(Task(tuple(ids), train, ev))
     return TaskStream(tasks)
 
-
-def class_mean_separation(samples: list[Sample]) -> float:
-    """Minimum pairwise L2 distance between per-class mean images."""
-    by_class: dict[int, list[np.ndarray]] = {}
-    for s in samples:
-        by_class.setdefault(s.label, []).append(s.image.reshape(-1))
-    means = {c: np.mean(v, axis=0) for c, v in by_class.items()}
-    labels = sorted(means)
-    best = np.inf
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            best = min(best, float(np.linalg.norm(means[a] - means[b])))
-    return best

@@ -19,7 +19,11 @@ A tensor produced by an op remembers its parents and a backward closure;
 ``backward`` on a scalar root walks the graph once in reverse topological
 order.  Tensors with ``requires_grad=False`` act as constants: no closure is
 built through them, so frozen subnetworks cost nothing at backward time and
-never receive gradients.
+never receive gradients, and an op computes no input gradient for a constant
+operand.  A tensor's first gradient is the array its consumer's closure
+returned, when that array and the tensor's data are both C-contiguous, it
+is writeable and the closure handed it to no other operand; otherwise it is
+a copy in the tensor's own memory layout.  Later gradients are added in.
 
 Thread model: a graph is single-threaded, but distinct graphs may be used
 from different threads; the grad-enabled flag and MAC counters are
@@ -224,15 +228,20 @@ def backward(root: Tensor) -> None:
         if node._backward is None:
             continue
         grads = node._backward(node.grad)
+        handed: list[np.ndarray] = []
         for parent, g in zip(node.parents, grads):
             if g is None or not parent.requires_grad:
                 continue
-            if parent.grad is None:
+            if parent.grad is not None:
+                parent.grad += g
+            elif (g.flags.c_contiguous and g.flags.writeable and parent.data.flags.c_contiguous
+                    and not any(g is h for h in handed)):
+                parent.grad = g
+                handed.append(g)
+            else:
                 # the tensor's own memory layout: later products round by it
                 parent.grad = np.empty_like(parent.data)
                 parent.grad[...] = g
-            else:
-                parent.grad += g
 
 
 # -- elementwise arithmetic ------------------------------------------------
@@ -244,7 +253,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}") from None
 
     def bwd(g):
-        return _sum_to_shape(g, a.shape), _sum_to_shape(g, b.shape)
+        return (_sum_to_shape(g, a.shape) if a.requires_grad else None,
+                _sum_to_shape(g, b.shape) if b.requires_grad else None)
 
     return _make(out, (a, b), "add", bwd)
 
@@ -256,7 +266,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"sub: cannot broadcast {a.shape} with {b.shape}") from None
 
     def bwd(g):
-        return _sum_to_shape(g, a.shape), _sum_to_shape(-g, b.shape)
+        return (_sum_to_shape(g, a.shape) if a.requires_grad else None,
+                _sum_to_shape(-g, b.shape) if b.requires_grad else None)
 
     return _make(out, (a, b), "sub", bwd)
 
@@ -437,6 +448,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         lead = tuple(range(g.ndim - 1))
         dgain = (g * xhat).sum(axis=lead) if gain.requires_grad else None
         dbias = g.sum(axis=lead) if bias.requires_grad else None
+        if not x.requires_grad:
+            return None, dgain, dbias
         dx = g * gain.data
         proj = dx * xhat
         proj = np.multiply(xhat, proj.sum(axis=-1, keepdims=True) / d, out=proj)

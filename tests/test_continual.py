@@ -357,7 +357,7 @@ def test_chunks_are_consecutive_pieces_of_at_most_eval_chunk(n):
 
 # ------------------------------------------------------------ end-to-end small run
 
-def _micro_stream(seed=0, size=8):
+def _micro_stream(seed=0, size=8, n_tasks=2):
     rng = np.random.default_rng(seed)
 
     def mk(label, n):
@@ -369,8 +369,8 @@ def _micro_stream(seed=0, size=8):
             out.append(C.Sample(np.clip(img, 0, 1), label))
         return out
 
-    tasks = [C.Task((0, 1), mk(0, 6) + mk(1, 6), mk(0, 3) + mk(1, 3)),
-             C.Task((2, 3), mk(2, 6) + mk(3, 6), mk(2, 3) + mk(3, 3))]
+    tasks = [C.Task((2 * i, 2 * i + 1), mk(2 * i, 6) + mk(2 * i + 1, 6),
+                    mk(2 * i, 3) + mk(2 * i + 1, 3)) for i in range(n_tasks)]
     return C.TaskStream(tasks)
 
 
@@ -400,19 +400,31 @@ def test_run_stream_deterministic():
 @pytest.mark.parametrize("strategy", ["dne", "sta", "ia"])
 def test_run_stream_cache_is_bit_exact_against_recomputing(strategy, monkeypatch):
     """The full budget, a budget that holds the last task's frozen prefix
-    but not its final features, and no budget give the same run."""
+    but not its final features, and no budget give the same run.  At the
+    full budget every evaluation of an old task runs from the prefix the
+    previous step's evaluation stored; with no budget none does."""
     cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
                         gamma=2, layers=2, strategy=strategy)
     tc = C.TrainConfig(epochs=2, tune_epochs=2, lr=0.05, batch_size=5,
                        heads_first=2, heads_per_step=1)
     forward = E.CilModel.forward
+    evaluate = C.evaluate
     served = []         # level each forward was served from
+    prefixes = []       # experts in each forward's frozen prefix
+    evals = []          # the prefixes of each evaluation's forwards
     caches = []
 
     def counting_forward(self, image, **kw):
         frozen = kw.get("frozen")
         served.append(0 if frozen is None else 2 if frozen.head_only else 1)
+        prefixes.append(0 if frozen is None else len(frozen.token_feats))
         return forward(self, image, **kw)
+
+    def counting_evaluate(*args):
+        start = len(prefixes)
+        result = evaluate(*args)
+        evals.append(prefixes[start:])
+        return result
 
     init = C.FrozenCache.__init__
 
@@ -421,25 +433,59 @@ def test_run_stream_cache_is_bit_exact_against_recomputing(strategy, monkeypatch
         caches.append(self)
 
     monkeypatch.setattr(E.CilModel, "forward", counting_forward)
+    monkeypatch.setattr(C, "evaluate", counting_evaluate)
     monkeypatch.setattr(C.FrozenCache, "__init__", recording_init)
 
     def run():
-        served.clear()
-        caches.clear()
-        model, rec = C.run_stream(cfg, _micro_stream(), tc, seed=4, buffer_capacity=8)
-        return E.checkpoint_bytes(model), rec.accuracies, list(served), caches[-1]
+        for log in (served, prefixes, evals, caches):
+            log.clear()
+        model, rec = C.run_stream(cfg, _micro_stream(n_tasks=3), tc, seed=4,
+                                  buffer_capacity=8)
+        return E.checkpoint_bytes(model), rec.accuracies, list(served), caches[-1], list(evals)
 
-    ckpt, acc, served_full, last = run()
+    # one 6-image chunk per eval set: step i evaluates tasks 0..i
+    ckpt, acc, served_full, last, evals_full = run()
     assert last.top == 2 and last.level.max() == 2 and 2 in served_full
+    assert evals_full == [[0], [1, 0], [2, 2, 0]]
     monkeypatch.setattr(C, "CACHE_BYTES", last.nbytes - 1)
-    ckpt_part, acc_part, served_part, last_part = run()
+    ckpt_part, acc_part, served_part, last_part, _ = run()
     assert last_part.top == 1 and (last_part.level == 1).all()
     assert 0 < last_part.nbytes < last.nbytes and 1 in served_part
     monkeypatch.setattr(C, "CACHE_BYTES", 0)
-    ckpt0, acc0, served0, last0 = run()
+    ckpt0, acc0, served0, last0, evals0 = run()
     assert last0.top == 0 and last0.nbytes == 0 and set(served0) == {0}
+    assert evals0 == [[0], [0, 0], [0, 0, 0]]
     assert ckpt == ckpt0 == ckpt_part
     assert acc == acc0 == acc_part
+
+
+@pytest.mark.parametrize("strategy", ["dne", "sta", "ia"])
+def test_evaluation_store_serves_bit_identical_prefixes_within_its_budget(strategy,
+                                                                          monkeypatch):
+    """A forward from a prefix that ``evaluate`` stored equals the next
+    step's full forward bit for bit, and the store keeps prefixes in chunk
+    order while they fit ``CACHE_BYTES``."""
+    cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
+                        gamma=2, layers=2, strategy=strategy)
+    tasks = _micro_stream().tasks
+    model = E.CilModel(cfg, seed=6)
+    model.add_expert(2, 2)
+    registry = C.ClassIndex()
+    registry.extend((0, 1, 2, 3))
+    C.bind_class_index(model, registry)
+    x = C.images(tasks[0].eval)
+    with T.no_grad():
+        cut = E.freeze_outputs(model, model.forward(x), 1)
+    monkeypatch.setattr(C, "CACHE_BYTES", sum(a.nbytes for a in cut.arrays()))
+    store = {}
+    C.evaluate(model, tasks, store)
+    assert list(store) == [(0, 0)]          # the second chunk's prefix does not fit
+    model.add_expert(1, 2)
+    with T.no_grad():
+        got, want = model.forward(x, frozen=store[0, 0]), model.forward(x)
+    np.testing.assert_array_equal(got.logits.data, want.logits.data)
+    np.testing.assert_array_equal(got.aux_logits.data, want.aux_logits.data)
+    assert C.evaluate(model, tasks, store) == C.evaluate(model, tasks)
 
 
 def test_frozen_cache_serves_each_batch_from_its_shallowest_row():

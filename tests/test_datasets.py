@@ -82,12 +82,26 @@ def test_synth_seed_reproducibility():
             assert sa.label == sb.label
 
 
+def class_mean_separation(samples: list) -> float:
+    """Minimum pairwise L2 distance between per-class mean images."""
+    by_class: dict[int, list[np.ndarray]] = {}
+    for s in samples:
+        by_class.setdefault(s.label, []).append(s.image.reshape(-1))
+    means = {c: np.mean(v, axis=0) for c, v in by_class.items()}
+    labels = sorted(means)
+    best = np.inf
+    for i, a in enumerate(labels):
+        for b in labels[i + 1:]:
+            best = min(best, float(np.linalg.norm(means[a] - means[b])))
+    return best
+
+
 def test_synth_class_means_separated():
     stream = D.synth_stream(8, 20, 16, seed=3, first_task=4, step_size=2)
     samples = [s for task in stream.tasks for s in task.train]
     # threshold frozen from measurement at this seed protocol; the squares
     # are far apart in color/position space so the margin is wide
-    assert D.class_mean_separation(samples) > 1.0
+    assert class_mean_separation(samples) > 1.0
 
 
 def test_synth_rejects_tiny_per_class():

@@ -253,6 +253,25 @@ def test_layer_norm_sum_form_equals_mean_form_bit_for_bit():
         np.testing.assert_array_equal(xt.grad, dx)
 
 
+def test_layer_norm_constant_input_gets_the_same_affine_gradients():
+    """With a constant ``x`` no dx is built; gain and bias gradients are
+    those of the case where ``x`` requires a gradient, bit for bit."""
+    rng = np.random.default_rng(11)
+    x, g = rng.normal(size=(2, 5, 3, 8)), rng.normal(size=(2, 5, 3, 8))
+    gain_data, bias_data = rng.normal(size=8), rng.normal(size=8)
+    grads = []
+    for needs in (True, False):
+        xt = T.Tensor(x, requires_grad=needs)
+        gain = T.Tensor(gain_data, requires_grad=True)
+        bias = T.Tensor(bias_data, requires_grad=True)
+        out = T.layer_norm(xt, gain, bias)
+        assert (out._backward(g)[0] is not None) == needs
+        T.backward(T.sum_all(T.mul(out, T.Tensor(g))))
+        grads.append((gain.grad, bias.grad))
+    np.testing.assert_array_equal(grads[0][0], grads[1][0])
+    np.testing.assert_array_equal(grads[0][1], grads[1][1])
+
+
 # ---------------------------------------------------------------- gelu
 
 def test_gelu_zero():
@@ -299,6 +318,25 @@ def test_backward_visits_diamond_once():
     z = T.add(y, y)
     T.backward(z)
     assert x.grad == pytest.approx(8.0)
+
+
+def test_add_hands_its_gradient_to_one_operand_only():
+    """``add`` of equal shapes returns one gradient array for both operands;
+    a later accumulation into one operand's gradient leaves the other's."""
+    a = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = T.Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    k = T.Tensor(np.array([5.0, 7.0]))
+    T.backward(T.sum_all(T.add(T.add(a, b), T.mul(a, k))))
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+    np.testing.assert_array_equal(a.grad, [6.0, 8.0])
+
+
+def test_add_and_sub_return_no_gradient_for_a_constant():
+    a = T.Tensor(np.ones((2, 3)), requires_grad=True)
+    c = T.Tensor(np.ones(3))
+    for op in (T.add, T.sub):
+        assert op(a, c)._backward(np.ones((2, 3)))[1] is None
+        assert op(c, a)._backward(np.ones((2, 3)))[0] is None
 
 
 def test_no_grad_builds_no_graph():
