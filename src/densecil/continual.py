@@ -7,9 +7,9 @@ refreshed by herding, then only the newest token block and classifier
 slice are tuned on an equal-count-per-class subset.  The frozen experts
 run once per training sample per task; ``FrozenCache`` keeps their
 outputs, the forward's own ``ForwardResult`` cut at the newest expert,
-batch-major, one row per phase-1 sample, under a per-level budget.
-``run_stream`` keeps each eval chunk's last forward cut at the whole model,
-so the next step's evaluation runs only the new expert.
+batch-major, one row per phase-1 sample.  ``run_stream`` keeps each eval
+chunk's last forward cut at the whole model, so the next step's evaluation
+runs only the new expert.  The two share one byte budget, ``CACHE_BYTES``.
 
 Every model call takes a batch: one graph per SGD batch in training, and
 one graph-free forward per ``EVAL_CHUNK`` images in evaluation, herding
@@ -357,13 +357,13 @@ def evaluate(model: E.CilModel, seen_tasks: list[Task],
     Counts are integers accumulated in task order, so the result does not
     depend on evaluation order.  With ``store``, keyed by (task, chunk), a
     chunk runs from its entry, a frozen prefix, if it has one, and its entry
-    becomes this forward's cut at all the model's experts.  Chunks past
-    ``CACHE_BYTES``, counted in order, lose their entry.
+    becomes this forward's cut at all the model's experts, unless that would
+    take the store past ``CACHE_BYTES``: then the chunk loses its entry.
     """
     per_task: list[float] = []
     correct_total = 0
     n_total = 0
-    nbytes = 0
+    held = 0 if store is None else _nbytes(store.values())
     with T.no_grad():
         for j, task in enumerate(seen_tasks):
             correct = 0
@@ -374,12 +374,13 @@ def evaluate(model: E.CilModel, seen_tasks: list[Task],
                 correct += sum(class_index(model, s.label) == int(p)
                                for s, p in zip(chunk, pred))
                 if store is not None:
+                    if frozen is not None:
+                        held -= _nbytes([store.pop((j, c))])
                     cut = E.freeze_outputs(model, res, model.task_count)
-                    nbytes += sum(a.nbytes for a in cut.arrays())
-                    if nbytes <= CACHE_BYTES:
+                    size = _nbytes([cut])
+                    if held + size <= CACHE_BYTES:
                         store[j, c] = cut
-                    else:
-                        store.pop((j, c), None)
+                        held += size
             per_task.append(100.0 * correct / len(task.eval) if task.eval else 0.0)
             correct_total += correct
             n_total += len(task.eval)
@@ -395,9 +396,16 @@ EVAL_CHUNK = 16
 than both smaller and larger chunks."""
 
 CACHE_BYTES = 256 * 2**20
-"""Byte budget of one task's ``FrozenCache``, where a level past it is not
-stored, and of a run's evaluation store, where a chunk's prefix past it is
-not stored and the chunk runs a full forward at the next step."""
+"""Byte budget of a run's frozen-expert outputs: the training task's
+``FrozenCache`` and the evaluation store ``run_stream`` keeps from the last
+step hold no more than this together.  The cache sizes itself first, a level
+past the budget not stored, and the store then drops its last chunks'
+entries until both fit; a chunk without an entry runs a full forward."""
+
+
+def _nbytes(results) -> int:
+    """Bytes of the arrays of some ``ForwardResult`` records."""
+    return sum(a.nbytes for res in results for a in res.arrays())
 
 
 class FrozenCache:
@@ -416,11 +424,15 @@ class FrozenCache:
     and fills the rows it computed with one scatter.  The first fill sizes
     the store for every row: a level whose bytes do not fit ``CACHE_BYTES``
     is not stored, and with no frozen expert level 1 holds nothing and is
-    skipped.  Results are bit-identical to uncached forwards.
+    skipped; ``eval_store``, if given, then drops its entries from the last
+    key down until it fits in what is left.  Results are bit-identical to
+    uncached forwards.
     """
 
-    def __init__(self, model: E.CilModel, samples: list[Sample]):
+    def __init__(self, model: E.CilModel, samples: list[Sample],
+                 eval_store: dict[tuple[int, int], E.ForwardResult] | None = None):
         self.model = model
+        self.eval_store = eval_store
         self.n = model.task_count - 1
         self.body_fixed = False
         self.samples = samples
@@ -443,6 +455,12 @@ class FrozenCache:
         prefix, total = sum(sizes[:-1]), sum(sizes)
         self.top = 2 if total <= CACHE_BYTES else int(0 < prefix <= CACHE_BYTES)
         self.nbytes = (0, prefix, total)[self.top]
+        if self.eval_store:
+            held = _nbytes(self.eval_store.values())
+            for key in sorted(self.eval_store, reverse=True):
+                if held + self.nbytes <= CACHE_BYTES:
+                    break
+                held -= _nbytes([self.eval_store.pop(key)])
         if self.top:
             self._store = E.map_frozen(kept, lambda a: np.empty((count, *a.shape[1:])),
                                        self.top == 2)
@@ -514,11 +532,14 @@ def _sgd_epochs(params, data, epochs, cfg: TrainConfig, rng, loss_fn, where: str
 
 def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
                cfg: TrainConfig, *, class_registry: ClassIndex,
-               rng: np.random.Generator) -> E.CilModel:
+               rng: np.random.Generator,
+               eval_store: dict[tuple[int, int], E.ForwardResult] | None = None,
+               ) -> E.CilModel:
     """Learn one task in place: train, refresh the buffer, tune.
 
     The expert for ``task`` must already have been added; this runs the
-    optimization phases.
+    optimization phases.  ``eval_store`` gives way to the task's
+    ``FrozenCache`` under ``CACHE_BYTES``.
     """
     prior = len(class_registry) - len(task.classes)
     t = model.task_count - 1
@@ -529,7 +550,7 @@ def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
     else:
         phase1_data = list(task.train) + buffer.samples()
 
-    cache = FrozenCache(model, phase1_data)
+    cache = FrozenCache(model, phase1_data, eval_store)
     _sgd_epochs(model.trainable_parameters(), phase1_data, cfg.epochs, cfg, rng,
                 lambda batch: total_loss(batch, model, w, task_cols, prior, cache.forward),
                 f"task {t}, phase 1")
@@ -576,7 +597,8 @@ def run_stream(model_cfg: E.ModelConfig, stream: TaskStream, cfg: TrainConfig,
         model.add_expert(heads, len(task.classes))
         registry.extend(task.classes)
         rng = np.random.default_rng(seeds[i])
-        train_task(model, task, buffer, cfg, class_registry=registry, rng=rng)
+        train_task(model, task, buffer, cfg, class_registry=registry, rng=rng,
+                   eval_store=eval_store)
         acc, per_task = evaluate(model, stream.tasks[: i + 1], eval_store)
         record.accuracies.append(acc)
         record.per_task_final = per_task

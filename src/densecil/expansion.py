@@ -478,32 +478,20 @@ def freeze_outputs(model: CilModel, res: ForwardResult, n: int, *,
 
 # ----------------------------------------------------------------- task attention
 
-def task_attention(tokens: list[Tensor], stage: TaStageParams):
-    """Attend the newest task's head tokens over the whole pool.
+def task_attention(tokens: Tensor, n_query: int, stage: TaStageParams):
+    """Attend the last ``n_query`` head tokens over the whole pool.
 
-    ``tokens`` holds the head tokens of experts 0..t, one (P, H_i, din)
-    tensor each with a leading batch axis if batched; the pool is their
-    concatenation.  Queries come from the last (newest) expert's heads only;
-    keys span every head; each source head has its own value matrix.  Each
-    expert's tokens are layer-normalised apart before they are joined when
-    the newest ones need a gradient, so none is computed for frozen
-    experts' tokens; without a graph one layer norm runs over the pool.
-    Returns (P, H_t, dout) outputs scaled by the per-head lambdas and the
-    (P, H_t, H_pool) attention weights.
+    ``tokens`` is (P, H_pool, din), with a leading batch axis if batched.
+    Queries come from the newest task's heads only; keys span every head;
+    each source head has its own value matrix.  Returns (P, n_query, dout)
+    outputs scaled by the per-head lambdas and the (P, n_query, H_pool)
+    attention weights.
     """
-    def joined(parts: list[Tensor]) -> Tensor:
-        return parts[0] if len(parts) == 1 else T.concat(parts, axis=-2)
-
-    gain, bias = stage.ln_gain, stage.ln_bias
-    x = (joined([T.layer_norm(t, gain, bias) for t in tokens]) if tokens[-1].requires_grad
-         else T.layer_norm(joined(tokens), gain, bias))
-    *lead, p, h_pool, din = x.shape
-    n_query = tokens[-1].shape[-2]
+    *lead, p, h_pool, din = tokens.shape
     attn_dim = stage.wq.shape[-1]
+    x = T.layer_norm(tokens, stage.ln_gain, stage.ln_bias)
     flat = T.reshape(x, (*lead, p * h_pool, din))
     k = T.reshape(T.matmul(flat, stage.wk), (*lead, p, h_pool, attn_dim))
-    # queries are cut from the pool, not from the newest part's layer norm,
-    # so the newest tokens' gradient sums q, k and v in the order of one pool
     qtok = T.narrow(x, -2, h_pool - n_query, n_query)
     q = T.reshape(T.matmul(T.reshape(qtok, (*lead, p * n_query, din)), stage.wq),
                   (*lead, p, n_query, attn_dim))
@@ -516,9 +504,11 @@ def task_attention(tokens: list[Tensor], stage: TaStageParams):
     return out, attn
 
 
-def _head_tokens(feats: list[Tensor], head_dim: int) -> list[Tensor]:
-    """Per-task (P, D*H_i) features as (P, H_i, D) head tokens."""
-    return [T.reshape(f, (*f.shape[:-1], f.shape[-1] // head_dim, head_dim)) for f in feats]
+def _head_tokens(feats: list[Tensor], head_dim: int) -> Tensor:
+    """Concat per-task (P, D*H_i) features into (P, H_pool, D) head tokens."""
+    parts = [T.reshape(f, (*f.shape[:-1], f.shape[-1] // head_dim, head_dim))
+             for f in feats]
+    return parts[0] if len(parts) == 1 else T.concat(parts, axis=-2)
 
 
 def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
@@ -545,7 +535,7 @@ def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
     rows = s_t.shape[:-1]
 
     if isinstance(blk.fc1, TaStageParams):
-        raw1, a1 = task_attention(_head_tokens(s_list[: task + 1], d), blk.fc1)
+        raw1, a1 = task_attention(_head_tokens(s_list[: task + 1], d), h_t, blk.fc1)
         o3 = T.gelu(raw1)                                   # (P, H_t, gamma*D)
         o_t = T.reshape(o3, (*rows, cfg.gamma * d * h_t))
     else:
@@ -553,7 +543,8 @@ def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
         a1 = None
 
     if isinstance(blk.fc2, TaStageParams):
-        raw2, a2 = task_attention(_head_tokens(o_prior + [o_t], cfg.gamma * d), blk.fc2)
+        o_tokens = _head_tokens(o_prior + [o_t], cfg.gamma * d)
+        raw2, a2 = task_attention(o_tokens, h_t, blk.fc2)
         r_t = T.add(s_t, T.reshape(raw2, (*rows, d * h_t)))
     else:
         r_t = T.add(s_t, B.mlp_stage(o_t, blk.fc2, cfg.gamma * d))
@@ -571,7 +562,7 @@ def _cta_mhsa_task(model: CilModel, layer: int, task: int, r_list: list[Tensor])
     ex = model.experts[task]
     attn = ex.blocks[layer].attn
     tokens = _head_tokens(r_list[: task + 1], d)
-    q, k, v = (T.swap_axes(task_attention(tokens, stage)[0], -3, -2)  # (H_t, P, D)
+    q, k, v = (T.swap_axes(task_attention(tokens, ex.heads, stage)[0], -3, -2)  # (H_t, P, D)
                for stage in (attn.ta_q, attn.ta_k, attn.ta_v))
     return B.attention_readout(r_list[task], q, k, v, attn.fuse_w, attn.fuse_b, d)
 

@@ -400,27 +400,35 @@ def test_run_stream_deterministic():
 @pytest.mark.parametrize("strategy", ["dne", "sta", "ia"])
 def test_run_stream_cache_is_bit_exact_against_recomputing(strategy, monkeypatch):
     """The full budget, a budget that holds the last task's frozen prefix
-    but not its final features, and no budget give the same run.  At the
+    but not its final features, a budget the training cache and the
+    evaluation store must share, and no budget give the same run.  At the
     full budget every evaluation of an old task runs from the prefix the
-    previous step's evaluation stored; with no budget none does."""
+    previous step's evaluation stored; with no budget none does.  While a
+    task trains, its cache and the store never hold more than the budget."""
     cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
                         gamma=2, layers=2, strategy=strategy)
     tc = C.TrainConfig(epochs=2, tune_epochs=2, lr=0.05, batch_size=5,
                        heads_first=2, heads_per_step=1)
     forward = E.CilModel.forward
     evaluate = C.evaluate
+    live = {"cache": None, "store": {}}
     served = []         # level each forward was served from
     prefixes = []       # experts in each forward's frozen prefix
+    held = []           # bytes the live cache and the store hold at each forward
     evals = []          # the prefixes of each evaluation's forwards
     caches = []
+    stores = []         # the store's bytes as each task starts
 
     def counting_forward(self, image, **kw):
         frozen = kw.get("frozen")
         served.append(0 if frozen is None else 2 if frozen.head_only else 1)
         prefixes.append(0 if frozen is None else len(frozen.token_feats))
+        cache = live["cache"]
+        held.append((0 if cache is None else cache.nbytes) + C._nbytes(live["store"].values()))
         return forward(self, image, **kw)
 
     def counting_evaluate(*args):
+        live["cache"] = None        # the task's cache is gone once it has trained
         start = len(prefixes)
         result = evaluate(*args)
         evals.append(prefixes[start:])
@@ -428,25 +436,34 @@ def test_run_stream_cache_is_bit_exact_against_recomputing(strategy, monkeypatch
 
     init = C.FrozenCache.__init__
 
-    def recording_init(self, model, samples):
-        init(self, model, samples)
+    def recording_init(self, model, samples, eval_store=None):
+        init(self, model, samples, eval_store)
+        live.update(cache=self, store=eval_store)
         caches.append(self)
+        stores.append(C._nbytes(eval_store.values()))
 
     monkeypatch.setattr(E.CilModel, "forward", counting_forward)
     monkeypatch.setattr(C, "evaluate", counting_evaluate)
     monkeypatch.setattr(C.FrozenCache, "__init__", recording_init)
 
     def run():
-        for log in (served, prefixes, evals, caches):
+        for log in (served, prefixes, held, evals, caches, stores):
             log.clear()
+        live.update(cache=None, store={})
         model, rec = C.run_stream(cfg, _micro_stream(n_tasks=3), tc, seed=4,
                                   buffer_capacity=8)
+        assert max(held) <= C.CACHE_BYTES
         return E.checkpoint_bytes(model), rec.accuracies, list(served), caches[-1], list(evals)
 
     # one 6-image chunk per eval set: step i evaluates tasks 0..i
     ckpt, acc, served_full, last, evals_full = run()
     assert last.top == 2 and last.level.max() == 2 and 2 in served_full
     assert evals_full == [[0], [1, 0], [2, 2, 0]]
+    # the last task's whole cache and one of the store's two equal entries
+    monkeypatch.setattr(C, "CACHE_BYTES", last.nbytes + stores[-1] // 2)
+    ckpt_shared, acc_shared, _, last_shared, evals_shared = run()
+    assert last_shared.top == 2
+    assert evals_shared == [[0], [1, 0], [2, 0, 0]]     # the store gave up (1, 0)
     monkeypatch.setattr(C, "CACHE_BYTES", last.nbytes - 1)
     ckpt_part, acc_part, served_part, last_part, _ = run()
     assert last_part.top == 1 and (last_part.level == 1).all()
@@ -455,8 +472,8 @@ def test_run_stream_cache_is_bit_exact_against_recomputing(strategy, monkeypatch
     ckpt0, acc0, served0, last0, evals0 = run()
     assert last0.top == 0 and last0.nbytes == 0 and set(served0) == {0}
     assert evals0 == [[0], [0, 0], [0, 0, 0]]
-    assert ckpt == ckpt0 == ckpt_part
-    assert acc == acc0 == acc_part
+    assert ckpt == ckpt0 == ckpt_part == ckpt_shared
+    assert acc == acc0 == acc_part == acc_shared
 
 
 @pytest.mark.parametrize("strategy", ["dne", "sta", "ia"])

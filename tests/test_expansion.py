@@ -298,74 +298,10 @@ def test_tab_attention_uniform_when_keys_identical():
     m = build_model(cfg, heads=(2, 1), classes=(2, 2))
     # all three head tokens identical -> uniform rows
     p = cfg.num_patches
-    tokens = np.tile(np.random.default_rng(1).normal(size=(p, 1, cfg.head_dim)), (1, 3, 1))
-    _, attn = E.task_attention([T.Tensor(tokens[:, :2]), T.Tensor(tokens[:, 2:])],
-                               m.experts[1].blocks[0].fc1)
+    tokens = T.Tensor(np.tile(np.random.default_rng(1).normal(size=(p, 1, cfg.head_dim)),
+                              (1, 3, 1)))
+    _, attn = E.task_attention(tokens, 1, m.experts[1].blocks[0].fc1)
     np.testing.assert_allclose(attn.data, 1 / 3, atol=1e-12)
-
-
-def one_pool_task_attention(tokens, n_query, stage):
-    """Task attention over the whole (P, H_pool, din) pool in one piece:
-    one layer norm and one k/v projection, the queries cut from the pool."""
-    *lead, p, h_pool, din = tokens.shape
-    attn_dim = stage.wq.shape[-1]
-    x = T.layer_norm(tokens, stage.ln_gain, stage.ln_bias)
-    k = T.reshape(T.matmul(T.reshape(x, (*lead, p * h_pool, din)), stage.wk),
-                  (*lead, p, h_pool, attn_dim))
-    qtok = T.narrow(x, -2, h_pool - n_query, n_query)
-    q = T.reshape(T.matmul(T.reshape(qtok, (*lead, p * n_query, din)), stage.wq),
-                  (*lead, p, n_query, attn_dim))
-    attn = T.softmax_rows(T.matmul(q, T.swap_axes(k, -1, -2)), math.sqrt(attn_dim))
-    wv = stage.wv[0] if len(stage.wv) == 1 else T.concat(stage.wv, axis=0)
-    v = T.swap_axes(T.matmul(T.swap_axes(x, -3, -2), wv), -3, -2)
-    out = T.mul(T.matmul(attn, v), T.reshape(stage.lam, (1, n_query, 1)))
-    return out, attn
-
-
-@pytest.mark.parametrize("share_v", ["f", "s"])
-@pytest.mark.parametrize("batch", [(), (3,)])
-def test_split_task_attention_matches_one_pool_oracle(share_v, batch):
-    """Normalising each expert's head tokens apart gives the one-pool output,
-    weights and newest tokens' gradient bit for bit; only the layer-norm
-    gain and bias gradients are summed in parts, within ``TOL.block``.
-    Without a graph the pool is normalised at once, with the same output."""
-    cfg = small_cfg(strategy="dne", layers=1, share_v=share_v)
-    m = build_model(cfg, heads=(2, 1, 2), classes=(2, 2, 2))
-    stage = m.experts[2].blocks[0].fc1
-    rng = np.random.default_rng(4)
-    tokens = rng.normal(size=(*batch, cfg.num_patches, 5, cfg.head_dim))
-    weights = rng.normal(size=(*batch, cfg.num_patches, 2, cfg.gamma * cfg.head_dim))
-    results = []
-    for split in (False, True):
-        for t in m.trainable_parameters():
-            t.grad = None
-        parts = [T.Tensor(tokens[..., a:b, :], requires_grad=b == 5)
-                 for a, b in ((0, 2), (2, 3), (3, 5))]
-        if split:
-            out, attn = E.task_attention(parts, stage)
-        else:
-            out, attn = one_pool_task_attention(T.concat(parts, axis=-2), 2, stage)
-        root = T.sum_all(T.mul(out, T.Tensor(weights)))
-        norms = [n for n in T.topo_order(root) if n.op == "layer_norm"]
-        assert len(norms) == (3 if split else 1)        # one per expert when split
-        T.backward(root)
-        grads = {name: np.copy(getattr(stage, name).grad)
-                 for name in ("ln_gain", "ln_bias", "lam")}
-        grads["wv"] = np.copy(stage.wv[-1].grad)
-        grads["newest tokens"] = np.copy(parts[-1].grad)
-        results.append((out.data, attn.data, grads))
-    (out0, attn0, g0), (out1, attn1, g1) = results
-    np.testing.assert_array_equal(out1, out0)
-    np.testing.assert_array_equal(attn1, attn0)
-    with T.no_grad():       # no graph: one layer norm over the pool
-        out2, attn2 = E.task_attention([T.Tensor(tokens[..., :3, :]),
-                                        T.Tensor(tokens[..., 3:, :])], stage)
-    np.testing.assert_array_equal(out2.data, out0)
-    np.testing.assert_array_equal(attn2.data, attn0)
-    for name in ("lam", "wv", "newest tokens"):
-        np.testing.assert_array_equal(g1[name], g0[name], err_msg=name)
-    for name in ("ln_gain", "ln_bias"):
-        assert np.abs(g1[name] - g0[name]).max() <= TOL.block, name
 
 
 def test_tab_attention_single_head_single_task():
