@@ -415,7 +415,9 @@ class FrozenCache:
     older experts, so their outputs are fixed functions of the image.  Row
     i of every kept array belongs to ``samples[i]``, and ``level[i]`` says
     what that row holds: 0 nothing, 1 the frozen prefix, 2 the prefix plus
-    the newest expert's final features.  Rows are filled to level 1 by
+    the newest expert's final features.  The prefix holds the TA stages'
+    inputs normalised (``freeze_outputs``), so training never normalises a
+    frozen token or computes its input gradient.  Rows are filled to level 1 by
     forwards in phase 1 and to level 2 once ``body_fixed`` is set (phase 1
     is over), so the tuning phase runs only the newest token head.
 

@@ -21,7 +21,10 @@ tokens to produce the widened intermediate, once over the intermediates of
 all tasks to produce the residual update (head width gamma*D on the way up,
 D on the way down).  The TAB is the expert's feature-mixing block, so every
 wiring mixes through ``tab_forward``: a stage that is not a task attention
-is a plain MLP stage.
+is a plain MLP stage.  A TA stage's layer norm is split in two: each
+expert's head tokens are normalised once, in that expert's own stage, and
+every later expert reads that tensor; the stage then applies its gain and
+bias once to the joined pool.
 
 The wiring is a field of ``ModelConfig``: ``add_expert`` builds each
 expert's blocks for it, and ``forward`` runs the model in it.  The share
@@ -36,7 +39,9 @@ parameters picks (``cross_task_mhsa``), then its mixing block
 (``tab_forward``); a stage reads only what experts 0..t have produced
 earlier in that loop or in a frozen prefix.  Old experts never change,
 so ``freeze_outputs`` cuts a forward's ``ForwardResult`` at expert n, and
-a forward given that prefix runs only the experts from n on.
+a forward given that prefix runs only the experts from n on.  The prefix
+holds the TA inputs already normalised, so a forward from it neither
+normalises a frozen token nor computes its gradient.
 
 No operation couples two images, so ``forward`` takes one (C, h, w) image
 or a (B, C, h, w) batch through the same code; every activation then
@@ -398,8 +403,10 @@ class ForwardResult:
     also holds the final block outputs of experts n.. in ``r_layers[-1]``.
     """
     r_layers: list[list[Tensor | None]]  # [layers+1][task] block inputs/outputs
-    s_layers: list[list[Tensor | None]]  # [layers][task] post-MHSA features
-    o_layers: list[list[Tensor | None]]  # [layers][task] mixing intermediates
+    s_layers: list[list[Tensor | None]]  # [layers][task] fc1 inputs: post-MHSA features,
+    o_layers: list[list[Tensor | None]]  # [layers][task] fc2 inputs: mixing intermediates,
+                                         # both as (P, H_t, din) head tokens normalised by
+                                         # T.normalize where the stage is a TA stage
     k_layers: list[list[Tensor | None]]  # [layers][task] tied keys, appended by
     v_layers: list[list[Tensor | None]]  # sta stages (empty or None elsewhere)
     token_feats: list[Tensor]            # per task (1, D*H_t)
@@ -452,8 +459,10 @@ def freeze_outputs(model: CilModel, res: ForwardResult, n: int, *,
     Old experts are frozen and read only older ones, so while a newer
     expert trains these are fixed functions of the image.  An entry is
     None where the stage type of the newest expert's block reads nothing:
-    it keeps post-MHSA features for a TAB fc1, intermediates for a TAB fc2,
-    block inputs with ``cta_in_mhsa`` and tied keys and values for sta.
+    it keeps post-MHSA features for a TAB fc1 and intermediates for a TAB
+    fc2, both as the normalised head tokens those TA stages read (the
+    bytes of the raw features), block inputs with ``cta_in_mhsa`` and tied
+    keys and values for sta.
     With ``features`` the final block outputs of experts n.. are kept too:
     a forward from the prefix then runs only their token heads.
     """
@@ -478,18 +487,22 @@ def freeze_outputs(model: CilModel, res: ForwardResult, n: int, *,
 
 # ----------------------------------------------------------------- task attention
 
-def task_attention(tokens: Tensor, n_query: int, stage: TaStageParams):
-    """Attend the last ``n_query`` head tokens over the whole pool.
+def task_attention(parts: list[Tensor], n_query: int, stage: TaStageParams):
+    """Attend the last ``n_query`` head tokens over the pool of ``parts``.
 
-    ``tokens`` is (P, H_pool, din), with a leading batch axis if batched.
-    Queries come from the newest task's heads only; keys span every head;
-    each source head has its own value matrix.  Returns (P, n_query, dout)
-    outputs scaled by the per-head lambdas and the (P, n_query, H_pool)
-    attention weights.
+    ``parts`` holds the head tokens of each visible expert, the newest
+    last, each (P, H_i, din) with a leading batch axis if batched and
+    already normalised by ``T.normalize``.  Joined into (P, H_pool, din),
+    they take the stage's layer-norm gain and bias once, so those
+    gradients are one reduction over the pool.  Queries come from the
+    newest task's heads only; keys span every head; each source head has
+    its own value matrix.  Returns (P, n_query, dout) outputs scaled by the
+    per-head lambdas and the (P, n_query, H_pool) attention weights.
     """
-    *lead, p, h_pool, din = tokens.shape
+    x = T.affine(parts[0] if len(parts) == 1 else T.concat(parts, axis=-2),
+                 stage.ln_gain, stage.ln_bias)
+    *lead, p, h_pool, din = x.shape
     attn_dim = stage.wq.shape[-1]
-    x = T.layer_norm(tokens, stage.ln_gain, stage.ln_bias)
     flat = T.reshape(x, (*lead, p * h_pool, din))
     k = T.reshape(T.matmul(flat, stage.wk), (*lead, p, h_pool, attn_dim))
     qtok = T.narrow(x, -2, h_pool - n_query, n_query)
@@ -504,11 +517,9 @@ def task_attention(tokens: Tensor, n_query: int, stage: TaStageParams):
     return out, attn
 
 
-def _head_tokens(feats: list[Tensor], head_dim: int) -> Tensor:
-    """Concat per-task (P, D*H_i) features into (P, H_pool, D) head tokens."""
-    parts = [T.reshape(f, (*f.shape[:-1], f.shape[-1] // head_dim, head_dim))
-             for f in feats]
-    return parts[0] if len(parts) == 1 else T.concat(parts, axis=-2)
+def _heads(x: Tensor, head_dim: int) -> Tensor:
+    """(P, D*H) features as (P, H, D) head tokens."""
+    return T.reshape(x, (*x.shape[:-1], x.shape[-1] // head_dim, head_dim))
 
 
 def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
@@ -518,11 +529,16 @@ def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
     This is the mixing block of every wiring.  Each stage is a task
     attention (a TAB stage of a dne expert) or an MLP stage, by the type of
     its parameters; a TA stage reads the features of every visible expert,
-    an MLP stage only its own.  ``s_list`` holds post-MHSA features of tasks
-    0..task; ``o_prior`` the intermediates of tasks 0..task-1, computed
-    earlier in the same forward pass or taken from a frozen prefix (None
-    where no TA stage reads them).  Returns (o_t, r_t, (A1, A2)), with A1
-    or A2 None for an MLP stage.
+    an MLP stage only its own.  A TA stage reads each expert's features as
+    head tokens that ``T.normalize`` produced once, in that expert's own
+    stage.  ``s_list`` holds what the fc1 stages of tasks 0..task-1 read
+    (``ForwardResult.s_layers``) and the post-MHSA features s_t of task
+    ``task`` last; ``o_prior`` what the fc2 stages of tasks 0..task-1 read.
+    Both are computed earlier in the same forward pass or taken from a
+    frozen prefix (None where no TA stage reads them).  Returns (s_in, o_in,
+    r_t, (A1, A2)): what the fc1 and fc2 stages read of this expert, its
+    normalised head tokens for a TA stage and its features otherwise, and
+    the attention weights, A1 or A2 None for an MLP stage.
     """
     if len(o_prior) != task:
         raise T.ContractError(
@@ -535,34 +551,43 @@ def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
     rows = s_t.shape[:-1]
 
     if isinstance(blk.fc1, TaStageParams):
-        raw1, a1 = task_attention(_head_tokens(s_list[: task + 1], d), h_t, blk.fc1)
+        s_in = T.normalize(_heads(s_t, d))
+        raw1, a1 = task_attention(s_list[:task] + [s_in], h_t, blk.fc1)
         o3 = T.gelu(raw1)                                   # (P, H_t, gamma*D)
         o_t = T.reshape(o3, (*rows, cfg.gamma * d * h_t))
     else:
+        s_in = s_t
         o_t = T.gelu(B.mlp_stage(s_t, blk.fc1, d))
         a1 = None
 
     if isinstance(blk.fc2, TaStageParams):
-        o_tokens = _head_tokens(o_prior + [o_t], cfg.gamma * d)
-        raw2, a2 = task_attention(o_tokens, h_t, blk.fc2)
+        o_in = T.normalize(_heads(o_t, cfg.gamma * d))
+        raw2, a2 = task_attention(o_prior + [o_in], h_t, blk.fc2)
         r_t = T.add(s_t, T.reshape(raw2, (*rows, d * h_t)))
     else:
+        o_in = o_t
         r_t = T.add(s_t, B.mlp_stage(o_t, blk.fc2, cfg.gamma * d))
         a2 = None
 
     pair = (None if a1 is None else a1.data, None if a2 is None else a2.data)
-    return o_t, r_t, pair
+    return s_in, o_in, r_t, pair
 
 
 # ----------------------------------------------------------------- attention stages
 
 def _cta_mhsa_task(model: CilModel, layer: int, task: int, r_list: list[Tensor]):
-    """Per-head spatial attention whose q/k/v come from task attentions."""
+    """Per-head spatial attention whose q/k/v come from task attentions.
+
+    The older experts' block inputs are normalised once for all three;
+    this expert's once per stage, so that each stage's gradient reaches
+    its tokens on its own."""
     d = model.cfg.head_dim
     ex = model.experts[task]
     attn = ex.blocks[layer].attn
-    tokens = _head_tokens(r_list[: task + 1], d)
-    q, k, v = (T.swap_axes(task_attention(tokens, ex.heads, stage)[0], -3, -2)  # (H_t, P, D)
+    prior = [T.normalize(_heads(r, d)) for r in r_list[:task]]
+    own = _heads(r_list[task], d)
+    q, k, v = (T.swap_axes(task_attention(prior + [T.normalize(own)], ex.heads, stage)[0],
+                           -3, -2)                                     # (H_t, P, D)
                for stage in (attn.ta_q, attn.ta_k, attn.ta_v))
     return B.attention_readout(r_list[task], q, k, v, attn.fuse_w, attn.fuse_b, d)
 
@@ -728,9 +753,9 @@ def _forward(model: CilModel, image, *, collect_attn=False,
             sp_l, tab_l = [], []
             for t in range(n, model.task_count):
                 s_t, attn = cross_task_mhsa(model, layer, t, res.r_layers[-1], k_list, v_list)
-                s_list.append(s_t)
-                o_t, r_t, pair = tab_forward(s_list, o_list, model, layer, t)
-                o_list.append(o_t)
+                s_in, o_in, r_t, pair = tab_forward(s_list + [s_t], o_list, model, layer, t)
+                s_list.append(s_in)
+                o_list.append(o_in)
                 r_list.append(r_t)
                 sp_l.append(attn.data)
                 tab_l.append(pair)

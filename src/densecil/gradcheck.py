@@ -93,6 +93,9 @@ def op_cases() -> dict:
         "log_softmax_rows": lambda r: ([_r(r, 3, 5)], lambda t: T.log_softmax_rows(t[0])),
         "layer_norm": lambda r: ([_r(r, 4, 6), _r(r, 6), _r(r, 6)],
                                  lambda t: T.layer_norm(t[0], t[1], t[2], 1e-5)),
+        "normalize": lambda r: ([_r(r, 4, 6)], lambda t: T.normalize(t[0], 1e-5)),
+        "affine": lambda r: ([_r(r, 2, 4, 6), _r(r, 6), _r(r, 6)],
+                             lambda t: T.affine(t[0], t[1], t[2])),
         "gelu": lambda r: ([_r(r, 4, 4)], lambda t: T.gelu(t[0])),
         "exp": lambda r: ([_r(r, 3, 3)], lambda t: T.exp(t[0])),
         "cross_entropy": lambda r: ([_r(r, 2, 6)],

@@ -3,9 +3,9 @@
 Only the primitives the transformer blocks need are implemented: same-shape
 (and suffix-broadcast) elementwise arithmetic, one matmul (2-D or stacked,
 with an optional fused bias), axis plumbing (reshape / swap / concat /
-narrow), row softmax with an optional mask, layer norm, GELU (exact
-Gaussian CDF form), exp, and two fused loss kernels.  Data is float64
-throughout.
+narrow), row softmax with an optional mask, layer norm (whole, or split
+into ``normalize`` and ``affine``), GELU (exact Gaussian CDF form), exp,
+and two fused loss kernels.  Data is float64 throughout.
 
 Every op acts on the last one or two axes and carries any leading axes
 through, so a batch of images runs as one graph: a (B, P, K) activation
@@ -59,6 +59,8 @@ __all__ = [
     "sum_all",
     "softmax_rows",
     "log_softmax_rows",
+    "normalize",
+    "affine",
     "layer_norm",
     "gelu",
     "exp",
@@ -428,35 +430,83 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     return _make(out, (x,), "log_softmax_rows", bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each last-axis vector to zero mean / unit population variance,
-    then apply the learned affine map."""
+def _normalized(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each last-axis vector of ``x`` at zero mean and unit population
+    variance, and the inverse standard deviations that scaled it."""
     d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(
-            f"layer_norm: gain/bias {gain.shape}/{bias.shape} vs feature dim {d}")
-    mu = x.data.sum(axis=-1, keepdims=True) / d
-    xhat = x.data - mu
-    out = xhat * xhat
-    var = out.sum(axis=-1, keepdims=True) / d
+    mu = x.sum(axis=-1, keepdims=True) / d
+    xhat = x - mu
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    np.multiply(xhat, gain.data, out=out)
+    return xhat, inv
+
+
+def _normalized_grad(dx: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The input gradient of ``_normalized`` from its output gradient
+    ``dx``, computed in ``dx`` itself."""
+    d = dx.shape[-1]
+    proj = dx * xhat
+    proj = np.multiply(xhat, proj.sum(axis=-1, keepdims=True) / d, out=proj)
+    dx -= dx.sum(axis=-1, keepdims=True) / d
+    dx -= proj
+    dx *= inv
+    return dx
+
+
+def _affine_grads(g: np.ndarray, xhat: np.ndarray, gain: Tensor, bias: Tensor):
+    """Gradients of ``gain`` and ``bias`` in ``xhat * gain + bias``: one
+    reduction over every leading axis each."""
+    lead = tuple(range(g.ndim - 1))
+    return ((g * xhat).sum(axis=lead) if gain.requires_grad else None,
+            g.sum(axis=lead) if bias.requires_grad else None)
+
+
+def _affine_out(op: str, xhat: np.ndarray, gain: Tensor, bias: Tensor) -> np.ndarray:
+    """``xhat * gain + bias``, with ``gain`` and ``bias`` checked against
+    the last axis."""
+    d = xhat.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(f"{op}: gain/bias {gain.shape}/{bias.shape} vs feature dim {d}")
+    out = xhat * gain.data
     out += bias.data
+    return out
+
+
+def normalize(x: Tensor, eps: float = 1e-5) -> Tensor:
+    """Each last-axis vector at zero mean and unit population variance: a
+    layer norm without its learned affine map (see ``affine``)."""
+    xhat, inv = _normalized(x.data, eps)
 
     def bwd(g):
-        lead = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead) if gain.requires_grad else None
-        dbias = g.sum(axis=lead) if bias.requires_grad else None
+        return (_normalized_grad(g.copy(), xhat, inv),)
+
+    return _make(xhat, (x,), "normalize", bwd)
+
+
+def affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """``x * gain + bias`` along the last axis: the learned map of a layer
+    norm, for an ``x`` that ``normalize`` produced."""
+    out = _affine_out("affine", x.data, gain, bias)
+
+    def bwd(g):
+        return (g * gain.data if x.requires_grad else None,
+                *_affine_grads(g, x.data, gain, bias))
+
+    return _make(out, (x, gain, bias), "affine", bwd)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """``affine(normalize(x), gain, bias)`` as one op: the same arithmetic,
+    without keeping the normalised input as a tensor of its own."""
+    xhat, inv = _normalized(x.data, eps)
+    out = _affine_out("layer_norm", xhat, gain, bias)
+
+    def bwd(g):
+        dgain, dbias = _affine_grads(g, xhat, gain, bias)
         if not x.requires_grad:
             return None, dgain, dbias
-        dx = g * gain.data
-        proj = dx * xhat
-        proj = np.multiply(xhat, proj.sum(axis=-1, keepdims=True) / d, out=proj)
-        dx -= dx.sum(axis=-1, keepdims=True) / d
-        dx -= proj
-        dx *= inv
-        return dx, dgain, dbias
+        return _normalized_grad(g * gain.data, xhat, inv), dgain, dbias
 
     return _make(out, (x, gain, bias), "layer_norm", bwd)
 

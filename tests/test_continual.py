@@ -525,3 +525,32 @@ def test_frozen_cache_serves_each_batch_from_its_shallowest_row():
         assert list(cache.level) == [2] * 6
         got = cache.forward(samples[::-1]).logits.data
     np.testing.assert_array_equal(got, want[::-1])
+
+
+def test_prefix_holds_normalised_ta_inputs_at_the_raw_byte_count():
+    """A frozen prefix keeps ``T.normalize`` of the frozen expert's raw
+    post-MHSA features and intermediates, bit for bit, and the cache holds
+    as many bytes as it would for the raw activations."""
+    cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
+                        gamma=2, layers=2, strategy="dne")
+    model = E.CilModel(cfg, seed=7)
+    model.add_expert(2, 2)
+    model.add_expert(1, 2)
+    samples = _micro_stream().tasks[0].train[:5]
+    d, h0 = cfg.head_dim, model.experts[0].heads
+    with T.no_grad():
+        res = model.forward(C.images(samples))
+        prefix = E.freeze_outputs(model, res, 1)
+        raw_bytes = 0
+        for l, blk in enumerate(model.experts[0].blocks):
+            s_raw, _ = E.cross_task_mhsa(model, l, 0, res.r_layers[l], [], [])
+            s_in = T.normalize(T.reshape(s_raw, (*s_raw.shape[:-1], h0, d)))
+            o_raw = T.gelu(E.task_attention([s_in], h0, blk.fc1)[0])   # (B, P, H_0, gamma*D)
+            np.testing.assert_array_equal(prefix.s_layers[l][0].data, s_in.data)
+            np.testing.assert_array_equal(prefix.o_layers[l][0].data, T.normalize(o_raw).data)
+            raw_bytes += s_raw.data.nbytes + o_raw.data.nbytes
+        cache = C.FrozenCache(model, samples)
+        cache.forward(samples)
+    assert cache.top == 2
+    assert cache.nbytes == (raw_bytes + res.token_feats[0].data.nbytes
+                            + res.logits.data[:, :2].nbytes + res.features[1].data.nbytes)

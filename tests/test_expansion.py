@@ -298,9 +298,9 @@ def test_tab_attention_uniform_when_keys_identical():
     m = build_model(cfg, heads=(2, 1), classes=(2, 2))
     # all three head tokens identical -> uniform rows
     p = cfg.num_patches
-    tokens = T.Tensor(np.tile(np.random.default_rng(1).normal(size=(p, 1, cfg.head_dim)),
-                              (1, 3, 1)))
-    _, attn = E.task_attention(tokens, 1, m.experts[1].blocks[0].fc1)
+    tokens = np.tile(np.random.default_rng(1).normal(size=(p, 1, cfg.head_dim)), (1, 3, 1))
+    parts = [T.normalize(T.Tensor(tokens[:, :2])), T.normalize(T.Tensor(tokens[:, 2:]))]
+    _, attn = E.task_attention(parts, 1, m.experts[1].blocks[0].fc1)
     np.testing.assert_allclose(attn.data, 1 / 3, atol=1e-12)
 
 
@@ -310,6 +310,14 @@ def test_tab_attention_single_head_single_task():
     img = rand_image(cfg, 3)
     attn = m.forward(img, collect_attn=True).tab_attn[0][0][0]
     np.testing.assert_array_equal(attn, np.ones((cfg.num_patches, 1, 1)))
+
+
+def normed(a, dh):
+    """Two-pass normalisation of each dh-wide head token of (P, D*H)
+    features: the (P, H, dh) tokens a TA stage reads."""
+    toks = a.reshape(a.shape[0], -1, dh)
+    mu = toks.mean(axis=-1, keepdims=True)
+    return (toks - mu) / np.sqrt(((toks - mu) ** 2).mean(axis=-1, keepdims=True) + 1e-5)
 
 
 def tab_scalar_oracle(model, s1, s2, layer=0):
@@ -368,12 +376,12 @@ def test_tab_forward_matches_scalar_oracle():
     P = cfg.num_patches
     s1 = rng.normal(size=(P, cfg.head_dim))
     s2 = rng.normal(size=(P, cfg.head_dim))
-    s_list = [T.Tensor(s1), T.Tensor(s2)]
 
-    o1, r1, _ = E.tab_forward(s_list[:1], [], m, 0, 0)
-    o2, r2, _ = E.tab_forward(s_list, [o1], m, 0, 1)
+    n1, o1, r1, _ = E.tab_forward([T.Tensor(s1)], [], m, 0, 0)
+    n2, o2, r2, _ = E.tab_forward([n1, T.Tensor(s2)], [o1], m, 0, 1)
     want_o2, want_r2 = tab_scalar_oracle(m, s1, s2)
-    assert np.abs(o2.data - want_o2).max() < TOL.block
+    assert np.abs(n2.data - normed(s2, cfg.head_dim)).max() < TOL.block
+    assert np.abs(o2.data - normed(want_o2, cfg.gamma * cfg.head_dim)).max() < TOL.block
     assert np.abs(r2.data - want_r2).max() < TOL.block
 
 
@@ -384,16 +392,17 @@ def test_tab_lambda_zero_kills_intermediate():
     rng = np.random.default_rng(13)
     P = cfg.num_patches
     s_list = [T.Tensor(rng.normal(size=(P, 4))), T.Tensor(rng.normal(size=(P, 4)))]
-    o1, _, _ = E.tab_forward(s_list[:1], [], m, 0, 0)
-    o2, _, _ = E.tab_forward(s_list, [o1], m, 0, 1)
-    np.testing.assert_array_equal(o2.data, 0.0)   # GELU(0) = 0
+    n1, o1, _, _ = E.tab_forward(s_list[:1], [], m, 0, 0)
+    _, o2, _, _ = E.tab_forward([n1, s_list[1]], [o1], m, 0, 1)
+    np.testing.assert_array_equal(o2.data, 0.0)   # GELU(0) = 0, normalised to 0
 
 
 def test_tab_forward_requires_cached_intermediates():
     cfg = small_cfg(strategy="dne", layers=1)
     m = build_model(cfg, heads=(1, 1), classes=(2, 2))
     rng = np.random.default_rng(14)
-    s_list = [T.Tensor(rng.normal(size=(4, 4))), T.Tensor(rng.normal(size=(4, 4)))]
+    s_list = [T.normalize(T.Tensor(rng.normal(size=(4, 1, 4)))),
+              T.Tensor(rng.normal(size=(4, 4)))]
     with pytest.raises(T.ContractError):
         E.tab_forward(s_list, [], m, 0, 1)
 
@@ -443,14 +452,15 @@ def test_tab_all_ones_attention_equals_generalized_mlp(monkeypatch):
     s_list = [T.Tensor(s1), T.Tensor(s2)]
     monkeypatch.setattr(T, "softmax_rows",
                         lambda scores, scale, mask=None: T.Tensor(np.ones(scores.shape)))
-    o1, r1, _ = E.tab_forward(s_list[:1], [], m, 0, 0)
-    o2, r2, _ = E.tab_forward(s_list, [o1], m, 0, 1)
+    n1, o1, r1, _ = E.tab_forward(s_list[:1], [], m, 0, 0)
+    _, o2, r2, _ = E.tab_forward([n1, s_list[1]], [o1], m, 0, 1)
 
     want_o1, want_r1 = generalized_mlp_reference(m, [s1], [], 0, 0)
     want_o2, want_r2 = generalized_mlp_reference(m, [s1, s2], [want_o1], 0, 1)
-    assert np.abs(o1.data - want_o1).max() < TOL.mlp_reduction
+    dp = cfg.gamma * cfg.head_dim
+    assert np.abs(o1.data - normed(want_o1, dp)).max() < TOL.mlp_reduction
     assert np.abs(r1.data - want_r1).max() < TOL.mlp_reduction
-    assert np.abs(o2.data - want_o2).max() < TOL.mlp_reduction
+    assert np.abs(o2.data - normed(want_o2, dp)).max() < TOL.mlp_reduction
     assert np.abs(r2.data - want_r2).max() < TOL.mlp_reduction
 
 
@@ -467,6 +477,81 @@ def test_tab_attention_rows_shape_and_sum():
             assert a1.shape == (cfg.num_patches, h_t, pool)
             np.testing.assert_allclose(a1.sum(axis=-1), 1.0, atol=TOL.row_sum)
             np.testing.assert_allclose(a2.sum(axis=-1), 1.0, atol=TOL.row_sum)
+
+
+def layer_norm_task_attention(tokens, n_query, stage):
+    """The TA stage as one ``T.layer_norm`` over the joined raw pool: the
+    reference that per-expert ``T.normalize`` plus one ``T.affine`` must
+    reproduce bit for bit."""
+    *lead, p, h_pool, din = tokens.shape
+    attn_dim = stage.wq.shape[-1]
+    x = T.layer_norm(tokens, stage.ln_gain, stage.ln_bias)
+    flat = T.reshape(x, (*lead, p * h_pool, din))
+    k = T.reshape(T.matmul(flat, stage.wk), (*lead, p, h_pool, attn_dim))
+    qtok = T.narrow(x, -2, h_pool - n_query, n_query)
+    q = T.reshape(T.matmul(T.reshape(qtok, (*lead, p * n_query, din)), stage.wq),
+                  (*lead, p, n_query, attn_dim))
+    attn = T.softmax_rows(T.matmul(q, T.swap_axes(k, -1, -2)), math.sqrt(attn_dim))
+    wv = stage.wv[0] if len(stage.wv) == 1 else T.concat(stage.wv, axis=0)
+    v = T.swap_axes(T.matmul(T.swap_axes(x, -3, -2), wv), -3, -2)
+    out = T.mul(T.matmul(attn, v), T.reshape(stage.lam, (1, n_query, 1)))
+    return out, attn
+
+
+@pytest.mark.parametrize("stage_name", ["fc1", "fc2"])
+@pytest.mark.parametrize("share", ["s", "f"])
+def test_task_attention_on_normalised_parts_equals_one_layer_norm_over_the_pool(share,
+                                                                                stage_name):
+    cfg = small_cfg(share_q=share, share_k=share, share_v=share)
+    m = build_model(cfg, heads=(2, 1, 2), classes=(2, 2, 2), seed=31)
+    stage = getattr(m.experts[-1].blocks[0], stage_name)
+    din = stage.ln_gain.shape[0]
+    rng = np.random.default_rng(32)
+    raw = [rng.normal(size=(2, cfg.num_patches, h, din)) for h in m.heads_per_task]
+    probe = rng.normal(size=(2, cfg.num_patches, 2, stage.wv[-1].shape[-1]))
+    params = [stage.ln_gain, stage.ln_bias, stage.wq, stage.wk, *stage.wv, stage.lam]
+
+    def run(joined: bool):
+        for p in params:
+            p.grad = None
+        newest = T.Tensor(raw[-1], requires_grad=True)
+        toks = [T.Tensor(a) for a in raw[:-1]] + [newest]
+        if joined:
+            out, attn = layer_norm_task_attention(T.concat(toks, axis=-2), 2, stage)
+        else:
+            out, attn = E.task_attention([T.normalize(t) for t in toks], 2, stage)
+        T.backward(T.sum_all(T.mul(out, T.Tensor(probe))))
+        return [out.data, attn.data, newest.grad] + [p.grad for p in params]
+
+    got, want = run(False), run(True)
+    assert stage.ln_gain.requires_grad and stage.lam.requires_grad
+    assert stage.wq.requires_grad == (share == "f")
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            np.testing.assert_array_equal(g, w)
+
+
+def test_forward_normalises_each_experts_ta_inputs_once(monkeypatch):
+    cfg = small_cfg()
+    m = build_model(cfg, heads=(2, 1, 1, 1), classes=(2, 2, 2, 2))
+    normalize = T.normalize
+    calls = []
+
+    def counting(x, *args):
+        calls.append(x.shape[-1])
+        return normalize(x, *args)
+
+    monkeypatch.setattr(T, "normalize", counting)
+    img = _image_batch(cfg, 60)
+    res = m.forward(img)
+    d, dp = cfg.head_dim, cfg.gamma * cfg.head_dim
+    assert sorted(calls) == [d] * 4 * cfg.layers + [dp] * 4 * cfg.layers
+    for n in (1, 2, 3):
+        calls.clear()
+        m.forward(img, frozen=E.freeze_outputs(m, res, n))
+        assert sorted(calls) == [d] * (4 - n) * cfg.layers + [dp] * (4 - n) * cfg.layers
 
 
 # --------------------------------------------------------------- cross-task MHSA

@@ -272,6 +272,35 @@ def test_layer_norm_constant_input_gets_the_same_affine_gradients():
     np.testing.assert_array_equal(grads[0][1], grads[1][1])
 
 
+@pytest.mark.parametrize("needs", [True, False], ids=["x_grad", "x_constant"])
+def test_normalize_then_affine_equals_layer_norm_bit_for_bit(needs):
+    """One kernel: ``affine(normalize(x))`` gives ``layer_norm(x)``'s output
+    and its gain, bias and input gradients, for a constant ``x`` too."""
+    rng = np.random.default_rng(13)
+    for shape in [(5, 7), (2, 16, 4, 16), (3, 5, 64)]:
+        x, g = rng.normal(size=shape), rng.normal(size=shape)
+        gain_data, bias_data = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        results = []
+        for split in (True, False):
+            xt = T.Tensor(x, requires_grad=needs)
+            gain = T.Tensor(gain_data, requires_grad=True)
+            bias = T.Tensor(bias_data, requires_grad=True)
+            out = (T.affine(T.normalize(xt), gain, bias) if split
+                   else T.layer_norm(xt, gain, bias))
+            T.backward(T.sum_all(T.mul(out, T.Tensor(g))))
+            results.append((out.data, gain.grad, bias.grad, xt.grad))
+        for got, want in zip(*results):
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
+
+
+def test_affine_rejects_mismatched_gain():
+    with pytest.raises(T.ShapeError):
+        T.affine(T.Tensor(np.zeros((2, 4))), T.Tensor(np.ones(3)), T.Tensor(np.zeros(4)))
+
+
 # ---------------------------------------------------------------- gelu
 
 def test_gelu_zero():
@@ -379,6 +408,9 @@ OP_CASES = {
     "log_softmax": lambda r: ([_rand(r, 3, 5)], lambda ts: T.log_softmax_rows(ts[0])),
     "layer_norm": lambda r: ([_rand(r, 4, 6), _rand(r, 6), _rand(r, 6)],
                              lambda ts: T.layer_norm(ts[0], ts[1], ts[2], 1e-5)),
+    "normalize": lambda r: ([_rand(r, 2, 3, 5)], lambda ts: T.normalize(ts[0], 1e-5)),
+    "affine": lambda r: ([_rand(r, 2, 3, 5), _rand(r, 5), _rand(r, 5)],
+                         lambda ts: T.affine(ts[0], ts[1], ts[2])),
     "gelu": lambda r: ([_rand(r, 4, 4)], lambda ts: T.gelu(ts[0])),
     "exp": lambda r: ([_rand(r, 3, 3)], lambda ts: T.exp(ts[0])),
     "cross_entropy": lambda r: ([_rand(r, 6)], lambda ts: T.cross_entropy_logits(ts[0], 2)),
