@@ -4,16 +4,14 @@ Each task is learned in two phases.  Phase 1 runs SGD over the task data
 plus the replay buffer with a two-part objective (joint cross entropy and
 a new-vs-old auxiliary cross entropy).  Phase 2 rebalances: the buffer is
 refreshed by herding, then only the newest token block and classifier
-slice are tuned on an equal-count-per-class subset.  The frozen experts
-run once per training sample per task; ``FrozenCache`` keeps their
-outputs, the forward's own ``ForwardResult`` cut at the newest expert,
-batch-major, one row per phase-1 sample.  ``run_stream`` keeps each eval
-chunk's last forward cut at the whole model, so the next step's evaluation
-runs only the new expert.  The two share one byte budget, ``CACHE_BYTES``.
+slice are tuned on an equal-count-per-class subset.  A trained expert runs
+once per training sample per run: the run's ``FrozenStore`` keeps its
+outputs in one batch-major row per sample, and each eval chunk's cut at the
+whole model for the next step, under one byte budget, ``CACHE_BYTES``.
 
 Every model call takes a batch: one graph per SGD batch in training, and
 one graph-free forward per ``EVAL_CHUNK`` images in evaluation, herding
-and cache filling.
+and store filling.
 """
 
 from __future__ import annotations
@@ -350,36 +348,36 @@ class MetricsRecord:
 
 
 def evaluate(model: E.CilModel, seen_tasks: list[Task],
-             store: dict[tuple[int, int], E.ForwardResult] | None = None,
-             ) -> tuple[float, list[float]]:
+             store: FrozenStore | None = None) -> tuple[float, list[float]]:
     """Top-1 accuracy over the union of seen eval sets, plus per-task accuracy.
 
     Counts are integers accumulated in task order, so the result does not
-    depend on evaluation order.  With ``store``, keyed by (task, chunk), a
-    chunk runs from its entry, a frozen prefix, if it has one, and its entry
-    becomes this forward's cut at all the model's experts, unless that would
-    take the store past ``CACHE_BYTES``: then the chunk loses its entry.
+    depend on evaluation order.  With ``store``, a chunk runs from its cut
+    in ``store.evals``, keyed by (task, chunk), if it has one; its forward's
+    cut at all the model's experts becomes its cut while the store fits
+    ``CACHE_BYTES``, unless the model holds the stream's last expert.
     """
     per_task: list[float] = []
     correct_total = 0
     n_total = 0
-    held = 0 if store is None else _nbytes(store.values())
+    keep = store is not None and model.task_count < store.tasks
+    held = 0 if store is None else store.nbytes + _nbytes(store.evals.values())
     with T.no_grad():
         for j, task in enumerate(seen_tasks):
             correct = 0
             for c, chunk in enumerate(chunks(task.eval)):
-                frozen = None if store is None else store.get((j, c))
+                frozen = None if store is None else store.evals.pop((j, c), None)
                 res = model.forward(images(chunk), frozen=frozen)
                 pred = np.argmax(res.logits.data, axis=-1)
                 correct += sum(class_index(model, s.label) == int(p)
                                for s, p in zip(chunk, pred))
-                if store is not None:
-                    if frozen is not None:
-                        held -= _nbytes([store.pop((j, c))])
+                if frozen is not None:
+                    held -= _nbytes([frozen])
+                if keep:
                     cut = E.freeze_outputs(model, res, model.task_count)
                     size = _nbytes([cut])
                     if held + size <= CACHE_BYTES:
-                        store[j, c] = cut
+                        store.evals[j, c] = cut
                         held += size
             per_task.append(100.0 * correct / len(task.eval) if task.eval else 0.0)
             correct_total += correct
@@ -388,19 +386,18 @@ def evaluate(model: E.CilModel, seen_tasks: list[Task],
     return union, per_task
 
 
-# ------------------------------------------------------------------ frozen-expert cache
+# ------------------------------------------------------------------ frozen-expert store
 
 EVAL_CHUNK = 16
 """Images per graph-free forward in ``evaluate``, ``token_features`` and
-``FrozenCache.prefetch``; measured per image on this code, 16 was faster
+``FrozenStore.prefetch``; measured per image on this code, 16 was faster
 than both smaller and larger chunks."""
 
 CACHE_BYTES = 256 * 2**20
-"""Byte budget of a run's frozen-expert outputs: the training task's
-``FrozenCache`` and the evaluation store ``run_stream`` keeps from the last
-step hold no more than this together.  The cache sizes itself first, a level
-past the budget not stored, and the store then drops its last chunks'
-entries until both fit; a chunk without an entry runs a full forward."""
+"""Byte budget of a run's ``FrozenStore``, its training rows and evaluation
+cuts together.  The rows come first: an array they need is allocated for
+every row if it fits, and the cuts then drop their last chunks' entries
+until both fit.  A forward that finds no entry runs the experts itself."""
 
 
 def _nbytes(results) -> int:
@@ -408,89 +405,135 @@ def _nbytes(results) -> int:
     return sum(a.nbytes for res in results for a in res.arrays())
 
 
-class FrozenCache:
-    """Frozen-expert outputs of one task's training samples, batch-major.
+class FrozenStore:
+    """A run's frozen-expert outputs: one batch-major row per training
+    sample of the stream, and each eval chunk's cut for the next step.
 
-    While the newest expert trains, experts 0..t-1 are frozen and read only
-    older experts, so their outputs are fixed functions of the image.  Row
-    i of every kept array belongs to ``samples[i]``, and ``level[i]`` says
-    what that row holds: 0 nothing, 1 the frozen prefix, 2 the prefix plus
-    the newest expert's final features.  The prefix holds the TA stages'
-    inputs normalised (``freeze_outputs``), so training never normalises a
-    frozen token or computes its input gradient.  Rows are filled to level 1 by
-    forwards in phase 1 and to level 2 once ``body_fixed`` is set (phase 1
-    is over), so the tuning phase runs only the newest token head.
-
-    ``forward`` takes a batch of the cache's samples.  It runs from the
-    deepest level all its rows hold, with one index gather per kept array,
-    and fills the rows it computed with one scatter.  The first fill sizes
-    the store for every row: a level whose bytes do not fit ``CACHE_BYTES``
-    is not stored, and with no frozen expert level 1 holds nothing and is
-    skipped; ``eval_store``, if given, then drops its entries from the last
-    key down until it fits in what is left.  Results are bit-identical to
-    uncached forwards.
+    Row i holds the prefix (``freeze_outputs``) at expert ``level[i]``, and
+    with ``head[i]`` the newest expert's entries and final features, so a
+    forward from it runs only that token head.  Rows grow by one expert per
+    task and keep it for later tasks: a forward fills its rows as far as
+    the newest expert's training allows, up to that expert, then with its
+    entries and features once ``fixed`` counts it, then past it once
+    ``done`` counts it.  ``prefetch`` fills the phase-1 rows before the
+    first epoch.  Of the stream's last expert only the features are kept.
+    ``evals`` holds cuts keyed by (task, chunk).  Results are bit-identical
+    to uncached forwards.
     """
 
-    def __init__(self, model: E.CilModel, samples: list[Sample],
-                 eval_store: dict[tuple[int, int], E.ForwardResult] | None = None):
+    def __init__(self, model: E.CilModel, stream: TaskStream):
+        samples = [s for task in stream.tasks for s in task.train]
         self.model = model
-        self.eval_store = eval_store
-        self.n = model.task_count - 1
-        self.body_fixed = False
-        self.samples = samples
+        self._train = [task.train for task in stream.tasks]
+        self.tasks = len(stream)
+        self.classes = len(stream.class_order())
+        self.fixed = 0                  # experts whose bodies no longer train
+        self.done = 0                   # experts that no longer train
         self.level = np.zeros(len(samples), dtype=np.int8)
-        self.top: int | None = None     # deepest storable level, set by the first fill
-        self.nbytes = 0
+        self.head = np.zeros(len(samples), dtype=bool)
+        self.nbytes = 0                 # bytes of the training rows
+        self.evals: dict[tuple[int, int], E.ForwardResult] = {}
         self._rows = {id(s): i for i, s in enumerate(samples)}
-        self._store: E.ForwardResult | None = None
+        self._data: E.ForwardResult | None = None   # every row's arrays
 
-    def _target(self) -> int:
-        """The level a forward now fills its rows to."""
-        want = 2 if self.body_fixed else int(self.n > 0)
-        return want if self.top is None else min(want, self.top)
+    def _grow(self, kept: E.ForwardResult, features: Tensor | None) -> int:
+        """Allocate for every row, in expert order while they fit, the arrays
+        of the experts in ``kept`` that a later task reads, then the newest
+        expert's ``features`` if the rows hold its prefix; returns the width."""
+        count, t = len(self.level), self.model.task_count - 1
 
-    def _allocate(self, kept: E.ForwardResult) -> None:
-        """Size the store from one batch's outputs, prefix and features: the
-        deepest level whose bytes for every row fit ``CACHE_BYTES``."""
-        count = len(self.samples)
-        sizes = [count * a[0].nbytes for a in kept.arrays()]  # newest features last
-        prefix, total = sum(sizes[:-1]), sum(sizes)
-        self.top = 2 if total <= CACHE_BYTES else int(0 < prefix <= CACHE_BYTES)
-        self.nbytes = (0, prefix, total)[self.top]
-        if self.eval_store:
-            held = _nbytes(self.eval_store.values())
-            for key in sorted(self.eval_store, reverse=True):
+        def fits(nbytes: int) -> bool:
+            if self.nbytes + nbytes > CACHE_BYTES:
+                return False
+            self.nbytes += nbytes
+            held = _nbytes(self.evals.values())
+            for key in sorted(self.evals, reverse=True):
                 if held + self.nbytes <= CACHE_BYTES:
                     break
-                held -= _nbytes([self.eval_store.pop(key)])
-        if self.top:
-            self._store = E.map_frozen(kept, lambda a: np.empty((count, *a.shape[1:])),
-                                       self.top == 2)
+                held -= _nbytes([self.evals.pop(key)])
+            return True
+
+        if self._data is None:          # an empty record shaped like ``kept``
+            self._data = E.map_frozen(self.model, kept, None, 0, False)
+        width = len(self._data.token_feats)
+        for j in range(width, min(len(kept.token_feats), self.tasks - 1)):
+            new = [None if s[j] is None else s[j].data for s in kept.columns()]
+            if not fits(sum(count * a[0].nbytes for a in new if a is not None)
+                        + (0 if j else 8 * count * self.classes)):
+                break
+            for dst, a in zip(self._data.columns(), new):
+                dst.append(None if a is None else Tensor(np.empty((count, *a.shape[1:]))))
+            if j == 0:
+                self._data.logits = Tensor(np.empty((count, 1, self.classes)))
+            width += 1
+        if (features is not None and not self._data.features and width >= t
+                and fits(count * features.data[0].nbytes)):
+            self._data.r_layers[-1] = [None] * t + [Tensor(np.empty((count, *features.shape[1:])))]
+        return width
 
     def forward(self, samples: list[Sample]) -> E.ForwardResult:
+        """Run a batch of the stream's training samples from the deepest
+        entries all its rows hold; keep in the rows what they lack and fit."""
         rows = np.array([self._rows[id(s)] for s in samples])
-        depth = int(self.level[rows].min())
-        frozen = (None if depth == 0 else
-                  E.map_frozen(self._store, lambda a: a[rows], depth == 2))
+        t = self.model.task_count - 1
+        head = bool(self.head[rows].all())
+        depth = t if head else int(self.level[rows].min())
+        frozen = (None if depth == 0 and not head else
+                  E.map_frozen(self.model, self._data, lambda a: a[rows], depth, head))
         res = self.model.forward(images(samples), frozen=frozen)
-        if self.top is None:
-            self._allocate(E.freeze_outputs(self.model, res, self.n, features=True))
-        want = self._target()
-        if depth < want:
-            kept = E.freeze_outputs(self.model, res, self.n, features=want == 2)
-            # below level 2, ``kept`` stops before the store's feature arrays
-            for dst, src in zip(self._store.arrays(), kept.arrays()):
-                dst[rows] = src
-            self.level[rows] = want
+        fixed, done = self.fixed > t, self.done > t
+        if head and done and len(self._data.token_feats) > t:
+            # the tuned token head completes the newest expert's entries
+            lo, hi = sum(self.model.classes_per_task[:t]), self.model.total_classes
+            self._data.token_feats[t].data[rows] = res.token_feats[t].data
+            self._data.logits.data[rows, :, lo:hi] = res.logits.data[:, None, lo:]
+            self.level[rows] = t + 1
+        elif not head and depth < t + fixed:
+            kept = E.freeze_outputs(self.model, res, t + fixed)
+            width = min(self._grow(kept, res.features[t] if fixed > done else None), t + fixed)
+            for dst, src in zip(self._data.columns(), kept.columns()):
+                for d, s in zip(dst[depth:width], src[depth:width]):
+                    if d is not None:
+                        d.data[rows] = s.data
+            if width > depth:
+                lo, hi = (sum(self.model.classes_per_task[:n]) for n in (depth, width))
+                self._data.logits.data[rows, :, lo:hi] = kept.logits.data[..., lo:hi]
+                self.level[rows] = min(width, t + done)
+            if fixed > done and self._data.features:
+                self._data.features[t].data[rows] = res.features[t].data
+                self.head[rows] = True
         return res
 
     def prefetch(self, samples: list[Sample]) -> None:
-        """Compute without a graph what later forwards of ``samples`` reuse."""
-        want = self._target()
-        todo = [s for s in samples if self.level[self._rows[id(s)]] < want]
+        """Compute without a graph what later forwards of ``samples`` reuse, one
+        forward per ``EVAL_CHUNK`` rows of one state, while the rows have room."""
+        t = self.model.task_count - 1
+        todo: dict[tuple[int, bool], list[Sample]] = {}
+        for s in samples:
+            i = self._rows[id(s)]
+            if self.level[i] < t + (self.fixed > t) and (self.done > t or not self.head[i]):
+                todo.setdefault((self.level[i], self.head[i]), []).append(s)
         with T.no_grad():
-            for chunk in chunks(todo):
-                self.forward(chunk)
+            for state, group in todo.items():
+                for chunk in chunks(group):
+                    self.forward(chunk)
+                    i = self._rows[id(chunk[0])]
+                    if (self.level[i], self.head[i]) == state:
+                        break           # no room for these rows
+
+    def complete(self, samples: list[Sample]) -> None:
+        """End the task: its expert no longer trains, so forwards keep the
+        prefix past it.  Unless it is the stream's last, fill the rows of
+        ``samples`` and of the next task's training samples past it,
+        head-only where they hold its features; no untrained expert runs in
+        that fill.  Then drop the features."""
+        self.done = self.model.task_count
+        if self.done < self.tasks:
+            self.prefetch(samples + self._train[self.done])
+        if self._data is not None and self._data.features:
+            self.nbytes -= self._data.features[-1].data.nbytes
+            self._data.r_layers[-1] = []
+        self.head[:] = False
 
 
 # ------------------------------------------------------------------ training
@@ -534,14 +577,12 @@ def _sgd_epochs(params, data, epochs, cfg: TrainConfig, rng, loss_fn, where: str
 
 def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
                cfg: TrainConfig, *, class_registry: ClassIndex,
-               rng: np.random.Generator,
-               eval_store: dict[tuple[int, int], E.ForwardResult] | None = None,
-               ) -> E.CilModel:
+               rng: np.random.Generator, store: FrozenStore) -> E.CilModel:
     """Learn one task in place: train, refresh the buffer, tune.
 
     The expert for ``task`` must already have been added; this runs the
-    optimization phases.  ``eval_store`` gives way to the task's
-    ``FrozenCache`` under ``CACHE_BYTES``.
+    optimization phases.  ``store`` is the run's ``FrozenStore``; every
+    forward goes through it.
     """
     prior = len(class_registry) - len(task.classes)
     t = model.task_count - 1
@@ -552,11 +593,11 @@ def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
     else:
         phase1_data = list(task.train) + buffer.samples()
 
-    cache = FrozenCache(model, phase1_data, eval_store)
+    store.prefetch(phase1_data)
     _sgd_epochs(model.trainable_parameters(), phase1_data, cfg.epochs, cfg, rng,
-                lambda batch: total_loss(batch, model, w, task_cols, prior, cache.forward),
+                lambda batch: total_loss(batch, model, w, task_cols, prior, store.forward),
                 f"task {t}, phase 1")
-    cache.body_fixed = True
+    store.fixed = model.task_count
 
     # herding refresh: features from the freshly trained model
     if buffer.capacity > 0:
@@ -566,7 +607,7 @@ def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
         quota = buffer.quota(len(buffer.classes_seen) + len(by_class))
         for c in task.classes:
             samples = by_class[c]
-            feats = token_features(model, samples, cache.forward)
+            feats = token_features(model, samples, store.forward)
             order = herding_select(feats, min(quota, len(samples)))
             buffer.add_class(c, [samples[i] for i in order])
         buffer.rebalance()
@@ -575,11 +616,12 @@ def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
         balanced = class_balanced_subsample(task.train, buffer, rng) \
             if buffer.capacity > 0 else list(task.train)
         tune_params = model.parameters_with_prefix(f"task{t}.tok_blk", f"task{t}.head")
-        cache.prefetch(balanced)
+        store.prefetch(balanced)
         _sgd_epochs(tune_params, balanced, cfg.tune_epochs, cfg, rng,
                     lambda batch: total_loss(batch, model, LossWeights(w.ce, 0.0),
-                                             task_cols, prior, cache.forward),
+                                             task_cols, prior, store.forward),
                     f"task {t}, phase 2")
+    store.complete(buffer.samples())
     return model
 
 
@@ -593,15 +635,14 @@ def run_stream(model_cfg: E.ModelConfig, stream: TaskStream, cfg: TrainConfig,
     bind_class_index(model, registry)
     buffer = MemoryBuffer(buffer_capacity)
     record = MetricsRecord()
-    eval_store: dict[tuple[int, int], E.ForwardResult] = {}
+    store = FrozenStore(model, stream)
     for i, task in enumerate(stream.tasks):
         heads = cfg.heads_first if i == 0 else cfg.heads_per_step
         model.add_expert(heads, len(task.classes))
         registry.extend(task.classes)
         rng = np.random.default_rng(seeds[i])
-        train_task(model, task, buffer, cfg, class_registry=registry, rng=rng,
-                   eval_store=eval_store)
-        acc, per_task = evaluate(model, stream.tasks[: i + 1], eval_store)
+        train_task(model, task, buffer, cfg, class_registry=registry, rng=rng, store=store)
+        acc, per_task = evaluate(model, stream.tasks[: i + 1], store)
         record.accuracies.append(acc)
         record.per_task_final = per_task
     return model, record

@@ -425,30 +425,37 @@ class ForwardResult:
         """Whether this prefix holds final block outputs past its experts."""
         return len(self.features) > len(self.token_feats)
 
+    def columns(self) -> list[list[Tensor | None]]:
+        """The per-expert lists of a prefix but its final features: each
+        layer's block, fc1 and fc2 inputs, keys and values, then token features."""
+        return [*self.r_layers[:-1], *self.s_layers, *self.o_layers, *self.k_layers,
+                *self.v_layers, self.token_feats]
+
     def arrays(self) -> list[np.ndarray]:
         """The data of every tensor a prefix keeps, the final features last."""
-        parts = (self.r_layers[:-1], self.s_layers, self.o_layers, self.k_layers,
-                 self.v_layers, [self.token_feats, [self.logits]], self.r_layers[-1:])
-        return [t.data for per_layer in parts for items in per_layer
+        return [t.data for items in [*self.columns(), [self.logits], self.features]
                 for t in items if t is not None]
 
 
-def map_frozen(frozen: ForwardResult, fn, features: bool) -> ForwardResult:
-    """The prefix ``frozen`` with ``fn`` applied to the data array of every
-    kept tensor; its final features are kept only with ``features``."""
+def map_frozen(model: CilModel, frozen: ForwardResult, fn, n: int,
+               features: bool) -> ForwardResult:
+    """The prefix at expert n of ``frozen``, which holds experts 0..n-1 or
+    more and at least their classes' logits, ``fn`` applied to every kept
+    array; the final features of experts n.. are kept only with ``features``."""
     def each(items):
         return [None if t is None else Tensor(fn(t.data)) for t in items]
 
     def per_layer(layers):
-        return [each(items) for items in layers]
+        return [each(items[:n]) for items in layers]
 
-    last = frozen.features if features else frozen.features[:len(frozen.token_feats)]
+    n_cls = sum(ex.n_classes for ex in model.experts[:n])
     return ForwardResult(
-        r_layers=per_layer(frozen.r_layers[:-1]) + [each(last)],
+        r_layers=per_layer(frozen.r_layers[:-1])
+        + [[None] * n + (each(frozen.features[n:]) if features else [])],
         s_layers=per_layer(frozen.s_layers), o_layers=per_layer(frozen.o_layers),
         k_layers=per_layer(frozen.k_layers), v_layers=per_layer(frozen.v_layers),
-        token_feats=each(frozen.token_feats), logits=each([frozen.logits])[0],
-        aux_logits=None)
+        token_feats=each(frozen.token_feats[:n]),
+        logits=Tensor(fn(frozen.logits.data)[..., :n_cls]) if n else None, aux_logits=None)
 
 
 def freeze_outputs(model: CilModel, res: ForwardResult, n: int, *,

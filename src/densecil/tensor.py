@@ -355,7 +355,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis; gradient zero-pads back."""
+    """Contiguous slice along one axis; the gradient adds into the parent's
+    gradient, or zero-pads back where the parent has none yet."""
     if start < 0 or start + length > a.shape[axis]:
         raise ShapeError(
             f"narrow: [{start}:{start + length}] out of bounds for axis {axis} of {a.shape}")
@@ -365,6 +366,9 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     out = a.data[idx]
 
     def bwd(g):
+        if a.grad is not None:
+            a.grad[idx] += g
+            return (None,)
         full = np.zeros_like(a.data)
         full[idx] = g
         return (full,)

@@ -397,94 +397,152 @@ def test_run_stream_deterministic():
     assert rec1.per_task_final == rec2.per_task_final
 
 
-@pytest.mark.parametrize("strategy", ["dne", "sta", "ia"])
-def test_run_stream_cache_is_bit_exact_against_recomputing(strategy, monkeypatch):
-    """The full budget, a budget that holds the last task's frozen prefix
-    but not its final features, a budget the training cache and the
-    evaluation store must share, and no budget give the same run.  At the
-    full budget every evaluation of an old task runs from the prefix the
-    previous step's evaluation stored; with no budget none does.  While a
-    task trains, its cache and the store never hold more than the budget."""
-    cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
-                        gamma=2, layers=2, strategy=strategy)
-    tc = C.TrainConfig(epochs=2, tune_epochs=2, lr=0.05, batch_size=5,
-                       heads_first=2, heads_per_step=1)
-    forward = E.CilModel.forward
-    evaluate = C.evaluate
-    live = {"cache": None, "store": {}}
-    served = []         # level each forward was served from
-    prefixes = []       # experts in each forward's frozen prefix
-    held = []           # bytes the live cache and the store hold at each forward
-    evals = []          # the prefixes of each evaluation's forwards
-    caches = []
-    stores = []         # the store's bytes as each task starts
+@pytest.fixture
+def logged_run(monkeypatch):
+    """``run(strategy, capacity)`` runs ``run_stream`` on a 3-task micro
+    stream and logs each forward: the phase it ran in, the model's expert
+    count, whether it built a graph, the experts in its frozen prefix,
+    whether it ran only token heads, the stream rows of its images and the
+    bytes the run's store held before it."""
+    forward, evaluate, sgd = E.CilModel.forward, C.evaluate, C._sgd_epochs
+    init = C.FrozenStore.__init__
+    log = {}
 
-    def counting_forward(self, image, **kw):
-        frozen = kw.get("frozen")
-        served.append(0 if frozen is None else 2 if frozen.head_only else 1)
-        prefixes.append(0 if frozen is None else len(frozen.token_feats))
-        cache = live["cache"]
-        held.append((0 if cache is None else cache.nbytes) + C._nbytes(live["store"].values()))
+    def logged_forward(self, image, **kw):
+        frozen, store = kw.get("frozen"), log["store"]
+        log["forwards"].append(dict(
+            phase=log["phase"], experts=self.task_count, graph=T._grad_enabled(),
+            n=0 if frozen is None else len(frozen.token_feats),
+            head_only=frozen is not None and frozen.head_only,
+            rows=[log["rows"].get(x.tobytes()) for x in image],
+            rows_bytes=store.nbytes, held=store.nbytes + C._nbytes(store.evals.values())))
         return forward(self, image, **kw)
 
-    def counting_evaluate(*args):
-        live["cache"] = None        # the task's cache is gone once it has trained
-        start = len(prefixes)
+    def logged_sgd(params, data, epochs, cfg, rng, loss_fn, where):
+        log["phase"] = where.split(", ")[1]
+        sgd(params, data, epochs, cfg, rng, loss_fn, where)
+        log["phase"] = "herding" if log["phase"] == "phase 1" else "completion"
+
+    def logged_evaluate(*args):
+        log["phase"] = "evaluate"
+        start = len(log["forwards"])
         result = evaluate(*args)
-        evals.append(prefixes[start:])
+        log["evals"].append([f["n"] for f in log["forwards"][start:]])
+        log["phase"] = "fill"
         return result
 
-    init = C.FrozenCache.__init__
+    def logged_init(self, *args):
+        init(self, *args)
+        log["store"] = self
 
-    def recording_init(self, model, samples, eval_store=None):
-        init(self, model, samples, eval_store)
-        live.update(cache=self, store=eval_store)
-        caches.append(self)
-        stores.append(C._nbytes(eval_store.values()))
+    monkeypatch.setattr(E.CilModel, "forward", logged_forward)
+    monkeypatch.setattr(C, "_sgd_epochs", logged_sgd)
+    monkeypatch.setattr(C, "evaluate", logged_evaluate)
+    monkeypatch.setattr(C.FrozenStore, "__init__", logged_init)
 
-    monkeypatch.setattr(E.CilModel, "forward", counting_forward)
-    monkeypatch.setattr(C, "evaluate", counting_evaluate)
-    monkeypatch.setattr(C.FrozenCache, "__init__", recording_init)
+    def run(strategy, capacity):
+        cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
+                            gamma=2, layers=2, strategy=strategy)
+        tc = C.TrainConfig(epochs=2, tune_epochs=2, lr=0.05, batch_size=5,
+                           heads_first=2, heads_per_step=1)
+        stream = _micro_stream(n_tasks=3)
+        train = [s for task in stream.tasks for s in task.train]
+        log.update(phase="fill", forwards=[], evals=[], store=None,
+                   rows={s.image.tobytes(): i for i, s in enumerate(train)})
+        model, rec = C.run_stream(cfg, stream, tc, seed=4, buffer_capacity=capacity)
+        assert max(f["held"] for f in log["forwards"]) <= C.CACHE_BYTES
+        return model, rec, log
 
-    def run():
-        for log in (served, prefixes, held, evals, caches, stores):
-            log.clear()
-        live.update(cache=None, store={})
-        model, rec = C.run_stream(cfg, _micro_stream(n_tasks=3), tc, seed=4,
-                                  buffer_capacity=8)
-        assert max(held) <= C.CACHE_BYTES
-        return E.checkpoint_bytes(model), rec.accuracies, list(served), caches[-1], list(evals)
+    return run
 
-    # one 6-image chunk per eval set: step i evaluates tasks 0..i
-    ckpt, acc, served_full, last, evals_full = run()
-    assert last.top == 2 and last.level.max() == 2 and 2 in served_full
-    assert evals_full == [[0], [1, 0], [2, 2, 0]]
-    # the last task's whole cache and one of the store's two equal entries
-    monkeypatch.setattr(C, "CACHE_BYTES", last.nbytes + stores[-1] // 2)
-    ckpt_shared, acc_shared, _, last_shared, evals_shared = run()
-    assert last_shared.top == 2
-    assert evals_shared == [[0], [1, 0], [2, 0, 0]]     # the store gave up (1, 0)
-    monkeypatch.setattr(C, "CACHE_BYTES", last.nbytes - 1)
-    ckpt_part, acc_part, served_part, last_part, _ = run()
-    assert last_part.top == 1 and (last_part.level == 1).all()
-    assert 0 < last_part.nbytes < last.nbytes and 1 in served_part
+
+@pytest.mark.parametrize("strategy", ["dne", "sta", "ia"])
+def test_run_stream_cache_is_bit_exact_against_recomputing(strategy, logged_run,
+                                                             monkeypatch):
+    """The full budget, a budget the last task's rows must share with the
+    evaluation cuts, a budget that holds only part of the rows' arrays, and
+    no budget give the same run, with a buffer that keeps every training
+    sample and with one that keeps fewer.  At the full budget every
+    evaluation of an old task runs from the cut the previous step kept;
+    with no budget no forward runs from a prefix.  The store never holds
+    more than the budget (``logged_run`` checks it at every forward)."""
+    full_budget = C.CACHE_BYTES
+    for capacity in (36, 8):
+        def run():
+            model, rec, log = logged_run(strategy, capacity)
+            forwards = log["forwards"]
+            last = [f for f in forwards if f["experts"] == 3 and f["phase"] != "evaluate"]
+            served = {(f["n"] > 0) + f["head_only"] for f in forwards}
+            return (E.checkpoint_bytes(model), rec.accuracies, log["evals"], served,
+                    max(f["rows_bytes"] for f in forwards),
+                    max(f["rows_bytes"] for f in last), max(f["held"] for f in last))
+
+        monkeypatch.setattr(C, "CACHE_BYTES", full_budget)
+        ckpt, acc, evals, served, peak, peak_last, most_last = run()
+        assert served == {0, 1, 2} and evals == [[0], [1, 0], [2, 2, 0]]
+        monkeypatch.setattr(C, "CACHE_BYTES", most_last - 1)
+        ckpt_shared, acc_shared, evals_shared, _, _, peak_last_shared, _ = run()
+        assert peak_last_shared == peak_last
+        assert evals_shared == [[0], [1, 0], [2, 0, 0]]     # the last cut gave way
+        monkeypatch.setattr(C, "CACHE_BYTES", peak - 1)
+        ckpt_part, acc_part, _, served_part, peak_part, _, _ = run()
+        assert 0 < peak_part < peak and 1 in served_part
+        monkeypatch.setattr(C, "CACHE_BYTES", 0)
+        ckpt0, acc0, evals0, served0, peak0, _, _ = run()
+        assert peak0 == 0 and served0 == {0} and evals0 == [[0], [0, 0], [0, 0, 0]]
+        assert ckpt == ckpt_shared == ckpt_part == ckpt0
+        assert acc == acc_shared == acc_part == acc0
+
+
+@pytest.mark.parametrize("capacity", [36, 8])
+def test_store_runs_each_frozen_expert_once_per_training_sample(capacity, logged_run,
+                                                               monkeypatch):
+    """In phase 1 every SGD forward runs from the prefix at the newest
+    expert, so only the graph-free fills before it run a frozen expert; over
+    the run each training sample runs each expert's body at most once after
+    that body stopped training.  Phase 2 tunes the token head after the
+    rows are extended, so a stale token feature or logit would change the
+    run: it equals one without a store."""
+    model, rec, log = logged_run("dne", capacity)
+    runs: dict[tuple[int, int], int] = {}
+    for f in log["forwards"]:
+        if f["phase"] == "phase 1":
+            assert f["graph"] and f["n"] == f["experts"] - 1 and not f["head_only"]
+        elif f["phase"] != "phase 2":
+            assert not f["graph"]
+        newest_fixed = f["phase"] in ("herding", "phase 2", "completion")
+        if f["head_only"] or f["phase"] == "evaluate":
+            continue
+        for j in range(f["n"], f["experts"] - 1 + newest_fixed):
+            for row in f["rows"]:
+                runs[row, j] = runs.get((row, j), 0) + 1
+    assert runs and max(runs.values()) == 1
     monkeypatch.setattr(C, "CACHE_BYTES", 0)
-    ckpt0, acc0, served0, last0, evals0 = run()
-    assert last0.top == 0 and last0.nbytes == 0 and set(served0) == {0}
-    assert evals0 == [[0], [0, 0], [0, 0, 0]]
-    assert ckpt == ckpt0 == ckpt_part == ckpt_shared
-    assert acc == acc0 == acc_part == acc_shared
+    model0, rec0, _ = logged_run("dne", capacity)
+    assert E.checkpoint_bytes(model) == E.checkpoint_bytes(model0)
+    assert rec.accuracies == rec0.accuracies
+
+
+def test_last_step_keeps_no_evaluation_cut_and_completes_no_row(logged_run):
+    """Nothing reads what the last step would keep: its evaluation reads the
+    cuts the step before kept and keeps none, and no row is extended by the
+    last expert."""
+    model, _, log = logged_run("dne", 36)
+    store = log["store"]
+    assert log["evals"][-1] == [2, 2, 0] and store.evals == {}
+    assert store.level.max() == model.task_count - 1
 
 
 @pytest.mark.parametrize("strategy", ["dne", "sta", "ia"])
 def test_evaluation_store_serves_bit_identical_prefixes_within_its_budget(strategy,
                                                                           monkeypatch):
-    """A forward from a prefix that ``evaluate`` stored equals the next
-    step's full forward bit for bit, and the store keeps prefixes in chunk
-    order while they fit ``CACHE_BYTES``."""
+    """A forward from a cut that ``evaluate`` kept equals the next step's
+    full forward bit for bit; the store keeps cuts in chunk order while they
+    fit ``CACHE_BYTES``, and none at the stream's last step."""
     cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
                         gamma=2, layers=2, strategy=strategy)
-    tasks = _micro_stream().tasks
+    stream = _micro_stream()
+    tasks = stream.tasks
     model = E.CilModel(cfg, seed=6)
     model.add_expert(2, 2)
     registry = C.ClassIndex()
@@ -494,49 +552,64 @@ def test_evaluation_store_serves_bit_identical_prefixes_within_its_budget(strate
     with T.no_grad():
         cut = E.freeze_outputs(model, model.forward(x), 1)
     monkeypatch.setattr(C, "CACHE_BYTES", sum(a.nbytes for a in cut.arrays()))
-    store = {}
+    store = C.FrozenStore(model, stream)
     C.evaluate(model, tasks, store)
-    assert list(store) == [(0, 0)]          # the second chunk's prefix does not fit
+    assert list(store.evals) == [(0, 0)]    # the second chunk's cut does not fit
     model.add_expert(1, 2)
     with T.no_grad():
-        got, want = model.forward(x, frozen=store[0, 0]), model.forward(x)
+        got, want = model.forward(x, frozen=store.evals[0, 0]), model.forward(x)
     np.testing.assert_array_equal(got.logits.data, want.logits.data)
     np.testing.assert_array_equal(got.aux_logits.data, want.aux_logits.data)
     assert C.evaluate(model, tasks, store) == C.evaluate(model, tasks)
+    assert store.evals == {}
 
 
 def test_frozen_cache_serves_each_batch_from_its_shallowest_row():
+    """A batch runs from the deepest entries all its rows hold; once the
+    newest expert's body is fixed a forward keeps its entries and final
+    features, and ``complete`` turns those rows into the prefix at the
+    whole model, which the next expert's forwards run from."""
     cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
                         gamma=2, layers=1, strategy="dne")
     model = E.CilModel(cfg, seed=5)
     model.add_expert(2, 2)
     model.add_expert(1, 2)
-    samples = _micro_stream().tasks[0].train[:6]
-    cache = C.FrozenCache(model, samples)
+    stream = _micro_stream(n_tasks=3)
+    samples = stream.tasks[1].train[:6]
+    rows = np.arange(12, 18)
+    store = C.FrozenStore(model, stream)
     with T.no_grad():
         want = model.forward(C.images(samples)).logits.data
-        cache.forward(samples[:3])
-        assert list(cache.level) == [1, 1, 1, 0, 0, 0]
-        cache.body_fixed = True
-        got = cache.forward([samples[4], samples[0]]).logits.data
-        assert list(cache.level) == [2, 1, 1, 0, 2, 0]
+        store.forward(samples[:3])
+        assert list(store.level[rows]) == [1, 1, 1, 0, 0, 0]
+        store.fixed = model.task_count
+        got = store.forward([samples[4], samples[0]]).logits.data
+        assert list(store.level[rows]) == [1, 1, 1, 0, 1, 0]
+        assert list(store.head[rows]) == [True, False, False, False, True, False]
         np.testing.assert_array_equal(got, want[[4, 0]])
-        cache.prefetch(samples)
-        assert list(cache.level) == [2] * 6
-        got = cache.forward(samples[::-1]).logits.data
-    np.testing.assert_array_equal(got, want[::-1])
+        store.prefetch(samples)
+        assert store.head[rows].all()
+        got = store.forward(samples[::-1]).logits.data
+        np.testing.assert_array_equal(got, want[::-1])
+        store.complete(samples[:4])
+        assert list(store.level[rows]) == [2, 2, 2, 2, 1, 1] and not store.head.any()
+        model.add_expert(1, 2)
+        want = model.forward(C.images(samples)).logits.data
+        got = store.forward(samples[:4]).logits.data
+    np.testing.assert_array_equal(got, want[:4])
 
 
 def test_prefix_holds_normalised_ta_inputs_at_the_raw_byte_count():
     """A frozen prefix keeps ``T.normalize`` of the frozen expert's raw
-    post-MHSA features and intermediates, bit for bit, and the cache holds
-    as many bytes as it would for the raw activations."""
+    post-MHSA features and intermediates, bit for bit, and the store holds
+    as many bytes per row as it would for the raw activations."""
     cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
                         gamma=2, layers=2, strategy="dne")
     model = E.CilModel(cfg, seed=7)
     model.add_expert(2, 2)
     model.add_expert(1, 2)
-    samples = _micro_stream().tasks[0].train[:5]
+    stream = _micro_stream()
+    samples = stream.tasks[0].train[:5]
     d, h0 = cfg.head_dim, model.experts[0].heads
     with T.no_grad():
         res = model.forward(C.images(samples))
@@ -549,8 +622,10 @@ def test_prefix_holds_normalised_ta_inputs_at_the_raw_byte_count():
             np.testing.assert_array_equal(prefix.s_layers[l][0].data, s_in.data)
             np.testing.assert_array_equal(prefix.o_layers[l][0].data, T.normalize(o_raw).data)
             raw_bytes += s_raw.data.nbytes + o_raw.data.nbytes
-        cache = C.FrozenCache(model, samples)
-        cache.forward(samples)
-    assert cache.top == 2
-    assert cache.nbytes == (raw_bytes + res.token_feats[0].data.nbytes
-                            + res.logits.data[:, :2].nbytes + res.features[1].data.nbytes)
+        store = C.FrozenStore(model, stream)
+        store.fixed = model.task_count
+        store.forward(samples)
+    per_five = raw_bytes + res.token_feats[0].data.nbytes + res.features[1].data.nbytes
+    count = len(store.level)                    # 24 training samples, 4 classes
+    assert store.head[:5].all()
+    assert store.nbytes == count * per_five // 5 + count * 4 * 8

@@ -895,7 +895,8 @@ def _assert_gather_reproduces_permuted_forward(m, images, frozen):
     batch exactly as its own full forward."""
     order = np.array([2, 0, 1])
     features = frozen.head_only
-    gathered = E.map_frozen(frozen, lambda a: a[order], features)
+    gathered = E.map_frozen(m, frozen, lambda a: a[order], len(frozen.token_feats),
+                            features)
     assert gathered.head_only == features
     with T.no_grad():
         _assert_same_outputs(m.forward(images[order], frozen=gathered),

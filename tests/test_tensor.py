@@ -368,6 +368,44 @@ def test_add_and_sub_return_no_gradient_for_a_constant():
         assert op(c, a)._backward(np.ones((2, 3)))[0] is None
 
 
+def _zero_padded_narrow(a, axis, start, length):
+    """``T.narrow`` whose gradient always zero-pads back to the parent."""
+    idx = [slice(None)] * a.data.ndim
+    idx[axis] = slice(start, start + length)
+    idx = tuple(idx)
+
+    def bwd(g):
+        full = np.zeros_like(a.data)
+        full[idx] = g
+        return (full,)
+
+    return T._make(a.data[idx], (a,), "narrow", bwd)
+
+
+@pytest.mark.parametrize("narrow_first", [True, False])
+def test_narrow_gradient_equals_zero_padding_in_either_consumer_order(narrow_first):
+    """A tensor read by ``narrow`` and by another op gets the zero-padded
+    form's gradient bit for bit, whether ``narrow``'s backward runs before
+    the other consumer's (the parent has no gradient yet) or after."""
+    rng = np.random.default_rng(0)
+    data = rng.standard_normal((3, 5))
+    k_part, k_whole = T.Tensor(rng.standard_normal((3, 2))), T.Tensor(rng.standard_normal((3, 5)))
+    had_grad = []
+
+    def grad(narrow):
+        x = T.Tensor(data.copy(), requires_grad=True)
+        cut = narrow(x, 1, 2, 2)
+        bwd = cut._backward
+        cut._backward = lambda g: (had_grad.append(x.grad is not None), bwd(g))[1]
+        part = T.sum_all(T.mul(cut, k_part))
+        whole = T.sum_all(T.mul(T.gelu(x), k_whole))
+        T.backward(T.add(part, whole) if narrow_first else T.add(whole, part))
+        return x.grad
+
+    np.testing.assert_array_equal(grad(T.narrow), grad(_zero_padded_narrow))
+    assert had_grad == [not narrow_first] * 2
+
+
 def test_no_grad_builds_no_graph():
     x = T.Tensor(np.ones(3), requires_grad=True)
     with T.no_grad():
