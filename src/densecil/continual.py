@@ -601,15 +601,15 @@ def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
 
     # herding refresh: features from the freshly trained model
     if buffer.capacity > 0:
-        by_class: dict[int, list[Sample]] = {}
-        for s in task.train:
-            by_class.setdefault(s.label, []).append(s)
+        by_class: dict[int, list[int]] = {}
+        for i, s in enumerate(task.train):
+            by_class.setdefault(s.label, []).append(i)
         quota = buffer.quota(len(buffer.classes_seen) + len(by_class))
+        feats = token_features(model, task.train, store.forward)   # each row as its own forward
         for c in task.classes:
-            samples = by_class[c]
-            feats = token_features(model, samples, store.forward)
-            order = herding_select(feats, min(quota, len(samples)))
-            buffer.add_class(c, [samples[i] for i in order])
+            rows = by_class[c]
+            order = herding_select(feats[rows], min(quota, len(rows)))
+            buffer.add_class(c, [task.train[rows[i]] for i in order])
         buffer.rebalance()
 
     if cfg.tune_epochs > 0:

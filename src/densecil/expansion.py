@@ -23,8 +23,10 @@ D on the way down).  The TAB is the expert's feature-mixing block, so every
 wiring mixes through ``tab_forward``: a stage that is not a task attention
 is a plain MLP stage.  A TA stage's layer norm is split in two: each
 expert's head tokens are normalised once, in that expert's own stage, and
-every later expert reads that tensor; the stage then applies its gain and
-bias once to the joined pool.
+every later expert reads that tensor.  The rest of the stage is one graph
+node, ``T.task_attention``: it applies the gain and bias once to the joined
+pool, attends and reads out, and its backward builds input gradients only
+for the tokens that train.
 
 The wiring is a field of ``ModelConfig``: ``add_expert`` builds each
 expert's blocks for it, and ``forward`` runs the model in it.  The share
@@ -53,7 +55,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import struct
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
@@ -495,7 +496,8 @@ def freeze_outputs(model: CilModel, res: ForwardResult, n: int, *,
 # ----------------------------------------------------------------- task attention
 
 def task_attention(parts: list[Tensor], n_query: int, stage: TaStageParams):
-    """Attend the last ``n_query`` head tokens over the pool of ``parts``.
+    """Attend the last ``n_query`` head tokens over the pool of ``parts``
+    with the stage's parameters, as one graph node (``T.task_attention``).
 
     ``parts`` holds the head tokens of each visible expert, the newest
     last, each (P, H_i, din) with a leading batch axis if batched and
@@ -504,24 +506,11 @@ def task_attention(parts: list[Tensor], n_query: int, stage: TaStageParams):
     gradients are one reduction over the pool.  Queries come from the
     newest task's heads only; keys span every head; each source head has
     its own value matrix.  Returns (P, n_query, dout) outputs scaled by the
-    per-head lambdas and the (P, n_query, H_pool) attention weights.
+    per-head lambdas and the (P, n_query, H_pool) attention weights as an
+    array.
     """
-    x = T.affine(parts[0] if len(parts) == 1 else T.concat(parts, axis=-2),
-                 stage.ln_gain, stage.ln_bias)
-    *lead, p, h_pool, din = x.shape
-    attn_dim = stage.wq.shape[-1]
-    flat = T.reshape(x, (*lead, p * h_pool, din))
-    k = T.reshape(T.matmul(flat, stage.wk), (*lead, p, h_pool, attn_dim))
-    qtok = T.narrow(x, -2, h_pool - n_query, n_query)
-    q = T.reshape(T.matmul(T.reshape(qtok, (*lead, p * n_query, din)), stage.wq),
-                  (*lead, p, n_query, attn_dim))
-    scores = T.matmul(q, T.swap_axes(k, -1, -2))
-    attn = T.softmax_rows(scores, math.sqrt(attn_dim))
-    wv = stage.wv[0] if len(stage.wv) == 1 else T.concat(stage.wv, axis=0)
-    v = T.swap_axes(T.matmul(T.swap_axes(x, -3, -2), wv), -3, -2)   # (P, H_pool, dout)
-    out = T.matmul(attn, v)
-    out = T.mul(out, T.reshape(stage.lam, (1, n_query, 1)))
-    return out, attn
+    return T.task_attention(parts, n_query, stage.ln_gain, stage.ln_bias, stage.wq, stage.wk,
+                            stage.wv, stage.lam)
 
 
 def _heads(x: Tensor, head_dim: int) -> Tensor:
@@ -576,8 +565,7 @@ def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
         r_t = T.add(s_t, B.mlp_stage(o_t, blk.fc2, cfg.gamma * d))
         a2 = None
 
-    pair = (None if a1 is None else a1.data, None if a2 is None else a2.data)
-    return s_in, o_in, r_t, pair
+    return s_in, o_in, r_t, (a1, a2)
 
 
 # ----------------------------------------------------------------- attention stages

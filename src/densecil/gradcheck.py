@@ -68,38 +68,55 @@ def _r(rng, *shape):
 
 
 def op_cases() -> dict:
-    """Builders for every differentiable primitive, keyed by op name."""
+    """Builders for every differentiable primitive, keyed by case name."""
     return {
         "add": lambda r: ([_r(r, 3, 4), _r(r, 3, 4)], lambda t: T.add(t[0], t[1])),
+        "add_broadcast": lambda r: ([_r(r, 2, 3, 4), _r(r, 1, 4)], lambda t: T.add(t[0], t[1])),
         "sub": lambda r: ([_r(r, 3, 4), _r(r, 3, 4)], lambda t: T.sub(t[0], t[1])),
-        "mul": lambda r: ([_r(r, 3, 4), _r(r, 1, 4)], lambda t: T.mul(t[0], t[1])),
+        "mul": lambda r: ([_r(r, 3, 4), _r(r, 3, 4)], lambda t: T.mul(t[0], t[1])),
+        "mul_broadcast": lambda r: ([_r(r, 2, 3, 4), _r(r, 1, 3, 1)],
+                                    lambda t: T.mul(t[0], t[1])),
         "matmul": lambda r: ([_r(r, 3, 4), _r(r, 4, 2)], lambda t: T.matmul(t[0], t[1])),
-        "matmul_batched": lambda r: ([_r(r, 2, 3, 4), _r(r, 2, 4, 3)],
+        "bmm": lambda r: ([_r(r, 2, 3, 4), _r(r, 2, 4, 2)], lambda t: T.matmul(t[0], t[1])),
+        "matmul_batched": lambda r: ([_r(r, 2, 2, 3, 4), _r(r, 2, 2, 4, 3)],
                                      lambda t: T.matmul(t[0], t[1])),
-        "matmul_bias": lambda r: ([_r(r, 3, 4), _r(r, 4, 2), _r(r, 2)],
+        "linear": lambda r: ([_r(r, 3, 4), _r(r, 4, 2), _r(r, 2)],
+                             lambda t: T.matmul(t[0], t[1], t[2])),
+        "matmul_bias": lambda r: ([_r(r, 3, 4), _r(r, 4, 2), _r(r, 3, 2)],
                                   lambda t: T.matmul(t[0], t[1], t[2])),
-        "matmul_broadcast": lambda r: ([_r(r, 2, 3, 4), _r(r, 4, 2)],
-                                       lambda t: T.matmul(t[0], t[1])),
-        "reshape": lambda r: ([_r(r, 2, 6)], lambda t: T.reshape(t[0], (3, 4))),
-        "swap_axes": lambda r: ([_r(r, 2, 3, 4)], lambda t: T.swap_axes(t[0], 0, 2)),
+        "bmm_bias": lambda r: ([_r(r, 2, 3, 4), _r(r, 2, 4, 2), _r(r, 2)],
+                               lambda t: T.matmul(t[0], t[1], t[2])),
+        "matmul_broadcast": lambda r: ([_r(r, 2, 3, 4), _r(r, 4, 2), _r(r, 2)],
+                                       lambda t: T.matmul(t[0], t[1], t[2])),
+        "matmul_broadcast_left": lambda r: ([_r(r, 2, 1, 4), _r(r, 3, 2, 4, 3)],
+                                            lambda t: T.matmul(t[0], t[1])),
+        "reshape": lambda r: ([_r(r, 3, 4)], lambda t: T.reshape(t[0], (2, 6))),
+        "swap_axes": lambda r: ([_r(r, 2, 3, 4)], lambda t: T.swap_axes(t[0], 0, 1)),
         "concat": lambda r: ([_r(r, 2, 3), _r(r, 2, 2)], lambda t: T.concat(t, axis=1)),
         "narrow": lambda r: ([_r(r, 4, 5)], lambda t: T.narrow(t[0], 1, 1, 3)),
         "sum": lambda r: ([_r(r, 3, 4)], lambda t: T.sum_all(t[0])),
         "softmax_rows": lambda r: ([_r(r, 3, 5)], lambda t: T.softmax_rows(t[0], 2.0)),
-        "softmax_rows_masked": lambda r: (
+        "masked_softmax": lambda r: (
             [_r(r, 3, 5)],
             lambda t: T.softmax_rows(t[0], 2.0,
                                      np.tile([True, False, True, True, False], (3, 1)))),
-        "log_softmax_rows": lambda r: ([_r(r, 3, 5)], lambda t: T.log_softmax_rows(t[0])),
+        "softmax_rows_masked": lambda r: (
+            [_r(r, 3, 5)],
+            lambda t: T.softmax_rows(t[0], 2.0, np.array([True, True, False, True, False]))),
+        "log_softmax": lambda r: ([_r(r, 3, 5)], lambda t: T.log_softmax_rows(t[0])),
+        "log_softmax_rows": lambda r: ([_r(r, 2, 3, 5)], lambda t: T.log_softmax_rows(t[0])),
         "layer_norm": lambda r: ([_r(r, 4, 6), _r(r, 6), _r(r, 6)],
                                  lambda t: T.layer_norm(t[0], t[1], t[2], 1e-5)),
-        "normalize": lambda r: ([_r(r, 4, 6)], lambda t: T.normalize(t[0], 1e-5)),
-        "affine": lambda r: ([_r(r, 2, 4, 6), _r(r, 6), _r(r, 6)],
-                             lambda t: T.affine(t[0], t[1], t[2])),
+        "normalize": lambda r: ([_r(r, 2, 3, 5)], lambda t: T.normalize(t[0], 1e-5)),
+        "task_attention": lambda r: (    # a pool of 2 + 1 heads, the last one querying
+            [_r(r, 2, 2, 3), _r(r, 2, 1, 3), _r(r, 3), _r(r, 3), _r(r, 3, 2), _r(r, 3, 2),
+             _r(r, 2, 3, 4), _r(r, 1, 3, 4), _r(r, 1)],
+            lambda t: T.task_attention(t[:2], 1, *t[2:6], t[6:8], t[8])[0]),
         "gelu": lambda r: ([_r(r, 4, 4)], lambda t: T.gelu(t[0])),
         "exp": lambda r: ([_r(r, 3, 3)], lambda t: T.exp(t[0])),
-        "cross_entropy": lambda r: ([_r(r, 2, 6)],
-                                    lambda t: T.cross_entropy_logits(t[0], [2, 5])),
+        "cross_entropy": lambda r: ([_r(r, 6)], lambda t: T.cross_entropy_logits(t[0], 2)),
+        "cross_entropy_batched": lambda r: ([_r(r, 3, 6)],
+                                            lambda t: T.cross_entropy_logits(t[0], [2, 0, 5])),
     }
 
 

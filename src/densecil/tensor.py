@@ -3,9 +3,10 @@
 Only the primitives the transformer blocks need are implemented: same-shape
 (and suffix-broadcast) elementwise arithmetic, one matmul (2-D or stacked,
 with an optional fused bias), axis plumbing (reshape / swap / concat /
-narrow), row softmax with an optional mask, layer norm (whole, or split
-into ``normalize`` and ``affine``), GELU (exact Gaussian CDF form), exp,
-and two fused loss kernels.  Data is float64 throughout.
+narrow), row softmax with an optional mask, layer norm (whole, or its
+``normalize`` half), one task-attention stage as a single op with a
+hand-written backward, GELU (exact Gaussian CDF form), exp, and two fused
+loss kernels.  Data is float64 throughout.
 
 Every op acts on the last one or two axes and carries any leading axes
 through, so a batch of images runs as one graph: a (B, P, K) activation
@@ -60,8 +61,8 @@ __all__ = [
     "softmax_rows",
     "log_softmax_rows",
     "normalize",
-    "affine",
     "layer_norm",
+    "task_attention",
     "gelu",
     "exp",
     "cross_entropy_logits",
@@ -387,6 +388,35 @@ def sum_all(a: Tensor) -> Tensor:
 
 # -- nonlinear kernels -------------------------------------------------------
 
+def _softmax(x: np.ndarray, scale: float, mask: np.ndarray | None, op: str) -> np.ndarray:
+    """Row softmax of ``x / scale`` over the last axis, in a new array; see
+    ``softmax_rows``.  ``op`` names the caller in errors."""
+    if scale <= 0:
+        raise ContractError(f"{op}: scale must be positive, got {scale}")
+    if not np.isfinite(x).all():
+        raise NumericError(f"{op}: non-finite input")
+    z = x / scale
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim > x.ndim or mask.shape != x.shape[x.ndim - mask.ndim:]:
+            raise ShapeError(f"{op}: mask {mask.shape} vs input {x.shape}")
+        if not mask.any(axis=-1).all():
+            raise ContractError(f"{op}: a row has no enabled entries")
+        z = np.where(mask, z, -np.inf)
+    z -= z.max(axis=-1, keepdims=True)
+    y = np.exp(z, out=z)
+    y /= y.sum(axis=-1, keepdims=True)
+    return y
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
+    """The input gradient of ``_softmax`` with output ``y``."""
+    dx = g - (g * y).sum(axis=-1, keepdims=True)
+    dx *= y
+    dx /= scale
+    return dx
+
+
 def softmax_rows(x: Tensor, scale: float = 1.0, mask: np.ndarray | None = None) -> Tensor:
     """Row-wise softmax of x/scale over the last axis.
 
@@ -396,27 +426,10 @@ def softmax_rows(x: Tensor, scale: float = 1.0, mask: np.ndarray | None = None) 
     weight, and every row must keep at least one enabled entry.  A mask
     with fewer axes than ``x`` is shared by every leading index.
     """
-    if scale <= 0:
-        raise ContractError(f"softmax_rows: scale must be positive, got {scale}")
-    if not np.isfinite(x.data).all():
-        raise NumericError("softmax_rows: non-finite input")
-    z = x.data / scale
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.ndim > x.data.ndim or mask.shape != x.shape[x.data.ndim - mask.ndim:]:
-            raise ShapeError(f"softmax_rows: mask {mask.shape} vs input {x.shape}")
-        if not mask.any(axis=-1).all():
-            raise ContractError("softmax_rows: a row has no enabled entries")
-        z = np.where(mask, z, -np.inf)
-    z -= z.max(axis=-1, keepdims=True)
-    y = np.exp(z, out=z)
-    y /= y.sum(axis=-1, keepdims=True)
+    y = _softmax(x.data, scale, mask, "softmax_rows")
 
     def bwd(g):
-        dx = g - (g * y).sum(axis=-1, keepdims=True)
-        dx *= y
-        dx /= scale
-        return (dx,)
+        return (_softmax_grad(g, y, scale),)
 
     return _make(y, (x,), "softmax_rows", bwd)
 
@@ -479,7 +492,8 @@ def _affine_out(op: str, xhat: np.ndarray, gain: Tensor, bias: Tensor) -> np.nda
 
 def normalize(x: Tensor, eps: float = 1e-5) -> Tensor:
     """Each last-axis vector at zero mean and unit population variance: a
-    layer norm without its learned affine map (see ``affine``)."""
+    layer norm without its learned affine map, which ``task_attention``
+    applies to a pool of such vectors."""
     xhat, inv = _normalized(x.data, eps)
 
     def bwd(g):
@@ -488,21 +502,9 @@ def normalize(x: Tensor, eps: float = 1e-5) -> Tensor:
     return _make(xhat, (x,), "normalize", bwd)
 
 
-def affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """``x * gain + bias`` along the last axis: the learned map of a layer
-    norm, for an ``x`` that ``normalize`` produced."""
-    out = _affine_out("affine", x.data, gain, bias)
-
-    def bwd(g):
-        return (g * gain.data if x.requires_grad else None,
-                *_affine_grads(g, x.data, gain, bias))
-
-    return _make(out, (x, gain, bias), "affine", bwd)
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """``affine(normalize(x), gain, bias)`` as one op: the same arithmetic,
-    without keeping the normalised input as a tensor of its own."""
+    """``normalize(x) * gain + bias`` as one op: the same kernels, without
+    keeping the normalised input as a tensor of its own."""
     xhat, inv = _normalized(x.data, eps)
     out = _affine_out("layer_norm", xhat, gain, bias)
 
@@ -513,6 +515,79 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         return _normalized_grad(g * gain.data, xhat, inv), dgain, dbias
 
     return _make(out, (x, gain, bias), "layer_norm", bwd)
+
+
+def task_attention(parts: Sequence[Tensor], n_query: int, gain: Tensor, bias: Tensor,
+                   wq: Tensor, wk: Tensor, wv: Sequence[Tensor], lam: Tensor):
+    """One task-attention stage as one op: the last ``n_query`` head tokens
+    of a pool attend over all of them.
+
+    ``parts`` are the pool's (P, H_i, din) pieces, with any leading axes,
+    joined along the head axis into (P, H_pool, din) and mapped by the
+    layer-norm ``gain`` and ``bias``.  Keys ``x @ wk`` span the pool,
+    queries ``x @ wq`` its last ``n_query`` heads, and each pool head h has
+    its own value matrix: ``wv`` joined along its first axis is
+    (H_pool, din, dout).  Returns the (P, n_query, dout) read-outs scaled
+    by the per-head ``lam`` (n_query,), and the (P, n_query, H_pool)
+    attention weights as an array.  The arithmetic is that of the same
+    stage composed of ``concat``, ``matmul``, ``narrow``, ``softmax_rows``
+    and ``mul``, bit for bit, gradients included; MACs count its five
+    products.  Input gradients are built only for ``parts`` that require one.
+    """
+    pool = parts[0].data if len(parts) == 1 else np.concatenate([t.data for t in parts], axis=-2)
+    x = _affine_out("task_attention", pool, gain, bias)
+    *lead, p, h_pool, din = x.shape
+    attn_dim = wq.shape[-1]
+    w = wv[0].data if len(wv) == 1 else np.concatenate([t.data for t in wv], axis=0)
+    if (not 0 < n_query <= h_pool or wq.shape != (din, attn_dim) or wk.shape != wq.shape
+            or w.shape[:2] != (h_pool, din) or lam.shape != (n_query,)):
+        raise ShapeError(f"task_attention: pool {x.shape}, {n_query} queries, wq {wq.shape}, "
+                         f"wk {wk.shape}, wv {w.shape}, lam {lam.shape} disagree")
+    flat = x.reshape(*lead, p * h_pool, din)
+    k = (flat @ wk.data).reshape(*lead, p, h_pool, attn_dim)
+    qr = x[..., h_pool - n_query:, :].reshape(*lead, p * n_query, din)
+    q = (qr @ wq.data).reshape(*lead, p, n_query, attn_dim)
+    kt = np.swapaxes(k, -1, -2)
+    scale = math.sqrt(attn_dim)
+    scores = q @ kt
+    y = _softmax(scores, scale, None, "task_attention")
+    xs = np.swapaxes(x, -3, -2)
+    v = np.swapaxes(xs @ w, -3, -2)                         # (P, H_pool, dout)
+    pre = y @ v
+    lam_r = lam.data.reshape(1, n_query, 1)
+    out = pre * lam_r
+    _count_macs((k.size + q.size) * din + scores.size * attn_dim
+                + v.size * din + pre.size * h_pool)
+
+    def bwd(g):
+        gp = g * lam_r
+        dlam = _sum_to_shape(g * pre, lam_r.shape).reshape(lam.shape) if lam.requires_grad else None
+        gs = _softmax_grad(gp @ v.swapaxes(-1, -2), y, scale)
+        gk = np.ascontiguousarray(np.swapaxes(q.swapaxes(-1, -2) @ gs, -1, -2))
+        gk = gk.reshape(*lead, p * h_pool, attn_dim)
+        gq = (gs @ kt.swapaxes(-1, -2)).reshape(*lead, p * n_query, attn_dim)
+        gm = np.ascontiguousarray(np.swapaxes(y.swapaxes(-1, -2) @ gp, -3, -2))
+        dwq = _sum_to_shape(qr.swapaxes(-1, -2) @ gq, wq.shape) if wq.requires_grad else None
+        dwk = _sum_to_shape(flat.swapaxes(-1, -2) @ gk, wk.shape) if wk.requires_grad else None
+        dwv = [None] * len(wv)
+        if any(t.requires_grad for t in wv):
+            dw = _sum_to_shape(xs.swapaxes(-1, -2) @ gm, w.shape)
+            dwv = np.split(dw, np.cumsum([t.shape[0] for t in wv])[:-1], axis=0)
+        if not (gain.requires_grad or bias.requires_grad or any(t.requires_grad for t in parts)):
+            return (None,) * (len(parts) + 2) + (dwq, dwk, *dwv, dlam)
+        # the pool gradient: keys, + queries in their heads, + values
+        gx = (gk @ wk.data.swapaxes(-1, -2)).reshape(x.shape)
+        gx[..., h_pool - n_query:, :] += (gq @ wq.data.swapaxes(-1, -2)).reshape(
+            *lead, p, n_query, din)
+        gx += np.swapaxes(gm @ w.swapaxes(-1, -2), -3, -2)
+        dparts, start = [], 0
+        for t in parts:
+            end = start + t.shape[-2]
+            dparts.append(gx[..., start:end, :] * gain.data if t.requires_grad else None)
+            start = end
+        return (*dparts, *_affine_grads(gx, pool, gain, bias), dwq, dwk, *dwv, dlam)
+
+    return _make(out, (*parts, gain, bias, wq, wk, *wv, lam), "task_attention", bwd), y
 
 
 def gelu(x: Tensor) -> Tensor:

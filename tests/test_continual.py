@@ -397,6 +397,41 @@ def test_run_stream_deterministic():
     assert rec1.per_task_final == rec2.per_task_final
 
 
+def test_herding_reads_each_class_rows_of_one_pass_per_task(monkeypatch):
+    """Herding makes one ``token_features`` pass per task, and each class
+    is selected from its own samples' rows, bit for bit those of a plain
+    forward of that class alone."""
+    features, select, train_task = C.token_features, C.herding_select, C.train_task
+    state, passes, selected = {}, [], []
+
+    def logged_train_task(model, task, *args, **kw):
+        state.update(model=model, task=task, classes=iter(task.classes))
+        return train_task(model, task, *args, **kw)
+
+    def logged_features(model, samples, forward=None):
+        passes.append(len(samples))
+        return features(model, samples, forward)
+
+    def logged_select(feats, m):
+        label = next(state["classes"])
+        own = [s for s in state["task"].train if s.label == label]
+        np.testing.assert_array_equal(feats, features(state["model"], own))
+        selected.append(label)
+        return select(feats, m)
+
+    monkeypatch.setattr(C, "train_task", logged_train_task)
+    monkeypatch.setattr(C, "token_features", logged_features)
+    monkeypatch.setattr(C, "herding_select", logged_select)
+    cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
+                        gamma=2, layers=1, strategy="dne")
+    tc = C.TrainConfig(epochs=1, tune_epochs=1, lr=0.05, batch_size=6,
+                       heads_first=2, heads_per_step=1)
+    stream = _micro_stream(n_tasks=3)
+    C.run_stream(cfg, stream, tc, seed=9, buffer_capacity=6)
+    assert passes == [len(task.train) for task in stream.tasks]
+    assert selected == stream.class_order()
+
+
 @pytest.fixture
 def logged_run(monkeypatch):
     """``run(strategy, capacity)`` runs ``run_stream`` on a 3-task micro
@@ -629,3 +664,16 @@ def test_prefix_holds_normalised_ta_inputs_at_the_raw_byte_count():
     count = len(store.level)                    # 24 training samples, 4 classes
     assert store.head[:5].all()
     assert store.nbytes == count * per_five // 5 + count * 4 * 8
+
+
+def test_non_finite_task_attention_scores_raise_naming_task_and_phase():
+    cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
+                        gamma=2, layers=1, strategy="dne")
+    model = E.CilModel(cfg, seed=0).add_expert(2, 2)
+    model.experts[0].blocks[0].fc1.wk.data[0, 0] = np.inf
+    tc = C.TrainConfig(epochs=1, batch_size=4)
+    loss = lambda batch: T.sum_all(model.forward(C.images(batch)).logits)
+    with pytest.raises(T.NumericError) as err:
+        C._sgd_epochs(model.trainable_parameters(), _micro_stream().tasks[0].train, 1, tc,
+                      np.random.default_rng(0), loss, "task 0, phase 1")
+    assert str(err.value) == "task 0, phase 1, epoch 0, batch 0: task_attention: non-finite input"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from densecil import backbone as B
+from densecil import continual as C
 from densecil import expansion as E
 from densecil import tensor as T
 from densecil.config import TOL, ConfigError
@@ -301,7 +302,7 @@ def test_tab_attention_uniform_when_keys_identical():
     tokens = np.tile(np.random.default_rng(1).normal(size=(p, 1, cfg.head_dim)), (1, 3, 1))
     parts = [T.normalize(T.Tensor(tokens[:, :2])), T.normalize(T.Tensor(tokens[:, 2:]))]
     _, attn = E.task_attention(parts, 1, m.experts[1].blocks[0].fc1)
-    np.testing.assert_allclose(attn.data, 1 / 3, atol=1e-12)
+    np.testing.assert_allclose(attn, 1 / 3, atol=1e-12)
 
 
 def test_tab_attention_single_head_single_task():
@@ -450,8 +451,7 @@ def test_tab_all_ones_attention_equals_generalized_mlp(monkeypatch):
     s1 = rng.normal(size=(P, 8))
     s2 = rng.normal(size=(P, 4))
     s_list = [T.Tensor(s1), T.Tensor(s2)]
-    monkeypatch.setattr(T, "softmax_rows",
-                        lambda scores, scale, mask=None: T.Tensor(np.ones(scores.shape)))
+    monkeypatch.setattr(T, "_softmax", lambda scores, scale, mask, op: np.ones(scores.shape))
     n1, o1, r1, _ = E.tab_forward(s_list[:1], [], m, 0, 0)
     _, o2, r2, _ = E.tab_forward([n1, s_list[1]], [o1], m, 0, 1)
 
@@ -479,13 +479,10 @@ def test_tab_attention_rows_shape_and_sum():
             np.testing.assert_allclose(a2.sum(axis=-1), 1.0, atol=TOL.row_sum)
 
 
-def layer_norm_task_attention(tokens, n_query, stage):
-    """The TA stage as one ``T.layer_norm`` over the joined raw pool: the
-    reference that per-expert ``T.normalize`` plus one ``T.affine`` must
-    reproduce bit for bit."""
-    *lead, p, h_pool, din = tokens.shape
+def _composed_stage(x, n_query, stage):
+    """A TA stage after its layer norm, composed of single ops."""
+    *lead, p, h_pool, din = x.shape
     attn_dim = stage.wq.shape[-1]
-    x = T.layer_norm(tokens, stage.ln_gain, stage.ln_bias)
     flat = T.reshape(x, (*lead, p * h_pool, din))
     k = T.reshape(T.matmul(flat, stage.wk), (*lead, p, h_pool, attn_dim))
     qtok = T.narrow(x, -2, h_pool - n_query, n_query)
@@ -495,42 +492,121 @@ def layer_norm_task_attention(tokens, n_query, stage):
     wv = stage.wv[0] if len(stage.wv) == 1 else T.concat(stage.wv, axis=0)
     v = T.swap_axes(T.matmul(T.swap_axes(x, -3, -2), wv), -3, -2)
     out = T.mul(T.matmul(attn, v), T.reshape(stage.lam, (1, n_query, 1)))
-    return out, attn
+    return out, attn.data
+
+
+def layer_norm_task_attention(tokens, n_query, stage):
+    """The TA stage as one ``T.layer_norm`` over the joined raw pool: the
+    reference that per-expert ``T.normalize`` plus the fused stage must
+    reproduce bit for bit."""
+    return _composed_stage(T.layer_norm(tokens, stage.ln_gain, stage.ln_bias), n_query, stage)
+
+
+def composed_task_attention(parts, n_query, stage):
+    """``E.task_attention`` composed of single ops on the normalised parts,
+    its layer-norm gain and bias as ``mul`` and ``add``: the oracle the
+    fused ``T.task_attention`` equals bit for bit."""
+    pool = parts[0] if len(parts) == 1 else T.concat(parts, axis=-2)
+    return _composed_stage(T.add(T.mul(pool, stage.ln_gain), stage.ln_bias), n_query, stage)
 
 
 @pytest.mark.parametrize("stage_name", ["fc1", "fc2"])
 @pytest.mark.parametrize("share", ["s", "f"])
 def test_task_attention_on_normalised_parts_equals_one_layer_norm_over_the_pool(share,
                                                                                 stage_name):
+    """Outputs, weights and every gradient, bit for bit: for a batched
+    three-expert pool, expert 0's own pool (every head queries), an
+    unbatched pool, and a pool whose older part requires a gradient too."""
     cfg = small_cfg(share_q=share, share_k=share, share_v=share)
     m = build_model(cfg, heads=(2, 1, 2), classes=(2, 2, 2), seed=31)
-    stage = getattr(m.experts[-1].blocks[0], stage_name)
-    din = stage.ln_gain.shape[0]
+    m0 = build_model(cfg, heads=(2,), classes=(2,), seed=33)
     rng = np.random.default_rng(32)
-    raw = [rng.normal(size=(2, cfg.num_patches, h, din)) for h in m.heads_per_task]
-    probe = rng.normal(size=(2, cfg.num_patches, 2, stage.wv[-1].shape[-1]))
-    params = [stage.ln_gain, stage.ln_bias, stage.wq, stage.wk, *stage.wv, stage.lam]
+    cases = [(m, (2,), (False, False, True)), (m0, (2,), (True,)),
+             (m, (), (False, False, True)), (m, (2,), (False, True, True))]
+    for model, lead, needs in cases:
+        stage = getattr(model.experts[-1].blocks[0], stage_name)
+        n_query = model.experts[-1].heads
+        din = stage.ln_gain.shape[0]
+        raw = [rng.normal(size=(*lead, cfg.num_patches, h, din)) for h in model.heads_per_task]
+        probe = rng.normal(size=(*lead, cfg.num_patches, n_query, stage.wv[-1].shape[-1]))
+        params = [stage.ln_gain, stage.ln_bias, stage.wq, stage.wk, *stage.wv, stage.lam]
 
-    def run(joined: bool):
-        for p in params:
-            p.grad = None
-        newest = T.Tensor(raw[-1], requires_grad=True)
-        toks = [T.Tensor(a) for a in raw[:-1]] + [newest]
-        if joined:
-            out, attn = layer_norm_task_attention(T.concat(toks, axis=-2), 2, stage)
-        else:
-            out, attn = E.task_attention([T.normalize(t) for t in toks], 2, stage)
-        T.backward(T.sum_all(T.mul(out, T.Tensor(probe))))
-        return [out.data, attn.data, newest.grad] + [p.grad for p in params]
+        def run(joined: bool):
+            for p in params:
+                p.grad = None
+            toks = [T.Tensor(a, requires_grad=n) for a, n in zip(raw, needs)]
+            if joined:
+                out, attn = layer_norm_task_attention(T.concat(toks, axis=-2), n_query, stage)
+            else:
+                out, attn = E.task_attention([T.normalize(t) for t in toks], n_query, stage)
+            T.backward(T.sum_all(T.mul(out, T.Tensor(probe))))
+            return [out.data, attn] + [t.grad for t in toks] + [p.grad for p in params]
 
-    got, want = run(False), run(True)
-    assert stage.ln_gain.requires_grad and stage.lam.requires_grad
-    assert stage.wq.requires_grad == (share == "f")
-    for g, w in zip(got, want):
-        if w is None:
-            assert g is None
-        else:
-            np.testing.assert_array_equal(g, w)
+        got, want = run(False), run(True)
+        assert stage.ln_gain.requires_grad and stage.lam.requires_grad
+        assert stage.wq.requires_grad == (share == "f" or model is m0)
+        for g, w in zip(got, want, strict=True):
+            if w is None:
+                assert g is None
+            else:
+                np.testing.assert_array_equal(g, w)
+
+
+def test_each_ta_stage_is_one_graph_node():
+    """A TA stage's node reads the normalised parts and the stage's
+    parameters directly: no concat, narrow or matmul node between them."""
+    cfg = small_cfg(cta_in_mhsa=True)
+    m = build_model(cfg, heads=(2, 1), classes=(2, 2))
+    for _, p in m.named_parameters():
+        p.requires_grad = True
+    res = m.forward(_image_batch(cfg, 61))
+    nodes = T.topo_order(T.sum_all(res.logits))
+    stages = [n for n in nodes if n.op == "task_attention"]
+    assert len(stages) == m.task_count * cfg.layers * 5     # q, k, v, fc1, fc2
+    for node in stages:
+        ops = [p.op for p in node.parents]
+        n_parts = ops.count("normalize")
+        assert 0 < n_parts and ops == ["normalize"] * n_parts + ["leaf"] * (len(ops) - n_parts)
+    assert "narrow" not in {n.op for n in nodes}
+
+
+def test_task_attention_rejects_mismatched_shapes():
+    cfg = small_cfg()
+    stage = build_model(cfg, heads=(2, 1), classes=(2, 2)).experts[-1].blocks[0].fc1
+    parts = [T.Tensor(np.zeros((4, 2, 4))), T.Tensor(np.zeros((4, 1, 4)))]
+    for n_query in (0, 4):
+        with pytest.raises(T.ShapeError):
+            E.task_attention(parts, n_query, stage)
+    with pytest.raises(T.ShapeError):
+        E.task_attention([T.Tensor(np.zeros((4, 3, 5)))], 1, stage)
+    with pytest.raises(T.ShapeError):
+        E.task_attention(parts[1:], 1, stage)     # the pool has fewer heads than wv
+
+
+@pytest.mark.parametrize("overrides",
+                         [{}, {"cta_in_mhsa": True}, {"share_q": "f", "share_v": "s"}],
+                         ids=["dne", "cta_in_mhsa", "share_q_f_v_s"])
+def test_fused_task_attention_writes_the_composed_ops_checkpoint(overrides, monkeypatch):
+    """A whole training run, bit for bit: SGD on the fused stage's gradients
+    writes the checkpoint of SGD on the composed ops' gradients."""
+    rng = np.random.default_rng(62)
+
+    def samples(label, n):
+        return [C.Sample(rng.random((3, 8, 8)), label) for _ in range(n)]
+
+    tasks = [C.Task((2 * i, 2 * i + 1), samples(2 * i, 4) + samples(2 * i + 1, 4),
+                    samples(2 * i, 2) + samples(2 * i + 1, 2)) for i in range(3)]
+    cfg = small_cfg(**overrides)
+    tc = C.TrainConfig(epochs=2, tune_epochs=1, lr=0.05, batch_size=5,
+                       heads_first=2, heads_per_step=1)
+
+    def checkpoint():
+        model, _ = C.run_stream(cfg, C.TaskStream(tasks), tc, seed=5, buffer_capacity=6)
+        return E.checkpoint_bytes(model)
+
+    fused = checkpoint()
+    monkeypatch.setattr(E, "task_attention", composed_task_attention)
+    assert checkpoint() == fused
 
 
 def test_forward_normalises_each_experts_ta_inputs_once(monkeypatch):

@@ -11,6 +11,7 @@ from scipy.special import erf
 
 from densecil import tensor as T
 from densecil.config import TOL
+from densecil.gradcheck import op_cases
 
 
 # ---------------------------------------------------------------- oracles
@@ -274,8 +275,9 @@ def test_layer_norm_constant_input_gets_the_same_affine_gradients():
 
 @pytest.mark.parametrize("needs", [True, False], ids=["x_grad", "x_constant"])
 def test_normalize_then_affine_equals_layer_norm_bit_for_bit(needs):
-    """One kernel: ``affine(normalize(x))`` gives ``layer_norm(x)``'s output
-    and its gain, bias and input gradients, for a constant ``x`` too."""
+    """One kernel: ``normalize(x)`` times ``gain`` plus ``bias``, composed of
+    ``mul`` and ``add``, gives ``layer_norm(x)``'s output and its gain, bias
+    and input gradients, for a constant ``x`` too."""
     rng = np.random.default_rng(13)
     for shape in [(5, 7), (2, 16, 4, 16), (3, 5, 64)]:
         x, g = rng.normal(size=shape), rng.normal(size=shape)
@@ -285,7 +287,7 @@ def test_normalize_then_affine_equals_layer_norm_bit_for_bit(needs):
             xt = T.Tensor(x, requires_grad=needs)
             gain = T.Tensor(gain_data, requires_grad=True)
             bias = T.Tensor(bias_data, requires_grad=True)
-            out = (T.affine(T.normalize(xt), gain, bias) if split
+            out = (T.add(T.mul(T.normalize(xt), gain), bias) if split
                    else T.layer_norm(xt, gain, bias))
             T.backward(T.sum_all(T.mul(out, T.Tensor(g))))
             results.append((out.data, gain.grad, bias.grad, xt.grad))
@@ -294,11 +296,6 @@ def test_normalize_then_affine_equals_layer_norm_bit_for_bit(needs):
                 assert got is None
             else:
                 np.testing.assert_array_equal(got, want)
-
-
-def test_affine_rejects_mismatched_gain():
-    with pytest.raises(T.ShapeError):
-        T.affine(T.Tensor(np.zeros((2, 4))), T.Tensor(np.ones(3)), T.Tensor(np.zeros(4)))
 
 
 # ---------------------------------------------------------------- gelu
@@ -415,54 +412,13 @@ def test_no_grad_builds_no_graph():
 
 # ---------------------------------------------------------------- gradient suite
 
-def _rand(rng, *shape):
-    return rng.normal(size=shape)
-
-
-OP_CASES = {
-    "add": lambda r: ([_rand(r, 3, 4), _rand(r, 3, 4)], lambda ts: T.add(ts[0], ts[1])),
-    "add_broadcast": lambda r: ([_rand(r, 2, 3, 4), _rand(r, 1, 4)], lambda ts: T.add(ts[0], ts[1])),
-    "sub": lambda r: ([_rand(r, 3, 4), _rand(r, 3, 4)], lambda ts: T.sub(ts[0], ts[1])),
-    "mul": lambda r: ([_rand(r, 3, 4), _rand(r, 3, 4)], lambda ts: T.mul(ts[0], ts[1])),
-    "mul_broadcast": lambda r: ([_rand(r, 2, 3, 4), _rand(r, 1, 3, 1)], lambda ts: T.mul(ts[0], ts[1])),
-    "matmul": lambda r: ([_rand(r, 3, 4), _rand(r, 4, 2)], lambda ts: T.matmul(ts[0], ts[1])),
-    "bmm": lambda r: ([_rand(r, 2, 3, 4), _rand(r, 2, 4, 2)],
-                      lambda ts: T.matmul(ts[0], ts[1])),
-    "linear": lambda r: ([_rand(r, 3, 4), _rand(r, 4, 2), _rand(r, 2)],
-                         lambda ts: T.matmul(ts[0], ts[1], ts[2])),
-    "bmm_bias": lambda r: ([_rand(r, 2, 3, 4), _rand(r, 2, 4, 2), _rand(r, 2)],
-                           lambda ts: T.matmul(ts[0], ts[1], ts[2])),
-    "reshape": lambda r: ([_rand(r, 3, 4)], lambda ts: T.reshape(ts[0], (2, 6))),
-    "swap_axes": lambda r: ([_rand(r, 2, 3, 4)], lambda ts: T.swap_axes(ts[0], 0, 1)),
-    "concat": lambda r: ([_rand(r, 2, 3), _rand(r, 2, 2)],
-                         lambda ts: T.concat(ts, axis=1)),
-    "narrow": lambda r: ([_rand(r, 4, 5)], lambda ts: T.narrow(ts[0], 1, 1, 3)),
-    "sum": lambda r: ([_rand(r, 3, 4)], lambda ts: T.sum_all(ts[0])),
-    "softmax_rows": lambda r: ([_rand(r, 3, 5)], lambda ts: T.softmax_rows(ts[0], 2.0)),
-    "masked_softmax": lambda r: ([_rand(r, 3, 5)],
-                                 lambda ts: T.softmax_rows(
-                                     ts[0], 2.0, np.tile([True, False, True, True, False],
-                                                         (3, 1)))),
-    "log_softmax": lambda r: ([_rand(r, 3, 5)], lambda ts: T.log_softmax_rows(ts[0])),
-    "layer_norm": lambda r: ([_rand(r, 4, 6), _rand(r, 6), _rand(r, 6)],
-                             lambda ts: T.layer_norm(ts[0], ts[1], ts[2], 1e-5)),
-    "normalize": lambda r: ([_rand(r, 2, 3, 5)], lambda ts: T.normalize(ts[0], 1e-5)),
-    "affine": lambda r: ([_rand(r, 2, 3, 5), _rand(r, 5), _rand(r, 5)],
-                         lambda ts: T.affine(ts[0], ts[1], ts[2])),
-    "gelu": lambda r: ([_rand(r, 4, 4)], lambda ts: T.gelu(ts[0])),
-    "exp": lambda r: ([_rand(r, 3, 3)], lambda ts: T.exp(ts[0])),
-    "cross_entropy": lambda r: ([_rand(r, 6)], lambda ts: T.cross_entropy_logits(ts[0], 2)),
-    "cross_entropy_batched": lambda r: ([_rand(r, 3, 6)],
-                                        lambda ts: T.cross_entropy_logits(ts[0], [2, 0, 5])),
-    "matmul_broadcast": lambda r: ([_rand(r, 2, 3, 4), _rand(r, 4, 2), _rand(r, 2)],
-                                   lambda ts: T.matmul(ts[0], ts[1], ts[2])),
-    "matmul_broadcast_left": lambda r: ([_rand(r, 2, 1, 4), _rand(r, 3, 2, 4, 3)],
-                                        lambda ts: T.matmul(ts[0], ts[1])),
-}
+OP_CASES = op_cases()
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_finite_difference_gradients(name):
+    """Every case ``densecil gradcheck`` runs, against this file's own
+    finite-difference check."""
     for point in range(10):
         rng = np.random.default_rng(1000 * point + zlib.crc32(name.encode()) % 997)
         arrays, build = OP_CASES[name](rng)
