@@ -24,9 +24,10 @@ wiring mixes through ``tab_forward``: a stage that is not a task attention
 is a plain MLP stage.  A TA stage's layer norm is split in two: each
 expert's head tokens are normalised once, in that expert's own stage, and
 every later expert reads that tensor.  The rest of the stage is one graph
-node, ``T.task_attention``: it applies the gain and bias once to the joined
-pool, attends and reads out, and its backward builds input gradients only
-for the tokens that train.
+node, ``T.task_attention``: it joins the experts' tokens into one pool
+array and applies the gain and bias to it in place, so the graph keeps no
+unmapped copy, attends and reads out, and its backward builds input
+gradients only for the tokens that train.
 
 The wiring is a field of ``ModelConfig``: ``add_expert`` builds each
 expert's blocks for it, and ``forward`` runs the model in it.  The share
@@ -42,8 +43,9 @@ parameters picks (``cross_task_mhsa``), then its mixing block
 earlier in that loop or in a frozen prefix.  Old experts never change,
 so ``freeze_outputs`` cuts a forward's ``ForwardResult`` at expert n, and
 a forward given that prefix runs only the experts from n on.  The prefix
-holds the TA inputs already normalised, so a forward from it neither
-normalises a frozen token nor computes its gradient.
+holds the TA inputs already normalised (under ``cta_in_mhsa`` the block
+inputs too), so a forward from it neither normalises a frozen token nor
+computes its gradient.
 
 No operation couples two images, so ``forward`` takes one (C, h, w) image
 or a (B, C, h, w) batch through the same code; every activation then
@@ -400,8 +402,9 @@ class ForwardResult:
     Shapes are those of one image; a batched forward puts the batch axis
     in front of every tensor and attention array.  A frozen prefix
     (``freeze_outputs``) holds experts 0..n-1, n = ``len(token_feats)``,
-    and a forward from it keeps its entries; one that is ``head_only``
-    also holds the final block outputs of experts n.. in ``r_layers[-1]``.
+    and a forward from it keeps its entries; its block inputs are None.
+    One that is ``head_only`` also holds the final block outputs of experts
+    n.. in ``r_layers[-1]``.
     """
     r_layers: list[list[Tensor | None]]  # [layers+1][task] block inputs/outputs
     s_layers: list[list[Tensor | None]]  # [layers][task] fc1 inputs: post-MHSA features,
@@ -410,6 +413,8 @@ class ForwardResult:
                                          # T.normalize where the stage is a TA stage
     k_layers: list[list[Tensor | None]]  # [layers][task] tied keys, appended by
     v_layers: list[list[Tensor | None]]  # sta stages (empty or None elsewhere)
+    a_layers: list[list[Tensor | None]]  # [layers][task] block inputs as normalised head
+                                         # tokens, appended by cta_in_mhsa stages
     token_feats: list[Tensor]            # per task (1, D*H_t)
     logits: Tensor | None                # (total classes,); a prefix's (1, its classes),
                                          # None in the prefix of no experts
@@ -428,9 +433,10 @@ class ForwardResult:
 
     def columns(self) -> list[list[Tensor | None]]:
         """The per-expert lists of a prefix but its final features: each
-        layer's block, fc1 and fc2 inputs, keys and values, then token features."""
-        return [*self.r_layers[:-1], *self.s_layers, *self.o_layers, *self.k_layers,
-                *self.v_layers, self.token_feats]
+        layer's fc1 and fc2 inputs, keys, values and normalised block inputs,
+        then token features."""
+        return [*self.s_layers, *self.o_layers, *self.k_layers, *self.v_layers,
+                *self.a_layers, self.token_feats]
 
     def arrays(self) -> list[np.ndarray]:
         """The data of every tensor a prefix keeps, the final features last."""
@@ -451,11 +457,11 @@ def map_frozen(model: CilModel, frozen: ForwardResult, fn, n: int,
 
     n_cls = sum(ex.n_classes for ex in model.experts[:n])
     return ForwardResult(
-        r_layers=per_layer(frozen.r_layers[:-1])
+        r_layers=[[None] * n for _ in frozen.r_layers[:-1]]
         + [[None] * n + (each(frozen.features[n:]) if features else [])],
         s_layers=per_layer(frozen.s_layers), o_layers=per_layer(frozen.o_layers),
         k_layers=per_layer(frozen.k_layers), v_layers=per_layer(frozen.v_layers),
-        token_feats=each(frozen.token_feats[:n]),
+        a_layers=per_layer(frozen.a_layers), token_feats=each(frozen.token_feats[:n]),
         logits=Tensor(fn(frozen.logits.data)[..., :n_cls]) if n else None, aux_logits=None)
 
 
@@ -467,9 +473,9 @@ def freeze_outputs(model: CilModel, res: ForwardResult, n: int, *,
     Old experts are frozen and read only older ones, so while a newer
     expert trains these are fixed functions of the image.  An entry is
     None where the stage type of the newest expert's block reads nothing:
-    it keeps post-MHSA features for a TAB fc1 and intermediates for a TAB
-    fc2, both as the normalised head tokens those TA stages read (the
-    bytes of the raw features), block inputs with ``cta_in_mhsa`` and tied
+    it keeps post-MHSA features for a TAB fc1, intermediates for a TAB fc2
+    and block inputs with ``cta_in_mhsa``, each as the normalised head
+    tokens those TA stages read (the bytes of the raw features), and tied
     keys and values for sta.
     With ``features`` the final block outputs of experts n.. are kept too:
     a forward from the prefix then runs only their token heads.
@@ -484,11 +490,12 @@ def freeze_outputs(model: CilModel, res: ForwardResult, n: int, *,
     last = [None] * n + ([f.detach() for f in res.features[n:]] if features else [])
     n_cls = sum(ex.n_classes for ex in model.experts[:n])
     return ForwardResult(
-        r_layers=keep(res.r_layers, "attn", CtaAttentionParams) + [last],
+        r_layers=[[None] * n for _ in blocks] + [last],
         s_layers=keep(res.s_layers, "fc1", TaStageParams),
         o_layers=keep(res.o_layers, "fc2", TaStageParams),
         k_layers=keep(res.k_layers, "attn", StaAttentionParams),
         v_layers=keep(res.v_layers, "attn", StaAttentionParams),
+        a_layers=keep(res.a_layers, "attn", CtaAttentionParams),
         token_feats=[f.detach() for f in res.token_feats[:n]],
         logits=Tensor(res.logits.data[..., None, :n_cls]), aux_logits=None)
 
@@ -570,30 +577,40 @@ def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
 
 # ----------------------------------------------------------------- attention stages
 
-def _cta_mhsa_task(model: CilModel, layer: int, task: int, r_list: list[Tensor]):
+def _cta_mhsa_task(model: CilModel, layer: int, task: int, r_list: list[Tensor],
+                   a_list: list[Tensor]):
     """Per-head spatial attention whose q/k/v come from task attentions.
 
-    The older experts' block inputs are normalised once for all three;
-    this expert's once per stage, so that each stage's gradient reaches
-    its tokens on its own."""
+    ``a_list`` holds the block inputs of experts 0..task-1 as head tokens
+    that their own stages normalised.  This expert's are normalised once
+    per stage, so that each stage's gradient reaches its tokens on its own;
+    the first of them is appended to ``a_list``.  The residual reads the
+    raw block input."""
+    if len(a_list) != task:
+        raise T.ContractError(
+            f"cta_in_mhsa stage of task {task} needs {task} normalised block inputs, "
+            f"got {len(a_list)}")
     d = model.cfg.head_dim
     ex = model.experts[task]
     attn = ex.blocks[layer].attn
-    prior = [T.normalize(_heads(r, d)) for r in r_list[:task]]
     own = _heads(r_list[task], d)
-    q, k, v = (T.swap_axes(task_attention(prior + [T.normalize(own)], ex.heads, stage)[0],
+    normed = [T.normalize(own) for _ in range(3)]
+    a_list.append(normed[0])
+    q, k, v = (T.swap_axes(task_attention(a_list[:task] + [x], ex.heads, stage)[0],
                            -3, -2)                                     # (H_t, P, D)
-               for stage in (attn.ta_q, attn.ta_k, attn.ta_v))
+               for x, stage in zip(normed, (attn.ta_q, attn.ta_k, attn.ta_v)))
     return B.attention_readout(r_list[task], q, k, v, attn.fuse_w, attn.fuse_b, d)
 
 
 def cross_task_mhsa(model: CilModel, layer: int, task: int, r_list: list[Tensor],
-                    k_list: list[Tensor], v_list: list[Tensor]):
+                    k_list: list[Tensor], v_list: list[Tensor],
+                    a_list: list[Tensor] | None = None):
     """Expert ``task``'s spatial attention stage at ``layer``.
 
     The type of the expert's attention parameters picks the stage: its own
     heads over its own features, those heads with q/k/v mixed across every
-    visible expert (``cta_in_mhsa``), or the joint attention of the ``sta``
+    visible expert (``cta_in_mhsa``), which appends the expert's normalised
+    block input to ``a_list``, or the joint attention of the ``sta``
     wiring, which appends the expert's keys and values to ``k_list`` and
     ``v_list``.  ``r_list`` holds the block inputs of experts 0..task.
     Returns the output and the attention weights: (H_t, P, P), or
@@ -603,7 +620,7 @@ def cross_task_mhsa(model: CilModel, layer: int, task: int, r_list: list[Tensor]
     if isinstance(attn, StaAttentionParams):
         return sta_attention_stage(model, layer, task, r_list, k_list, v_list)
     if isinstance(attn, CtaAttentionParams):
-        return _cta_mhsa_task(model, layer, task, r_list)
+        return _cta_mhsa_task(model, layer, task, r_list, [] if a_list is None else a_list)
     return B.mhsa_block(r_list[task], attn, model.cfg.head_dim)
 
 
@@ -722,11 +739,12 @@ def _forward(model: CilModel, image, *, collect_attn=False,
     if frozen is None:          # the prefix of no experts; its lists are only read
         empty = [[]] * (cfg.layers + 1)
         frozen = ForwardResult(r_layers=empty, s_layers=empty, o_layers=empty,
-                               k_layers=empty, v_layers=empty, token_feats=[],
-                               logits=None, aux_logits=None)
+                               k_layers=empty, v_layers=empty, a_layers=empty,
+                               token_feats=[], logits=None, aux_logits=None)
     n = len(frozen.token_feats)
     res = ForwardResult(r_layers=[], s_layers=[], o_layers=[], k_layers=[], v_layers=[],
-                        token_feats=[], logits=None, aux_logits=None,  # set by the token head
+                        a_layers=[], token_feats=[], logits=None,
+                        aux_logits=None,                            # set by the token head
                         spatial_attn=[] if collect_attn else None,
                         tab_attn=[] if collect_attn else None)
 
@@ -745,9 +763,11 @@ def _forward(model: CilModel, image, *, collect_attn=False,
             o_list = list(frozen.o_layers[layer])
             k_list = list(frozen.k_layers[layer])
             v_list = list(frozen.v_layers[layer])
+            a_list = list(frozen.a_layers[layer])
             sp_l, tab_l = [], []
             for t in range(n, model.task_count):
-                s_t, attn = cross_task_mhsa(model, layer, t, res.r_layers[-1], k_list, v_list)
+                s_t, attn = cross_task_mhsa(model, layer, t, res.r_layers[-1], k_list, v_list,
+                                            a_list)
                 s_in, o_in, r_t, pair = tab_forward(s_list + [s_t], o_list, model, layer, t)
                 s_list.append(s_in)
                 o_list.append(o_in)
@@ -758,6 +778,7 @@ def _forward(model: CilModel, image, *, collect_attn=False,
             res.o_layers.append(o_list)
             res.k_layers.append(k_list)
             res.v_layers.append(v_list)
+            res.a_layers.append(a_list)
             if collect_attn:
                 res.spatial_attn.append(sp_l)
                 res.tab_attn.append(tab_l)

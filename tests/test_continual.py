@@ -1,5 +1,7 @@
 """Continual-learning tests: labels, losses, herding, buffer, metrics."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,73 @@ def test_total_loss_batch_gradient_is_sum_of_per_sample_gradients():
     for i, g in enumerate(batched):
         want = sum(gs[i] for _, gs in singles) / len(batch)
         assert np.abs(g - want).max() < TOL.block
+
+
+def _two_expert_dne_model():
+    cfg, stream = _tiny_model_and_stream()
+    model = E.CilModel(cfg, seed=0)
+    model.add_expert(2, 2)
+    model.add_expert(1, 2)
+    reg = C.ClassIndex()
+    reg.extend([0, 1, 2, 3])
+    C.bind_class_index(model, reg)
+    return model, stream
+
+
+def test_backward_releases_the_training_graph_and_keeps_parameter_gradients():
+    model, stream = _two_expert_dne_model()
+    batch = stream.tasks[1].train[:2] + stream.tasks[0].train[:1]
+    loss = C.total_loss(batch, model, C.LossWeights(), [2, 3], 2)
+    nodes = [n for n in T.topo_order(loss) if n.op != "leaf"]
+    assert "task_attention" in {n.op for n in nodes}
+    T.backward(loss)
+    for node in nodes:
+        assert node._backward.__closure__ is None, node.op
+        assert node.parents == () and node.grad is None, node.op
+    for name, p in model.named_parameters():
+        assert (p.grad is not None) == p.requires_grad, name
+
+
+def test_backward_refuses_a_graph_an_earlier_backward_released():
+    model, stream = _two_expert_dne_model()
+    batch = stream.tasks[1].train[:2]
+    loss = C.total_loss(batch, model, C.LossWeights(), [2, 3], 2)
+    T.backward(loss)
+    with pytest.raises(T.ContractError):
+        T.backward(loss)
+    res = model.forward(C.images(batch))
+    first = T.sum_all(res.logits)
+    T.backward(first)
+    grads = [p.grad.copy() for p in model.trainable_parameters()]
+    with pytest.raises(T.ContractError):
+        T.backward(T.sum_all(res.aux_logits))       # shares the experts' nodes
+    for p, g in zip(model.trainable_parameters(), grads):
+        np.testing.assert_array_equal(p.grad, g)
+
+
+def test_sgd_step_frees_the_previous_steps_graph_before_the_next_forward():
+    """A weak reference to arrays that step k's task-attention nodes saved
+    is dead when step k+1's loss function starts."""
+    model, stream = _two_expert_dne_model()
+    data = stream.tasks[1].train + stream.tasks[0].train[:2]
+    saved: list[weakref.ref] = []
+    steps = []
+
+    def loss_fn(batch):
+        steps.append([ref() is None for ref in saved])
+        saved.clear()
+        loss = C.total_loss(batch, model, C.LossWeights(), [2, 3], 2)
+        for node in T.topo_order(loss):
+            if node.op == "task_attention":
+                cells = dict(zip(node._backward.__code__.co_freevars,
+                                 (c.cell_contents for c in node._backward.__closure__)))
+                saved.extend(weakref.ref(cells[name]) for name in ("x", "v", "pre"))
+        return loss
+
+    C._sgd_epochs(model.trainable_parameters(), data, 2, C.TrainConfig(batch_size=3),
+                  np.random.default_rng(0), loss_fn, "test")
+    assert len(steps) == 6 and steps[0] == []
+    assert all(len(dead) == 3 * 2 and all(dead) for dead in steps[1:])   # fc1 and fc2
 
 
 # ------------------------------------------------------------ herding

@@ -630,6 +630,34 @@ def test_forward_normalises_each_experts_ta_inputs_once(monkeypatch):
         assert sorted(calls) == [d] * (4 - n) * cfg.layers + [dp] * (4 - n) * cfg.layers
 
 
+def test_cta_in_mhsa_prefix_keeps_normalised_block_inputs(monkeypatch):
+    """A forward from the prefix normalises no frozen block input: the
+    prefix holds them as the normalised head tokens, in the bytes of the
+    raw inputs."""
+    cfg = small_cfg(cta_in_mhsa=True)
+    m = build_model(cfg, heads=(2, 1, 1), classes=(2, 2, 2))
+    img = _image_batch(cfg, 70)
+    res = m.forward(img)
+    prefix = E.freeze_outputs(m, res, 2)
+    for l in range(cfg.layers):
+        for t, kept in enumerate(prefix.a_layers[l]):
+            raw = res.r_layers[l][t].data
+            want = T.normalize(T.Tensor(raw.reshape(*raw.shape[:-1], -1, cfg.head_dim)))
+            np.testing.assert_array_equal(kept.data, want.data)
+            assert kept.data.nbytes == raw.nbytes
+    normalize = T.normalize
+    constant = []
+
+    def counting(x, *args):
+        constant.append(not x.requires_grad)
+        return normalize(x, *args)
+
+    monkeypatch.setattr(T, "normalize", counting)
+    m.forward(img, frozen=prefix)
+    assert len(constant) == 5 * cfg.layers and not any(constant)    # q, k, v, fc1, fc2
+
+
+# --------------------------------------------------------------- cross-task MHSA
 # --------------------------------------------------------------- cross-task MHSA
 
 def test_cross_task_mhsa_single_task_equals_backbone_block():
@@ -980,9 +1008,9 @@ def _assert_gather_reproduces_permuted_forward(m, images, frozen):
 
 
 def _assert_cut_keeps_only_what_is_read(m, frozen):
-    """Block inputs only with ``cta_in_mhsa``, post-MHSA features and
-    intermediates only where fc1/fc2 is a TA stage, tied keys and values
-    only for sta: nothing per layer for ia."""
+    """Normalised block inputs only with ``cta_in_mhsa`` (raw ones never),
+    post-MHSA features and intermediates only where fc1/fc2 is a TA stage,
+    tied keys and values only for sta: nothing per layer for ia."""
     cfg = m.cfg
     n, layers = len(frozen.token_feats), cfg.layers
     tab = [cfg.strategy == "dne" and on for on in cfg.cta_mask()]
@@ -993,7 +1021,8 @@ def _assert_cut_keeps_only_what_is_read(m, frozen):
     def expect(flags):
         return [[flag] * n for flag in flags]
 
-    assert kept(frozen.r_layers) == expect([cfg.cta_in_mhsa] * layers + [False])
+    assert kept(frozen.r_layers) == expect([False] * (layers + 1))
+    assert kept(frozen.a_layers) == expect([cfg.cta_in_mhsa] * layers)
     assert kept(frozen.s_layers) == expect([on and cfg.cta_in_fc1 for on in tab])
     assert kept(frozen.o_layers) == expect([on and cfg.cta_in_fc2 for on in tab])
     sta = expect([cfg.strategy == "sta"] * layers)

@@ -403,6 +403,44 @@ def test_narrow_gradient_equals_zero_padding_in_either_consumer_order(narrow_fir
     assert had_grad == [not narrow_first] * 2
 
 
+def test_backward_releases_the_graph_and_refuses_a_second_walk():
+    """A graph is used once: its records drop their closures, parents and
+    gradients; leaves keep theirs; a second backward through any released
+    node raises before it changes a gradient."""
+    x = T.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    y = T.mul(x, x)
+    loss = T.sum_all(y)
+    T.backward(loss)
+    for node in (y, loss):
+        assert node._backward.__closure__ is None
+        assert node.parents == () and node.grad is None
+    np.testing.assert_array_equal(x.grad, [2.0, -4.0])
+    for again in (loss, T.sum_all(T.add(y, x))):
+        with pytest.raises(T.ContractError):
+            T.backward(again)
+    np.testing.assert_array_equal(x.grad, [2.0, -4.0])
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_rank_one_value_gradient_keeps_the_products_bits(lead):
+    """With one query row the value-path gradient is a broadcast multiply;
+    its bits equal those of ``y.swapaxes(-1, -2) @ gp``, signed zeros and
+    subnormals included."""
+    rng = np.random.default_rng(17)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309, 2.2250738585072014e-308])
+    values = np.concatenate([special, rng.normal(size=9), [1e-200, -1e-160, 0.5, -3.0]])
+    p, h_pool, dout = 5, 4, 6
+    y = rng.choice(values, size=(*lead, p, 1, h_pool))
+    gp = rng.choice(values, size=(*lead, p, 1, dout))
+    got = T._value_grad(y, gp)
+    want = np.ascontiguousarray(np.swapaxes(y.swapaxes(-1, -2) @ gp, -3, -2))
+    assert got.flags.c_contiguous and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    products = y.swapaxes(-1, -2) * gp
+    assert (np.signbit(products) & (products == 0)).any()    # the -0 case occurs
+    assert ((products != 0) & (np.abs(products) < 2.2250738585072014e-308)).any()
+
+
 def test_no_grad_builds_no_graph():
     x = T.Tensor(np.ones(3), requires_grad=True)
     with T.no_grad():
