@@ -97,7 +97,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be nonnegative")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and positive, got {self.lr}")
-        for name in ("weight_decay", "momentum", "noise"):
+        for name in ("weight_decay", "momentum", "noise", "lw_ce", "lw_aux"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and nonnegative, got {value}")

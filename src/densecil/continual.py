@@ -5,9 +5,9 @@ plus the replay buffer with a two-part objective (joint cross entropy and
 a new-vs-old auxiliary cross entropy).  Phase 2 rebalances: the buffer is
 refreshed by herding, then only the newest token block and classifier
 slice are tuned on an equal-count-per-class subset.  A trained expert runs
-once per training sample per run: the run's ``FrozenStore`` keeps its
-outputs in one batch-major row per sample, and each eval chunk's cut at the
-whole model for the next step, under one byte budget, ``CACHE_BYTES``.
+once per sample per run: the run's ``FrozenStore`` keeps its outputs in
+one batch-major row per training sample and per eval sample that a later
+step scores again, under one byte budget, ``CACHE_BYTES``.
 
 Every model call takes a batch: one graph per SGD batch in training, and
 one graph-free forward per ``EVAL_CHUNK`` images in evaluation, herding
@@ -78,8 +78,8 @@ class LossWeights:
     aux: float = 0.1       # new-task expertise head
 
     def __post_init__(self):
-        if min(self.ce, self.aux) < 0:
-            raise ConfigError("loss weights must be nonnegative")
+        if not all(np.isfinite(w) and w >= 0 for w in (self.ce, self.aux)):
+            raise ConfigError("loss weights must be finite and nonnegative")
 
 
 def auxiliary_label(y: int, prior_class_count: int, task_classes) -> int:
@@ -352,33 +352,20 @@ def evaluate(model: E.CilModel, seen_tasks: list[Task],
     """Top-1 accuracy over the union of seen eval sets, plus per-task accuracy.
 
     Counts are integers accumulated in task order, so the result does not
-    depend on evaluation order.  With ``store``, a chunk runs from its cut
-    in ``store.evals``, keyed by (task, chunk), if it has one; its forward's
-    cut at all the model's experts becomes its cut while the store fits
-    ``CACHE_BYTES``, unless the model holds the stream's last expert.
+    depend on evaluation order.  With ``store``, every chunk runs through
+    ``store.forward``.
     """
     per_task: list[float] = []
     correct_total = 0
     n_total = 0
-    keep = store is not None and model.task_count < store.tasks
-    held = 0 if store is None else store.nbytes + _nbytes(store.evals.values())
     with T.no_grad():
-        for j, task in enumerate(seen_tasks):
+        for task in seen_tasks:
             correct = 0
-            for c, chunk in enumerate(chunks(task.eval)):
-                frozen = None if store is None else store.evals.pop((j, c), None)
-                res = model.forward(images(chunk), frozen=frozen)
+            for chunk in chunks(task.eval):
+                res = store.forward(chunk) if store is not None else model.forward(images(chunk))
                 pred = np.argmax(res.logits.data, axis=-1)
                 correct += sum(class_index(model, s.label) == int(p)
                                for s, p in zip(chunk, pred))
-                if frozen is not None:
-                    held -= _nbytes([frozen])
-                if keep:
-                    cut = E.freeze_outputs(model, res, model.task_count)
-                    size = _nbytes([cut])
-                    if held + size <= CACHE_BYTES:
-                        store.evals[j, c] = cut
-                        held += size
             per_task.append(100.0 * correct / len(task.eval) if task.eval else 0.0)
             correct_total += correct
             n_total += len(task.eval)
@@ -394,20 +381,15 @@ EVAL_CHUNK = 16
 than both smaller and larger chunks."""
 
 CACHE_BYTES = 256 * 2**20
-"""Byte budget of a run's ``FrozenStore``, its training rows and evaluation
-cuts together.  The rows come first: an array they need is allocated for
-every row if it fits, and the cuts then drop their last chunks' entries
-until both fit.  A forward that finds no entry runs the experts itself."""
-
-
-def _nbytes(results) -> int:
-    """Bytes of the arrays of some ``ForwardResult`` records."""
-    return sum(a.nbytes for res in results for a in res.arrays())
+"""Byte budget of a run's ``FrozenStore``: an expert's arrays are allocated
+for every row if they fit, and for none otherwise.  A forward that finds no
+entry runs the experts itself."""
 
 
 class FrozenStore:
     """A run's frozen-expert outputs: one batch-major row per training
-    sample of the stream, and each eval chunk's cut for the next step.
+    sample of the stream, then one per eval sample of every task but the
+    last, which is scored only at the last step.
 
     Row i holds the prefix (``freeze_outputs``) at expert ``level[i]``, and
     with ``head[i]`` the newest expert's entries and final features, so a
@@ -415,14 +397,14 @@ class FrozenStore:
     task and keep it for later tasks: a forward fills its rows as far as
     the newest expert's training allows, up to that expert, then with its
     entries and features once ``fixed`` counts it, then past it once
-    ``done`` counts it.  ``prefetch`` fills the phase-1 rows before the
-    first epoch.  Of the stream's last expert only the features are kept.
-    ``evals`` holds cuts keyed by (task, chunk).  Results are bit-identical
-    to uncached forwards.
+    ``done`` counts it.  ``prefetch`` fills rows ahead of their forwards.
+    Of the stream's last expert only the features are kept.  Results are
+    bit-identical to uncached forwards.
     """
 
     def __init__(self, model: E.CilModel, stream: TaskStream):
-        samples = [s for task in stream.tasks for s in task.train]
+        samples = ([s for task in stream.tasks for s in task.train]
+                   + [s for task in stream.tasks[:-1] for s in task.eval])
         self.model = model
         self._train = [task.train for task in stream.tasks]
         self.tasks = len(stream)
@@ -431,8 +413,7 @@ class FrozenStore:
         self.done = 0                   # experts that no longer train
         self.level = np.zeros(len(samples), dtype=np.int8)
         self.head = np.zeros(len(samples), dtype=bool)
-        self.nbytes = 0                 # bytes of the training rows
-        self.evals: dict[tuple[int, int], E.ForwardResult] = {}
+        self.nbytes = 0                 # bytes of the rows' arrays
         self._rows = {id(s): i for i, s in enumerate(samples)}
         self._data: E.ForwardResult | None = None   # every row's arrays
 
@@ -446,11 +427,6 @@ class FrozenStore:
             if self.nbytes + nbytes > CACHE_BYTES:
                 return False
             self.nbytes += nbytes
-            held = _nbytes(self.evals.values())
-            for key in sorted(self.evals, reverse=True):
-                if held + self.nbytes <= CACHE_BYTES:
-                    break
-                held -= _nbytes([self.evals.pop(key)])
             return True
 
         if self._data is None:          # an empty record shaped like ``kept``
@@ -472,9 +448,13 @@ class FrozenStore:
         return width
 
     def forward(self, samples: list[Sample]) -> E.ForwardResult:
-        """Run a batch of the stream's training samples from the deepest
-        entries all its rows hold; keep in the rows what they lack and fit."""
-        rows = np.array([self._rows[id(s)] for s in samples])
+        """Run a batch of the stream's samples from the deepest entries all
+        its rows hold; keep in the rows what they lack and fit.  A batch with
+        a sample that has no row runs without the store."""
+        rows = [self._rows.get(id(s)) for s in samples]
+        if None in rows:
+            return self.model.forward(images(samples))
+        rows = np.array(rows)
         t = self.model.task_count - 1
         head = bool(self.head[rows].all())
         depth = t if head else int(self.level[rows].min())
@@ -588,12 +568,7 @@ def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
     t = model.task_count - 1
     w = cfg.loss_weights
     task_cols = list(range(prior, prior + len(task.classes)))
-    if buffer.capacity == 0 and prior > 0:
-        phase1_data = list(task.train)
-    else:
-        phase1_data = list(task.train) + buffer.samples()
-
-    store.prefetch(phase1_data)
+    phase1_data = list(task.train) + buffer.samples()
     _sgd_epochs(model.trainable_parameters(), phase1_data, cfg.epochs, cfg, rng,
                 lambda batch: total_loss(batch, model, w, task_cols, prior, store.forward),
                 f"task {t}, phase 1")

@@ -74,8 +74,6 @@ def make_synthetic_samples(classes, per_class: int, image_size: int,
                            rng: np.random.Generator, *, n_colors: int,
                            noise: float = 0.08, square: int | None = None,
                            ) -> list[Sample]:
-    if per_class < 2:
-        raise ConfigError(f"per_class must be >= 2, got {per_class}")
     square = square or max(image_size // 3, 2)
     out: list[Sample] = []
     for label in classes:
@@ -114,6 +112,9 @@ def synth_stream(classes: int, per_class: int, image_size: int, seed: int, *,
                  eval_per_class: int = 10, noise: float = 0.08) -> TaskStream:
     """Seeded class-conditional stream split into disjoint-class tasks by
     ``split_classes``; identical seeds produce byte-identical datasets."""
+    for name, count in (("per_class", per_class), ("eval_per_class", eval_per_class)):
+        if count < 2:
+            raise ConfigError(f"{name} must be >= 2, got {count}")
     split = split_classes(classes, first_task, step_size)
     rng = np.random.default_rng(seed)
     n_colors = min(len(split[0]), len(_PALETTE))

@@ -438,11 +438,6 @@ class ForwardResult:
         return [*self.s_layers, *self.o_layers, *self.k_layers, *self.v_layers,
                 *self.a_layers, self.token_feats]
 
-    def arrays(self) -> list[np.ndarray]:
-        """The data of every tensor a prefix keeps, the final features last."""
-        return [t.data for items in [*self.columns(), [self.logits], self.features]
-                for t in items if t is not None]
-
 
 def map_frozen(model: CilModel, frozen: ForwardResult, fn, n: int,
                features: bool) -> ForwardResult:

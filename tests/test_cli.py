@@ -257,12 +257,23 @@ def test_diverging_run_names_task_phase_epoch_and_batch(tmp_path, capsys):
     ("lr", 0.0), ("lr", -0.1), ("lr", float("inf")), ("lr", float("nan")),
     ("weight_decay", -1e-6), ("weight_decay", float("nan")),
     ("momentum", -0.5), ("momentum", float("inf")), ("noise", float("nan")),
+    ("lw_ce", float("nan")), ("lw_ce", -1.0), ("lw_aux", float("inf")),
 ])
 def test_config_rejects_nonfinite_or_negative_optimizer_values(tmp_path, capsys, field, value):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({field: value}))
     assert cli.main(["train", "--config", str(cfg_file)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+
+
+@pytest.mark.parametrize("field", ["per_class", "eval_per_class"])
+def test_synthetic_sample_count_below_two_names_its_field(tmp_path, capsys, field):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({field: 1}))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {field} must be >= 2, got 1\n"
+    assert not out.exists()
 
 
 def _tiny_checkpoint(tmp_path):

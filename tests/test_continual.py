@@ -126,8 +126,9 @@ def test_total_loss_first_task_has_no_distillation_term():
 def test_total_loss_defaults_weigh_terms():
     w = C.LossWeights()
     assert (w.ce, w.aux) == (1.0, 0.1)
-    with pytest.raises(ConfigError):
-        C.LossWeights(ce=-1.0)
+    for bad in (dict(ce=-1.0), dict(ce=float("nan")), dict(aux=float("inf"))):
+        with pytest.raises(ConfigError):
+            C.LossWeights(**bad)
 
 
 def test_total_loss_ce_only_equals_plain_cross_entropy():
@@ -501,13 +502,16 @@ def test_herding_reads_each_class_rows_of_one_pass_per_task(monkeypatch):
     assert selected == stream.class_order()
 
 
+_evaluate = C.evaluate         # unpatched, for tests that wrap ``C.evaluate``
+
+
 @pytest.fixture
 def logged_run(monkeypatch):
     """``run(strategy, capacity)`` runs ``run_stream`` on a 3-task micro
     stream and logs each forward: the phase it ran in, the model's expert
     count, whether it built a graph, the experts in its frozen prefix,
     whether it ran only token heads, the stream rows of its images and the
-    bytes the run's store held before it."""
+    bytes the run's store held before it; ``log["stream"]`` is the stream."""
     forward, evaluate, sgd = E.CilModel.forward, C.evaluate, C._sgd_epochs
     init = C.FrozenStore.__init__
     log = {}
@@ -518,8 +522,7 @@ def logged_run(monkeypatch):
             phase=log["phase"], experts=self.task_count, graph=T._grad_enabled(),
             n=0 if frozen is None else len(frozen.token_feats),
             head_only=frozen is not None and frozen.head_only,
-            rows=[log["rows"].get(x.tobytes()) for x in image],
-            rows_bytes=store.nbytes, held=store.nbytes + C._nbytes(store.evals.values())))
+            rows=[log["rows"].get(x.tobytes()) for x in image], held=store.nbytes))
         return forward(self, image, **kw)
 
     def logged_sgd(params, data, epochs, cfg, rng, loss_fn, where):
@@ -551,7 +554,7 @@ def logged_run(monkeypatch):
                            heads_first=2, heads_per_step=1)
         stream = _micro_stream(n_tasks=3)
         train = [s for task in stream.tasks for s in task.train]
-        log.update(phase="fill", forwards=[], evals=[], store=None,
+        log.update(phase="fill", forwards=[], evals=[], store=None, stream=stream,
                    rows={s.image.tobytes(): i for i, s in enumerate(train)})
         model, rec = C.run_stream(cfg, stream, tc, seed=4, buffer_capacity=capacity)
         assert max(f["held"] for f in log["forwards"]) <= C.CACHE_BYTES
@@ -563,39 +566,31 @@ def logged_run(monkeypatch):
 @pytest.mark.parametrize("strategy", ["dne", "sta", "ia"])
 def test_run_stream_cache_is_bit_exact_against_recomputing(strategy, logged_run,
                                                              monkeypatch):
-    """The full budget, a budget the last task's rows must share with the
-    evaluation cuts, a budget that holds only part of the rows' arrays, and
-    no budget give the same run, with a buffer that keeps every training
+    """The full budget, a budget that holds only part of the rows' arrays,
+    and no budget give the same run, with a buffer that keeps every training
     sample and with one that keeps fewer.  At the full budget every
-    evaluation of an old task runs from the cut the previous step kept;
+    evaluation of an old task runs from the prefix the previous step kept;
     with no budget no forward runs from a prefix.  The store never holds
     more than the budget (``logged_run`` checks it at every forward)."""
     full_budget = C.CACHE_BYTES
     for capacity in (36, 8):
         def run():
             model, rec, log = logged_run(strategy, capacity)
-            forwards = log["forwards"]
-            last = [f for f in forwards if f["experts"] == 3 and f["phase"] != "evaluate"]
-            served = {(f["n"] > 0) + f["head_only"] for f in forwards}
+            served = {(f["n"] > 0) + f["head_only"] for f in log["forwards"]}
             return (E.checkpoint_bytes(model), rec.accuracies, log["evals"], served,
-                    max(f["rows_bytes"] for f in forwards),
-                    max(f["rows_bytes"] for f in last), max(f["held"] for f in last))
+                    max(f["held"] for f in log["forwards"]))
 
         monkeypatch.setattr(C, "CACHE_BYTES", full_budget)
-        ckpt, acc, evals, served, peak, peak_last, most_last = run()
+        ckpt, acc, evals, served, peak = run()
         assert served == {0, 1, 2} and evals == [[0], [1, 0], [2, 2, 0]]
-        monkeypatch.setattr(C, "CACHE_BYTES", most_last - 1)
-        ckpt_shared, acc_shared, evals_shared, _, _, peak_last_shared, _ = run()
-        assert peak_last_shared == peak_last
-        assert evals_shared == [[0], [1, 0], [2, 0, 0]]     # the last cut gave way
         monkeypatch.setattr(C, "CACHE_BYTES", peak - 1)
-        ckpt_part, acc_part, _, served_part, peak_part, _, _ = run()
+        ckpt_part, acc_part, _, served_part, peak_part = run()
         assert 0 < peak_part < peak and 1 in served_part
         monkeypatch.setattr(C, "CACHE_BYTES", 0)
-        ckpt0, acc0, evals0, served0, peak0, _, _ = run()
+        ckpt0, acc0, evals0, served0, peak0 = run()
         assert peak0 == 0 and served0 == {0} and evals0 == [[0], [0, 0], [0, 0, 0]]
-        assert ckpt == ckpt_shared == ckpt_part == ckpt0
-        assert acc == acc_shared == acc_part == acc0
+        assert ckpt == ckpt_part == ckpt0
+        assert acc == acc_part == acc0
 
 
 @pytest.mark.parametrize("capacity", [36, 8])
@@ -627,45 +622,37 @@ def test_store_runs_each_frozen_expert_once_per_training_sample(capacity, logged
     assert rec.accuracies == rec0.accuracies
 
 
-def test_last_step_keeps_no_evaluation_cut_and_completes_no_row(logged_run):
-    """Nothing reads what the last step would keep: its evaluation reads the
-    cuts the step before kept and keeps none, and no row is extended by the
-    last expert."""
+def test_last_task_eval_samples_have_no_row_and_no_row_reaches_the_last_expert(
+        logged_run):
+    """Nothing reads what the last step would keep: the last task's eval
+    samples, scored only at that step, get no row and run without a
+    prefix, and no row is extended by the last expert."""
     model, _, log = logged_run("dne", 36)
-    store = log["store"]
-    assert log["evals"][-1] == [2, 2, 0] and store.evals == {}
+    store, tasks = log["store"], log["stream"].tasks
+    assert not any(id(s) in store._rows for s in tasks[-1].eval)
+    assert len(store.level) == (sum(len(task.train) for task in tasks)
+                                + sum(len(task.eval) for task in tasks[:-1]))
+    assert log["evals"][-1] == [2, 2, 0]
     assert store.level.max() == model.task_count - 1
 
 
 @pytest.mark.parametrize("strategy", ["dne", "sta", "ia"])
-def test_evaluation_store_serves_bit_identical_prefixes_within_its_budget(strategy,
-                                                                          monkeypatch):
-    """A forward from a cut that ``evaluate`` kept equals the next step's
-    full forward bit for bit; the store keeps cuts in chunk order while they
-    fit ``CACHE_BYTES``, and none at the stream's last step."""
-    cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
-                        gamma=2, layers=2, strategy=strategy)
-    stream = _micro_stream()
-    tasks = stream.tasks
-    model = E.CilModel(cfg, seed=6)
-    model.add_expert(2, 2)
-    registry = C.ClassIndex()
-    registry.extend((0, 1, 2, 3))
-    C.bind_class_index(model, registry)
-    x = C.images(tasks[0].eval)
-    with T.no_grad():
-        cut = E.freeze_outputs(model, model.forward(x), 1)
-    monkeypatch.setattr(C, "CACHE_BYTES", sum(a.nbytes for a in cut.arrays()))
-    store = C.FrozenStore(model, stream)
-    C.evaluate(model, tasks, store)
-    assert list(store.evals) == [(0, 0)]    # the second chunk's cut does not fit
-    model.add_expert(1, 2)
-    with T.no_grad():
-        got, want = model.forward(x, frozen=store.evals[0, 0]), model.forward(x)
-    np.testing.assert_array_equal(got.logits.data, want.logits.data)
-    np.testing.assert_array_equal(got.aux_logits.data, want.aux_logits.data)
-    assert C.evaluate(model, tasks, store) == C.evaluate(model, tasks)
-    assert store.evals == {}
+def test_evaluation_through_the_store_equals_a_plain_evaluation_at_every_step(
+        strategy, logged_run, monkeypatch):
+    """At every step of a run ``evaluate`` through the run's store gives
+    what it gives without one, and each old task's eval chunk runs from the
+    prefix the previous step's evaluation kept in its rows."""
+    logged, same = C.evaluate, []
+
+    def checked(model, tasks, store):
+        got = logged(model, tasks, store)
+        same.append(got == _evaluate(model, tasks))
+        return got
+
+    monkeypatch.setattr(C, "evaluate", checked)
+    _, _, log = logged_run(strategy, 36)
+    assert same == [True] * 3
+    assert log["evals"] == [[0], [1, 0], [2, 2, 0]]
 
 
 def test_frozen_cache_serves_each_batch_from_its_shallowest_row():
@@ -730,7 +717,7 @@ def test_prefix_holds_normalised_ta_inputs_at_the_raw_byte_count():
         store.fixed = model.task_count
         store.forward(samples)
     per_five = raw_bytes + res.token_feats[0].data.nbytes + res.features[1].data.nbytes
-    count = len(store.level)                    # 24 training samples, 4 classes
+    count = len(store.level)                    # 24 training and 6 eval rows, 4 classes
     assert store.head[:5].all()
     assert store.nbytes == count * per_five // 5 + count * 4 * 8
 

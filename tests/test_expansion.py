@@ -1028,7 +1028,7 @@ def _assert_cut_keeps_only_what_is_read(m, frozen):
     sta = expect([cfg.strategy == "sta"] * layers)
     assert kept(frozen.k_layers) == kept(frozen.v_layers) == sta
     if cfg.strategy == "ia":
-        assert len(frozen.arrays()) == n + 1        # token features and logits
+        assert kept(frozen.columns()) == expect([False] * 5 * layers + [True])
 
 
 @pytest.mark.parametrize("wiring", sorted(CACHE_WIRINGS))
@@ -1066,7 +1066,9 @@ def test_frozen_features_run_only_the_newest_token_head(wiring):
         with T.no_grad():
             prefix = E.freeze_outputs(m, m.forward(img), 2)
             head_only = E.freeze_outputs(m, m.forward(img, frozen=prefix), 2, features=True)
-        assert len(head_only.arrays()) == len(prefix.arrays()) + 1
+        columns = [[t is not None for t in items] for items in prefix.columns()]
+        assert [[t is not None for t in items] for items in head_only.columns()] == columns
+        assert [f is not None for f in head_only.features] == [False, False, True]
         cached, _, g_cached = _loss_and_grads(m, img, head_only)
 
         _assert_same_outputs(cached, full)
