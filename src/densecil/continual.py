@@ -197,18 +197,17 @@ class MemoryBuffer:
         if capacity < 0:
             raise ConfigError("buffer capacity must be nonnegative")
         self.capacity = capacity
-        self._store: dict[int, list[Sample]] = {}
-        self._class_order: list[int] = []
+        self._store: dict[int, list[Sample]] = {}   # in the order classes were seen
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._store.values())
 
     @property
     def classes_seen(self) -> list[int]:
-        return list(self._class_order)
+        return list(self._store)
 
     def quota(self, n_classes: int | None = None) -> int:
-        n = n_classes if n_classes is not None else len(self._class_order)
+        n = n_classes if n_classes is not None else len(self._store)
         return 0 if n == 0 else self.capacity // n
 
     def class_count(self, label: int) -> int:
@@ -217,23 +216,22 @@ class MemoryBuffer:
     def add_class(self, label: int, ordered: list[Sample]) -> None:
         if label in self._store:
             raise StreamError(f"class {label} already buffered")
-        self._class_order.append(label)
         self._store[label] = list(ordered)
 
     def rebalance(self) -> None:
-        n = len(self._class_order)
+        n = len(self._store)
         if n == 0:
             return
         base = self.capacity // n
         extra = self.capacity - base * n
-        for i, label in enumerate(self._class_order):
+        for i, label in enumerate(self._store):
             limit = base + (1 if i < extra else 0)
             self._store[label] = self._store[label][:limit]
 
     def samples(self) -> list[Sample]:
         out: list[Sample] = []
-        for label in self._class_order:
-            out.extend(self._store[label])
+        for kept in self._store.values():
+            out.extend(kept)
         return out
 
     def class_samples(self, label: int) -> list[Sample]:
@@ -393,13 +391,15 @@ class FrozenStore:
 
     Row i holds the prefix (``freeze_outputs``) at expert ``level[i]``, and
     with ``head[i]`` the newest expert's entries and final features, so a
-    forward from it runs only that token head.  Rows grow by one expert per
-    task and keep it for later tasks: a forward fills its rows as far as
-    the newest expert's training allows, up to that expert, then with its
-    entries and features once ``fixed`` counts it, then past it once
-    ``done`` counts it.  ``prefetch`` fills rows ahead of their forwards.
-    Of the stream's last expert only the features are kept.  Results are
-    bit-identical to uncached forwards.
+    forward from it runs only that token head.  All rows form one prefix
+    with a row axis, classifier slices included, which ``freeze_outputs``
+    gathers a batch from.  Rows grow by one expert per task and keep it for
+    later tasks: a forward fills its rows as far as the newest expert's
+    training allows, up to that expert, then with its entries and features
+    once ``fixed`` counts it, then past it once ``done`` counts it.
+    ``prefetch`` fills rows ahead of their forwards.  Of the stream's last
+    expert only the features are kept.  Results are bit-identical to
+    uncached forwards.
     """
 
     def __init__(self, model: E.CilModel, stream: TaskStream):
@@ -408,7 +408,6 @@ class FrozenStore:
         self.model = model
         self._train = [task.train for task in stream.tasks]
         self.tasks = len(stream)
-        self.classes = len(stream.class_order())
         self.fixed = 0                  # experts whose bodies no longer train
         self.done = 0                   # experts that no longer train
         self.level = np.zeros(len(samples), dtype=np.int8)
@@ -430,17 +429,14 @@ class FrozenStore:
             return True
 
         if self._data is None:          # an empty record shaped like ``kept``
-            self._data = E.map_frozen(self.model, kept, None, 0, False)
+            self._data = E.freeze_outputs(self.model, kept, 0)
         width = len(self._data.token_feats)
         for j in range(width, min(len(kept.token_feats), self.tasks - 1)):
             new = [None if s[j] is None else s[j].data for s in kept.columns()]
-            if not fits(sum(count * a[0].nbytes for a in new if a is not None)
-                        + (0 if j else 8 * count * self.classes)):
+            if not fits(sum(count * a[0].nbytes for a in new if a is not None)):
                 break
             for dst, a in zip(self._data.columns(), new):
                 dst.append(None if a is None else Tensor(np.empty((count, *a.shape[1:]))))
-            if j == 0:
-                self._data.logits = Tensor(np.empty((count, 1, self.classes)))
             width += 1
         if (features is not None and not self._data.features and width >= t
                 and fits(count * features.data[0].nbytes)):
@@ -459,14 +455,13 @@ class FrozenStore:
         head = bool(self.head[rows].all())
         depth = t if head else int(self.level[rows].min())
         frozen = (None if depth == 0 and not head else
-                  E.map_frozen(self.model, self._data, lambda a: a[rows], depth, head))
+                  E.freeze_outputs(self.model, self._data, depth, features=head, rows=rows))
         res = self.model.forward(images(samples), frozen=frozen)
         fixed, done = self.fixed > t, self.done > t
         if head and done and len(self._data.token_feats) > t:
             # the tuned token head completes the newest expert's entries
-            lo, hi = sum(self.model.classes_per_task[:t]), self.model.total_classes
             self._data.token_feats[t].data[rows] = res.token_feats[t].data
-            self._data.logits.data[rows, :, lo:hi] = res.logits.data[:, None, lo:]
+            self._data.logit_parts[t].data[rows] = res.logit_parts[t].data
             self.level[rows] = t + 1
         elif not head and depth < t + fixed:
             kept = E.freeze_outputs(self.model, res, t + fixed)
@@ -476,8 +471,6 @@ class FrozenStore:
                     if d is not None:
                         d.data[rows] = s.data
             if width > depth:
-                lo, hi = (sum(self.model.classes_per_task[:n]) for n in (depth, width))
-                self._data.logits.data[rows, :, lo:hi] = kept.logits.data[..., lo:hi]
                 self.level[rows] = min(width, t + done)
             if fixed > done and self._data.features:
                 self._data.features[t].data[rows] = res.features[t].data

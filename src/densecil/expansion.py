@@ -41,11 +41,12 @@ runs the attention stage that the type of the expert's attention
 parameters picks (``cross_task_mhsa``), then its mixing block
 (``tab_forward``); a stage reads only what experts 0..t have produced
 earlier in that loop or in a frozen prefix.  Old experts never change,
-so ``freeze_outputs`` cuts a forward's ``ForwardResult`` at expert n, and
-a forward given that prefix runs only the experts from n on.  The prefix
-holds the TA inputs already normalised (under ``cta_in_mhsa`` the block
-inputs too), so a forward from it neither normalises a frozen token nor
-computes its gradient.
+so ``freeze_outputs`` cuts a forward's ``ForwardResult`` at expert n, or
+gathers a batch from a store of such cuts; a forward given that prefix
+runs only the experts from n on.  The prefix holds each old expert's
+classifier slice and its TA inputs already normalised (under
+``cta_in_mhsa`` the block inputs too), so a forward from it neither
+normalises a frozen token nor computes its gradient.
 
 No operation couples two images, so ``forward`` takes one (C, h, w) image
 or a (B, C, h, w) batch through the same code; every activation then
@@ -402,7 +403,8 @@ class ForwardResult:
     Shapes are those of one image; a batched forward puts the batch axis
     in front of every tensor and attention array.  A frozen prefix
     (``freeze_outputs``) holds experts 0..n-1, n = ``len(token_feats)``,
-    and a forward from it keeps its entries; its block inputs are None.
+    and a forward from it keeps its entries; its block inputs and its
+    ``logits`` are None.
     One that is ``head_only`` also holds the final block outputs of experts
     n.. in ``r_layers[-1]``.
     """
@@ -416,8 +418,8 @@ class ForwardResult:
     a_layers: list[list[Tensor | None]]  # [layers][task] block inputs as normalised head
                                          # tokens, appended by cta_in_mhsa stages
     token_feats: list[Tensor]            # per task (1, D*H_t)
-    logits: Tensor | None                # (total classes,); a prefix's (1, its classes),
-                                         # None in the prefix of no experts
+    logit_parts: list[Tensor]            # per task (1, |Y_t|) classifier slices
+    logits: Tensor | None                # (total classes,); None in a prefix
     aux_logits: Tensor | None            # (|Y_t| + 1,); None in a prefix
     spatial_attn: list[list[np.ndarray]] | None = None
     tab_attn: list[list[tuple[np.ndarray | None, np.ndarray | None]]] | None = None
@@ -434,36 +436,16 @@ class ForwardResult:
     def columns(self) -> list[list[Tensor | None]]:
         """The per-expert lists of a prefix but its final features: each
         layer's fc1 and fc2 inputs, keys, values and normalised block inputs,
-        then token features."""
+        then token features and classifier slices."""
         return [*self.s_layers, *self.o_layers, *self.k_layers, *self.v_layers,
-                *self.a_layers, self.token_feats]
-
-
-def map_frozen(model: CilModel, frozen: ForwardResult, fn, n: int,
-               features: bool) -> ForwardResult:
-    """The prefix at expert n of ``frozen``, which holds experts 0..n-1 or
-    more and at least their classes' logits, ``fn`` applied to every kept
-    array; the final features of experts n.. are kept only with ``features``."""
-    def each(items):
-        return [None if t is None else Tensor(fn(t.data)) for t in items]
-
-    def per_layer(layers):
-        return [each(items[:n]) for items in layers]
-
-    n_cls = sum(ex.n_classes for ex in model.experts[:n])
-    return ForwardResult(
-        r_layers=[[None] * n for _ in frozen.r_layers[:-1]]
-        + [[None] * n + (each(frozen.features[n:]) if features else [])],
-        s_layers=per_layer(frozen.s_layers), o_layers=per_layer(frozen.o_layers),
-        k_layers=per_layer(frozen.k_layers), v_layers=per_layer(frozen.v_layers),
-        a_layers=per_layer(frozen.a_layers), token_feats=each(frozen.token_feats[:n]),
-        logits=Tensor(fn(frozen.logits.data)[..., :n_cls]) if n else None, aux_logits=None)
+                *self.a_layers, self.token_feats, self.logit_parts]
 
 
 def freeze_outputs(model: CilModel, res: ForwardResult, n: int, *,
-                   features: bool = False) -> ForwardResult:
+                   features: bool = False, rows=None) -> ForwardResult:
     """The frozen prefix of ``res`` at expert n: what experts n.. read from
-    experts 0..n-1, detached.
+    experts 0..n-1, detached; with ``rows``, those rows of a batch-major
+    ``res`` that holds experts 0..n-1 or more, such as a store of prefixes.
 
     Old experts are frozen and read only older ones, so while a newer
     expert trains these are fixed functions of the image.  An entry is
@@ -471,19 +453,20 @@ def freeze_outputs(model: CilModel, res: ForwardResult, n: int, *,
     it keeps post-MHSA features for a TAB fc1, intermediates for a TAB fc2
     and block inputs with ``cta_in_mhsa``, each as the normalised head
     tokens those TA stages read (the bytes of the raw features), and tied
-    keys and values for sta.
+    keys and values for sta; token features and classifier slices always.
     With ``features`` the final block outputs of experts n.. are kept too:
     a forward from the prefix then runs only their token heads.
     """
     blocks = model.experts[-1].blocks
 
+    def take(items):
+        return [t.detach() if rows is None else Tensor(t.data[rows]) for t in items]
+
     def keep(per_layer, stage: str, kind: type):
-        return [[t.detach() for t in per_layer[l][:n]]
-                if isinstance(getattr(blk, stage), kind) else [None] * n
+        return [take(per_layer[l][:n]) if isinstance(getattr(blk, stage), kind) else [None] * n
                 for l, blk in enumerate(blocks)]
 
-    last = [None] * n + ([f.detach() for f in res.features[n:]] if features else [])
-    n_cls = sum(ex.n_classes for ex in model.experts[:n])
+    last = [None] * n + (take(res.features[n:]) if features else [])
     return ForwardResult(
         r_layers=[[None] * n for _ in blocks] + [last],
         s_layers=keep(res.s_layers, "fc1", TaStageParams),
@@ -491,8 +474,8 @@ def freeze_outputs(model: CilModel, res: ForwardResult, n: int, *,
         k_layers=keep(res.k_layers, "attn", StaAttentionParams),
         v_layers=keep(res.v_layers, "attn", StaAttentionParams),
         a_layers=keep(res.a_layers, "attn", CtaAttentionParams),
-        token_feats=[f.detach() for f in res.token_feats[:n]],
-        logits=Tensor(res.logits.data[..., None, :n_cls]), aux_logits=None)
+        token_feats=take(res.token_feats[:n]), logit_parts=take(res.logit_parts[:n]),
+        logits=None, aux_logits=None)
 
 
 # ----------------------------------------------------------------- task attention
@@ -691,19 +674,17 @@ def task_token_head(model: CilModel, features: list[Tensor | None], frozen: Forw
     Each task token attends over its own expert's final patch tokens
     through a per-task frozen-after-training block; the per-task classifier
     slices are concatenated and the auxiliary head sees all token features.
-    The token features and logits of the experts in the frozen prefix
-    ``frozen`` are taken from it.  The token queries do not depend on the
-    image and are computed once for a whole batch.
+    It returns the token features, classifier slices, logits and aux
+    logits, taking those of the prefix ``frozen``'s experts from it.  The
+    token queries do not depend on the image: one serves a whole batch.
     """
     if len(features) != model.task_count:
         raise T.ContractError(
             f"token head got {len(features)} feature maps for {model.task_count} tasks")
     d = model.cfg.head_dim
     feats = list(frozen.token_feats)
-    n = len(feats)
-    lead = (frozen.logits if n else features[-1]).shape[:-2]
-    logit_parts = [frozen.logits] if n else []
-    for t in range(n, model.task_count):
+    logit_parts = list(frozen.logit_parts)
+    for t in range(len(feats), model.task_count):
         ex = model.experts[t]
         tp = ex.token_block
         pat = B.head_major(features[t], tp, d)
@@ -713,12 +694,13 @@ def task_token_head(model: CilModel, features: list[Tensor | None], frozen: Forw
         e2, _ = B.attention_readout(ex.token, qh, kh, vh, tp.fuse_w, tp.fuse_b, d)
         feats.append(e2)
         logit_parts.append(T.matmul(e2, ex.head_w, ex.head_b))
+    lead = feats[-1].shape[:-2]
     logits = T.reshape(logit_parts[0] if len(logit_parts) == 1
                        else T.concat(logit_parts, axis=-1), (*lead, model.total_classes))
     aux_in = feats[0] if len(feats) == 1 else T.concat(feats, axis=-1)
     aux = T.reshape(T.matmul(aux_in, model.aux_w, model.aux_b),
                     (*lead, model.experts[-1].n_classes + 1))
-    return feats, logits, aux
+    return feats, logit_parts, logits, aux
 
 
 # ----------------------------------------------------------------- drivers
@@ -735,10 +717,10 @@ def _forward(model: CilModel, image, *, collect_attn=False,
         empty = [[]] * (cfg.layers + 1)
         frozen = ForwardResult(r_layers=empty, s_layers=empty, o_layers=empty,
                                k_layers=empty, v_layers=empty, a_layers=empty,
-                               token_feats=[], logits=None, aux_logits=None)
+                               token_feats=[], logit_parts=[], logits=None, aux_logits=None)
     n = len(frozen.token_feats)
     res = ForwardResult(r_layers=[], s_layers=[], o_layers=[], k_layers=[], v_layers=[],
-                        a_layers=[], token_feats=[], logits=None,
+                        a_layers=[], token_feats=[], logit_parts=[], logits=None,
                         aux_logits=None,                            # set by the token head
                         spatial_attn=[] if collect_attn else None,
                         tab_attn=[] if collect_attn else None)
@@ -778,7 +760,8 @@ def _forward(model: CilModel, image, *, collect_attn=False,
                 res.spatial_attn.append(sp_l)
                 res.tab_attn.append(tab_l)
     res.r_layers.append(r_list)
-    res.token_feats, res.logits, res.aux_logits = task_token_head(model, r_list, frozen)
+    res.token_feats, res.logit_parts, res.logits, res.aux_logits = task_token_head(
+        model, r_list, frozen)
     return res
 
 

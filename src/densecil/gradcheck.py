@@ -15,7 +15,7 @@ import numpy as np
 
 from . import expansion as E
 from . import tensor as T
-from .config import TOL
+from .config import TOL, ConfigError
 
 
 def central_difference(f, array: np.ndarray, h: float = TOL.fd_step) -> np.ndarray:
@@ -186,6 +186,9 @@ def run_all(points: int = 10, seed: int = 0, verbose: bool = False) -> list[tupl
 
     Returns (name, worst relative error, passed) per case.
     """
+    if points < 1:
+        raise ConfigError(f"points must be at least 1, got {points}")
+
     def checks():
         for name, case in sorted(op_cases().items()):
             worst = 0.0

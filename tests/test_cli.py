@@ -48,6 +48,14 @@ def test_gradcheck_output_independent_of_hash_seed():
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("points", [0, -3])
+def test_gradcheck_rejects_fewer_than_one_point(points, capsys):
+    assert cli.main(["gradcheck", "--points", str(points)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: points must be at least 1, got {points}\n"
+    assert captured.out == ""
+
+
 def test_train_writes_all_artifacts(tmp_path):
     out = tmp_path / "run"
     rc = cli.main(["train", *FAST, "--seed", "5", "--out", str(out)])

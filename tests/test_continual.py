@@ -634,6 +634,7 @@ def test_last_task_eval_samples_have_no_row_and_no_row_reaches_the_last_expert(
                                 + sum(len(task.eval) for task in tasks[:-1]))
     assert log["evals"][-1] == [2, 2, 0]
     assert store.level.max() == model.task_count - 1
+    assert [p.shape[-1] for p in store._data.logit_parts] == model.classes_per_task[:-1]
 
 
 @pytest.mark.parametrize("strategy", ["dne", "sta", "ia"])
@@ -717,9 +718,9 @@ def test_prefix_holds_normalised_ta_inputs_at_the_raw_byte_count():
         store.fixed = model.task_count
         store.forward(samples)
     per_five = raw_bytes + res.token_feats[0].data.nbytes + res.features[1].data.nbytes
-    count = len(store.level)                    # 24 training and 6 eval rows, 4 classes
+    count = len(store.level)        # 24 training and 6 eval rows, the held expert's 2 classes
     assert store.head[:5].all()
-    assert store.nbytes == count * per_five // 5 + count * 4 * 8
+    assert store.nbytes == count * per_five // 5 + count * 2 * 8
 
 
 def test_non_finite_task_attention_scores_raise_naming_task_and_phase():

@@ -999,8 +999,8 @@ def _assert_gather_reproduces_permuted_forward(m, images, frozen):
     batch exactly as its own full forward."""
     order = np.array([2, 0, 1])
     features = frozen.head_only
-    gathered = E.map_frozen(m, frozen, lambda a: a[order], len(frozen.token_feats),
-                            features)
+    gathered = E.freeze_outputs(m, frozen, len(frozen.token_feats), features=features,
+                                rows=order)
     assert gathered.head_only == features
     with T.no_grad():
         _assert_same_outputs(m.forward(images[order], frozen=gathered),
@@ -1010,7 +1010,8 @@ def _assert_gather_reproduces_permuted_forward(m, images, frozen):
 def _assert_cut_keeps_only_what_is_read(m, frozen):
     """Normalised block inputs only with ``cta_in_mhsa`` (raw ones never),
     post-MHSA features and intermediates only where fc1/fc2 is a TA stage,
-    tied keys and values only for sta: nothing per layer for ia."""
+    tied keys and values only for sta: nothing per layer for ia.  Token
+    features and classifier slices are kept; the logits are not."""
     cfg = m.cfg
     n, layers = len(frozen.token_feats), cfg.layers
     tab = [cfg.strategy == "dne" and on for on in cfg.cta_mask()]
@@ -1027,8 +1028,9 @@ def _assert_cut_keeps_only_what_is_read(m, frozen):
     assert kept(frozen.o_layers) == expect([on and cfg.cta_in_fc2 for on in tab])
     sta = expect([cfg.strategy == "sta"] * layers)
     assert kept(frozen.k_layers) == kept(frozen.v_layers) == sta
+    assert frozen.logits is None
     if cfg.strategy == "ia":
-        assert kept(frozen.columns()) == expect([False] * 5 * layers + [True])
+        assert kept(frozen.columns()) == expect([False] * 5 * layers + [True, True])
 
 
 @pytest.mark.parametrize("wiring", sorted(CACHE_WIRINGS))
