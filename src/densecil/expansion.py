@@ -795,8 +795,9 @@ def save_checkpoint(model: CilModel, path) -> None:
 def model_from_bytes(raw: bytes) -> CilModel:
     """Rebuild a model from ``checkpoint_bytes`` output.
 
-    Every registered parameter must be stored exactly once; any malformed
-    or inconsistent input raises ``CheckpointError``.
+    Every registered parameter must be stored exactly once and hold only
+    finite values; any malformed or inconsistent input raises
+    ``CheckpointError``.
     """
     buf = io.BytesIO(raw)
     version = buf.read(1)
@@ -834,7 +835,10 @@ def model_from_bytes(raw: bytes) -> CilModel:
         blob = buf.read(8 * n)
         if len(blob) != 8 * n:
             raise CheckpointError(f"checkpoint truncated at parameter {name!r}")
-        tensor.data = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
+        data = np.frombuffer(blob, dtype="<f8").reshape(shape)
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"parameter {name!r} holds a non-finite value")
+        tensor.data = data.copy()
     missing = [name for name in registry if name not in loaded]
     if missing:
         raise CheckpointError(f"checkpoint lacks {len(missing)} parameters, first {missing[0]!r}")

@@ -6,7 +6,9 @@ with an optional fused bias), axis plumbing (reshape / swap / concat /
 narrow), row softmax with an optional mask, layer norm (whole, or its
 ``normalize`` half), one task-attention stage as a single op with a
 hand-written backward, GELU (exact Gaussian CDF form), exp, and two fused
-loss kernels.  Data is float64 throughout.
+loss kernels.  Data is float64 throughout, and the package needs numpy
+only: the GELU's erf is Cephes' rational approximation evaluated in numpy,
+bit for bit the value ``scipy.special.erf`` returns.
 
 Every op acts on the last one or two axes and carries any leading axes
 through, so a batch of images runs as one graph: a (B, P, K) activation
@@ -41,7 +43,6 @@ import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -75,6 +76,22 @@ __all__ = [
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1 and
+# 1 - exp(-x^2) P(|x|) / Q(|x|) above.  U and Q are monic; Q's leading 1 is
+# written out so that P and Q run as one (2, n) Horner (1 * x is exact).
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_PQ = np.array([
+    (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+     4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+     9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2),
+    (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+     9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+     1.65666309194161350182E3, 5.57535340817727675546E2),
+]).T[:, :, None].copy()                                        # (9, 2, 1): step, P|Q
 
 
 class ShapeError(ValueError):
@@ -660,14 +677,64 @@ def task_attention(parts: Sequence[Tensor], n_query: int, gain: Tensor, bias: Te
     return _make(out, (*parts, gain, bias, wq, wk, *wv, lam), "task_attention", bwd), y
 
 
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf of a float64 array, computed in the array's own memory when it
+    is C-contiguous (in a copy otherwise).
+
+    Evaluates Cephes' ``erf`` (``ndtr.c``) in its own operation order, so
+    every result equals ``scipy.special.erf`` bit for bit.  The |x| <= 1
+    form runs over the whole array with x clipped to [-1, 1]: x * T / U
+    carries the sign through, as IEEE products and quotients are symmetric
+    in it.  The |x| > 1 elements are gathered and overwritten with
+    +-(1 - erfc(|x|)); |x| is capped at 8, where erfc is below 1.2e-29, so
+    1 - erfc rounds to exactly 1 as Cephes' own branches for large |x| do.
+    exp goes through complex128 because numpy's float64 exp is its own
+    SIMD kernel, which differs from libm's exp (the one Cephes calls) in
+    the last bit for some arguments; the complex exp is libm's cexp, and
+    with a zero imaginary part its real part is libm's exp.
+    """
+    flat = x.reshape(-1)
+    z = np.abs(flat)
+    big = np.flatnonzero(z > 1.0)
+    xb = flat[big]
+    np.clip(flat, -1.0, 1.0, out=flat)
+    np.multiply(flat, flat, out=z)
+    t = z * _ERF_T[0]
+    for c in _ERF_T[1:-1]:
+        t += c
+        t *= z
+    t += _ERF_T[-1]
+    flat *= t
+    np.add(z, _ERF_U[0], out=t)                         # t is now U
+    for c in _ERF_U[1:]:
+        t *= z
+        t += c
+    flat /= t
+    if big.size:
+        a = np.abs(xb)
+        np.minimum(a, 8.0, out=a)
+        pq = _ERFC_PQ[0] * a
+        for c in _ERFC_PQ[1:-1]:
+            pq += c
+            pq *= a
+        pq += _ERFC_PQ[-1]
+        np.multiply(a, a, out=a)
+        np.negative(a, out=a)
+        e = np.exp(a.astype(np.complex128)).real * pq[0]
+        e /= pq[1]
+        np.subtract(1.0, e, out=e)
+        flat[big] = np.copysign(e, xb, out=e)
+    return flat.reshape(x.shape)
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact-CDF GELU: x * Phi(x) with Phi the standard normal CDF.
 
     The erf-based form is used (not the tanh approximation) so reference
-    oracles are unambiguous.
+    oracles are unambiguous.  erf is Cephes' rational approximation,
+    evaluated in numpy by ``_erf``.
     """
-    cdf = x.data * _INV_SQRT2
-    erf(cdf, out=cdf)
+    cdf = _erf(x.data * _INV_SQRT2)
     cdf += 1.0
     cdf *= 0.5
     out = x.data * cdf

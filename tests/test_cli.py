@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -224,6 +225,39 @@ def test_analyze_attention_subcommand(tmp_path, capsys):
     data = json.loads((tmp_path / "attn.json").read_text())
     portions = [g["portion"] for g in data["groups"].values()]
     assert sum(portions) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("value", [b"\xff" * 8, struct.pack("<d", float("inf"))],
+                         ids=["nan", "inf"])
+def test_analyze_attention_rejects_a_nonfinite_checkpoint_value(tmp_path, capsys, value):
+    out = tmp_path / "run"
+    cli.main(["train", *FAST, "--seed", "12", "--out", str(out)])
+    raw = (out / "model.ckpt").read_bytes()
+    (hlen,) = struct.unpack("<I", raw[1:5])
+    last = json.loads(raw[5:5 + hlen])["params"][-1]["name"]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(raw[:-8] + value)
+    capsys.readouterr()
+    assert cli.main(["analyze-attention", "--ckpt", str(bad),
+                     "--out", str(tmp_path / "attn.json")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: parameter {last!r} holds a non-finite value"]
+    assert not (tmp_path / "attn.json").exists()
+
+
+def test_no_module_imports_scipy():
+    """Importing every densecil module and running ``densecil flops`` loads
+    no scipy module: numpy is the only runtime dependency."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import importlib, pkgutil, sys, densecil\n"
+            "for m in pkgutil.iter_modules(densecil.__path__):\n"
+            "    importlib.import_module('densecil.' + m.name)\n"
+            "from densecil import cli\n"
+            "assert cli.main(['flops', '--heads', '12', '--patches', '196']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def _cifar_stream(tmp_path, **kw):

@@ -906,6 +906,17 @@ def test_checkpoint_loader_rejects_malformed_input(case):
         E.model_from_bytes(CORRUPTIONS[case](raw))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_checkpoint_loader_rejects_a_nonfinite_parameter_naming_it(value):
+    m = build_model(small_cfg(), heads=(2, 1), classes=(2, 2))
+    raw = bytearray(E.checkpoint_bytes(m))
+    (hlen,) = struct.unpack("<I", raw[1:5])
+    first = json.loads(raw[5:5 + hlen])["params"][0]
+    raw[5 + hlen:5 + hlen + 8] = struct.pack("<d", value)
+    with pytest.raises(E.CheckpointError, match=f"parameter '{first['name']}' holds a non-finite"):
+        E.model_from_bytes(bytes(raw))
+
+
 _FUZZ_CKPT = E.checkpoint_bytes(
     build_model(small_cfg(layers=1), heads=(2, 1), classes=(2, 2), seed=7))
 _FUZZ_HEADER_END = 5 + struct.unpack("<I", _FUZZ_CKPT[1:5])[0]

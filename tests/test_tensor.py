@@ -313,6 +313,50 @@ def test_gelu_at_one_matches_erf_oracle():
     got = T.gelu(T.Tensor(np.array([1.0]))).data[0]
     assert abs(got - want) < 1e-12
     assert abs(got - 0.841345) < 1e-6
+    # on a (16, 16, 4, 64) activation, the output and the input gradient are
+    # the bits of the same steps computed with scipy's erf
+    rng = np.random.default_rng(19)
+    data = rng.standard_normal((16, 16, 4, 64)) * 2.0
+    k = rng.standard_normal(data.shape)
+    cdf = data * (1.0 / math.sqrt(2.0))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    want_out = data * cdf
+    want_grad = -0.5 * data
+    want_grad *= data
+    np.exp(want_grad, out=want_grad)
+    want_grad *= 1.0 / math.sqrt(2.0 * math.pi)
+    want_grad *= data
+    want_grad += cdf
+    want_grad *= k
+    x = T.Tensor(data, requires_grad=True)
+    out = T.gelu(x)
+    np.testing.assert_array_equal(out.data.view(np.int64), want_out.view(np.int64))
+    T.backward(T.sum_all(T.mul(out, T.Tensor(k))))
+    np.testing.assert_array_equal(x.grad.view(np.int64), want_grad.view(np.int64))
+
+
+ERF_EDGES = [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+             -np.nextafter(1.0, 0.0), -np.nextafter(1.0, 2.0), 8.0, np.nextafter(8.0, 0.0),
+             -8.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300, -1e300]
+
+
+def test_erf_equals_scipy_erf_bit_for_bit():
+    """Both branches of the numpy erf (|x| <= 1 and the gathered |x| > 1),
+    the branch edge's neighbours, the cap at 8, infinities, NaN, the
+    smallest subnormal and a huge value; no floating-point warning."""
+    rng = np.random.default_rng(1606)
+    x = np.concatenate([ERF_EDGES, rng.standard_normal(20000),
+                        rng.uniform(-1.0, 1.0, 20000), rng.uniform(-9.0, 9.0, 20000),
+                        rng.uniform(-40.0, 40.0, 5000)])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = T._erf(x.copy())
+    want = erf(x)
+    assert np.isnan(got[13]) and np.signbit(got[1]) and not np.signbit(got[0])
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    f = np.asfortranarray(x[:20000].reshape(100, 200))
+    np.testing.assert_array_equal(T._erf(f.copy(order="F")), erf(f))
 
 
 # ---------------------------------------------------------------- backward basics
