@@ -82,8 +82,8 @@ def make_synthetic_samples(classes, per_class: int, image_size: int,
             img = 0.25 + noise * rng.standard_normal((3, image_size, image_size))
             dr = int(rng.integers(-1, 2))
             dc = int(rng.integers(-1, 2))
-            r0 = int(np.clip(row + dr, 0, image_size - square))
-            c0 = int(np.clip(col + dc, 0, image_size - square))
+            r0 = min(max(row + dr, 0), image_size - square)
+            c0 = min(max(col + dc, 0), image_size - square)
             for ch in range(3):
                 img[ch, r0:r0 + square, c0:c0 + square] = color[ch] \
                     + noise * rng.standard_normal((square, square))

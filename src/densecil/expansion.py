@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
@@ -792,12 +793,24 @@ def save_checkpoint(model: CilModel, path) -> None:
         f.write(checkpoint_bytes(model))
 
 
+class _NoDraws:
+    """Generator stand-in while ``model_from_bytes`` rebuilds a layout: every
+    parameter is then overwritten from the checkpoint, so ``normal`` (the
+    only draw on ``add_expert``'s path) just allocates."""
+
+    @staticmethod
+    def normal(loc: float, scale: float, size) -> np.ndarray:
+        return np.zeros(size)
+
+
 def model_from_bytes(raw: bytes) -> CilModel:
     """Rebuild a model from ``checkpoint_bytes`` output.
 
     Every registered parameter must be stored exactly once and hold only
     finite values; any malformed or inconsistent input raises
-    ``CheckpointError``.
+    ``CheckpointError``. No initial values are drawn: the layout is built
+    with zeros and then filled from the checkpoint, and the loaded model
+    holds a fresh ``np.random.default_rng(0)``.
     """
     buf = io.BytesIO(raw)
     version = buf.read(1)
@@ -813,14 +826,17 @@ def model_from_bytes(raw: bytes) -> CilModel:
         raise CheckpointError(f"corrupt checkpoint header: {e}") from None
     try:
         model = CilModel(ModelConfig(**header["config"]), seed=0)
+        rng, model.rng = model.rng, _NoDraws()
         for heads, n_cls in zip(header["heads_per_task"], header["classes_per_task"],
                                 strict=True):
             model.add_expert(heads, n_cls)
+        model.rng = rng
         records = [(rec["name"], tuple(rec["shape"])) for rec in header["params"]]
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"malformed checkpoint header: {e!r}") from None
     registry = dict(model.named_parameters())
     loaded: set[str] = set()
+    start = pos = buf.tell()
     for name, shape in records:
         if name not in registry:
             raise CheckpointError(f"checkpoint names unknown parameter {name!r}")
@@ -831,18 +847,19 @@ def model_from_bytes(raw: bytes) -> CilModel:
         if tensor.shape != shape:
             raise CheckpointError(
                 f"parameter {name!r}: checkpoint shape {shape} vs model {tensor.shape}")
-        n = int(np.prod(shape)) if shape else 1
-        blob = buf.read(8 * n)
-        if len(blob) != 8 * n:
+        n = math.prod(shape)
+        if pos + 8 * n > len(raw):
             raise CheckpointError(f"checkpoint truncated at parameter {name!r}")
-        data = np.frombuffer(blob, dtype="<f8").reshape(shape)
-        if not np.isfinite(data).all():
-            raise CheckpointError(f"parameter {name!r} holds a non-finite value")
-        tensor.data = data.copy()
+        tensor.data = np.frombuffer(raw, dtype="<f8", count=n, offset=pos).reshape(shape).copy()
+        pos += 8 * n
+    if not np.isfinite(np.frombuffer(raw, dtype="<f8", count=(pos - start) // 8,
+                                     offset=start)).all():
+        name = next(name for name, _ in records if not np.isfinite(registry[name].data).all())
+        raise CheckpointError(f"parameter {name!r} holds a non-finite value")
     missing = [name for name in registry if name not in loaded]
     if missing:
         raise CheckpointError(f"checkpoint lacks {len(missing)} parameters, first {missing[0]!r}")
-    if buf.read(1):
+    if pos != len(raw):
         raise CheckpointError("trailing bytes after final parameter blob")
     return model
 

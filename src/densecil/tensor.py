@@ -832,12 +832,18 @@ class SGD:
 
 def trunc_normal(rng: np.random.Generator, shape: Sequence[int],
                  std: float = 0.02) -> np.ndarray:
-    """Seeded normal draw truncated to two standard deviations."""
+    """Seeded normal draw truncated to two standard deviations.
+
+    Out-of-range values are redrawn in rounds: each round draws one value
+    per entry still out of range and writes them in flat (C) index order,
+    then keeps only the entries whose new value is out of range again.
+    """
     out = rng.normal(0.0, std, size=tuple(shape))
-    bad = np.abs(out) > 2.0 * std
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+    flat = out.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    while bad.size:
+        flat[bad] = rng.normal(0.0, std, size=bad.size)
+        bad = bad[np.abs(flat[bad]) > 2.0 * std]
     return out
 
 

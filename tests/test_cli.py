@@ -36,16 +36,24 @@ def test_flops_subcommand_prints_crossover(capsys):
 
 def test_gradcheck_output_independent_of_hash_seed():
     src = str(Path(cli.__file__).resolve().parents[1])
-    outputs = []
+    procs = []
     for hash_seed in ("1", "2"):
         env = {**os.environ, "PYTHONHASHSEED": hash_seed,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "densecil.cli", "gradcheck",
-                               "--points", "1", "--seed", "0"],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert "passed" in proc.stdout
-        outputs.append(proc.stdout)
+        procs.append(subprocess.Popen([sys.executable, "-m", "densecil.cli", "gradcheck",
+                                       "--points", "1", "--seed", "0"], env=env,
+                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    try:
+        results = [proc.communicate(timeout=120) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+    outputs = []
+    for proc, (out, err) in zip(procs, results):
+        assert proc.returncode == 0, err
+        assert "passed" in out
+        outputs.append(out)
     assert outputs[0] == outputs[1]
 
 

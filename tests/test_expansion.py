@@ -906,15 +906,37 @@ def test_checkpoint_loader_rejects_malformed_input(case):
         E.model_from_bytes(CORRUPTIONS[case](raw))
 
 
+def _set_blob_value(raw: bytearray, index: int, value: float) -> str:
+    """Write ``value`` as the first entry of parameter ``index``'s blob;
+    returns that parameter's name."""
+    (hlen,) = struct.unpack("<I", raw[1:5])
+    params = json.loads(raw[5:5 + hlen])["params"]
+    at = 5 + hlen + 8 * sum(math.prod(p["shape"]) for p in params[:index])
+    raw[at:at + 8] = struct.pack("<d", value)
+    return params[index]["name"]
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_checkpoint_loader_rejects_a_nonfinite_parameter_naming_it(value):
+    """A bad first or last parameter is named; of two, the first stored."""
     m = build_model(small_cfg(), heads=(2, 1), classes=(2, 2))
-    raw = bytearray(E.checkpoint_bytes(m))
-    (hlen,) = struct.unpack("<I", raw[1:5])
-    first = json.loads(raw[5:5 + hlen])["params"][0]
-    raw[5 + hlen:5 + hlen + 8] = struct.pack("<d", value)
-    with pytest.raises(E.CheckpointError, match=f"parameter '{first['name']}' holds a non-finite"):
-        E.model_from_bytes(bytes(raw))
+    clean = E.checkpoint_bytes(m)
+    count = len(m.named_parameters())
+    for bad in ([0], [count - 1], [count - 2, 3]):
+        raw = bytearray(clean)
+        names = {i: _set_blob_value(raw, i, value) for i in bad}
+        with pytest.raises(E.CheckpointError,
+                           match=f"parameter '{names[min(bad)]}' holds a non-finite"):
+            E.model_from_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("strategy", ["dne", "sta", "ia"])
+def test_loaded_model_round_trips_and_holds_a_fresh_generator(strategy):
+    m = build_model(small_cfg(strategy=strategy), heads=(2, 1, 1), classes=(3, 2, 2), seed=4)
+    raw = E.checkpoint_bytes(m)
+    loaded = E.model_from_bytes(raw)
+    assert E.checkpoint_bytes(loaded) == raw
+    assert loaded.rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 _FUZZ_CKPT = E.checkpoint_bytes(

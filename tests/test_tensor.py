@@ -565,3 +565,30 @@ def test_trunc_normal_bounded_and_seeded():
     assert np.abs(a).max() <= 0.04 + 1e-12
     b = T.trunc_normal(np.random.default_rng(9), (100, 100), std=0.02)
     np.testing.assert_array_equal(a, b)
+
+
+def _rescanning_trunc_normal(rng, shape, std):
+    """The whole-array rescan that ``trunc_normal`` must match; also
+    returns how many redraw rounds it needed."""
+    out = rng.normal(0.0, std, size=tuple(shape))
+    rounds = 0
+    bad = np.abs(out) > 2.0 * std
+    while bad.any():
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        rounds += 1
+        bad = np.abs(out) > 2.0 * std
+    return out, rounds
+
+
+@pytest.mark.parametrize("std", [0.02, 0.25])
+@pytest.mark.parametrize("shape", [(9216,), (4, 64, 16), (1,)])
+@pytest.mark.parametrize("seed", [0, 3, 5])
+def test_trunc_normal_equals_the_rescanning_oracle(seed, shape, std):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = T.trunc_normal(rng, shape, std=std)
+    want, rounds = _rescanning_trunc_normal(oracle_rng, shape, std)
+    assert got.shape == shape
+    np.testing.assert_array_equal(got, want)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    if (seed, shape) == (0, (9216,)):
+        assert rounds >= 3
