@@ -9,8 +9,7 @@ foreign widths.
 Every expert reads the same image: ``extract_patches`` flattens it once and
 each expert's ``patch_embed`` projects those patches.  ``mlp_stage`` is the
 one MLP stage; the model mixes features stage by stage in
-``expansion.tab_forward``, while ``mlp_block`` and ``transformer_block``
-stay here as the plain-ViT reference.
+``expansion.tab_forward``.
 
 Every block takes token rows (P, D*H) of one image or (B, P, D*H) of a
 batch; leading axes pass through unchanged.
@@ -187,16 +186,16 @@ def attention_readout(r: Tensor, q: Tensor, k: Tensor, v: Tensor,
     """Scaled dot-product attention plus residual fusion: r + fuse(softmax(q k^T) v).
 
     q/k/v are head-major (H, P, D) stacks, each head attending within
-    itself, or, with ``mask`` enabling (query, key) pairs, flattened
-    (H*P, D) queries over (M*P, D) keys and values.  Any operand may carry
-    a leading batch axis.  Returns the (P, D*H) block output and the
+    itself, or flattened (H*P, D) queries over (M*P, D) keys and values,
+    with ``mask`` (if given) enabling (query, key) pairs.  Any operand may
+    carry a leading batch axis.  Returns the (P, D*H) block output and the
     attention weights, (H, P, P) or (H*P, M*P), batched like the inputs.
     """
     p, width = r.shape[-2:]
     heads = width // head_dim
     attn = T.softmax_rows(T.matmul(q, T.swap_axes(k, -1, -2)), math.sqrt(head_dim), mask)
     av = T.matmul(attn, v)
-    if mask is not None:
+    if len(av.shape) == len(r.shape):   # flattened queries: back to (H, P, D)
         av = T.reshape(av, (*av.shape[:-2], heads, p, head_dim))
     cat = T.reshape(T.swap_axes(av, -3, -2), (*av.shape[:-3], p, width))
     return T.add(r, T.matmul(cat, fuse_w, fuse_b)), attn
@@ -235,52 +234,7 @@ def init_mlp_stage(rng: np.random.Generator, din_head: int, din: int, dout: int)
     )
 
 
-@dataclass
-class MlpParams:
-    fc1: MlpStageParams   # D*H -> gamma*D*H
-    fc2: MlpStageParams   # gamma*D*H -> D*H
-
-
-def init_mlp(rng: np.random.Generator, heads: int, head_dim: int, gamma: int) -> MlpParams:
-    width = heads * head_dim
-    hidden = gamma * width
-    return MlpParams(
-        fc1=init_mlp_stage(rng, head_dim, width, hidden),
-        fc2=init_mlp_stage(rng, gamma * head_dim, hidden, width),
-    )
-
-
 def mlp_stage(x: Tensor, stage: MlpStageParams, head_dim: int) -> Tensor:
     """One linear stage over per-head normalized tokens of width ``head_dim``."""
     return T.matmul(per_head_layer_norm(x, stage.ln_gain, stage.ln_bias, head_dim),
                     stage.w, stage.b)
-
-
-def mlp_block(s: Tensor, params: MlpParams, head_dim: int, gamma: int):
-    """Two-stage mixing with residual: r = s + fc2(ln(gelu(fc1(ln(s))))).
-
-    Norms run per head token (dim D before fc1, gamma*D before fc2).
-    Returns (r, o) with o the post-GELU intermediate.
-    """
-    o = T.gelu(mlp_stage(s, params.fc1, head_dim))
-    return T.add(s, mlp_stage(o, params.fc2, gamma * head_dim)), o
-
-
-@dataclass
-class TransformerBlockParams:
-    attn: SelfAttentionParams
-    mlp: MlpParams
-
-
-def init_transformer_block(rng: np.random.Generator, heads: int, head_dim: int,
-                           gamma: int) -> TransformerBlockParams:
-    return TransformerBlockParams(
-        attn=init_self_attention(rng, heads, head_dim),
-        mlp=init_mlp(rng, heads, head_dim, gamma),
-    )
-
-
-def transformer_block(r: Tensor, params: TransformerBlockParams, head_dim: int, gamma: int):
-    s, attn = mhsa_block(r, params.attn, head_dim)
-    out, _ = mlp_block(s, params.mlp, head_dim, gamma)
-    return out, attn

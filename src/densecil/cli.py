@@ -139,27 +139,9 @@ def build_stream(cfg: RunConfig) -> C.TaskStream:
         return D.synth_stream(cfg.classes, cfg.per_class, cfg.image_size, cfg.seed,
                               first_task=cfg.first_task, step_size=cfg.step_size,
                               eval_per_class=cfg.eval_per_class, noise=cfg.noise)
-    train = D.load_cifar100_binary(cfg.cifar_train)
-    test = D.load_cifar100_binary(cfg.cifar_test)
-    by_label_train: dict[int, list] = {}
-    by_label_test: dict[int, list] = {}
-    for s in train:
-        by_label_train.setdefault(s.label, []).append(s)
-    for s in test:
-        by_label_test.setdefault(s.label, []).append(s)
-    rng = np.random.default_rng(cfg.seed)
-    tasks = []
-    for ids in D.split_classes(cfg.classes, cfg.first_task, cfg.step_size):
-        tr, ev = [], []
-        for c in ids:
-            pool = by_label_train.get(c, [])
-            if len(pool) > cfg.per_class:
-                pick = rng.choice(len(pool), size=cfg.per_class, replace=False)
-                pool = [pool[i] for i in sorted(pick)]
-            tr.extend(pool)
-            ev.extend(by_label_test.get(c, [])[: cfg.eval_per_class])
-        tasks.append(C.Task(tuple(ids), tr, ev))
-    return C.TaskStream(tasks)
+    return D.cifar_stream(cfg.cifar_train, cfg.cifar_test, cfg.classes, cfg.per_class,
+                          cfg.seed, first_task=cfg.first_task, step_size=cfg.step_size,
+                          eval_per_class=cfg.eval_per_class)
 
 
 def run(cfg: RunConfig) -> int:

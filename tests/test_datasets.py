@@ -1,10 +1,13 @@
 """Dataset tests: CIFAR binary format handling and the synthetic stream."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from densecil import cli
+from densecil import continual as C
 from densecil import datasets as D
 from densecil.config import ConfigError
 
@@ -22,7 +25,9 @@ def _write_records(path, labels, fill=128):
 def test_cifar_record_count(tmp_path):
     p = tmp_path / "ok.bin"
     _write_records(p, [(0, 1), (1, 2), (2, 99)])
-    samples = D.load_cifar100_binary(p)
+    records = D.load_cifar100_binary(p)
+    assert records.shape == (3, D.CIFAR_RECORD) and records.dtype == np.uint8
+    samples = D.cifar_samples(records, np.arange(3))
     assert len(samples) == 3
     assert [s.label for s in samples] == [1, 2, 99]
     assert samples[0].image.shape == (3, 32, 32)
@@ -32,7 +37,7 @@ def test_cifar_record_count(tmp_path):
 def test_cifar_pixel_scaling(tmp_path):
     p = tmp_path / "px.bin"
     _write_records(p, [(0, 5)], fill=255)
-    s = D.load_cifar100_binary(p)[0]
+    s = D.cifar_samples(D.load_cifar100_binary(p), np.arange(1))[0]
     np.testing.assert_array_equal(s.image, 1.0)
 
 
@@ -55,12 +60,75 @@ def test_cifar_corrupt_label(tmp_path):
 @pytest.mark.skipif(not os.environ.get("CIFAR100_TEST_BIN"),
                     reason="set CIFAR100_TEST_BIN to the official test.bin")
 def test_cifar_official_test_split_counts():
-    samples = D.load_cifar100_binary(os.environ["CIFAR100_TEST_BIN"])
-    assert len(samples) == 10_000
-    counts = {}
-    for s in samples:
-        counts[s.label] = counts.get(s.label, 0) + 1
-    assert set(counts.values()) == {100}
+    records = D.load_cifar100_binary(os.environ["CIFAR100_TEST_BIN"])
+    assert len(records) == 10_000
+    _, counts = np.unique(records[:, 1], return_counts=True)
+    assert set(counts.tolist()) == {100}
+
+
+def _whole_file_samples(path) -> list:
+    """Every record of a CIFAR-100 binary as a sample, converted at once."""
+    data = np.frombuffer(path.read_bytes(), dtype=np.uint8).reshape(-1, D.CIFAR_RECORD)
+    images = data[:, 2:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
+    return [C.Sample(images[i], int(data[i, 1])) for i in range(len(data))]
+
+
+def _whole_file_stream(cfg) -> C.TaskStream:
+    """The CIFAR stream built from whole-file samples: the reference for
+    ``cli.build_stream``'s record selection."""
+    by_label_train: dict[int, list] = {}
+    by_label_test: dict[int, list] = {}
+    for s in _whole_file_samples(cfg.cifar_train):
+        by_label_train.setdefault(s.label, []).append(s)
+    for s in _whole_file_samples(cfg.cifar_test):
+        by_label_test.setdefault(s.label, []).append(s)
+    rng = np.random.default_rng(cfg.seed)
+    tasks = []
+    for ids in D.split_classes(cfg.classes, cfg.first_task, cfg.step_size):
+        tr, ev = [], []
+        for c in ids:
+            pool = by_label_train.get(c, [])
+            if len(pool) > cfg.per_class:
+                pick = rng.choice(len(pool), size=cfg.per_class, replace=False)
+                pool = [pool[i] for i in sorted(pick)]
+            tr.extend(pool)
+            ev.extend(by_label_test.get(c, [])[: cfg.eval_per_class])
+        tasks.append(C.Task(tuple(ids), tr, ev))
+    return C.TaskStream(tasks)
+
+
+@pytest.mark.parametrize("kw", [
+    pytest.param({}, id="default"),
+    pytest.param(dict(classes=20, first_task=10, step_size=5, per_class=6,
+                      eval_per_class=2, seed=3), id="subsampled"),
+])
+def test_cifar_stream_converts_only_kept_records(tmp_path, kw):
+    rng = np.random.default_rng(5)
+    for name, n in (("train.bin", 1500), ("test.bin", 300)):
+        recs = rng.integers(0, 256, size=(n, D.CIFAR_RECORD), dtype=np.uint8)
+        recs[:, 1] = np.arange(n) % D.CIFAR_CLASSES
+        (tmp_path / name).write_bytes(recs.tobytes())
+    cfg = cli.RunConfig(dataset="cifar100", cifar_train=tmp_path / "train.bin",
+                        cifar_test=tmp_path / "test.bin", **kw)
+    tracemalloc.start()
+    try:
+        stream = cli.build_stream(cfg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    want = _whole_file_stream(cfg)
+    assert [t.classes for t in stream.tasks] == [t.classes for t in want.tasks]
+    for got_task, want_task in zip(stream.tasks, want.tasks):
+        for got, ref in ((got_task.train, want_task.train), (got_task.eval, want_task.eval)):
+            assert [s.label for s in got] == [s.label for s in ref]
+            for a, b in zip(got, ref):
+                assert a.image.dtype == b.image.dtype and a.image.tobytes() == b.image.tobytes()
+    images = [s.image for t in stream.tasks for s in (*t.train, *t.eval)]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(images) for b in images[i + 1:])
+    kept = sum(img.nbytes for img in images)
+    files = sum((tmp_path / name).stat().st_size for name in ("train.bin", "test.bin"))
+    assert held <= kept + 2 ** 20, (held, kept)
+    assert peak <= files + 2 * kept + 2 ** 20, (peak, files, kept)
 
 
 # ------------------------------------------------------------- synthetic
@@ -118,3 +186,52 @@ def test_synth_values_in_unit_range():
     stream = D.synth_stream(4, 3, 16, seed=1, first_task=2, step_size=2)
     for s in stream.tasks[0].train:
         assert s.image.min() >= 0.0 and s.image.max() <= 1.0
+
+
+def _make_synthetic_samples_oracle(classes, per_class, image_size, rng, *, n_colors,
+                                   noise=0.08):
+    """Per-channel draws into a fresh background: the reference for
+    ``make_synthetic_samples``'s in-place drawing."""
+    square = max(image_size // 3, 2)
+    out = []
+    for label in classes:
+        color, row, col = D._class_signature(label, n_colors, image_size, square)
+        for _ in range(per_class):
+            img = 0.25 + noise * rng.standard_normal((3, image_size, image_size))
+            dr = int(rng.integers(-1, 2))
+            dc = int(rng.integers(-1, 2))
+            r0 = min(max(row + dr, 0), image_size - square)
+            c0 = min(max(col + dc, 0), image_size - square)
+            for ch in range(3):
+                img[ch, r0:r0 + square, c0:c0 + square] = color[ch] \
+                    + noise * rng.standard_normal((square, square))
+            out.append(C.Sample(np.clip(img, 0.0, 1.0), int(label)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("classes,per_class,noise", [
+    pytest.param(8, 8, 0.08, id="train-size"),
+    pytest.param(14, 6, 0.08, id="infer-size"),
+    pytest.param(8, 8, 0.0, id="noise0"),
+])
+def test_synth_stream_equals_the_per_channel_oracle(seed, classes, per_class, noise):
+    split = D.split_classes(classes, 4, 2)
+    n_colors = min(len(split[0]), len(D._PALETTE))
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = []
+    for ids in split:
+        for count in (per_class, 10):
+            got = D.make_synthetic_samples(ids, count, 16, rng_new, n_colors=n_colors,
+                                           noise=noise)
+            ref = _make_synthetic_samples_oracle(ids, count, 16, rng_ref, n_colors=n_colors,
+                                                 noise=noise)
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+            for a, b in zip(got, ref, strict=True):
+                assert a.label == b.label and a.image.tobytes() == b.image.tobytes()
+            want.extend(ref)
+    stream = D.synth_stream(classes, per_class, 16, seed, first_task=4, step_size=2,
+                            noise=noise)
+    got = [s for t in stream.tasks for s in (*t.train, *t.eval)]
+    assert [s.label for s in got] == [s.label for s in want]
+    assert all(a.image.tobytes() == b.image.tobytes() for a, b in zip(got, want))

@@ -17,6 +17,8 @@ from densecil import expansion as E
 from densecil import tensor as T
 from densecil.config import TOL, ConfigError
 
+import oracles as O
+
 
 def small_cfg(**kw):
     base = dict(image_size=8, patch_size=4, in_channels=3, head_dim=4,
@@ -76,9 +78,9 @@ def test_add_expert_preserves_prior_logits_exactly():
     cfg = small_cfg(strategy="dne")
     m = build_model(cfg, heads=(2,), classes=(3,))
     img = rand_image(cfg, 1)
-    before = m.eval_logits(img)
+    before = O.eval_logits(m, img)
     m.add_expert(1, 2)
-    after = m.eval_logits(img)
+    after = O.eval_logits(m, img)
     assert after.shape == (5,)
     np.testing.assert_array_equal(after[:3], before)
 
@@ -135,8 +137,8 @@ def test_single_task_ia_equals_plain_backbone():
     patches = B.extract_patches(img, cfg.in_channels, cfg.image_size, cfg.patch_size)
     r = B.patch_embed(T.Tensor(patches), m.experts[0].embed, m.pos, cfg.head_dim)
     for blk in m.experts[0].blocks:
-        r, _ = B.transformer_block(
-            r, B.TransformerBlockParams(blk.attn, B.MlpParams(blk.fc1, blk.fc2)),
+        r, _ = O.transformer_block(
+            r, O.TransformerBlockParams(blk.attn, O.MlpParams(blk.fc1, blk.fc2)),
             cfg.head_dim, cfg.gamma)
     np.testing.assert_array_equal(res.features[0].data, r.data)
 
@@ -155,7 +157,7 @@ def test_mlp_layers_equal_plain_mlp_block(kw, mlp_layers, batched):
     for l in mlp_layers:
         for t, ex in enumerate(m.experts):
             blk = ex.blocks[l]
-            want, _ = B.mlp_block(res.s_layers[l][t], B.MlpParams(blk.fc1, blk.fc2),
+            want, _ = O.mlp_block(res.s_layers[l][t], O.MlpParams(blk.fc1, blk.fc2),
                                   cfg.head_dim, cfg.gamma)
             np.testing.assert_array_equal(res.r_layers[l + 1][t].data, want.data)
 
@@ -276,6 +278,49 @@ def test_sta_same_patch_logits_match_constructed_input():
         for other in range(3):
             if other != own:
                 assert abs(spsh - logits[qi, other * P + patch]) < 1e-12
+
+
+def test_sta_both_runs_unmasked_and_equals_the_masked_path(monkeypatch):
+    """``both`` enables every (query, key) pair, so its joint attention skips
+    the mask; logits, attention weights and gradients equal the masked run's."""
+    cfg = small_cfg(strategy="sta", sta_variant="both")
+    m = build_model(cfg, heads=(2, 1, 1), classes=(3, 2, 2), seed=8)
+    for _, t in m.named_parameters():
+        t.requires_grad = True
+    img = _image_batch(cfg, 40)
+
+    def run():
+        res, _, grads = _loss_and_grads(m, img, None)
+        with T.no_grad():
+            attn = m.forward(img, collect_attn=True).spatial_attn
+        return res, attn, grads
+
+    got = run()
+    masks = []
+    readout = B.attention_readout
+
+    def masked_readout(r, q, k, v, fuse_w, fuse_b, head_dim, mask=None):
+        if mask is None and len(q.shape) == len(r.shape):   # flattened sta queries
+            p = r.shape[-2]
+            heads, pool = q.shape[-2] // p, k.shape[-2] // p
+            mask = E.sta_group_mask(heads, pool - heads, pool, p, "both")
+            masks.append(mask)
+        return readout(r, q, k, v, fuse_w, fuse_b, head_dim, mask)
+
+    monkeypatch.setattr(B, "attention_readout", masked_readout)
+    want = run()
+    assert len(masks) == 2 * cfg.layers * len(m.experts)
+    assert all(mask.all() for mask in masks)
+    _assert_same_outputs(got[0], want[0])
+    for got_layer, want_layer in zip(got[1], want[1], strict=True):
+        for a, b in zip(got_layer, want_layer, strict=True):
+            np.testing.assert_array_equal(a, b)
+    assert got[2].keys() == want[2].keys()
+    assert sum(g is not None for g in got[2].values()) > 0
+    for name, g in got[2].items():
+        assert (g is None) == (want[2][name] is None), name
+        if g is not None:
+            np.testing.assert_array_equal(g, want[2][name], err_msg=name)
 
 
 def test_sta_full_attention_entry_count():
@@ -798,9 +843,9 @@ def test_checkpoint_round_trip_bit_exact():
     cfg = small_cfg(strategy="dne")
     m = build_model(cfg, heads=(2, 1), classes=(3, 2), seed=5)
     img = rand_image(cfg, 26)
-    want = m.eval_logits(img)
+    want = O.eval_logits(m, img)
     clone = E.clone_model(m)
-    got = clone.eval_logits(img)
+    got = O.eval_logits(clone, img)
     np.testing.assert_array_equal(got, want)
     for (n1, t1), (n2, t2) in zip(m.named_parameters(), clone.named_parameters()):
         assert n1 == n2
@@ -829,7 +874,7 @@ def test_checkpoint_file_round_trip(tmp_path):
     assert raw[0] == E.CKPT_VERSION
     loaded = E.load_checkpoint(path)
     img = rand_image(cfg, 27)
-    np.testing.assert_array_equal(loaded.eval_logits(img), m.eval_logits(img))
+    np.testing.assert_array_equal(O.eval_logits(loaded, img), O.eval_logits(m, img))
 
 
 def test_checkpoint_truncation_detected(tmp_path):
@@ -937,6 +982,10 @@ def test_loaded_model_round_trips_and_holds_a_fresh_generator(strategy):
     loaded = E.model_from_bytes(raw)
     assert E.checkpoint_bytes(loaded) == raw
     assert loaded.rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    arrays = [t.data for _, t in loaded.named_parameters()]
+    raw_view = np.frombuffer(raw, dtype=np.uint8)
+    assert not any(np.shares_memory(a, raw_view) for a in arrays)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 
 _FUZZ_CKPT = E.checkpoint_bytes(
