@@ -10,7 +10,6 @@ the layer shapes) and by instrumenting a forward pass.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,18 +319,3 @@ def flops_report(T_: int, H: int, P: int, D: int, instrumented: int | None = Non
         ratio_formula=compute_ratio_formula(T_, H, P),
         crossover_tasks=crossover_bound(H, P),
     )
-
-
-def write_attention_json(stats: AttentionStats, path, extra: dict | None = None) -> None:
-    payload = stats.to_dict()
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def write_flops_json(report: FlopsReport, path) -> None:
-    with open(path, "w") as f:
-        json.dump(report.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")

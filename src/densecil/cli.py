@@ -7,8 +7,9 @@ metrics.csv / summary.json / attention.json / flops.json / model.ckpt;
 ``gradcheck`` verifies all gradients; ``counts`` prints the group entry
 populations.
 
-Config values come from a flat JSON file (``--config``) with command-line
-flags taking precedence; every run is fully determined by one seed.
+Every ``RunConfig`` key is also a ``train`` flag (``image_size`` is
+``--image-size``); flags override a flat JSON file (``--config``), both pass
+``RunConfig.validate``, and every run is fully determined by one seed.
 """
 
 from __future__ import annotations
@@ -107,6 +108,9 @@ class RunConfig:
             raise ConfigError(f"unknown dataset {self.dataset!r}")
         if self.dataset == "cifar100" and not (self.cifar_train and self.cifar_test):
             raise ConfigError("cifar100 needs --cifar-train and --cifar-test paths")
+        if self.dataset == "cifar100" and (self.image_size, self.channels) != (32, 3):
+            raise ConfigError("cifar100 images need image_size 32 and channels 3, "
+                              f"got {self.image_size} and {self.channels}")
         if self.cta_layers is not None:
             if len(self.cta_layers) != self.layers or set(self.cta_layers) - {"0", "1"}:
                 raise ConfigError(
@@ -144,6 +148,15 @@ def build_stream(cfg: RunConfig) -> C.TaskStream:
                           eval_per_class=cfg.eval_per_class)
 
 
+def write_json(payload: dict, path=None) -> str:
+    """The JSON text of every artifact (sorted keys, indent 2, trailing
+    newline), also written to ``path`` when one is given."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path is not None:
+        Path(path).write_text(text)
+    return text
+
+
 def run(cfg: RunConfig) -> int:
     """Execute the full train/evaluate protocol and write all artifacts."""
     cfg.validate()
@@ -158,14 +171,14 @@ def run(cfg: RunConfig) -> int:
     record.flops_macs = A.flops_model(model)
 
     C.write_metrics_csv(record, out_dir / "metrics.csv")
-    C.write_summary_json(record, asdict(cfg), cfg.seed, out_dir / "summary.json")
+    write_json({"config": asdict(cfg), "seed": cfg.seed, **record.to_dict()},
+               out_dir / "summary.json")
     E.save_checkpoint(model, out_dir / "model.ckpt")
 
     probe = [s.image for s in stream.tasks[0].eval[:4]]
     stats = A.model_attention_stats(model, probe, mode=cfg.attention_mode)
-    A.write_attention_json(stats, out_dir / "attention.json",
-                           extra={"mode": cfg.attention_mode,
-                                  "heads_per_task": list(model.heads_per_task)})
+    write_json({**stats.to_dict(), "mode": cfg.attention_mode,
+                "heads_per_task": list(model.heads_per_task)}, out_dir / "attention.json")
 
     report = A.flops_report(model.task_count, cfg.h1, cfg.model_config().num_patches,
                             cfg.head_dim, instrumented=A.instrumented_macs(
@@ -173,7 +186,7 @@ def run(cfg: RunConfig) -> int:
                             model_macs=record.flops_macs,
                             layers=cfg.layers, gamma=cfg.gamma,
                             classes_per_task=max(model.classes_per_task))
-    A.write_flops_json(report, out_dir / "flops.json")
+    write_json(report.to_dict(), out_dir / "flops.json")
 
     for i, acc in enumerate(record.accuracies, start=1):
         print(f"step {i}: accuracy {acc:.2f}")
@@ -186,48 +199,30 @@ def run(cfg: RunConfig) -> int:
 
 # ------------------------------------------------------------------ parsing
 
+_FLAG_HELP = {"k": "heads added per task", "h1": "first-task heads",
+              "joint": "also train the joint upper bound for the D metric",
+              "cta_layers": "per-layer mask, e.g. 10"}
+
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+_PARSE = {"int": int, "float": float, "str": str, "bool": lambda text: _BOOLS[text.lower()]}
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=str, default=None, help="flat JSON config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--strategy", choices=list(E.STRATEGIES), default=None)
-    p.add_argument("--sta-variant", dest="sta_variant",
-                   choices=list(E.STA_VARIANTS), default=None)
-    p.add_argument("--k", type=int, default=None, help="heads added per task")
-    p.add_argument("--h1", type=int, default=None, help="first-task heads")
-    p.add_argument("--step-size", dest="step_size", type=int, default=None)
-    p.add_argument("--buffer", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--tune-epochs", dest="tune_epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--joint", action="store_true", default=None,
-                   help="also train the joint upper bound for the D metric")
-    p.add_argument("--dataset", choices=["synthetic", "cifar100"], default=None)
-    p.add_argument("--cifar-train", dest="cifar_train", type=str, default=None)
-    p.add_argument("--cifar-test", dest="cifar_test", type=str, default=None)
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--per-class", dest="per_class", type=int, default=None)
-    p.add_argument("--first-task", dest="first_task", type=int, default=None)
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--head-dim", dest="head_dim", type=int, default=None)
-    p.add_argument("--cta-layers", dest="cta_layers", type=str, default=None,
-                   help="per-layer mask, e.g. 10")
-    p.add_argument("--cta-mhsa", dest="cta_mhsa", type=_parse_bool, default=None)
-    p.add_argument("--cta-fc1", dest="cta_fc1", type=_parse_bool, default=None)
-    p.add_argument("--cta-fc2", dest="cta_fc2", type=_parse_bool, default=None)
-    p.add_argument("--share-q", dest="share_q", choices=["s", "f"], default=None)
-    p.add_argument("--share-k", dest="share_k", choices=["s", "f"], default=None)
-    p.add_argument("--share-v", dest="share_v", choices=["s", "f"], default=None)
+    """One text-valued flag per ``RunConfig`` field, ``--<name>`` with ``-``
+    for ``_``; a bool flag given alone means true."""
+    p.add_argument("--config", help="flat JSON config file")
+    for f in fields(RunConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), help=_FLAG_HELP.get(f.name),
+                       **({"nargs": "?", "const": "true"} if f.type == "bool" else {}))
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
+def _flag_value(f, text: str):
+    """A flag's text as a value of field ``f``'s type."""
+    try:
+        return _PARSE[f.type.split(" | ")[0]](text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{f.name} must be {f.type}, got {text!r}") from None
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
@@ -235,9 +230,8 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config:
         try:
-            with open(args.config) as f:
-                values = json.load(f)
-        except json.JSONDecodeError as e:
+            values = json.loads(Path(args.config).read_text())
+        except ValueError as e:      # malformed JSON or UTF-8
             raise ConfigError(f"config file {args.config} is not valid JSON: {e}") from None
         if not isinstance(values, dict):
             raise ConfigError(f"config file {args.config} holds a JSON "
@@ -246,9 +240,9 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for f in fields(RunConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            values[f.name] = flag
+        text = getattr(args, f.name)
+        if text is not None:
+            values[f.name] = _flag_value(f, text)
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg
@@ -262,14 +256,16 @@ def main(argv=None) -> int:
 
     p_train = sub.add_parser("train", help="run the incremental protocol")
     _add_run_flags(p_train)
+    p_train.set_defaults(func=lambda args: run(load_run_config(args)))
 
     p_attn = sub.add_parser("analyze-attention",
                             help="group decomposition of a trained model's attention")
     p_attn.add_argument("--ckpt", required=True)
     p_attn.add_argument("--out", default=None, help="output JSON path")
-    p_attn.add_argument("--mode", choices=list(A.ATTENTION_MODES), default="layer_mean")
+    p_attn.add_argument("--mode", default="layer_mean", help=", ".join(A.ATTENTION_MODES))
     p_attn.add_argument("--seed", type=int, default=0)
     p_attn.add_argument("--images", type=int, default=4)
+    p_attn.set_defaults(func=_cmd_attention)
 
     p_flops = sub.add_parser("flops", help="analytic compute table")
     p_flops.add_argument("--heads", type=int, required=True)
@@ -277,32 +273,25 @@ def main(argv=None) -> int:
     p_flops.add_argument("--tasks", type=int, default=6)
     p_flops.add_argument("--dim", type=int, default=64)
     p_flops.add_argument("--out", default=None)
+    p_flops.set_defaults(func=_cmd_flops)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     p_grad.add_argument("--points", type=int, default=10)
     p_grad.add_argument("--seed", type=int, default=0)
+    p_grad.set_defaults(func=_cmd_gradcheck)
 
     p_counts = sub.add_parser("counts", help="attention-group entry populations")
     p_counts.add_argument("--heads", type=int, required=True)
     p_counts.add_argument("--patches", type=int, required=True)
+    p_counts.set_defaults(func=_cmd_counts)
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "train":
-            return run(load_run_config(args))
-        if args.command == "analyze-attention":
-            return _cmd_attention(args)
-        if args.command == "flops":
-            return _cmd_flops(args)
-        if args.command == "gradcheck":
-            return _cmd_gradcheck(args)
-        if args.command == "counts":
-            return _cmd_counts(args)
+        return args.func(args)
     except (ConfigError, C.StreamError, D.FormatError, E.CheckpointError,
             T.NumericError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 def _cmd_attention(args) -> int:
@@ -311,10 +300,7 @@ def _cmd_attention(args) -> int:
     images = [rng.random((model.cfg.in_channels, model.cfg.image_size,
                           model.cfg.image_size)) for _ in range(args.images)]
     stats = A.model_attention_stats(model, images, mode=args.mode)
-    text = json.dumps(stats.to_dict(), indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+    print(write_json(stats.to_dict(), args.out), end="")
     return 0
 
 
@@ -327,8 +313,7 @@ def _cmd_flops(args) -> int:
           f"{report.analytic['dne']:,}")
     print(f"ratio dne/ia: {report.ratio_dne_over_ia:.4f}  "
           f"closed form: {report.ratio_formula:.4f}")
-    if args.out:
-        A.write_flops_json(report, args.out)
+    write_json(report.to_dict(), args.out)
     return 0
 
 

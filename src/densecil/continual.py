@@ -17,7 +17,6 @@ and store filling.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -164,9 +163,6 @@ class ClassIndex:
             return self._index[label]
         except KeyError:
             raise StreamError(f"class id {label} was never seen") from None
-
-    def label(self, index: int) -> int:
-        return self.order[index]
 
     def __len__(self):
         return len(self.order)
@@ -645,10 +641,3 @@ def write_metrics_csv(record: MetricsRecord, path) -> None:
             out.writerow([final, "D_gap", repr(record.d_gap)])
         if record.flops_macs is not None:
             out.writerow([final, "flops_macs", record.flops_macs])
-
-
-def write_summary_json(record: MetricsRecord, config_echo: dict, seed: int, path) -> None:
-    payload = {"config": config_echo, "seed": seed, **record.to_dict()}
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -391,10 +391,6 @@ class CilModel:
         """Run one (C, h, w) image or a (B, C, h, w) batch; see ``_forward``."""
         return _forward(self, image, collect_attn=collect_attn, frozen=frozen)
 
-    def eval_logits(self, image) -> np.ndarray:
-        with T.no_grad():
-            return self.forward(image).logits.data.copy()
-
 
 @dataclass
 class ForwardResult:

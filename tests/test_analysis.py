@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from densecil import analysis as A
+from densecil import cli
 from densecil import expansion as E
 from densecil import tensor as T
 from densecil.config import TOL
@@ -216,7 +217,7 @@ def test_ratio_formula_values():
 def test_flops_report_round_trip(tmp_path):
     rep = A.flops_report(4, 2, 16, 64)
     path = tmp_path / "flops.json"
-    A.write_flops_json(rep, path)
+    cli.write_json(rep.to_dict(), path)
     import json
     data = json.loads(path.read_text())
     assert data["analytic_flops"]["ia"] == 2 * data["analytic_macs"]["ia"]

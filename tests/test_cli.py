@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,15 @@ def test_config_file_rejects_malformed_json_and_wrong_types(tmp_path, capsys, te
     assert not out.exists()
 
 
+def test_config_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_bytes(b'{"epochs": "\xff"}')
+    assert cli.main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "run")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "is not valid JSON" in lines[0], lines
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_file_accepts_ints_for_floats_and_null_for_optional_paths(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"lr": 1, "noise": 0, "cifar_train": None}))
@@ -180,9 +190,10 @@ def test_config_file_accepts_ints_for_floats_and_null_for_optional_paths(tmp_pat
 @pytest.mark.parametrize("argv", [
     pytest.param(["train", "--config", "{tmp}/missing.json"], id="config"),
     pytest.param(["train", "--dataset", "cifar100", "--cifar-train", "{tmp}/missing.bin",
-                  "--cifar-test", "{tmp}/missing.bin"], id="cifar-missing"),
+                  "--cifar-test", "{tmp}/missing.bin", "--image-size", "32"],
+                 id="cifar-missing"),
     pytest.param(["train", "--dataset", "cifar100", "--cifar-train", "{tmp}/short.bin",
-                  "--cifar-test", "{tmp}/short.bin"], id="cifar-short"),
+                  "--cifar-test", "{tmp}/short.bin", "--image-size", "32"], id="cifar-short"),
     pytest.param(["analyze-attention", "--ckpt", "{tmp}/missing.ckpt"], id="ckpt"),
 ])
 def test_missing_or_short_input_file_is_one_error_line(tmp_path, capsys, argv):
@@ -215,6 +226,78 @@ def test_bad_model_config_fails_before_making_the_run_directory(tmp_path, capsys
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,problem", [
+    pytest.param("--strategy", "nope", "unknown strategy 'nope'", id="strategy"),
+    pytest.param("--sta-variant", "x", "unknown sta variant 'x'", id="sta-variant"),
+    pytest.param("--dataset", "x", "unknown dataset 'x'", id="dataset"),
+    pytest.param("--share-q", "x", "share mode must be 's' or 'f', got 'x'", id="share-q"),
+    pytest.param("--epochs", "two", "epochs must be int, got 'two'", id="epochs"),
+    pytest.param("--lr", "abc", "lr must be float, got 'abc'", id="lr"),
+    pytest.param("--joint", "maybe", "joint must be bool, got 'maybe'", id="joint"),
+])
+def test_bad_flag_value_is_one_error_line_before_making_the_run_directory(
+        tmp_path, capsys, flag, value, problem):
+    out = tmp_path / "run"
+    assert cli.main(["train", flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not out.exists()
+
+
+# A value other than the default for every RunConfig field, with the other
+# settings that value needs to pass validation.
+NON_DEFAULT = {
+    "dataset": ("cifar100", {"cifar_train": "a.bin", "cifar_test": "b.bin",
+                             "image_size": 32}),
+    "cifar_train": ("a.bin", {}), "cifar_test": ("b.bin", {}), "classes": (6, {}),
+    "per_class": (4, {}), "eval_per_class": (3, {}), "noise": (0.5, {}),
+    "image_size": (32, {}), "patch_size": (8, {}), "channels": (1, {}),
+    "head_dim": (8, {}), "gamma": (2, {}), "layers": (3, {}), "first_task": (2, {}),
+    "step_size": (4, {}), "h1": (2, {}), "k": (2, {}), "strategy": ("ia", {}),
+    "sta_variant": ("spdh", {"strategy": "sta"}), "cta_layers": ("10", {}),
+    "cta_mhsa": (True, {}), "cta_fc1": (False, {}), "cta_fc2": (False, {}),
+    "share_q": ("f", {}), "share_k": ("f", {}), "share_v": ("s", {}),
+    "lw_ce": (0.5, {}), "lw_aux": (0.25, {}), "lr": (0.125, {}),
+    "weight_decay": (0.001, {}), "momentum": (0.9, {}), "batch_size": (4, {}),
+    "epochs": (3, {}), "tune_epochs": (0, {}), "buffer": (10, {}), "joint": (True, {}),
+    "seed": (7, {}), "out": ("elsewhere", {}), "attention_mode": ("final", {}),
+}
+
+# Flags spelled by hand before every field had one; scripts use these spellings.
+ESTABLISHED_FLAGS = [
+    "--seed", "--strategy", "--sta-variant", "--k", "--h1", "--step-size", "--buffer",
+    "--epochs", "--tune-epochs", "--lr", "--batch-size", "--out", "--joint", "--dataset",
+    "--cifar-train", "--cifar-test", "--classes", "--per-class", "--first-task",
+    "--layers", "--head-dim", "--cta-layers", "--cta-mhsa", "--cta-fc1", "--cta-fc2",
+    "--share-q", "--share-k", "--share-v"]
+
+
+def _flags(values: dict) -> list[str]:
+    return [a for name, value in values.items()
+            for a in ("--" + name.replace("_", "-"), str(value).lower()
+                      if isinstance(value, bool) else str(value))]
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(cli.RunConfig)])
+def test_every_setting_is_a_flag_equal_to_its_config_file_entry(tmp_path, name):
+    value, needs = NON_DEFAULT[name]
+    values = {**needs, name: value}
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(values))
+    from_file = cli.load_run_config(_parse(["train", "--config", str(cfg_file)]))
+    from_flags = cli.load_run_config(_parse(["train", *_flags(values)]))
+    assert from_flags == from_file
+    assert getattr(from_flags, name) == value != getattr(cli.RunConfig(), name)
+
+
+def test_established_flag_spellings_and_bare_bool_flags():
+    assert len(NON_DEFAULT) == len(fields(cli.RunConfig)) == 39
+    assert len(ESTABLISHED_FLAGS) == 28
+    assert set(ESTABLISHED_FLAGS) <= {"--" + name.replace("_", "-") for name in NON_DEFAULT}
+    assert cli.load_run_config(_parse(["train", "--joint"])).joint is True
+    cfg = cli.load_run_config(_parse(["train", "--cta-mhsa", "false", "--joint", "--seed", "2"]))
+    assert (cfg.cta_mhsa, cfg.joint, cfg.seed) == (False, True, 2)
 
 
 def test_wiring_flag_the_strategy_ignores_fails_before_making_the_run_directory(
@@ -255,6 +338,15 @@ def test_analyze_attention_rejects_a_nonfinite_checkpoint_value(tmp_path, capsys
     assert not (tmp_path / "attn.json").exists()
 
 
+def test_analyze_attention_rejects_an_unknown_mode(tmp_path, capsys):
+    out = tmp_path / "attn.json"
+    argv = ["analyze-attention", "--ckpt", _tiny_checkpoint(tmp_path), "--mode", "x",
+            "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: unknown aggregation mode 'x'\n"
+    assert not out.exists()
+
+
 def test_no_module_imports_scipy():
     """Importing every densecil module and running ``densecil flops`` loads
     no scipy module: numpy is the only runtime dependency."""
@@ -270,17 +362,38 @@ def test_no_module_imports_scipy():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def _cifar_stream(tmp_path, **kw):
-    """``build_stream`` over a tiny CIFAR pair whose pixels hold each record's index."""
+def _cifar_pair(tmp_path):
+    """A tiny CIFAR pair (3 train and 2 test records of 12 classes) whose
+    pixels hold each record's index."""
     def write(path, labels):
         path.write_bytes(b"".join(bytes([0, c]) + bytes([i]) * 3072
                                   for i, c in enumerate(labels)))
     write(tmp_path / "train.bin", [c for _ in range(3) for c in range(12)])
     write(tmp_path / "test.bin", [c for _ in range(2) for c in range(12)])
-    cfg = cli.RunConfig(dataset="cifar100", cifar_train=str(tmp_path / "train.bin"),
-                        cifar_test=str(tmp_path / "test.bin"), per_class=2,
-                        eval_per_class=1, **kw)
+    return str(tmp_path / "train.bin"), str(tmp_path / "test.bin")
+
+
+def _cifar_stream(tmp_path, **kw):
+    """``build_stream`` over ``_cifar_pair``."""
+    train, test = _cifar_pair(tmp_path)
+    cfg = cli.RunConfig(dataset="cifar100", cifar_train=train, cifar_test=test,
+                        per_class=2, eval_per_class=1, **kw)
     return cli.build_stream(cfg)
+
+
+def test_cifar_run_needs_32_pixel_images(tmp_path, capsys):
+    train, test = _cifar_pair(tmp_path)
+    out = tmp_path / "run"
+    argv = ["train", "--dataset", "cifar100", "--cifar-train", train, "--cifar-test", test,
+            "--classes", "4", "--first-task", "2", "--per-class", "2",
+            "--eval-per-class", "1", "--epochs", "1", "--tune-epochs", "0", "--layers", "1",
+            "--head-dim", "8", "--patch-size", "8", "--h1", "1", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: cifar100 images need image_size 32 and channels 3, got 16 and 3\n")
+    assert not out.exists()
+    assert cli.main([*argv, "--image-size", "32"]) == 0
+    assert (out / "model.ckpt").exists()
 
 
 def test_cifar_stream_validates_task_split(tmp_path):
