@@ -4,8 +4,9 @@ Joint attention over H heads x P patches has four kinds of (query, key)
 pairs: same patch/same head, same patch/different head, different
 patch/same head, and the huge remainder with both different.  This module
 counts those populations, measures how softmax mass distributes over them
-in a live model, and tallies multiply-accumulates both analytically (from
-the layer shapes) and by instrumenting a forward pass.
+in a live model, and tallies multiply-accumulates both by instrumenting a
+forward pass and analytically: ``flops_layout`` is the one MAC model, and
+reads every shape and wiring choice from a ``ModelConfig``.
 """
 
 from __future__ import annotations
@@ -155,26 +156,8 @@ def model_attention_stats(model: E.CilModel, images, mode: str = "layer_mean",
 
 # ------------------------------------------------------------- MAC accounting
 
-def _attention_macs(strategy: str, heads: list[int], P: int, D: int,
-                    cta_in_mhsa: bool) -> int:
-    total = 0
-    for i, h in enumerate(heads):
-        pool = sum(heads[: i + 1])
-        width = D * h
-        if strategy == "sta":
-            total += 3 * h * P * D * D                   # own-head projections
-            total += 2 * h * P * pool * P * D            # joint scores + weighted sum
-        elif strategy == "dne" and cta_in_mhsa:
-            total += 3 * _ta_macs(P, pool, h, D, D, D)   # q/k/v via task attention
-            total += 2 * h * P * P * D                   # per-head spatial attention
-        else:
-            total += 3 * h * P * D * D
-            total += 2 * h * P * P * D
-        total += P * width * width                       # fusion
-    return total
-
-
 def _ta_macs(P: int, pool: int, n_query: int, din: int, attn: int, dout: int) -> int:
+    """One task-attention stage over a pool of ``pool`` heads."""
     keys = P * pool * din * attn
     queries = P * n_query * din * attn
     values = pool * P * din * dout
@@ -183,84 +166,39 @@ def _ta_macs(P: int, pool: int, n_query: int, din: int, attn: int, dout: int) ->
     return keys + queries + values + scores + weighted
 
 
-def _mixing_macs(strategy: str, heads: list[int], P: int, D: int, gamma: int,
-                 cta_layer: bool, cta_fc1: bool, cta_fc2: bool) -> int:
-    total = 0
-    for i, h in enumerate(heads):
-        pool = sum(heads[: i + 1])
-        width = D * h
-        tab = strategy == "dne" and cta_layer
-        if tab and cta_fc1:
-            total += _ta_macs(P, pool, h, D, D, gamma * D)
-        else:
-            total += P * width * (gamma * width)
-        if tab and cta_fc2:
-            total += _ta_macs(P, pool, h, gamma * D, D, D)
-        else:
-            total += P * (gamma * width) * width
+def flops_layout(cfg: E.ModelConfig, heads: list[int], classes: list[int]) -> int:
+    """Exact forward-pass MACs for one image of a ``cfg`` model whose experts
+    have ``heads`` heads and ``classes`` classes, from the layer shapes."""
+    P, D, gamma = cfg.num_patches, cfg.head_dim, cfg.gamma
+    dne = cfg.strategy == "dne"
+    total = D * sum(heads) * (classes[-1] + 1)                  # auxiliary head
+    for i, (h, n_cls) in enumerate(zip(heads, classes)):
+        pool, width = sum(heads[: i + 1]), D * h
+        total += P * cfg.in_channels * cfg.patch_size ** 2 * width   # patch embedding
+        for tab in cfg.cta_mask():
+            tab = tab and dne
+            if cfg.strategy == "sta":       # own-head projections, joint attention
+                total += 3 * h * P * D * D + 2 * h * P * pool * P * D
+            elif dne and cfg.cta_in_mhsa:   # q/k/v via task attention
+                total += 3 * _ta_macs(P, pool, h, D, D, D) + 2 * h * P * P * D
+            else:
+                total += 3 * h * P * D * D + 2 * h * P * P * D
+            total += P * width * width                          # fusion
+            total += (_ta_macs(P, pool, h, D, D, gamma * D) if tab and cfg.cta_in_fc1
+                      else P * width * gamma * width)
+            total += (_ta_macs(P, pool, h, gamma * D, D, D) if tab and cfg.cta_in_fc2
+                      else P * gamma * width * width)
+        total += h * D * D                                      # token query
+        total += 2 * h * P * D * D                              # patch keys/values
+        total += 2 * h * P * D                                  # scores + weighted sum
+        total += width * width                                  # fusion
+        total += width * n_cls                                  # classifier slice
     return total
-
-
-def _head_macs(heads: list[int], classes: list[int], P: int, D: int) -> int:
-    total = 0
-    for h, n_cls in zip(heads, classes):
-        width = D * h
-        total += h * D * D                      # token query
-        total += 2 * h * P * D * D              # patch keys/values
-        total += 2 * h * P * D                  # scores + weighted sum
-        total += width * width                  # fusion
-        total += width * n_cls                  # classifier slice
-    total += (D * sum(heads)) * (classes[-1] + 1)   # auxiliary head
-    return total
-
-
-def flops_layout(heads: list[int], classes: list[int], *, P: int, D: int,
-                 gamma: int, layers: int, in_channels: int, patch_size: int,
-                 strategy: str, cta_layers=None, cta_in_mhsa: bool = False,
-                 cta_fc1: bool = True, cta_fc2: bool = True) -> int:
-    """Exact forward-pass MACs for one image, from the layer shapes."""
-    if cta_layers is None:
-        cta_layers = [True] * layers
-    patch_dim = in_channels * patch_size * patch_size
-    total = sum(P * patch_dim * D * h for h in heads)
-    for l in range(layers):
-        total += _attention_macs(strategy, heads, P, D, cta_in_mhsa)
-        total += _mixing_macs(strategy, heads, P, D, gamma,
-                              cta_layers[l], cta_fc1, cta_fc2)
-    total += _head_macs(heads, classes, P, D)
-    return total
-
-
-_FLOPS_DEFAULTS = dict(gamma=4, layers=2, in_channels=3, patch_size=4,
-                       classes_per_task=2)
-
-
-def _flops_uniform(strategy: str, T_: int, H: int, P: int, D: int, kw: dict) -> int:
-    """MACs of T experts with H heads each in ``strategy``'s wiring."""
-    opts = {**_FLOPS_DEFAULTS, **kw}
-    cls = opts.pop("classes_per_task")
-    return flops_layout([H] * T_, [cls] * T_, P=P, D=D, strategy=strategy, **opts)
-
-
-def flops_ia(T_: int, H: int, P: int, D: int, **kw) -> int:
-    """MACs of T independent experts with H heads each."""
-    return _flops_uniform("ia", T_, H, P, D, kw)
-
-
-def flops_dne(T_: int, H: int, P: int, D: int, **kw) -> int:
-    """MACs of T densely-connected experts with H heads each."""
-    return _flops_uniform("dne", T_, H, P, D, kw)
 
 
 def flops_model(model: E.CilModel) -> int:
     """Analytic MACs for a live model's exact configuration."""
-    cfg = model.cfg
-    return flops_layout(
-        [e.heads for e in model.experts], [e.n_classes for e in model.experts],
-        P=cfg.num_patches, D=cfg.head_dim, gamma=cfg.gamma, layers=cfg.layers,
-        in_channels=cfg.in_channels, patch_size=cfg.patch_size,
-        strategy=cfg.strategy, cta_layers=list(cfg.cta_mask()),
-        cta_in_mhsa=cfg.cta_in_mhsa, cta_fc1=cfg.cta_in_fc1, cta_fc2=cfg.cta_in_fc2)
+    return flops_layout(model.cfg, model.heads_per_task, model.classes_per_task)
 
 
 def instrumented_macs(model: E.CilModel, image) -> int:
@@ -277,45 +215,26 @@ def compute_ratio_formula(T_: int, H: int, P: int) -> float:
     return (P + T_) / (H * (P + H))
 
 
-@dataclass
-class FlopsReport:
-    analytic: dict[str, int]
-    instrumented: int | None
-    model_macs: int | None
-    ratio_dne_over_ia: float
-    ratio_formula: float
-    crossover_tasks: int
-
-    def to_dict(self) -> dict:
-        return {
-            "analytic_macs": self.analytic,
-            "analytic_flops": {k: 2 * v for k, v in self.analytic.items()},
-            "instrumented_macs": self.instrumented,
-            "model_macs": self.model_macs,
-            "ratio_dne_over_ia": self.ratio_dne_over_ia,
-            "ratio_formula": self.ratio_formula,
-            "crossover_tasks": self.crossover_tasks,
-        }
-
-
-def flops_report(T_: int, H: int, P: int, D: int, instrumented: int | None = None,
-                 model_macs: int | None = None, **kw) -> FlopsReport:
-    """Analytic counts for both wirings plus the closed-form comparisons;
+def flops_report(cfg: E.ModelConfig, tasks: int, heads: int, classes_per_task: int,
+                 instrumented: int | None = None, model_macs: int | None = None) -> dict:
+    """The ``flops.json`` record: analytic MACs of ``tasks`` independent
+    experts of ``heads`` heads (``ia``) and of ``tasks`` one-head dense
+    experts (``dne``, the regime of the ratio formula), both at ``cfg``'s
+    geometry in their default wiring, with the closed-form comparisons;
     ``instrumented`` and ``model_macs`` are the counted and the analytic
-    MACs of one forward of a live model, reported as given.
-
-    The measured ratio follows the 1-head-per-task dense configuration,
-    matching the regime the ratio formula describes.
-    """
-    if min(T_, H, P, D) < 1:
-        raise ConfigError(f"need tasks, heads, patches, dim >= 1, got {T_}, {H}, {P}, {D}")
-    ia = flops_ia(T_, H, P, D, **kw)
-    dne = flops_dne(T_, 1, P, D, **kw)
-    return FlopsReport(
-        analytic={"ia": ia, "dne": dne},
-        instrumented=instrumented,
-        model_macs=model_macs,
-        ratio_dne_over_ia=dne / ia,
-        ratio_formula=compute_ratio_formula(T_, H, P),
-        crossover_tasks=crossover_bound(H, P),
-    )
+    MACs of one forward of a live model, reported as given."""
+    if min(tasks, heads) < 1:
+        raise ConfigError(f"need tasks, heads >= 1, got {tasks}, {heads}")
+    geometry = {name: getattr(cfg, name) for name in E.GEOMETRY}
+    analytic = {s: flops_layout(E.ModelConfig(**geometry, strategy=s), [h] * tasks,
+                                [classes_per_task] * tasks)
+                for s, h in (("ia", heads), ("dne", 1))}
+    return {
+        "analytic_macs": analytic,
+        "analytic_flops": {k: 2 * v for k, v in analytic.items()},
+        "instrumented_macs": instrumented,
+        "model_macs": model_macs,
+        "ratio_dne_over_ia": analytic["dne"] / analytic["ia"],
+        "ratio_formula": compute_ratio_formula(tasks, heads, cfg.num_patches),
+        "crossover_tasks": crossover_bound(heads, cfg.num_patches),
+    }

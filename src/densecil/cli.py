@@ -180,13 +180,10 @@ def run(cfg: RunConfig) -> int:
     write_json({**stats.to_dict(), "mode": cfg.attention_mode,
                 "heads_per_task": list(model.heads_per_task)}, out_dir / "attention.json")
 
-    report = A.flops_report(model.task_count, cfg.h1, cfg.model_config().num_patches,
-                            cfg.head_dim, instrumented=A.instrumented_macs(
-                                model, stream.tasks[0].eval[0].image),
-                            model_macs=record.flops_macs,
-                            layers=cfg.layers, gamma=cfg.gamma,
-                            classes_per_task=max(model.classes_per_task))
-    write_json(report.to_dict(), out_dir / "flops.json")
+    write_json(A.flops_report(model.cfg, model.task_count, cfg.h1,
+                              max(model.classes_per_task),
+                              A.instrumented_macs(model, stream.tasks[0].eval[0].image),
+                              record.flops_macs), out_dir / "flops.json")
 
     for i, acc in enumerate(record.accuracies, start=1):
         print(f"step {i}: accuracy {acc:.2f}")
@@ -248,8 +245,18 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _fail(message: str):
+    raise ConfigError(message)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ``ConfigError``, so it too prints one
+    ``error:`` line and exits 1."""
+    error = staticmethod(_fail)         # argparse's hook for every parse error
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="densecil",
         description="desk-scale class-incremental learning with growing task experts")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -269,7 +276,8 @@ def main(argv=None) -> int:
 
     p_flops = sub.add_parser("flops", help="analytic compute table")
     p_flops.add_argument("--heads", type=int, required=True)
-    p_flops.add_argument("--patches", type=int, required=True)
+    p_flops.add_argument("--patches", type=int, required=True,
+                         help="patches per image, a square number")
     p_flops.add_argument("--tasks", type=int, default=6)
     p_flops.add_argument("--dim", type=int, default=64)
     p_flops.add_argument("--out", default=None)
@@ -285,8 +293,8 @@ def main(argv=None) -> int:
     p_counts.add_argument("--patches", type=int, required=True)
     p_counts.set_defaults(func=_cmd_counts)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ConfigError, C.StreamError, D.FormatError, E.CheckpointError,
             T.NumericError, OSError) as e:
@@ -295,6 +303,8 @@ def main(argv=None) -> int:
 
 
 def _cmd_attention(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {args.seed}")
     model = E.load_checkpoint(args.ckpt)
     rng = np.random.default_rng(args.seed)
     images = [rng.random((model.cfg.in_channels, model.cfg.image_size,
@@ -305,15 +315,19 @@ def _cmd_attention(args) -> int:
 
 
 def _cmd_flops(args) -> int:
-    report = A.flops_report(args.tasks, args.heads, args.patches, args.dim)
-    print(f"crossover bound: T < {report.crossover_tasks}")
-    print(f"analytic MACs  ia({args.tasks} tasks x {args.heads} heads): "
-          f"{report.analytic['ia']:,}")
-    print(f"analytic MACs  dne({args.tasks} tasks x 1 head):  "
-          f"{report.analytic['dne']:,}")
-    print(f"ratio dne/ia: {report.ratio_dne_over_ia:.4f}  "
-          f"closed form: {report.ratio_formula:.4f}")
-    write_json(report.to_dict(), args.out)
+    side = math.isqrt(max(args.patches, 0))
+    if args.patches < 1 or side * side != args.patches:
+        raise ConfigError(f"patches must be a positive square number, got {args.patches}")
+    # the default model (4-pixel patches) with a side x side patch grid
+    cfg = E.ModelConfig(image_size=4 * side, head_dim=args.dim)
+    report = A.flops_report(cfg, args.tasks, args.heads, classes_per_task=2)
+    macs = report["analytic_macs"]
+    print(f"crossover bound: T < {report['crossover_tasks']}")
+    print(f"analytic MACs  ia({args.tasks} tasks x {args.heads} heads): {macs['ia']:,}")
+    print(f"analytic MACs  dne({args.tasks} tasks x 1 head):  {macs['dne']:,}")
+    print(f"ratio dne/ia: {report['ratio_dne_over_ia']:.4f}  "
+          f"closed form: {report['ratio_formula']:.4f}")
+    write_json(report, args.out)
     return 0
 
 

@@ -76,6 +76,8 @@ STA_CROSS_HEAD = {"none": (), "spdh": ("SPDH",), "dpdh": ("DPDH",), "both": ("SP
 """Cross-head groups each sta variant adds to the always-on same-head pairs."""
 STA_VARIANTS = tuple(STA_CROSS_HEAD)
 SHARE_MODES = ("s", "f")
+GEOMETRY = ("image_size", "patch_size", "in_channels", "head_dim", "gamma", "layers")
+"""The ``ModelConfig`` fields that size the layers, apart from the wiring."""
 
 CKPT_VERSION = 1
 
@@ -105,7 +107,7 @@ class ModelConfig:
     share_v: str = "f"
 
     def __post_init__(self):
-        for name in ("image_size", "patch_size", "in_channels", "head_dim", "gamma", "layers"):
+        for name in GEOMETRY:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.strategy not in STRATEGIES:

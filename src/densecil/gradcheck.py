@@ -188,6 +188,8 @@ def run_all(points: int = 10, seed: int = 0, verbose: bool = False) -> list[tupl
     """
     if points < 1:
         raise ConfigError(f"points must be at least 1, got {points}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
 
     def checks():
         for name, case in sorted(op_cases().items()):

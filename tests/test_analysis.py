@@ -170,43 +170,37 @@ def test_instrumented_equals_analytic_two_task_reference():
     ("dne", [2, 1], [2, 2], {"cta_layers": (True, False), "layers": 2}),
     ("dne", [2, 1], [2, 2], {"cta_in_fc1": False}),
     ("dne", [2, 1], [2, 2], {"cta_in_fc2": False}),
+    ("dne", [2, 1, 1], [2, 2, 2], {"share_q": "f", "share_k": "f"}),
+    ("dne", [2, 1, 1], [2, 2, 2], {"share_v": "s"}),
+    ("dne", [2, 1, 1], [2, 2, 2], {"share_v": "s", "cta_in_mhsa": True}),
+    ("sta", [2, 1], [2, 2], {"sta_variant": "none"}),
+    ("sta", [2, 1], [2, 2], {"sta_variant": "spdh"}),
+    ("sta", [2, 1], [2, 2], {"sta_variant": "dpdh"}),
 ])
 def test_instrumented_equals_analytic_grid(strategy, heads, classes, kw):
     _check_instrumented(strategy, heads, classes, **kw)
 
 
-@pytest.mark.parametrize("strategy", ["ia", "sta"])
-def test_flops_layout_ignores_cta_in_mhsa_outside_dne(strategy):
-    kw = dict(P=4, D=8, gamma=2, layers=1, in_channels=3, patch_size=4, strategy=strategy)
-    assert A.flops_layout([2, 1], [2, 2], cta_in_mhsa=True, **kw) == \
-        A.flops_layout([2, 1], [2, 2], **kw)
-
-
-def test_flops_uniform_wrappers_match_layout():
-    assert A.flops_ia(3, 2, 16, 8, layers=2, gamma=4, classes_per_task=5) == \
-        A.flops_layout([2] * 3, [5] * 3, P=16, D=8, gamma=4, layers=2,
-                       in_channels=3, patch_size=4, strategy="ia")
-
-
 def test_flops_single_task_strategies_share_spatial_term():
-    # with one task the spatial attention cost is identical; only the
-    # mixing stage differs between wirings
-    ia = A.flops_ia(1, 2, 16, 8)
-    dne = A.flops_dne(1, 2, 16, 8)
-    spatial = 2 * (3 * 2 * 16 * 8 * 8 + 2 * 2 * 16 * 16 * 8 + 16 * 16 * 16)
-    for strategy in ("ia", "dne"):
-        assert spatial == 2 * A._attention_macs(strategy, [2], 16, 8, False)
-    assert ia > 0 and dne > 0
+    # with one task only the mixing stage differs between ia and dne, so
+    # dne with its TAB switched off costs exactly what ia costs
+    ia = A.flops_layout(E.ModelConfig(head_dim=8, strategy="ia"), [2], [2])
+    plain = E.ModelConfig(head_dim=8, cta_in_fc1=False, cta_in_fc2=False)
+    assert A.flops_layout(plain, [2], [2]) == ia
+    assert A.flops_layout(E.ModelConfig(head_dim=8), [2], [2]) > ia
 
 
 def test_flops_monotone_in_each_argument():
-    base = (3, 2, 16, 8)
-    for fn in (A.flops_ia, A.flops_dne):
-        ref = fn(*base)
-        for i in range(4):
-            bumped = list(base)
-            bumped[i] += 1 if i != 2 else 9    # keep P a plausible patch count
-            assert fn(*bumped) >= ref
+    base = dict(image_size=16, head_dim=8, gamma=4, layers=2)
+    bumps = dict(image_size=20, head_dim=9, gamma=5, layers=3)
+    for strategy in ("ia", "dne"):
+        ref = A.flops_layout(E.ModelConfig(**base, strategy=strategy), [2] * 3, [2] * 3)
+        for name, value in bumps.items():
+            cfg = E.ModelConfig(**{**base, name: value}, strategy=strategy)
+            assert A.flops_layout(cfg, [2] * 3, [2] * 3) > ref, (strategy, name)
+        cfg = E.ModelConfig(**base, strategy=strategy)
+        for heads, classes in (([2] * 4, [2] * 4), ([3] * 3, [2] * 3), ([2] * 3, [3] * 3)):
+            assert A.flops_layout(cfg, heads, classes) > ref, (strategy, heads, classes)
 
 
 def test_ratio_formula_values():
@@ -215,9 +209,9 @@ def test_ratio_formula_values():
 
 
 def test_flops_report_round_trip(tmp_path):
-    rep = A.flops_report(4, 2, 16, 64)
+    cfg = E.ModelConfig(head_dim=64)
     path = tmp_path / "flops.json"
-    cli.write_json(rep.to_dict(), path)
+    cli.write_json(A.flops_report(cfg, 4, 2, 2), path)
     import json
     data = json.loads(path.read_text())
     assert data["analytic_flops"]["ia"] == 2 * data["analytic_macs"]["ia"]

@@ -7,12 +7,13 @@ import re
 import struct
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from densecil import analysis as A
 from densecil import cli
 from densecil import expansion as E
 from densecil.config import ConfigError
@@ -77,6 +78,18 @@ def test_train_writes_all_artifacts(tmp_path):
         assert (out / name).exists(), name
     flops = json.loads((out / "flops.json").read_text())
     assert flops["model_macs"] == flops["instrumented_macs"] > 0
+
+
+def test_train_flops_json_uses_the_run_geometry(tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["train", *FAST, "--patch-size", "8", "--out", str(out)]) == 0
+    flops = json.loads((out / "flops.json").read_text())
+    model = E.load_checkpoint(out / "model.ckpt")
+    classes = [max(model.classes_per_task)] * model.task_count
+    for strategy, heads in (("ia", 2), ("dne", 1)):      # ia at --h1 2
+        cfg = replace(model.cfg, strategy=strategy)
+        assert flops["analytic_macs"][strategy] == \
+            A.flops_layout(cfg, [heads] * model.task_count, classes)
 
 
 def test_train_csv_accuracy_rows_consistent_with_aa(tmp_path):
@@ -456,6 +469,14 @@ def _tiny_checkpoint(tmp_path):
     ["counts", "--heads", "0", "--patches", "4"],
     ["analyze-attention", "--ckpt", "{ckpt}", "--images", "0"],
     ["analyze-attention", "--ckpt", "{ckpt}", "--mode", "final", "--images", "-1"],
+    ["flops", "--heads", "two", "--patches", "4"],
+    ["train", "--bogus"],
+    ["train", "--epochs"],
+    ["counts", "--heads", "2"],
+    [],
+    ["gradcheck", "--seed", "-1", "--points", "1"],
+    ["analyze-attention", "--ckpt", "{ckpt}", "--seed", "-1"],
+    ["flops", "--heads", "2", "--patches", "10"],
 ])
 def test_subcommand_rejects_degenerate_sizes_with_one_error_line(tmp_path, capsys, argv):
     argv = [_tiny_checkpoint(tmp_path) if a == "{ckpt}" else a for a in argv]
