@@ -7,8 +7,11 @@ same blocks be stitched across task experts later without re-normalizing
 foreign widths.
 
 Every expert reads the same image: ``extract_patches`` flattens it once and
-each expert's ``patch_embed`` projects those patches.  ``mlp_stage`` is the
-one MLP stage; the model mixes features stage by stage in
+each expert's ``patch_embed`` projects those patches.  ``mhsa_block`` is one
+graph node, ``T.attention_block``: per-head layer norm, q/k/v, read-out,
+fusion and residual.  ``tied_head_projections`` gives the joint wiring's
+q/k/v, which ``T.attention_readout`` reads out.  ``mlp_stage`` is the one
+MLP stage; the model mixes features stage by stage in
 ``expansion.tab_forward``.
 
 Every block takes token rows (P, D*H) of one image or (B, P, D*H) of a
@@ -164,54 +167,17 @@ def tied_head_projections(r: Tensor, params: TiedAttentionParams, head_dim: int)
     return tuple(out)
 
 
-def head_major(r: Tensor, params: SelfAttentionParams, head_dim: int) -> Tensor:
-    """Per-head layer norm of (..., P, D*H) rows with ``params``' gain and
-    bias, swapped to head-major (..., H, P, D)."""
-    toks = T.reshape(r, (*r.shape[:-1], r.shape[-1] // head_dim, head_dim))
-    return T.swap_axes(T.layer_norm(toks, params.ln_gain, params.ln_bias), -3, -2)
-
-
-def head_projections(r: Tensor, params: SelfAttentionParams, head_dim: int):
-    """Normalized per-head q/k/v stacks, head-major: each (..., H, P, D)."""
-    xh = head_major(r, params, head_dim)
-    q = T.add(T.matmul(xh, params.wq), params.bq)
-    k = T.add(T.matmul(xh, params.wk), params.bk)
-    v = T.add(T.matmul(xh, params.wv), params.bv)
-    return q, k, v
-
-
-def attention_readout(r: Tensor, q: Tensor, k: Tensor, v: Tensor,
-                      fuse_w: Tensor, fuse_b: Tensor, head_dim: int,
-                      mask: np.ndarray | None = None):
-    """Scaled dot-product attention plus residual fusion: r + fuse(softmax(q k^T) v).
-
-    q/k/v are head-major (H, P, D) stacks, each head attending within
-    itself, or flattened (H*P, D) queries over (M*P, D) keys and values,
-    with ``mask`` (if given) enabling (query, key) pairs.  Any operand may
-    carry a leading batch axis.  Returns the (P, D*H) block output and the
-    attention weights, (H, P, P) or (H*P, M*P), batched like the inputs.
-    """
-    p, width = r.shape[-2:]
-    heads = width // head_dim
-    attn = T.softmax_rows(T.matmul(q, T.swap_axes(k, -1, -2)), math.sqrt(head_dim), mask)
-    av = T.matmul(attn, v)
-    if len(av.shape) == len(r.shape):   # flattened queries: back to (H, P, D)
-        av = T.reshape(av, (*av.shape[:-2], heads, p, head_dim))
-    cat = T.reshape(T.swap_axes(av, -3, -2), (*av.shape[:-3], p, width))
-    return T.add(r, T.matmul(cat, fuse_w, fuse_b)), attn
-
-
 def mhsa_block(r: Tensor, params: SelfAttentionParams, head_dim: int):
-    """Residual multi-head self-attention: s = r + fuse(per-head attention).
+    """Residual multi-head self-attention, s = r + fuse(per-head attention),
+    as one graph node (``T.attention_block``).
 
     Each head attends over all P patches within itself.  Returns the block
-    output and the (H, P, P) attention weights (batched like ``r``).
+    output and the (H, P, P) attention weights as an array (batched like
+    ``r``).
     """
-    width = r.shape[-1]
-    if width % head_dim != 0:
-        raise T.ShapeError(f"width {width} not divisible by head dim {head_dim}")
-    q, k, v = head_projections(r, params, head_dim)
-    return attention_readout(r, q, k, v, params.fuse_w, params.fuse_b, head_dim)
+    p = params
+    return T.attention_block(r, r, p.ln_gain, p.ln_bias, p.wq, p.wk, p.wv, p.bq, p.bk, p.bv,
+                             p.fuse_w, p.fuse_b, head_dim)
 
 
 # ------------------------------------------------------------- MLP

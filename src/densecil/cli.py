@@ -44,7 +44,6 @@ class RunConfig:
     # geometry (desk scale: 16x16 images, 4x4 patches, 3 tasks)
     image_size: int = 16
     patch_size: int = 4
-    channels: int = 3
     head_dim: int = 16
     gamma: int = 4
     layers: int = 2
@@ -108,9 +107,8 @@ class RunConfig:
             raise ConfigError(f"unknown dataset {self.dataset!r}")
         if self.dataset == "cifar100" and not (self.cifar_train and self.cifar_test):
             raise ConfigError("cifar100 needs --cifar-train and --cifar-test paths")
-        if self.dataset == "cifar100" and (self.image_size, self.channels) != (32, 3):
-            raise ConfigError("cifar100 images need image_size 32 and channels 3, "
-                              f"got {self.image_size} and {self.channels}")
+        if self.dataset == "cifar100" and self.image_size != 32:
+            raise ConfigError(f"cifar100 images need image_size 32, got {self.image_size}")
         if self.cta_layers is not None:
             if len(self.cta_layers) != self.layers or set(self.cta_layers) - {"0", "1"}:
                 raise ConfigError(
@@ -122,12 +120,11 @@ class RunConfig:
         if self.cta_layers is not None:
             mask = tuple(ch == "1" for ch in self.cta_layers)
         return E.ModelConfig(
-            image_size=self.image_size, patch_size=self.patch_size,
-            in_channels=self.channels, head_dim=self.head_dim, gamma=self.gamma,
-            layers=self.layers, strategy=self.strategy, sta_variant=self.sta_variant,
-            cta_layers=mask, cta_in_mhsa=self.cta_mhsa, cta_in_fc1=self.cta_fc1,
-            cta_in_fc2=self.cta_fc2, share_q=self.share_q, share_k=self.share_k,
-            share_v=self.share_v)
+            image_size=self.image_size, patch_size=self.patch_size, head_dim=self.head_dim,
+            gamma=self.gamma, layers=self.layers, strategy=self.strategy,
+            sta_variant=self.sta_variant, cta_layers=mask, cta_in_mhsa=self.cta_mhsa,
+            cta_in_fc1=self.cta_fc1, cta_in_fc2=self.cta_fc2, share_q=self.share_q,
+            share_k=self.share_k, share_v=self.share_v)
 
     def train_config(self) -> C.TrainConfig:
         return C.TrainConfig(
@@ -245,14 +242,12 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _fail(message: str):
-    raise ConfigError(message)
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as a ``ConfigError``, so it too prints one
     ``error:`` line and exits 1."""
-    error = staticmethod(_fail)         # argparse's hook for every parse error
+
+    def error(self, message):           # argparse's hook for every parse error
+        raise ConfigError(message)
 
 
 def main(argv=None) -> int:

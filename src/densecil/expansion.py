@@ -576,7 +576,7 @@ def _cta_mhsa_task(model: CilModel, layer: int, task: int, r_list: list[Tensor],
     q, k, v = (T.swap_axes(task_attention(a_list[:task] + [x], ex.heads, stage)[0],
                            -3, -2)                                     # (H_t, P, D)
                for x, stage in zip(normed, (attn.ta_q, attn.ta_k, attn.ta_v)))
-    return B.attention_readout(r_list[task], q, k, v, attn.fuse_w, attn.fuse_b, d)
+    return T.attention_readout(r_list[task], q, k, v, attn.fuse_w, attn.fuse_b, d)
 
 
 def cross_task_mhsa(model: CilModel, layer: int, task: int, r_list: list[Tensor],
@@ -663,7 +663,7 @@ def sta_attention_stage(model: CilModel, layer: int, task: int, r_list: list[Ten
     variant = model.cfg.sta_variant
     # "both" enables every (query, key) pair, so its softmax needs no mask
     mask = None if variant == "both" else sta_group_mask(ex.heads, offset, m_heads, p, variant)
-    return B.attention_readout(r_list[task], q_flat, k_flat, v_flat,
+    return T.attention_readout(r_list[task], q_flat, k_flat, v_flat,
                                attn.fuse_w, attn.fuse_b, d, mask)
 
 
@@ -673,11 +673,13 @@ def task_token_head(model: CilModel, features: list[Tensor | None], frozen: Forw
     """Read out one feature vector per task token and classify.
 
     Each task token attends over its own expert's final patch tokens
-    through a per-task frozen-after-training block; the per-task classifier
-    slices are concatenated and the auxiliary head sees all token features.
-    It returns the token features, classifier slices, logits and aux
-    logits, taking those of the prefix ``frozen``'s experts from it.  The
-    token queries do not depend on the image: one serves a whole batch.
+    through a per-task frozen-after-training block, one graph node
+    (``T.attention_block`` with the token as queries and residual and the
+    features as keys and values); the per-task classifier slices are
+    concatenated and the auxiliary head sees all token features.  It
+    returns the token features, classifier slices, logits and aux logits,
+    taking those of the prefix ``frozen``'s experts from it.  The token
+    queries do not depend on the image: one serves a whole batch.
     """
     if len(features) != model.task_count:
         raise T.ContractError(
@@ -688,11 +690,8 @@ def task_token_head(model: CilModel, features: list[Tensor | None], frozen: Forw
     for t in range(len(feats), model.task_count):
         ex = model.experts[t]
         tp = ex.token_block
-        pat = B.head_major(features[t], tp, d)
-        qh = T.add(T.matmul(B.head_major(ex.token, tp, d), tp.wq), tp.bq)   # (H, 1, D)
-        kh = T.add(T.matmul(pat, tp.wk), tp.bk)                             # (H, P, D)
-        vh = T.add(T.matmul(pat, tp.wv), tp.bv)
-        e2, _ = B.attention_readout(ex.token, qh, kh, vh, tp.fuse_w, tp.fuse_b, d)
+        e2, _ = T.attention_block(ex.token, features[t], tp.ln_gain, tp.ln_bias, tp.wq, tp.wk,
+                                  tp.wv, tp.bq, tp.bk, tp.bv, tp.fuse_w, tp.fuse_b, d)
         feats.append(e2)
         logit_parts.append(T.matmul(e2, ex.head_w, ex.head_b))
     lead = feats[-1].shape[:-2]
@@ -750,7 +749,7 @@ def _forward(model: CilModel, image, *, collect_attn=False,
                 s_list.append(s_in)
                 o_list.append(o_in)
                 r_list.append(r_t)
-                sp_l.append(attn.data)
+                sp_l.append(attn)
                 tab_l.append(pair)
             res.s_layers.append(s_list)
             res.o_layers.append(o_list)

@@ -112,6 +112,17 @@ def op_cases() -> dict:
             [_r(r, 2, 2, 3), _r(r, 2, 1, 3), _r(r, 3), _r(r, 3), _r(r, 3, 2), _r(r, 3, 2),
              _r(r, 2, 3, 4), _r(r, 1, 3, 4), _r(r, 1)],
             lambda t: T.task_attention(t[:2], 1, *t[2:6], t[6:8], t[8])[0]),
+        "attention_block": lambda r: (    # self attention, 2 heads of 2, over a batch of 2
+            [_r(r, 2, 3, 4), _r(r, 2), _r(r, 2), *(_r(r, 2, 2, 2) for _ in "qkv"),
+             *(_r(r, 2, 1, 2) for _ in "qkv"), _r(r, 4, 4), _r(r, 4)],
+            lambda t: T.attention_block(t[0], t[0], *t[1:], 2)[0]),
+        "attention_block_token": lambda r: (    # a (1, W) query source over a batch of 2
+            [_r(r, 1, 4), _r(r, 2, 3, 4), _r(r, 2), _r(r, 2), *(_r(r, 2, 2, 2) for _ in "qkv"),
+             *(_r(r, 2, 1, 2) for _ in "qkv"), _r(r, 4, 4), _r(r, 4)],
+            lambda t: T.attention_block(t[0], t[1], *t[2:], 2)[0]),
+        "attention_readout": lambda r: (    # 2 heads' flattened queries over a pool of 3
+            [_r(r, 2, 2, 4), _r(r, 2, 4, 2), _r(r, 2, 6, 2), _r(r, 2, 6, 2), _r(r, 4, 4), _r(r, 4)],
+            lambda t: T.attention_readout(*t, 2, E.sta_group_mask(2, 1, 3, 2, "spdh"))[0]),
         "gelu": lambda r: ([_r(r, 4, 4)], lambda t: T.gelu(t[0])),
         "exp": lambda r: ([_r(r, 3, 3)], lambda t: T.exp(t[0])),
         "cross_entropy": lambda r: ([_r(r, 6)], lambda t: T.cross_entropy_logits(t[0], 2)),

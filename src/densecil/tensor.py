@@ -4,11 +4,15 @@ Only the primitives the transformer blocks need are implemented: same-shape
 (and suffix-broadcast) elementwise arithmetic, one matmul (2-D or stacked,
 with an optional fused bias), axis plumbing (reshape / swap / concat /
 narrow), row softmax with an optional mask, layer norm (whole, or its
-``normalize`` half), one task-attention stage as a single op with a
-hand-written backward, GELU (exact Gaussian CDF form), exp, and two fused
-loss kernels.  Data is float64 throughout, and the package needs numpy
-only: the GELU's erf is Cephes' rational approximation evaluated in numpy,
-bit for bit the value ``scipy.special.erf`` returns.
+``normalize`` half), GELU (exact Gaussian CDF form), exp, and two fused
+loss kernels.  Attention runs as single ops with hand-written backwards: a
+task-attention stage (``task_attention``), a multi-head attention block
+from per-head layer norm to residual (``attention_block``, for self
+attention and a task token's read-out) and a read-out of projected q/k/v
+(``attention_readout``); the last two share one kernel pair, ``_attend``.
+Data is float64 throughout, and the package needs numpy only: the GELU's
+erf is Cephes' rational approximation evaluated in numpy, bit for bit the
+value ``scipy.special.erf`` returns.
 
 Every op acts on the last one or two axes and carries any leading axes
 through, so a batch of images runs as one graph: a (B, P, K) activation
@@ -67,6 +71,8 @@ __all__ = [
     "normalize",
     "layer_norm",
     "task_attention",
+    "attention_readout",
+    "attention_block",
     "gelu",
     "exp",
     "cross_entropy_logits",
@@ -675,6 +681,126 @@ def task_attention(parts: Sequence[Tensor], n_query: int, gain: Tensor, bias: Te
         return (*dparts, dgain, dbias, dwq, dwk, *dwv, dlam)
 
     return _make(out, (*parts, gain, bias, wq, wk, *wv, lam), "task_attention", bwd), y
+
+
+def _attend(op: str, r: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+            fuse_w: Tensor, fuse_b: Tensor, head_dim: int, mask: np.ndarray | None):
+    """``r + fuse(softmax(q kᵀ / √D) v)`` of head-major q/k/v: the output,
+    the attention weights and the regrouped heads ``cat``."""
+    p, width = r.shape[-2:]
+    y = _softmax(q @ np.swapaxes(k, -1, -2), math.sqrt(head_dim), mask, op)
+    av = y @ v
+    if av.ndim == r.ndim:                       # flattened queries: back to (H, P, D)
+        av = av.reshape(*av.shape[:-2], width // head_dim, p, head_dim)
+    cat = np.swapaxes(av, -3, -2).reshape(*av.shape[:-3], p, width)
+    out = cat @ fuse_w.data
+    _count_macs(y.size * q.shape[-1] + av.size * y.shape[-1] + out.size * width)
+    out += fuse_b.data
+    out += r
+    return out, y, cat
+
+
+def _attend_grad(g: np.ndarray, r: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                 y: np.ndarray, cat: np.ndarray, fuse_w: Tensor, fuse_b: Tensor,
+                 head_dim: int, need: tuple[bool, bool, bool]):
+    """Gradients of ``_attend``'s r, q, k, v (each of q, k, v only where
+    ``need`` says), fuse_w and fuse_b.  The heads' gradient is regrouped,
+    and kᵀ's swapped back, into C order, the layout of those arrays."""
+    dfw = (_sum_to_shape(np.swapaxes(cat, -1, -2) @ g, fuse_w.shape)
+           if fuse_w.requires_grad else None)
+    dfb = _sum_to_shape(g, fuse_b.shape) if fuse_b.requires_grad else None
+    dr = _sum_to_shape(g, r.shape)
+    if not any(need):
+        return dr, None, None, None, dfw, dfb
+    gcat = g @ fuse_w.data.swapaxes(-1, -2)
+    gav = np.ascontiguousarray(np.swapaxes(
+        gcat.reshape(*gcat.shape[:-1], gcat.shape[-1] // head_dim, head_dim), -3, -2))
+    gav = gav.reshape(*y.shape[:-1], v.shape[-1])
+    gv = _sum_to_shape(np.swapaxes(y, -1, -2) @ gav, v.shape) if need[2] else None
+    gs = _softmax_grad(gav @ np.swapaxes(v, -1, -2), y, math.sqrt(head_dim))
+    gq = _sum_to_shape(gs @ k, q.shape) if need[0] else None
+    gk = None if not need[1] else np.ascontiguousarray(np.swapaxes(_sum_to_shape(
+        np.swapaxes(q, -1, -2) @ gs, (*k.shape[:-2], *k.shape[:-3:-1])), -1, -2))
+    return dr, gq, gk, gv, dfw, dfb
+
+
+def attention_readout(r: Tensor, q: Tensor, k: Tensor, v: Tensor, fuse_w: Tensor,
+                      fuse_b: Tensor, head_dim: int, mask: np.ndarray | None = None):
+    """r + fuse(softmax(q kᵀ / √D) v) of projected q/k/v as one op.
+
+    q/k/v are head-major (H, P, D) stacks, each head attending within
+    itself, or flattened (H*P, D) queries over (M*P, D) keys and values,
+    with ``mask`` (if given) enabling (query, key) pairs; any may carry a
+    leading batch axis.  Returns the (P, D*H) output and the attention
+    weights as an array, (H, P, P) or (H*P, M*P).  Arithmetic, gradients
+    and MACs are those of the read-out composed of ``matmul``,
+    ``softmax_rows``, ``swap_axes``, ``reshape`` and ``add``, bit for bit.
+    """
+    out, y, cat = _attend("attention_readout", r.data, q.data, k.data, v.data, fuse_w, fuse_b,
+                          head_dim, mask)
+
+    def bwd(g):
+        dr, *grads = _attend_grad(g, r.data, q.data, k.data, v.data, y, cat, fuse_w, fuse_b,
+                                  head_dim, (q.requires_grad, k.requires_grad, v.requires_grad))
+        return (dr if r.requires_grad else None, *grads)
+
+    return _make(out, (r, q, k, v, fuse_w, fuse_b), "attention_readout", bwd), y
+
+
+def attention_block(xq: Tensor, xkv: Tensor, gain: Tensor, bias: Tensor, wq: Tensor,
+                    wk: Tensor, wv: Tensor, bq: Tensor, bk: Tensor, bv: Tensor,
+                    fuse_w: Tensor, fuse_b: Tensor, head_dim: int):
+    """Residual multi-head attention of (..., P, D*H) rows as one op.
+
+    Head h layer-normalises its tokens with ``gain`` and ``bias`` and takes
+    queries from ``xq`` through ``wq[h]``, ``bq[h]``, keys and values from
+    ``xkv``; the read-out is ``attention_readout``'s with ``xq`` as the
+    residual.  With ``xkv`` the same tensor as ``xq`` this is self attention
+    and one layer norm serves q, k and v; a (1, D*H) ``xq`` over a batch of
+    ``xkv`` is a task token's read-out.  Returns the output and the
+    (H, P_q, P) attention weights as an array.  Arithmetic, gradients and
+    MACs are those of the block composed of ``layer_norm``, ``swap_axes``,
+    ``matmul``, ``add`` and that read-out, bit for bit.
+    """
+    width = xq.shape[-1]
+    heads = width // head_dim
+    want = [(heads, head_dim, head_dim)] * 3 + [(heads, 1, head_dim)] * 3 + [(width, width)]
+    if width % head_dim or xkv.shape[-1] != width or want != [
+            t.shape for t in (wq, wk, wv, bq, bk, bv, fuse_w)]:
+        raise ShapeError(f"attention_block: rows {xq.shape}/{xkv.shape}, head dim {head_dim}, "
+                         f"wq {wq.shape}, bq {bq.shape} and fuse_w {fuse_w.shape} disagree")
+    lns = [(xhat, inv, _affine_out("attention_block", xhat, gain, bias)) for xhat, inv in (
+        _normalized(x.data.reshape(*x.shape[:-1], heads, head_dim), 1e-5)
+        for x in ((xq,) if xq is xkv else (xq, xkv)))]          # one layer norm per input
+    xqh, xkh = np.swapaxes(lns[0][2], -3, -2), np.swapaxes(lns[-1][2], -3, -2)
+    q, k, v = (x @ w.data + b.data for x, w, b in ((xqh, wq, bq), (xkh, wk, bk), (xkh, wv, bv)))
+    _count_macs((q.size + k.size + v.size) * head_dim)
+    out, y, cat = _attend("attention_block", xq.data, q, k, v, fuse_w, fuse_b, head_dim, None)
+    inner = (xq, xkv, gain, bias, wq, wk, wv, bq, bk, bv)
+
+    def bwd(g):
+        need = any(t.requires_grad for t in inner)
+        dr, gq, gk, gv, dfw, dfb = _attend_grad(g, xq.data, q, k, v, y, cat, fuse_w, fuse_b,
+                                                head_dim, (need,) * 3)
+        if not need:
+            return (None,) * len(inner) + (dfw, dfb)
+        dw = [_sum_to_shape(np.swapaxes(x, -1, -2) @ gt, w.shape) if w.requires_grad else None
+              for x, gt, w in ((xqh, gq, wq), (xkh, gk, wk), (xkh, gv, wv))]
+        db = [_sum_to_shape(gt, b.shape) if b.requires_grad else None
+              for gt, b in ((gq, bq), (gk, bk), (gv, bv))]
+        paths = [gt @ w.data.swapaxes(-1, -2) for gt, w in ((gq, wq), (gk, wk), (gv, wv))]
+        # each layer norm's output gradient, in its (P, H, D) layout; q and k before v
+        gls = [np.ascontiguousarray(np.swapaxes(functools.reduce(np.add, grads), -3, -2))
+               for grads in ([paths] if len(lns) == 1 else [paths[:1], paths[1:]])]
+        affine = [_affine_grads(gl, xhat, gain, bias) for gl, (xhat, _, _) in zip(gls, lns)]
+        dgain, dbias = (None if a[0] is None else sum(a[1:], a[0]) for a in zip(*affine))
+        dx = [_normalized_grad(gl * gain.data, xhat, inv).reshape(x.shape)
+              if x.requires_grad else None for gl, (xhat, inv, _), x in zip(gls, lns, (xq, xkv))]
+        if dx[0] is not None:
+            dx[0] += dr             # the residual
+        return (dx[0], dx[-1] if len(dx) == 2 else None, dgain, dbias, *dw, *db, dfw, dfb)
+
+    return _make(out, (xq, xkv, *inner[2:], fuse_w, fuse_b), "attention_block", bwd), y
 
 
 def _erf(x: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Reference code only tests use: the plain-ViT MLP and transformer blocks
-that the model's per-stage wiring must reproduce, and a no-grad logits read."""
+that the model's per-stage wiring must reproduce, the attention block and
+read-out composed of single ops, which the fused ``T.attention_block`` and
+``T.attention_readout`` equal bit for bit, and a no-grad logits read."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +38,49 @@ def mlp_block(s: Tensor, params: MlpParams, head_dim: int, gamma: int):
     """
     o = T.gelu(B.mlp_stage(s, params.fc1, head_dim))
     return T.add(s, B.mlp_stage(o, params.fc2, gamma * head_dim)), o
+
+
+def head_major(r: Tensor, params: B.SelfAttentionParams, head_dim: int) -> Tensor:
+    """Per-head layer norm of (..., P, D*H) rows with ``params``' gain and
+    bias, swapped to head-major (..., H, P, D)."""
+    toks = T.reshape(r, (*r.shape[:-1], r.shape[-1] // head_dim, head_dim))
+    return T.swap_axes(T.layer_norm(toks, params.ln_gain, params.ln_bias), -3, -2)
+
+
+def head_projections(r: Tensor, params: B.SelfAttentionParams, head_dim: int):
+    """Normalized per-head q/k/v stacks, head-major: each (..., H, P, D)."""
+    xh = head_major(r, params, head_dim)
+    q = T.add(T.matmul(xh, params.wq), params.bq)
+    k = T.add(T.matmul(xh, params.wk), params.bk)
+    v = T.add(T.matmul(xh, params.wv), params.bv)
+    return q, k, v
+
+
+def attention_readout(r: Tensor, q: Tensor, k: Tensor, v: Tensor, fuse_w: Tensor,
+                      fuse_b: Tensor, head_dim: int, mask=None):
+    """``T.attention_readout`` composed of single ops; the weights as an array."""
+    p, width = r.shape[-2:]
+    heads = width // head_dim
+    attn = T.softmax_rows(T.matmul(q, T.swap_axes(k, -1, -2)), math.sqrt(head_dim), mask)
+    av = T.matmul(attn, v)
+    if len(av.shape) == len(r.shape):   # flattened queries: back to (H, P, D)
+        av = T.reshape(av, (*av.shape[:-2], heads, p, head_dim))
+    cat = T.reshape(T.swap_axes(av, -3, -2), (*av.shape[:-3], p, width))
+    return T.add(r, T.matmul(cat, fuse_w, fuse_b)), attn.data
+
+
+def attention_block(xq, xkv, gain, bias, wq, wk, wv, bq, bk, bv, fuse_w, fuse_b, head_dim):
+    """``T.attention_block`` composed of single ops: the self-attention
+    block when ``xkv`` is ``xq``, a task token's read-out otherwise."""
+    params = B.SelfAttentionParams(gain, bias, wq, wk, wv, bq, bk, bv, fuse_w, fuse_b)
+    if xq is xkv:
+        q, k, v = head_projections(xq, params, head_dim)
+    else:
+        pat = head_major(xkv, params, head_dim)
+        q = T.add(T.matmul(head_major(xq, params, head_dim), wq), bq)     # (H, 1, D)
+        k = T.add(T.matmul(pat, wk), bk)                                  # (H, P, D)
+        v = T.add(T.matmul(pat, wv), bv)
+    return attention_readout(xq, q, k, v, fuse_w, fuse_b, head_dim)
 
 
 @dataclass

@@ -100,7 +100,7 @@ def test_mhsa_single_patch_attention_is_one():
     p = B.init_self_attention(rng, heads=2, head_dim=4)
     r = T.Tensor(rng.normal(size=(1, 8)))
     _, attn = B.mhsa_block(r, p, 4)
-    np.testing.assert_allclose(attn.data, np.ones((2, 1, 1)), atol=1e-15)
+    np.testing.assert_allclose(attn, np.ones((2, 1, 1)), atol=1e-15)
 
 
 def test_mhsa_identical_tokens_uniform_rows():
@@ -109,7 +109,7 @@ def test_mhsa_identical_tokens_uniform_rows():
     row = rng.normal(size=8)
     r = T.Tensor(np.tile(row, (5, 1)))
     _, attn = B.mhsa_block(r, p, 4)
-    np.testing.assert_allclose(attn.data, np.full((2, 5, 5), 1 / 5), atol=1e-12)
+    np.testing.assert_allclose(attn, np.full((2, 5, 5), 1 / 5), atol=1e-12)
 
 
 def test_mhsa_matches_naive_loop_oracle():
@@ -124,7 +124,7 @@ def test_mhsa_rows_sum_to_one():
     rng = np.random.default_rng(6)
     p = B.init_self_attention(rng, heads=2, head_dim=4)
     _, attn = B.mhsa_block(T.Tensor(rng.normal(size=(7, 8))), p, 4)
-    np.testing.assert_allclose(attn.data.sum(axis=-1), 1.0, atol=TOL.row_sum)
+    np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=TOL.row_sum)
 
 
 def test_mhsa_zero_weights_identity():
@@ -135,6 +135,67 @@ def test_mhsa_zero_weights_identity():
     r = rng.normal(size=(5, 8))
     got, _ = B.mhsa_block(T.Tensor(r), p, 4)
     np.testing.assert_array_equal(got.data, r)
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        if w is None:
+            assert g is None
+        else:
+            np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("form", ["self", "self_unbatched", "token", "token_unbatched"])
+def test_attention_block_equals_the_composed_ops_bit_for_bit(form):
+    """Output, weights and every gradient of ``T.attention_block`` equal the
+    block composed of single ops (``oracles.attention_block``), at a task
+    width of 3 heads of 16 over 16 patches."""
+    rng = np.random.default_rng(90)
+    p = B.init_self_attention(rng, heads=3, head_dim=16)
+    params = [p.ln_gain, p.ln_bias, p.wq, p.wk, p.wv, p.bq, p.bk, p.bv, p.fuse_w, p.fuse_b]
+    for t in params:
+        t.data[...] = rng.normal(scale=0.3, size=t.shape)
+    lead = () if form.endswith("unbatched") else (3,)
+    rows = rng.normal(size=(*lead, 16, 48))
+    token = rng.normal(size=(1, 48))
+    probe = rng.normal(size=(*lead, 16 if form.startswith("self") else 1, 48))
+
+    def run(op):
+        for t in params:
+            t.grad = None
+        xkv = T.Tensor(rows, requires_grad=True)
+        xq = xkv if form.startswith("self") else T.Tensor(token, requires_grad=True)
+        out, attn = op(xq, xkv, *params, 16)
+        T.backward(T.sum_all(T.mul(out, T.Tensor(probe))))
+        return [out.data, attn, xq.grad, xkv.grad] + [t.grad for t in params]
+
+    _assert_same_bits(run(T.attention_block), run(O.attention_block))
+
+
+@pytest.mark.parametrize("form", ["heads", "flat", "flat_masked", "constant_residual"])
+def test_attention_readout_equals_the_composed_ops_bit_for_bit(form):
+    """``T.attention_readout`` against ``oracles.attention_readout``: 2
+    query heads of 16 over 16 patches, head-major, or flattened over a
+    pool of 5 heads (with a group mask, or with the residual a constant)."""
+    rng = np.random.default_rng(91)
+    kv_rows = 32 if form == "heads" else 80
+    q_shape = (3, 2, 16, 16) if form == "heads" else (3, 32, 16)
+    kv_shape = (3, 2, 16, 16) if form == "heads" else (3, kv_rows, 16)
+    arrays = [rng.normal(size=s) for s in ((3, 16, 32), q_shape, kv_shape, kv_shape)]
+    fuse = [T.Tensor(rng.normal(scale=0.3, size=s), requires_grad=True) for s in ((32, 32), (32,))]
+    mask = E.sta_group_mask(2, 3, 5, 16, "dpdh") if form == "flat_masked" else None
+    probe = rng.normal(size=(3, 16, 32))
+
+    def run(op):
+        for t in fuse:
+            t.grad = None
+        ts = [T.Tensor(a, requires_grad=i > 0 or form != "constant_residual")
+              for i, a in enumerate(arrays)]
+        out, attn = op(*ts, *fuse, 16, mask)
+        T.backward(T.sum_all(T.mul(out, T.Tensor(probe))))
+        return [out.data, attn] + [t.grad for t in ts + fuse]
+
+    _assert_same_bits(run(T.attention_readout), run(O.attention_readout))
 
 
 # ------------------------------------------------------------- MLP

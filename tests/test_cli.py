@@ -229,7 +229,7 @@ def test_invalid_strategy_exits_nonzero(tmp_path, capsys):
 
 @pytest.mark.parametrize("values", [
     {"sta_variant": "bogus"}, {"share_q": "x"}, {"image_size": 10}, {"gamma": 0},
-    {"attention_mode": "bogus"},
+    {"attention_mode": "bogus"}, {"channels": 1},
 ])
 def test_bad_model_config_fails_before_making_the_run_directory(tmp_path, capsys, values):
     cfg_file = tmp_path / "cfg.json"
@@ -265,8 +265,8 @@ NON_DEFAULT = {
                              "image_size": 32}),
     "cifar_train": ("a.bin", {}), "cifar_test": ("b.bin", {}), "classes": (6, {}),
     "per_class": (4, {}), "eval_per_class": (3, {}), "noise": (0.5, {}),
-    "image_size": (32, {}), "patch_size": (8, {}), "channels": (1, {}),
-    "head_dim": (8, {}), "gamma": (2, {}), "layers": (3, {}), "first_task": (2, {}),
+    "image_size": (32, {}), "patch_size": (8, {}), "head_dim": (8, {}), "gamma": (2, {}),
+    "layers": (3, {}), "first_task": (2, {}),
     "step_size": (4, {}), "h1": (2, {}), "k": (2, {}), "strategy": ("ia", {}),
     "sta_variant": ("spdh", {"strategy": "sta"}), "cta_layers": ("10", {}),
     "cta_mhsa": (True, {}), "cta_fc1": (False, {}), "cta_fc2": (False, {}),
@@ -305,7 +305,7 @@ def test_every_setting_is_a_flag_equal_to_its_config_file_entry(tmp_path, name):
 
 
 def test_established_flag_spellings_and_bare_bool_flags():
-    assert len(NON_DEFAULT) == len(fields(cli.RunConfig)) == 39
+    assert len(NON_DEFAULT) == len(fields(cli.RunConfig)) == 38
     assert len(ESTABLISHED_FLAGS) == 28
     assert set(ESTABLISHED_FLAGS) <= {"--" + name.replace("_", "-") for name in NON_DEFAULT}
     assert cli.load_run_config(_parse(["train", "--joint"])).joint is True
@@ -403,7 +403,7 @@ def test_cifar_run_needs_32_pixel_images(tmp_path, capsys):
             "--head-dim", "8", "--patch-size", "8", "--h1", "1", "--out", str(out)]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == (
-        "error: cifar100 images need image_size 32 and channels 3, got 16 and 3\n")
+        "error: cifar100 images need image_size 32, got 16\n")
     assert not out.exists()
     assert cli.main([*argv, "--image-size", "32"]) == 0
     assert (out / "model.ckpt").exists()
@@ -428,7 +428,7 @@ def test_diverging_run_names_task_phase_epoch_and_batch(tmp_path, capsys):
                    "--out", str(tmp_path / "run")])
     assert rc == 1
     assert capsys.readouterr().err == (
-        "error: task 0, phase 1, epoch 1, batch 0: softmax_rows: non-finite input\n")
+        "error: task 0, phase 1, epoch 1, batch 0: attention_block: non-finite input\n")
 
 
 @pytest.mark.parametrize("field,value", [

@@ -3,6 +3,7 @@ benchmark: a definition named nowhere else in ``src/`` or ``perfbench/`` is
 dead code (tests alone do not keep a definition alive)."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -32,19 +33,31 @@ def _names(node) -> Counter:
     return out
 
 
-def _definitions(tree):
+def _library_names(path, classname) -> set[str]:
+    """What the bases of a package class that come from outside the package
+    define: an override of one is called by that library, as argparse calls
+    ``ArgumentParser.error``."""
+    cls = getattr(importlib.import_module(f"densecil.{path.stem}"), classname)
+    return {name for base in cls.__mro__[1:] if not base.__module__.startswith("densecil")
+            for name in vars(base)}
+
+
+def _definitions(path, tree):
     """Module-level functions and classes, and the methods of those classes,
     as (qualified name, node, the kinds of reference that use it).  A plain
     method is used only by a call, since field reads share method names
     (``Sample.label``); a decorated one (a property) by any attribute read.
-    Dunder methods run implicitly and are left out."""
+    Dunder methods run implicitly and overrides of a library base class's
+    methods are called by the library; both are left out."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs):
             yield node.name, node, ("name", "attr", "import", "str")
         if isinstance(node, ast.ClassDef):
+            hooks = _library_names(path, node.name)
             for item in node.body:
-                if isinstance(item, defs) and not item.name.startswith("__"):
+                if (isinstance(item, defs) and not item.name.startswith("__")
+                        and item.name not in hooks):
                     read = "attr" if item.decorator_list else "call"
                     yield f"{node.name}.{item.name}", item, (read, "str")
 
@@ -60,5 +73,5 @@ def test_every_definition_is_referenced_outside_itself():
 
     dead = [f"{path.stem}.{qualname}"
             for path, tree in trees.items() if path.is_relative_to(PACKAGE)
-            for qualname, node, kinds in _definitions(tree) if unused(node, kinds)]
+            for qualname, node, kinds in _definitions(path, tree) if unused(node, kinds)]
     assert dead == []

@@ -219,7 +219,7 @@ def test_sta_reduces_to_ia_with_same_head_groups():
             r = res.r_layers[l][t]
             attn = ex.blocks[l].attn
             q, k, v = B.tied_head_projections(r, attn.tied, d)
-            want, _ = B.attention_readout(r, q, k, v, attn.fuse_w, attn.fuse_b, d)
+            want, _ = T.attention_readout(r, q, k, v, attn.fuse_w, attn.fuse_b, d)
             assert np.abs(res.s_layers[l][t].data - want.data).max() < TOL.ia_reduction
 
 
@@ -297,7 +297,7 @@ def test_sta_both_runs_unmasked_and_equals_the_masked_path(monkeypatch):
 
     got = run()
     masks = []
-    readout = B.attention_readout
+    readout = T.attention_readout
 
     def masked_readout(r, q, k, v, fuse_w, fuse_b, head_dim, mask=None):
         if mask is None and len(q.shape) == len(r.shape):   # flattened sta queries
@@ -307,7 +307,7 @@ def test_sta_both_runs_unmasked_and_equals_the_masked_path(monkeypatch):
             masks.append(mask)
         return readout(r, q, k, v, fuse_w, fuse_b, head_dim, mask)
 
-    monkeypatch.setattr(B, "attention_readout", masked_readout)
+    monkeypatch.setattr(T, "attention_readout", masked_readout)
     want = run()
     assert len(masks) == 2 * cfg.layers * len(m.experts)
     assert all(mask.all() for mask in masks)
@@ -628,12 +628,8 @@ def test_task_attention_rejects_mismatched_shapes():
         E.task_attention(parts[1:], 1, stage)     # the pool has fewer heads than wv
 
 
-@pytest.mark.parametrize("overrides",
-                         [{}, {"cta_in_mhsa": True}, {"share_q": "f", "share_v": "s"}],
-                         ids=["dne", "cta_in_mhsa", "share_q_f_v_s"])
-def test_fused_task_attention_writes_the_composed_ops_checkpoint(overrides, monkeypatch):
-    """A whole training run, bit for bit: SGD on the fused stage's gradients
-    writes the checkpoint of SGD on the composed ops' gradients."""
+def _stream_checkpoint(overrides) -> bytes:
+    """The checkpoint of a seeded 3-task training run of ``small_cfg(**overrides)``."""
     rng = np.random.default_rng(62)
 
     def samples(label, n):
@@ -641,17 +637,62 @@ def test_fused_task_attention_writes_the_composed_ops_checkpoint(overrides, monk
 
     tasks = [C.Task((2 * i, 2 * i + 1), samples(2 * i, 4) + samples(2 * i + 1, 4),
                     samples(2 * i, 2) + samples(2 * i + 1, 2)) for i in range(3)]
-    cfg = small_cfg(**overrides)
     tc = C.TrainConfig(epochs=2, tune_epochs=1, lr=0.05, batch_size=5,
                        heads_first=2, heads_per_step=1)
+    model, _ = C.run_stream(small_cfg(**overrides), C.TaskStream(tasks), tc, seed=5,
+                            buffer_capacity=6)
+    return E.checkpoint_bytes(model)
 
-    def checkpoint():
-        model, _ = C.run_stream(cfg, C.TaskStream(tasks), tc, seed=5, buffer_capacity=6)
-        return E.checkpoint_bytes(model)
 
-    fused = checkpoint()
+@pytest.mark.parametrize("overrides",
+                         [{}, {"cta_in_mhsa": True}, {"share_q": "f", "share_v": "s"}],
+                         ids=["dne", "cta_in_mhsa", "share_q_f_v_s"])
+def test_fused_task_attention_writes_the_composed_ops_checkpoint(overrides, monkeypatch):
+    """A whole training run, bit for bit: SGD on the fused stage's gradients
+    writes the checkpoint of SGD on the composed ops' gradients."""
+    fused = _stream_checkpoint(overrides)
     monkeypatch.setattr(E, "task_attention", composed_task_attention)
-    assert checkpoint() == fused
+    assert _stream_checkpoint(overrides) == fused
+
+
+@pytest.mark.parametrize("overrides",
+                         [{}, {"strategy": "ia"}, {"strategy": "sta"}, {"cta_in_mhsa": True},
+                          {"share_q": "f", "share_v": "s"}],
+                         ids=["dne", "ia", "sta", "cta_in_mhsa", "share_q_f_v_s"])
+def test_fused_attention_writes_the_composed_ops_checkpoint(overrides, monkeypatch):
+    """The same for every MHSA block, token read-out and projected read-out:
+    ``T.attention_block`` and ``T.attention_readout`` against their
+    compositions in ``oracles``."""
+    fused = _stream_checkpoint(overrides)
+    monkeypatch.setattr(T, "attention_block", O.attention_block)
+    monkeypatch.setattr(T, "attention_readout", O.attention_readout)
+    assert _stream_checkpoint(overrides) == fused
+
+
+@pytest.mark.parametrize("strategy", ["dne", "ia", "sta"])
+def test_each_attention_block_and_readout_is_one_graph_node(strategy):
+    """Every MHSA block and every task token's read-out is one
+    ``attention_block`` node reading its inputs and its parameters directly;
+    the joint attention's read-out is one ``attention_readout`` node."""
+    cfg = small_cfg(strategy=strategy)
+    m = build_model(cfg, heads=(2, 1), classes=(2, 2))
+    for _, p in m.named_parameters():
+        p.requires_grad = True
+    nodes = T.topo_order(T.sum_all(m.forward(_image_batch(cfg, 63)).logits))
+    blocks = [n for n in nodes if n.op == "attention_block"]
+    readouts = [n for n in nodes if n.op == "attention_readout"]
+    spatial = m.task_count * cfg.layers
+    assert len(blocks) == m.task_count + (0 if strategy == "sta" else spatial)
+    assert len(readouts) == (spatial if strategy == "sta" else 0)
+    tokens = [ex.token for ex in m.experts]
+    for node in blocks:
+        xq, xkv, *params = node.parents
+        assert xq is xkv or any(xq is t for t in tokens)
+        assert xkv.op != "leaf" and {p.op for p in params} == {"leaf"}
+    ops = {n.op for n in nodes}
+    assert "softmax_rows" not in ops
+    assert ("swap_axes" in ops) == (strategy == "sta")      # sta's tied projections
+    assert ("layer_norm" in ops) == (strategy != "dne")     # and the MLP stages' norms
 
 
 def test_forward_normalises_each_experts_ta_inputs_once(monkeypatch):
