@@ -78,11 +78,10 @@ class AttentionStats:
 def attention_group_stats(attn, head_to_task, H: int, P: int) -> AttentionStats:
     """Classify every (query, key) entry of a joint attention matrix.
 
-    ``attn`` is (H*P, H*P) with tokens flattened head-major (token = head *
+    ``attn`` is an (H*P, H*P) array, tokens flattened head-major (token = head *
     P + patch); absent pairs are zeros.  ``head_to_task`` assigns each
     global head to its owning task and feeds the cross-task mass summary.
     """
-    attn = attn.data if isinstance(attn, T.Tensor) else np.asarray(attn)
     if attn.shape != (H * P, H * P):
         raise T.ShapeError(f"attention shape {attn.shape} inconsistent with H*P={H * P}")
     head_to_task = list(head_to_task)
@@ -107,9 +106,9 @@ def attention_group_stats(attn, head_to_task, H: int, P: int) -> AttentionStats:
 
 
 def assemble_joint_attention(model: E.CilModel, result: E.ForwardResult,
-                             layer: int, image: int | None = None) -> np.ndarray:
-    """Scatter one layer's attention into the full (HP) x (HP) matrix; of a
-    batched ``result``, that of batch entry ``image``.
+                             layer: int, image: int) -> np.ndarray:
+    """Scatter one layer's attention of batch entry ``image`` of a batched
+    ``result`` into the full (HP) x (HP) matrix.
 
     Pairs the wiring never computes stay zero, so independent-attention
     models show exactly zero cross-head mass.
@@ -117,9 +116,7 @@ def assemble_joint_attention(model: E.CilModel, result: E.ForwardResult,
     H = model.total_heads
     P = model.cfg.num_patches
     full = np.zeros((H * P, H * P))
-    mats = result.spatial_attn[layer]
-    if image is not None:
-        mats = [a[image] for a in mats]
+    mats = [a[image] for a in result.spatial_attn[layer]]
     offset = 0
     for t, ex in enumerate(model.experts):
         a = mats[t]
@@ -134,8 +131,7 @@ def assemble_joint_attention(model: E.CilModel, result: E.ForwardResult,
     return full
 
 
-def model_attention_stats(model: E.CilModel, images, mode: str = "layer_mean",
-                          ) -> AttentionStats:
+def model_attention_stats(model: E.CilModel, images, mode: str) -> AttentionStats:
     """Average the assembled joint attention over images (and layers, unless
     ``mode='final'``) and decompose it by group; all images run as one batch."""
     if mode not in ATTENTION_MODES:

@@ -117,11 +117,10 @@ def init_self_attention(rng: np.random.Generator, heads: int, head_dim: int) -> 
     )
 
 
-def per_head_layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
-                        head_dim: int, eps: float = 1e-5) -> Tensor:
+def per_head_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, head_dim: int) -> Tensor:
     """Layer norm applied to each head token of (..., P, D*H) rows."""
     toks = T.reshape(x, (*x.shape[:-1], x.shape[-1] // head_dim, head_dim))
-    return T.reshape(T.layer_norm(toks, gain, bias, eps), x.shape)
+    return T.reshape(T.layer_norm(toks, gain, bias), x.shape)
 
 
 @dataclass

@@ -145,9 +145,9 @@ def build_stream(cfg: RunConfig) -> C.TaskStream:
                           eval_per_class=cfg.eval_per_class)
 
 
-def write_json(payload: dict, path=None) -> str:
+def write_json(payload: dict, path) -> str:
     """The JSON text of every artifact (sorted keys, indent 2, trailing
-    newline), also written to ``path`` when one is given."""
+    newline), also written to ``path`` unless it is None."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path is not None:
         Path(path).write_text(text)

@@ -73,8 +73,8 @@ class TaskStream:
 
 @dataclass(frozen=True)
 class LossWeights:
-    ce: float = 1.0        # joint classifier cross entropy
-    aux: float = 0.1       # new-task expertise head
+    ce: float              # joint classifier cross entropy
+    aux: float             # new-task expertise head
 
     def __post_init__(self):
         if not all(np.isfinite(w) and w >= 0 for w in (self.ce, self.aux)):
@@ -126,15 +126,15 @@ def images(samples: list[Sample]) -> np.ndarray:
 
 def total_loss(batch: list[Sample], model: E.CilModel, w: LossWeights,
                task_index_classes: list[int], prior_class_count: int,
-               forward: Callable[[list[Sample]], E.ForwardResult] | None = None) -> Tensor:
+               forward: Callable[[list[Sample]], E.ForwardResult]) -> Tensor:
     """Weighted sum of the per-sample losses, averaged over the batch.
 
     ``task_index_classes`` are the current task's classifier columns in
     presentation order; sample labels are resolved through the model's
     bound class registry.  ``forward`` runs the model on the whole batch
-    at once (default: an uncached ``model.forward``).
+    at once.
     """
-    res = forward(batch) if forward is not None else model.forward(images(batch))
+    res = forward(batch)
     y = [class_index(model, s.label) for s in batch]
     loss = T.mul(Tensor(np.asarray(w.ce)), T.cross_entropy_logits(res.logits, y))
     if w.aux > 0:
@@ -169,10 +169,9 @@ class ClassIndex:
 
 
 def class_index(model: E.CilModel, label: int) -> int:
-    idx = getattr(model, "class_registry", None)
-    if idx is None:
+    if model.class_registry is None:
         raise T.ContractError("model has no class registry; use bind_class_index")
-    return idx.index(label)
+    return model.class_registry.index(label)
 
 
 def bind_class_index(model: E.CilModel, index: ClassIndex) -> None:
@@ -239,25 +238,28 @@ def herding_select(features: np.ndarray, m: int) -> list[int]:
     keeps the running exemplar mean closest (L2) to the class mean.
 
     Ties break to the lowest index.  Returns indices in selection order.
+    The chosen rows' sum is kept as it grows, adding rows in selection
+    order, which is the order in which a sum over the chosen rows adds them.
     """
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
     if m > n:
         raise ConfigError(f"cannot select {m} exemplars from {n} samples")
     target = features.mean(axis=0)
+    total = np.zeros(features.shape[1:])
     chosen: list[int] = []
     remaining = list(range(n))
     for _ in range(m):
         best_idx, best_dist = None, None
         k = len(chosen) + 1
         for idx in remaining:
-            rows = features[chosen + [idx]]
-            cand = rows.sum(axis=0) / k
+            cand = (total + features[idx]) / k
             dist = float(np.linalg.norm(target - cand))
             if best_dist is None or dist < best_dist:
                 best_idx, best_dist = idx, dist
         chosen.append(best_idx)
         remaining.remove(best_idx)
+        total += features[best_idx]
     return chosen
 
 
@@ -266,14 +268,14 @@ def chunks(samples: list) -> list[list]:
     return [samples[i:i + EVAL_CHUNK] for i in range(0, len(samples), EVAL_CHUNK)]
 
 
-def token_features(model: E.CilModel, samples: list[Sample],
-                   forward: Callable[[list[Sample]], E.ForwardResult] | None = None,
-                   ) -> np.ndarray:
-    """Concatenated task-token read-outs, the herding feature space."""
+def token_features(samples: list[Sample],
+                   forward: Callable[[list[Sample]], E.ForwardResult]) -> np.ndarray:
+    """Concatenated task-token read-outs of ``forward``'s model, the herding
+    feature space."""
     rows = []
     with T.no_grad():
         for chunk in chunks(samples):
-            res = forward(chunk) if forward is not None else model.forward(images(chunk))
+            res = forward(chunk)
             rows.append(np.concatenate([f.data.reshape(len(chunk), -1)
                                         for f in res.token_feats], axis=1))
     return np.concatenate(rows)
@@ -509,15 +511,17 @@ class FrozenStore:
 
 @dataclass
 class TrainConfig:
-    epochs: int = 500
-    tune_epochs: int = 20
-    lr: float = 2.5e-4
-    weight_decay: float = 1e-6
-    momentum: float = 0.0
-    batch_size: int = 256
-    loss_weights: LossWeights = field(default_factory=LossWeights)
-    heads_first: int = 12
-    heads_per_step: int = 1
+    """The optimisation settings of a run; ``cli.RunConfig.train_config``
+    builds it, and ``RunConfig`` holds every setting's default."""
+    epochs: int
+    tune_epochs: int
+    lr: float
+    weight_decay: float
+    momentum: float
+    batch_size: int
+    loss_weights: LossWeights
+    heads_first: int
+    heads_per_step: int
 
 
 def _sgd_epochs(params, data, epochs, cfg: TrainConfig, rng, loss_fn, where: str):
@@ -545,15 +549,15 @@ def _sgd_epochs(params, data, epochs, cfg: TrainConfig, rng, loss_fn, where: str
 
 
 def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
-               cfg: TrainConfig, *, class_registry: ClassIndex,
-               rng: np.random.Generator, store: FrozenStore) -> E.CilModel:
+               cfg: TrainConfig, *, rng: np.random.Generator,
+               store: FrozenStore) -> E.CilModel:
     """Learn one task in place: train, refresh the buffer, tune.
 
-    The expert for ``task`` must already have been added; this runs the
-    optimization phases.  ``store`` is the run's ``FrozenStore``; every
-    forward goes through it.
+    The expert for ``task`` must already have been added, and its classes
+    to the model's class registry; this runs the optimization phases.
+    ``store`` is the run's ``FrozenStore``; every forward goes through it.
     """
-    prior = len(class_registry) - len(task.classes)
+    prior = len(model.class_registry) - len(task.classes)
     t = model.task_count - 1
     w = cfg.loss_weights
     task_cols = list(range(prior, prior + len(task.classes)))
@@ -569,7 +573,7 @@ def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
         for i, s in enumerate(task.train):
             by_class.setdefault(s.label, []).append(i)
         quota = buffer.quota(len(buffer.classes_seen) + len(by_class))
-        feats = token_features(model, task.train, store.forward)   # each row as its own forward
+        feats = token_features(task.train, store.forward)
         for c in task.classes:
             rows = by_class[c]
             order = herding_select(feats[rows], min(quota, len(rows)))
@@ -590,8 +594,7 @@ def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
 
 
 def run_stream(model_cfg: E.ModelConfig, stream: TaskStream, cfg: TrainConfig,
-               seed: int, buffer_capacity: int = 2000,
-               ) -> tuple[E.CilModel, MetricsRecord]:
+               seed: int, buffer_capacity: int) -> tuple[E.CilModel, MetricsRecord]:
     """Drive the full incremental protocol over a task stream."""
     seeds = np.random.SeedSequence(seed).spawn(len(stream) + 1)
     model = E.CilModel(model_cfg, seed=seed)
@@ -605,7 +608,7 @@ def run_stream(model_cfg: E.ModelConfig, stream: TaskStream, cfg: TrainConfig,
         model.add_expert(heads, len(task.classes))
         registry.extend(task.classes)
         rng = np.random.default_rng(seeds[i])
-        train_task(model, task, buffer, cfg, class_registry=registry, rng=rng, store=store)
+        train_task(model, task, buffer, cfg, rng=rng, store=store)
         acc, per_task = evaluate(model, stream.tasks[: i + 1], store)
         record.accuracies.append(acc)
         record.per_task_final = per_task

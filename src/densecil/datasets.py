@@ -8,6 +8,8 @@ detectors earlier experts learned.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .config import ConfigError
@@ -25,17 +27,21 @@ def load_cifar100_binary(path) -> np.ndarray:
     """Parse a CIFAR-100 binary split into validated (n, 3074) uint8 records.
 
     Records are 3074 bytes: coarse label, fine label, then 3072 pixel
-    bytes in row-major R, G, B planes.  ``cifar_samples`` converts the
-    records a run keeps.
+    bytes in row-major R, G, B planes.  The records are a read-only memory
+    map of the file, so only what a run reads is loaded; ``cifar_samples``
+    converts the records it keeps.  An empty file has no records (numpy
+    cannot map an empty file).
     """
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) % CIFAR_RECORD != 0:
-        offset = len(raw) - (len(raw) % CIFAR_RECORD)
-        raise FormatError(
-            f"file length {len(raw)} is not a multiple of {CIFAR_RECORD}; "
-            f"trailing fragment starts at offset {offset}")
-    data = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
+        size = os.fstat(f.fileno()).st_size
+        if size % CIFAR_RECORD != 0:
+            offset = size - (size % CIFAR_RECORD)
+            raise FormatError(
+                f"file length {size} is not a multiple of {CIFAR_RECORD}; "
+                f"trailing fragment starts at offset {offset}")
+        if size == 0:
+            return np.zeros((0, CIFAR_RECORD), dtype=np.uint8)
+        data = np.memmap(f, dtype=np.uint8, mode="r", shape=(size // CIFAR_RECORD, CIFAR_RECORD))
     fine = data[:, 1]
     bad = np.nonzero(fine >= CIFAR_CLASSES)[0]
     if bad.size:
@@ -67,24 +73,24 @@ _PALETTE = np.array([
 ])
 
 
-def _class_signature(label: int, n_colors: int, image_size: int, square: int):
+def _class_signature(label: int, n_colors: int, image_size: int):
+    """The color, side and top-left corner of ``label``'s square."""
     color = _PALETTE[label % n_colors]
+    square = max(image_size // 3, 2)
     slot = label // n_colors
     span = max(image_size - square, 1)
     # positions walk a diagonal-ish grid so every slot is distinct
     row = (slot * 5) % span
     col = (slot * 3 + 2) % span
-    return color, row, col
+    return color, square, row, col
 
 
 def make_synthetic_samples(classes, per_class: int, image_size: int,
                            rng: np.random.Generator, *, n_colors: int,
-                           noise: float = 0.08, square: int | None = None,
-                           ) -> list[Sample]:
-    square = square or max(image_size // 3, 2)
+                           noise: float) -> list[Sample]:
     out: list[Sample] = []
     for label in classes:
-        color, row, col = _class_signature(label, n_colors, image_size, square)
+        color, square, row, col = _class_signature(label, n_colors, image_size)
         color = color[:, None, None]
         for _ in range(per_class):
             img = rng.standard_normal((3, image_size, image_size))
@@ -102,25 +108,23 @@ def make_synthetic_samples(classes, per_class: int, image_size: int,
     return out
 
 
-def split_classes(classes: int, first_task: int | None = None,
-                  step_size: int = 2) -> list[list[int]]:
+def split_classes(classes: int, first_task: int, step_size: int) -> list[list[int]]:
     """Class ids 0..classes-1 split into tasks: the first takes ``first_task``
-    classes (defaults to half) and each later task takes ``step_size``."""
+    classes and each later task takes ``step_size``."""
     if classes < 2:
         raise ConfigError(f"need at least 2 classes, got {classes}")
-    first = first_task if first_task is not None else classes // 2
-    if first < 1 or first > classes:
-        raise ConfigError(f"first task size {first} out of range for {classes} classes")
-    if step_size < 1 or (classes - first) % step_size != 0:
+    if first_task < 1 or first_task > classes:
+        raise ConfigError(f"first task size {first_task} out of range for {classes} classes")
+    if step_size < 1 or (classes - first_task) % step_size != 0:
         raise ConfigError(
-            f"remaining {classes - first} classes do not split into steps of {step_size}")
-    return [list(range(first))] + [list(range(start, start + step_size))
-                                   for start in range(first, classes, step_size)]
+            f"remaining {classes - first_task} classes do not split into steps of {step_size}")
+    return [list(range(first_task))] + [list(range(start, start + step_size))
+                                        for start in range(first_task, classes, step_size)]
 
 
 def synth_stream(classes: int, per_class: int, image_size: int, seed: int, *,
-                 first_task: int | None = None, step_size: int = 2,
-                 eval_per_class: int = 10, noise: float = 0.08) -> TaskStream:
+                 first_task: int, step_size: int, eval_per_class: int,
+                 noise: float) -> TaskStream:
     """Seeded class-conditional stream split into disjoint-class tasks by
     ``split_classes``; identical seeds produce byte-identical datasets."""
     for name, count in (("per_class", per_class), ("eval_per_class", eval_per_class)):
@@ -140,8 +144,7 @@ def synth_stream(classes: int, per_class: int, image_size: int, seed: int, *,
 
 
 def cifar_stream(train_path, test_path, classes: int, per_class: int, seed: int, *,
-                 first_task: int | None = None, step_size: int = 2,
-                 eval_per_class: int = 10) -> TaskStream:
+                 first_task: int, step_size: int, eval_per_class: int) -> TaskStream:
     """Class-incremental stream over the CIFAR-100 binary pair, split by
     ``split_classes``.  Each class keeps ``per_class`` train records drawn
     without replacement (all of them if it has no more, in file order) and

@@ -215,13 +215,14 @@ class TaskExpert:
 class CilModel:
     """The growing class-incremental network."""
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0):
+    def __init__(self, cfg: ModelConfig, seed: int):
         self.cfg = cfg
         self.rng = np.random.default_rng(seed)
         self.experts: list[TaskExpert] = []
         self.pos: Tensor | None = None
         self.aux_w: Tensor | None = None
         self.aux_b: Tensor | None = None
+        self.class_registry = None      # a continual.ClassIndex once bound
         self._params: dict[str, Tensor] = {}
 
     # -- bookkeeping ------------------------------------------------------
@@ -580,8 +581,7 @@ def _cta_mhsa_task(model: CilModel, layer: int, task: int, r_list: list[Tensor],
 
 
 def cross_task_mhsa(model: CilModel, layer: int, task: int, r_list: list[Tensor],
-                    k_list: list[Tensor], v_list: list[Tensor],
-                    a_list: list[Tensor] | None = None):
+                    k_list: list[Tensor], v_list: list[Tensor], a_list: list[Tensor]):
     """Expert ``task``'s spatial attention stage at ``layer``.
 
     The type of the expert's attention parameters picks the stage: its own
@@ -597,7 +597,7 @@ def cross_task_mhsa(model: CilModel, layer: int, task: int, r_list: list[Tensor]
     if isinstance(attn, StaAttentionParams):
         return sta_attention_stage(model, layer, task, r_list, k_list, v_list)
     if isinstance(attn, CtaAttentionParams):
-        return _cta_mhsa_task(model, layer, task, r_list, [] if a_list is None else a_list)
+        return _cta_mhsa_task(model, layer, task, r_list, a_list)
     return B.mhsa_block(r_list[task], attn, model.cfg.head_dim)
 
 
@@ -705,8 +705,8 @@ def task_token_head(model: CilModel, features: list[Tensor | None], frozen: Forw
 
 # ----------------------------------------------------------------- drivers
 
-def _forward(model: CilModel, image, *, collect_attn=False,
-             frozen: ForwardResult | None = None) -> ForwardResult:
+def _forward(model: CilModel, image, *, collect_attn: bool,
+             frozen: ForwardResult | None) -> ForwardResult:
     """One forward pass of a (C, h, w) image or a (B, C, h, w) batch; with
     the frozen prefix ``frozen`` (batched like ``image``) of experts 0..n-1
     only experts n.. run, and attention weights are collected for them."""
@@ -728,9 +728,8 @@ def _forward(model: CilModel, image, *, collect_attn=False,
     if frozen.head_only:
         r_list = list(frozen.features)
     else:
-        img = np.asarray(image.data if isinstance(image, Tensor) else image, dtype=np.float64)
-        patches = Tensor(B.extract_patches(img, cfg.in_channels, cfg.image_size,
-                                           cfg.patch_size))
+        patches = Tensor(B.extract_patches(np.asarray(image, dtype=np.float64), cfg.in_channels,
+                                           cfg.image_size, cfg.patch_size))
         r_list = frozen.r_layers[0] + [B.patch_embed(patches, ex.embed, model.pos, cfg.head_dim)
                                        for ex in model.experts[n:]]
         for layer in range(cfg.layers):

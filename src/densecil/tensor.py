@@ -3,13 +3,16 @@
 Only the primitives the transformer blocks need are implemented: same-shape
 (and suffix-broadcast) elementwise arithmetic, one matmul (2-D or stacked,
 with an optional fused bias), axis plumbing (reshape / swap / concat /
-narrow), row softmax with an optional mask, layer norm (whole, or its
-``normalize`` half), GELU (exact Gaussian CDF form), exp, and two fused
-loss kernels.  Attention runs as single ops with hand-written backwards: a
-task-attention stage (``task_attention``), a multi-head attention block
-from per-head layer norm to residual (``attention_block``, for self
-attention and a task token's read-out) and a read-out of projected q/k/v
-(``attention_readout``); the last two share one kernel pair, ``_attend``.
+narrow), a log row softmax, layer norm (whole, or its ``normalize`` half;
+both use the one epsilon ``LN_EPS``), GELU (exact Gaussian CDF form), exp,
+and a fused cross entropy.  Attention runs as single ops with hand-written
+backwards: a task-attention stage (``task_attention``), a multi-head
+attention block from per-head layer norm to residual (``attention_block``,
+for self attention and a task token's read-out) and a read-out of projected
+q/k/v (``attention_readout``); the last two share one kernel pair,
+``_attend``, and all three one softmax pair, ``_softmax``/``_softmax_grad``.
+``tests/oracles.py`` composes each of them from single ops and a test-local
+``softmax_rows`` over that pair: the reference they equal bit for bit.
 Data is float64 throughout, and the package needs numpy only: the GELU's
 erf is Cephes' rational approximation evaluated in numpy, bit for bit the
 value ``scipy.special.erf`` returns.
@@ -17,8 +20,8 @@ value ``scipy.special.erf`` returns.
 Every op acts on the last one or two axes and carries any leading axes
 through, so a batch of images runs as one graph: a (B, P, K) activation
 times a (K, N) weight is B independent products, each bit-identical to the
-same product on one image.  The lower-rank operand of ``matmul`` and a
-``softmax_rows`` mask broadcast over the leading axes they lack.  The
+same product on one image.  The lower-rank operand of ``matmul`` and an
+attention mask broadcast over the leading axes they lack.  The
 kernels reuse their temporaries in place where the operations and their
 order stay the same, which keeps batched arrays in cache.
 
@@ -66,7 +69,6 @@ __all__ = [
     "concat",
     "narrow",
     "sum_all",
-    "softmax_rows",
     "log_softmax_rows",
     "normalize",
     "layer_norm",
@@ -79,6 +81,9 @@ __all__ = [
     "SGD",
     "trunc_normal",
 ]
+
+LN_EPS = 1e-5
+"""The variance epsilon of every layer norm and ``normalize``."""
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -409,7 +414,7 @@ def swap_axes(a: Tensor, ax0: int, ax1: int) -> Tensor:
     return _make(out, (a,), "swap_axes", bwd)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ContractError("concat of zero tensors")
@@ -457,8 +462,13 @@ def sum_all(a: Tensor) -> Tensor:
 # -- nonlinear kernels -------------------------------------------------------
 
 def _softmax(x: np.ndarray, scale: float, mask: np.ndarray | None, op: str) -> np.ndarray:
-    """Row softmax of ``x / scale`` over the last axis, in a new array; see
-    ``softmax_rows``.  ``op`` names the caller in errors."""
+    """Row softmax of ``x / scale`` over the last axis, in a new array.
+
+    The row maximum is subtracted before exponentiation so large logits
+    stay finite.  With ``mask`` the softmax is restricted to its enabled
+    entries: disabled ones get exactly zero weight, and every row must keep
+    at least one enabled entry.  A mask with fewer axes than ``x`` is
+    shared by every leading index.  ``op`` names the caller in errors."""
     if scale <= 0:
         raise ContractError(f"{op}: scale must be positive, got {scale}")
     if not np.isfinite(x).all():
@@ -485,23 +495,6 @@ def _softmax_grad(g: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
     return dx
 
 
-def softmax_rows(x: Tensor, scale: float = 1.0, mask: np.ndarray | None = None) -> Tensor:
-    """Row-wise softmax of x/scale over the last axis.
-
-    The row maximum is subtracted before exponentiation so large logits
-    stay finite.  Rows of the output sum to 1.  With ``mask`` the softmax
-    is restricted to its enabled entries: disabled ones get exactly zero
-    weight, and every row must keep at least one enabled entry.  A mask
-    with fewer axes than ``x`` is shared by every leading index.
-    """
-    y = _softmax(x.data, scale, mask, "softmax_rows")
-
-    def bwd(g):
-        return (_softmax_grad(g, y, scale),)
-
-    return _make(y, (x,), "softmax_rows", bwd)
-
-
 def log_softmax_rows(x: Tensor) -> Tensor:
     m = x.data.max(axis=-1, keepdims=True)
     shifted = x.data - m
@@ -515,14 +508,14 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     return _make(out, (x,), "log_softmax_rows", bwd)
 
 
-def _normalized(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _normalized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each last-axis vector of ``x`` at zero mean and unit population
     variance, and the inverse standard deviations that scaled it."""
     d = x.shape[-1]
     mu = x.sum(axis=-1, keepdims=True) / d
     xhat = x - mu
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
     return xhat, inv
 
@@ -559,11 +552,11 @@ def _affine_out(op: str, xhat: np.ndarray, gain: Tensor, bias: Tensor,
     return out
 
 
-def normalize(x: Tensor, eps: float = 1e-5) -> Tensor:
+def normalize(x: Tensor) -> Tensor:
     """Each last-axis vector at zero mean and unit population variance: a
     layer norm without its learned affine map, which ``task_attention``
     applies to a pool of such vectors."""
-    xhat, inv = _normalized(x.data, eps)
+    xhat, inv = _normalized(x.data)
 
     def bwd(g):
         return (_normalized_grad(g.copy(), xhat, inv),)
@@ -571,10 +564,10 @@ def normalize(x: Tensor, eps: float = 1e-5) -> Tensor:
     return _make(xhat, (x,), "normalize", bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """``normalize(x) * gain + bias`` as one op: the same kernels, without
     keeping the normalised input as a tensor of its own."""
-    xhat, inv = _normalized(x.data, eps)
+    xhat, inv = _normalized(x.data)
     out = _affine_out("layer_norm", xhat, gain, bias)
 
     def bwd(g):
@@ -617,9 +610,9 @@ def task_attention(parts: Sequence[Tensor], n_query: int, gain: Tensor, bias: Te
     (H_pool, din, dout).  Returns the (P, n_query, dout) read-outs scaled
     by the per-head ``lam`` (n_query,), and the (P, n_query, H_pool)
     attention weights as an array.  The arithmetic is that of the same
-    stage composed of ``concat``, ``matmul``, ``narrow``, ``softmax_rows``
-    and ``mul``, bit for bit, gradients included; MACs count its five
-    products.  Input gradients are built only for ``parts`` that require one.
+    stage composed of ``concat``, ``matmul``, ``narrow``, a row softmax and
+    ``mul`` (``tests/oracles.py``), bit for bit, gradients included; MACs
+    count its five products.  Input gradients are built only for ``parts`` that require one.
     """
     x = np.concatenate([t.data for t in parts], axis=-2)     # the pool, mapped in place
     _affine_out("task_attention", x, gain, bias, out=x)
@@ -733,8 +726,9 @@ def attention_readout(r: Tensor, q: Tensor, k: Tensor, v: Tensor, fuse_w: Tensor
     with ``mask`` (if given) enabling (query, key) pairs; any may carry a
     leading batch axis.  Returns the (P, D*H) output and the attention
     weights as an array, (H, P, P) or (H*P, M*P).  Arithmetic, gradients
-    and MACs are those of the read-out composed of ``matmul``,
-    ``softmax_rows``, ``swap_axes``, ``reshape`` and ``add``, bit for bit.
+    and MACs are those of the read-out composed of ``matmul``, a row
+    softmax, ``swap_axes``, ``reshape`` and ``add`` (``tests/oracles.py``),
+    bit for bit.
     """
     out, y, cat = _attend("attention_readout", r.data, q.data, k.data, v.data, fuse_w, fuse_b,
                           head_dim, mask)
@@ -760,7 +754,8 @@ def attention_block(xq: Tensor, xkv: Tensor, gain: Tensor, bias: Tensor, wq: Ten
     ``xkv`` is a task token's read-out.  Returns the output and the
     (H, P_q, P) attention weights as an array.  Arithmetic, gradients and
     MACs are those of the block composed of ``layer_norm``, ``swap_axes``,
-    ``matmul``, ``add`` and that read-out, bit for bit.
+    ``matmul``, ``add`` and that read-out (``tests/oracles.py``), bit for
+    bit.
     """
     width = xq.shape[-1]
     heads = width // head_dim
@@ -770,7 +765,7 @@ def attention_block(xq: Tensor, xkv: Tensor, gain: Tensor, bias: Tensor, wq: Ten
         raise ShapeError(f"attention_block: rows {xq.shape}/{xkv.shape}, head dim {head_dim}, "
                          f"wq {wq.shape}, bq {bq.shape} and fuse_w {fuse_w.shape} disagree")
     lns = [(xhat, inv, _affine_out("attention_block", xhat, gain, bias)) for xhat, inv in (
-        _normalized(x.data.reshape(*x.shape[:-1], heads, head_dim), 1e-5)
+        _normalized(x.data.reshape(*x.shape[:-1], heads, head_dim))
         for x in ((xq,) if xq is xkv else (xq, xkv)))]          # one layer norm per input
     xqh, xkh = np.swapaxes(lns[0][2], -3, -2), np.swapaxes(lns[-1][2], -3, -2)
     q, k, v = (x @ w.data + b.data for x, w, b in ((xqh, wq, bq), (xkh, wk, bk), (xkh, wv, bv)))
@@ -926,8 +921,8 @@ class SGD:
     registering a parameter here, not by skipping at step time.
     """
 
-    def __init__(self, params: Iterable[Tensor], lr: float,
-                 weight_decay: float = 0.0, momentum: float = 0.0):
+    def __init__(self, params: Iterable[Tensor], lr: float, weight_decay: float,
+                 momentum: float):
         self.params = list(params)
         for p in self.params:
             if not p.requires_grad:
@@ -973,14 +968,11 @@ def trunc_normal(rng: np.random.Generator, shape: Sequence[int],
     return out
 
 
-def fan_in_normal(rng: np.random.Generator, shape: Sequence[int],
-                  fan_in: int | None = None) -> np.ndarray:
-    """Truncated normal scaled to the matrix fan-in (std = 1/sqrt(fan_in)).
+def fan_in_normal(rng: np.random.Generator, shape: Sequence[int]) -> np.ndarray:
+    """Truncated normal scaled to the fan-in of a matrix or a stack of
+    matrices, ``shape[-2]`` (std = 1/sqrt(fan_in)).
 
     At desk-scale widths a fixed tiny std leaves gradients too small to
     train in reasonable time; scaling by fan-in keeps activations O(1).
     """
-    shape = tuple(shape)
-    if fan_in is None:
-        fan_in = shape[-2] if len(shape) >= 2 else shape[-1]
-    return trunc_normal(rng, shape, std=1.0 / math.sqrt(fan_in))
+    return trunc_normal(rng, shape, std=1.0 / math.sqrt(shape[-2]))

@@ -1,7 +1,9 @@
 """Reference code only tests use: the plain-ViT MLP and transformer blocks
-that the model's per-stage wiring must reproduce, the attention block and
-read-out composed of single ops, which the fused ``T.attention_block`` and
-``T.attention_readout`` equal bit for bit, and a no-grad logits read."""
+that the model's per-stage wiring must reproduce, a row softmax op over the
+package's softmax kernels, the attention block and read-out composed of
+single ops and that softmax, which the fused ``T.attention_block`` and
+``T.attention_readout`` equal bit for bit, the herding loop that sums the
+chosen rows for every candidate, and a no-grad logits read."""
 
 from __future__ import annotations
 
@@ -11,8 +13,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from densecil import backbone as B
+from densecil import continual as C
 from densecil import tensor as T
 from densecil.tensor import Tensor
+
+
+def softmax_rows(x: Tensor, scale: float, mask: np.ndarray | None = None) -> Tensor:
+    """Row-wise softmax of x/scale over the last axis as a graph op, with the
+    kernels every fused attention op runs (``T._softmax``); rows of the
+    output sum to 1, and ``mask`` restricts each row to its enabled
+    entries."""
+    y = T._softmax(x.data, scale, mask, "softmax_rows")
+
+    def bwd(g):
+        return (T._softmax_grad(g, y, scale),)
+
+    return T._make(y, (x,), "softmax_rows", bwd)
+
+
+def herding_select(features: np.ndarray, m: int) -> list[int]:
+    """``continual.herding_select`` that sums the chosen rows again for
+    every candidate: the order the running sum must reproduce."""
+    features = np.asarray(features, dtype=np.float64)
+    target = features.mean(axis=0)
+    chosen: list[int] = []
+    remaining = list(range(features.shape[0]))
+    for _ in range(m):
+        best_idx, best_dist = None, None
+        k = len(chosen) + 1
+        for idx in remaining:
+            cand = features[chosen + [idx]].sum(axis=0) / k
+            dist = float(np.linalg.norm(target - cand))
+            if best_dist is None or dist < best_dist:
+                best_idx, best_dist = idx, dist
+        chosen.append(best_idx)
+        remaining.remove(best_idx)
+    return chosen
 
 
 @dataclass
@@ -61,7 +97,7 @@ def attention_readout(r: Tensor, q: Tensor, k: Tensor, v: Tensor, fuse_w: Tensor
     """``T.attention_readout`` composed of single ops; the weights as an array."""
     p, width = r.shape[-2:]
     heads = width // head_dim
-    attn = T.softmax_rows(T.matmul(q, T.swap_axes(k, -1, -2)), math.sqrt(head_dim), mask)
+    attn = softmax_rows(T.matmul(q, T.swap_axes(k, -1, -2)), math.sqrt(head_dim), mask)
     av = T.matmul(attn, v)
     if len(av.shape) == len(r.shape):   # flattened queries: back to (H, P, D)
         av = T.reshape(av, (*av.shape[:-2], heads, p, head_dim))
@@ -107,3 +143,9 @@ def eval_logits(model, image) -> np.ndarray:
     """The model's logits for ``image``, computed without a graph."""
     with T.no_grad():
         return model.forward(image).logits.data.copy()
+
+
+def forward_samples(model):
+    """A ``forward`` of samples for ``continual.total_loss`` and
+    ``token_features``: the uncached model on the samples' images."""
+    return lambda samples: model.forward(C.images(samples))

@@ -94,10 +94,10 @@ def test_ia_attention_has_zero_cross_head_mass():
     m.add_expert(2, 2)
     m.add_expert(1, 2)
     rng = np.random.default_rng(1)
-    img = rng.random((3, 8, 8))
+    img = rng.random((1, 3, 8, 8))
     with T.no_grad():
         res = m.forward(img, collect_attn=True)
-    full = A.assemble_joint_attention(m, res, 0)
+    full = A.assemble_joint_attention(m, res, 0, 0)
     stats = A.attention_group_stats(full, m.head_to_task(), 3, cfg.num_patches)
     assert stats.groups["SPDH"].portion == 0.0
     assert stats.groups["DPDH"].portion == 0.0

@@ -5,10 +5,13 @@ import weakref
 import numpy as np
 import pytest
 
+from densecil import cli
 from densecil import continual as C
 from densecil import expansion as E
 from densecil import tensor as T
 from densecil.config import TOL, ConfigError
+
+import oracles as O
 
 
 # ------------------------------------------------------------ task stream
@@ -119,16 +122,17 @@ def test_total_loss_first_task_has_no_distillation_term():
     reg.extend([0, 1])
     C.bind_class_index(model, reg)
     batch = stream.tasks[0].train[:2]
-    loss = C.total_loss(batch, model, C.LossWeights(), [0, 1], 0)
+    loss = C.total_loss(batch, model, C.LossWeights(1.0, 0.1),
+                        [0, 1], 0, O.forward_samples(model))
     assert np.isfinite(loss.item())
 
 
 def test_total_loss_defaults_weigh_terms():
-    w = C.LossWeights()
+    w = cli.RunConfig().train_config().loss_weights
     assert (w.ce, w.aux) == (1.0, 0.1)
     for bad in (dict(ce=-1.0), dict(ce=float("nan")), dict(aux=float("inf"))):
         with pytest.raises(ConfigError):
-            C.LossWeights(**bad)
+            C.LossWeights(**{"ce": 1.0, "aux": 0.1, **bad})
 
 
 def test_total_loss_ce_only_equals_plain_cross_entropy():
@@ -139,7 +143,8 @@ def test_total_loss_ce_only_equals_plain_cross_entropy():
     reg.extend([0, 1])
     C.bind_class_index(model, reg)
     batch = stream.tasks[0].train[:3]
-    got = C.total_loss(batch, model, C.LossWeights(1.0, 0.0), [0, 1], 0)
+    got = C.total_loss(batch, model, C.LossWeights(1.0, 0.0),
+                       [0, 1], 0, O.forward_samples(model))
     want = np.mean([T.cross_entropy_logits(model.forward(s.image).logits,
                                            reg.index(s.label)).item()
                     for s in batch])
@@ -154,8 +159,8 @@ def test_total_loss_gradient_skips_frozen():
     reg = C.ClassIndex()
     reg.extend([0, 1, 2, 3])
     C.bind_class_index(model, reg)
-    loss = C.total_loss(stream.tasks[1].train[:2], model, C.LossWeights(),
-                        [2, 3], 2)
+    loss = C.total_loss(stream.tasks[1].train[:2], model, C.LossWeights(1.0, 0.1),
+                        [2, 3], 2, O.forward_samples(model))
     T.backward(loss)
     for name, t in model.named_parameters():
         if not t.requires_grad:
@@ -176,7 +181,8 @@ def test_total_loss_batch_gradient_is_sum_of_per_sample_gradients():
     def grads(samples):
         for p in params:
             p.grad = None
-        loss = C.total_loss(samples, model, C.LossWeights(), [2, 3], 2)
+        loss = C.total_loss(samples, model, C.LossWeights(1.0, 0.1), [2, 3], 2,
+                            O.forward_samples(model))
         T.backward(loss)
         return loss.item(), [p.grad.copy() for p in params]
 
@@ -202,7 +208,8 @@ def _two_expert_dne_model():
 def test_backward_releases_the_training_graph_and_keeps_parameter_gradients():
     model, stream = _two_expert_dne_model()
     batch = stream.tasks[1].train[:2] + stream.tasks[0].train[:1]
-    loss = C.total_loss(batch, model, C.LossWeights(), [2, 3], 2)
+    loss = C.total_loss(batch, model, C.LossWeights(1.0, 0.1),
+                        [2, 3], 2, O.forward_samples(model))
     nodes = [n for n in T.topo_order(loss) if n.op != "leaf"]
     assert "task_attention" in {n.op for n in nodes}
     T.backward(loss)
@@ -216,7 +223,8 @@ def test_backward_releases_the_training_graph_and_keeps_parameter_gradients():
 def test_backward_refuses_a_graph_an_earlier_backward_released():
     model, stream = _two_expert_dne_model()
     batch = stream.tasks[1].train[:2]
-    loss = C.total_loss(batch, model, C.LossWeights(), [2, 3], 2)
+    loss = C.total_loss(batch, model, C.LossWeights(1.0, 0.1),
+                        [2, 3], 2, O.forward_samples(model))
     T.backward(loss)
     with pytest.raises(T.ContractError):
         T.backward(loss)
@@ -241,7 +249,8 @@ def test_sgd_step_frees_the_previous_steps_graph_before_the_next_forward():
     def loss_fn(batch):
         steps.append([ref() is None for ref in saved])
         saved.clear()
-        loss = C.total_loss(batch, model, C.LossWeights(), [2, 3], 2)
+        loss = C.total_loss(batch, model, C.LossWeights(1.0, 0.1), [2, 3], 2,
+                            O.forward_samples(model))
         for node in T.topo_order(loss):
             if node.op == "task_attention":
                 cells = dict(zip(node._backward.__code__.co_freevars,
@@ -249,8 +258,9 @@ def test_sgd_step_frees_the_previous_steps_graph_before_the_next_forward():
                 saved.extend(weakref.ref(cells[name]) for name in ("x", "v", "pre"))
         return loss
 
-    C._sgd_epochs(model.trainable_parameters(), data, 2, C.TrainConfig(batch_size=3),
-                  np.random.default_rng(0), loss_fn, "test")
+    tc = cli.RunConfig(lr=2.5e-4, batch_size=3).train_config()
+    C._sgd_epochs(model.trainable_parameters(), data, 2, tc, np.random.default_rng(0), loss_fn,
+                  "test")
     assert len(steps) == 6 and steps[0] == []
     assert all(len(dead) == 3 * 2 and all(dead) for dead in steps[1:])   # fc1 and fc2
 
@@ -289,6 +299,24 @@ def test_herding_matches_bruteforce_oracle():
     rng = np.random.default_rng(4)
     feats = rng.normal(size=(6, 4))
     assert C.herding_select(feats, 3) == herding_oracle(feats, 3)
+
+
+def test_herding_running_sum_picks_the_resummed_order():
+    """Keeping the chosen rows' sum as it grows picks the indices, in order,
+    that summing the chosen rows again for every candidate picks: on random
+    features over six decades of scale, with exact ties and signed zeros."""
+    rng = np.random.default_rng(26)
+    cases = [rng.normal(size=(int(rng.integers(1, 61)), int(rng.integers(16, 97))))
+             * 10.0 ** rng.uniform(-3, 3) for _ in range(40)]
+    rows = rng.normal(size=(5, 16))
+    cases.append(np.concatenate([rows, rows[::-1], rows[:2]]))       # every row tied
+    signed = rng.normal(size=(12, 16))
+    signed[:, ::3] = 0.0
+    signed[::2, ::3] = -0.0
+    cases.append(signed)
+    cases.append(np.where(np.arange(16) % 2, 0.0, -0.0) * np.ones((6, 1)))   # all distances 0
+    for feats in cases:
+        assert C.herding_select(feats, len(feats)) == O.herding_select(feats, len(feats))
 
 
 def test_herding_rejects_overdraw():
@@ -447,8 +475,8 @@ def _micro_stream(seed=0, size=8, n_tasks=2):
 def test_run_stream_produces_metrics_and_respects_buffer():
     cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
                         gamma=2, layers=1, strategy="dne")
-    tc = C.TrainConfig(epochs=2, tune_epochs=1, lr=0.05, batch_size=6,
-                       heads_first=2, heads_per_step=1)
+    tc = cli.RunConfig(epochs=2, tune_epochs=1, lr=0.05, batch_size=6,
+                       h1=2, k=1).train_config()
     stream = _micro_stream()
     model, rec = C.run_stream(cfg, stream, tc, seed=3, buffer_capacity=6)
     assert len(rec.accuracies) == 2
@@ -459,12 +487,42 @@ def test_run_stream_produces_metrics_and_respects_buffer():
 def test_run_stream_deterministic():
     cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
                         gamma=2, layers=1, strategy="dne")
-    tc = C.TrainConfig(epochs=1, tune_epochs=1, lr=0.05, batch_size=6,
-                       heads_first=2, heads_per_step=1)
+    tc = cli.RunConfig(epochs=1, tune_epochs=1, lr=0.05, batch_size=6,
+                       h1=2, k=1).train_config()
     _, rec1 = C.run_stream(cfg, _micro_stream(), tc, seed=9, buffer_capacity=6)
     _, rec2 = C.run_stream(cfg, _micro_stream(), tc, seed=9, buffer_capacity=6)
     assert rec1.accuracies == rec2.accuracies
     assert rec1.per_task_final == rec2.per_task_final
+
+
+@pytest.mark.parametrize("strategy", ["dne", "sta", "ia"])
+def test_old_experts_keep_every_parameter_byte_for_byte(strategy, monkeypatch):
+    """The paper's experts keep the feature space of old classes: after each
+    task t, every parameter of experts 0..t-1 holds the bytes it held when
+    its own task ended, while task t changed its own expert's."""
+    train_task = C.train_task
+    ended: list[dict[str, bytes]] = []      # per expert: its parameters' bytes at its end
+
+    def checked_train_task(model, task, *args, **kw):
+        old = {n for own in ended for n in own}
+        mine = {n: p.data.tobytes() for n, p in model.named_parameters()
+                if n not in old and not n.startswith("aux.")}
+        out = train_task(model, task, *args, **kw)
+        params = dict(model.named_parameters())
+        for own in ended:
+            assert {n: params[n].data.tobytes() for n in own} == own
+        now = {n: params[n].data.tobytes() for n in mine}
+        assert now != mine
+        ended.append(now)
+        return out
+
+    monkeypatch.setattr(C, "train_task", checked_train_task)
+    cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
+                        gamma=2, layers=2, strategy=strategy)
+    tc = cli.RunConfig(epochs=1, tune_epochs=1, lr=0.05, batch_size=6,
+                       h1=2, k=1).train_config()
+    C.run_stream(cfg, _micro_stream(n_tasks=4), tc, seed=9, buffer_capacity=6)
+    assert len(ended) == 4
 
 
 def test_herding_reads_each_class_rows_of_one_pass_per_task(monkeypatch):
@@ -478,14 +536,14 @@ def test_herding_reads_each_class_rows_of_one_pass_per_task(monkeypatch):
         state.update(model=model, task=task, classes=iter(task.classes))
         return train_task(model, task, *args, **kw)
 
-    def logged_features(model, samples, forward=None):
+    def logged_features(samples, forward):
         passes.append(len(samples))
-        return features(model, samples, forward)
+        return features(samples, forward)
 
     def logged_select(feats, m):
         label = next(state["classes"])
         own = [s for s in state["task"].train if s.label == label]
-        np.testing.assert_array_equal(feats, features(state["model"], own))
+        np.testing.assert_array_equal(feats, features(own, O.forward_samples(state["model"])))
         selected.append(label)
         return select(feats, m)
 
@@ -494,8 +552,8 @@ def test_herding_reads_each_class_rows_of_one_pass_per_task(monkeypatch):
     monkeypatch.setattr(C, "herding_select", logged_select)
     cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
                         gamma=2, layers=1, strategy="dne")
-    tc = C.TrainConfig(epochs=1, tune_epochs=1, lr=0.05, batch_size=6,
-                       heads_first=2, heads_per_step=1)
+    tc = cli.RunConfig(epochs=1, tune_epochs=1, lr=0.05, batch_size=6,
+                       h1=2, k=1).train_config()
     stream = _micro_stream(n_tasks=3)
     C.run_stream(cfg, stream, tc, seed=9, buffer_capacity=6)
     assert passes == [len(task.train) for task in stream.tasks]
@@ -550,8 +608,8 @@ def logged_run(monkeypatch):
     def run(strategy, capacity):
         cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
                             gamma=2, layers=2, strategy=strategy)
-        tc = C.TrainConfig(epochs=2, tune_epochs=2, lr=0.05, batch_size=5,
-                           heads_first=2, heads_per_step=1)
+        tc = cli.RunConfig(epochs=2, tune_epochs=2, lr=0.05, batch_size=5,
+                           h1=2, k=1).train_config()
         stream = _micro_stream(n_tasks=3)
         train = [s for task in stream.tasks for s in task.train]
         log.update(phase="fill", forwards=[], evals=[], store=None, stream=stream,
@@ -708,7 +766,7 @@ def test_prefix_holds_normalised_ta_inputs_at_the_raw_byte_count():
         prefix = E.freeze_outputs(model, res, 1)
         raw_bytes = 0
         for l, blk in enumerate(model.experts[0].blocks):
-            s_raw, _ = E.cross_task_mhsa(model, l, 0, res.r_layers[l], [], [])
+            s_raw, _ = E.cross_task_mhsa(model, l, 0, res.r_layers[l], [], [], [])
             s_in = T.normalize(T.reshape(s_raw, (*s_raw.shape[:-1], h0, d)))
             o_raw = T.gelu(E.task_attention([s_in], h0, blk.fc1)[0])   # (B, P, H_0, gamma*D)
             np.testing.assert_array_equal(prefix.s_layers[l][0].data, s_in.data)
@@ -728,7 +786,7 @@ def test_non_finite_task_attention_scores_raise_naming_task_and_phase():
                         gamma=2, layers=1, strategy="dne")
     model = E.CilModel(cfg, seed=0).add_expert(2, 2)
     model.experts[0].blocks[0].fc1.wk.data[0, 0] = np.inf
-    tc = C.TrainConfig(epochs=1, batch_size=4)
+    tc = cli.RunConfig(epochs=1, batch_size=4).train_config()
     loss = lambda batch: T.sum_all(model.forward(C.images(batch)).logits)
     with pytest.raises(T.NumericError) as err:
         C._sgd_epochs(model.trainable_parameters(), _micro_stream().tasks[0].train, 1, tc,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from densecil import backbone as B
+from densecil import cli
 from densecil import continual as C
 from densecil import expansion as E
 from densecil import tensor as T
@@ -249,8 +250,8 @@ def test_sta_stage_needs_the_keys_and_values_of_earlier_experts():
     res = m.forward(rand_image(cfg, 3))
     k_list, v_list = res.k_layers[0][:1], res.v_layers[0][:1]
     with pytest.raises(T.ContractError):
-        E.cross_task_mhsa(m, 0, 1, res.r_layers[0], [], [])
-    s, _ = E.cross_task_mhsa(m, 0, 1, res.r_layers[0], k_list, v_list)
+        E.cross_task_mhsa(m, 0, 1, res.r_layers[0], [], [], [])
+    s, _ = E.cross_task_mhsa(m, 0, 1, res.r_layers[0], k_list, v_list, [])
     np.testing.assert_array_equal(s.data, res.s_layers[0][1].data)
     np.testing.assert_array_equal(k_list[1].data, res.k_layers[0][1].data)
     np.testing.assert_array_equal(v_list[1].data, res.v_layers[0][1].data)
@@ -533,7 +534,7 @@ def _composed_stage(x, n_query, stage):
     qtok = T.narrow(x, -2, h_pool - n_query, n_query)
     q = T.reshape(T.matmul(T.reshape(qtok, (*lead, p * n_query, din)), stage.wq),
                   (*lead, p, n_query, attn_dim))
-    attn = T.softmax_rows(T.matmul(q, T.swap_axes(k, -1, -2)), math.sqrt(attn_dim))
+    attn = O.softmax_rows(T.matmul(q, T.swap_axes(k, -1, -2)), math.sqrt(attn_dim))
     wv = stage.wv[0] if len(stage.wv) == 1 else T.concat(stage.wv, axis=0)
     v = T.swap_axes(T.matmul(T.swap_axes(x, -3, -2), wv), -3, -2)
     out = T.mul(T.matmul(attn, v), T.reshape(stage.lam, (1, n_query, 1)))
@@ -637,8 +638,8 @@ def _stream_checkpoint(overrides) -> bytes:
 
     tasks = [C.Task((2 * i, 2 * i + 1), samples(2 * i, 4) + samples(2 * i + 1, 4),
                     samples(2 * i, 2) + samples(2 * i + 1, 2)) for i in range(3)]
-    tc = C.TrainConfig(epochs=2, tune_epochs=1, lr=0.05, batch_size=5,
-                       heads_first=2, heads_per_step=1)
+    tc = cli.RunConfig(epochs=2, tune_epochs=1, lr=0.05, batch_size=5,
+                       h1=2, k=1).train_config()
     model, _ = C.run_stream(small_cfg(**overrides), C.TaskStream(tasks), tc, seed=5,
                             buffer_capacity=6)
     return E.checkpoint_bytes(model)
@@ -751,7 +752,7 @@ def test_cross_task_mhsa_single_task_equals_backbone_block():
     m = build_model(cfg, heads=(2,), classes=(3,))
     rng = np.random.default_rng(16)
     r = T.Tensor(rng.normal(size=(cfg.num_patches, 8)))
-    s, _ = E.cross_task_mhsa(m, 0, 0, [r], [], [])
+    s, _ = E.cross_task_mhsa(m, 0, 0, [r], [], [], [])
     want, _ = B.mhsa_block(r, m.experts[0].blocks[0].attn, cfg.head_dim)
     np.testing.assert_array_equal(s.data, want.data)
 
@@ -766,7 +767,7 @@ def test_cross_task_mhsa_zero_fusion_is_residual():
     r_list = [T.Tensor(rng.normal(size=(cfg.num_patches, 8))),
               T.Tensor(rng.normal(size=(cfg.num_patches, 4)))]
     for t, r in enumerate(r_list):
-        s, _ = E.cross_task_mhsa(m, 0, t, r_list, [], [])
+        s, _ = E.cross_task_mhsa(m, 0, t, r_list, [], [], [])
         np.testing.assert_array_equal(s.data, r.data)
 
 
@@ -814,7 +815,7 @@ def test_frozen_old_outputs_survive_training_steps():
                     res.logits.data[:2].copy())
 
     before = snapshot()
-    opt = T.SGD(m.trainable_parameters(), lr=0.05)
+    opt = T.SGD(m.trainable_parameters(), lr=0.05, weight_decay=0.0, momentum=0.0)
     for step in range(3):
         res = m.forward(img)
         loss = T.cross_entropy_logits(res.logits, 3)
