@@ -31,8 +31,12 @@ from . import tensor as T
 from .config import ConfigError
 
 
+_MODEL = E.ModelConfig()      # the default model, whose settings RunConfig and flops read
+
+
 @dataclass
 class RunConfig:
+    """Every ``densecil train`` setting; the geometry and wiring defaults are ``ModelConfig``'s."""
     # data
     dataset: str = "synthetic"
     cifar_train: str | None = None
@@ -41,26 +45,26 @@ class RunConfig:
     per_class: int = 24
     eval_per_class: int = 10
     noise: float = 0.08
-    # geometry (desk scale: 16x16 images, 4x4 patches, 3 tasks)
-    image_size: int = 16
-    patch_size: int = 4
-    head_dim: int = 16
-    gamma: int = 4
-    layers: int = 2
+    # geometry
+    image_size: int = _MODEL.image_size
+    patch_size: int = _MODEL.patch_size
+    head_dim: int = _MODEL.head_dim
+    gamma: int = _MODEL.gamma
+    layers: int = _MODEL.layers
     first_task: int = 4
     step_size: int = 2
     h1: int = 4
     k: int = 1
     # wiring
-    strategy: str = "dne"
-    sta_variant: str = "both"
-    cta_layers: str | None = None      # e.g. "10" to enable only block 0
-    cta_mhsa: bool = False
-    cta_fc1: bool = True
-    cta_fc2: bool = True
-    share_q: str = "s"
-    share_k: str = "s"
-    share_v: str = "f"
+    strategy: str = _MODEL.strategy
+    sta_variant: str = _MODEL.sta_variant
+    cta_layers: str | None = None      # None every block, e.g. "10" only block 0
+    cta_mhsa: bool = _MODEL.cta_in_mhsa
+    cta_fc1: bool = _MODEL.cta_in_fc1
+    cta_fc2: bool = _MODEL.cta_in_fc2
+    share_q: str = _MODEL.share_q
+    share_k: str = _MODEL.share_k
+    share_v: str = _MODEL.share_v
     # optimization
     lw_ce: float = 1.0
     lw_aux: float = 0.1
@@ -264,7 +268,8 @@ def main(argv=None) -> int:
                             help="group decomposition of a trained model's attention")
     p_attn.add_argument("--ckpt", required=True)
     p_attn.add_argument("--out", default=None, help="output JSON path")
-    p_attn.add_argument("--mode", default="layer_mean", help=", ".join(A.ATTENTION_MODES))
+    p_attn.add_argument("--mode", default=RunConfig.attention_mode,
+                        help=", ".join(A.ATTENTION_MODES))
     p_attn.add_argument("--seed", type=int, default=0)
     p_attn.add_argument("--images", type=int, default=4)
     p_attn.set_defaults(func=_cmd_attention)
@@ -313,8 +318,8 @@ def _cmd_flops(args) -> int:
     side = math.isqrt(max(args.patches, 0))
     if args.patches < 1 or side * side != args.patches:
         raise ConfigError(f"patches must be a positive square number, got {args.patches}")
-    # the default model (4-pixel patches) with a side x side patch grid
-    cfg = E.ModelConfig(image_size=4 * side, head_dim=args.dim)
+    # the default model with a side x side patch grid
+    cfg = E.ModelConfig(image_size=_MODEL.patch_size * side, head_dim=args.dim)
     report = A.flops_report(cfg, args.tasks, args.heads, classes_per_task=2)
     macs = report["analytic_macs"]
     print(f"crossover bound: T < {report['crossover_tasks']}")

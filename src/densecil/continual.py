@@ -194,9 +194,6 @@ class MemoryBuffer:
         self.capacity = capacity
         self._store: dict[int, list[Sample]] = {}   # in the order classes were seen
 
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._store.values())
-
     @property
     def classes_seen(self) -> list[int]:
         return list(self._store)

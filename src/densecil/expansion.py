@@ -90,6 +90,7 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """A model's geometry and wiring; the field defaults declare the default model."""
     image_size: int = 16
     patch_size: int = 4
     in_channels: int = 3
@@ -107,9 +108,12 @@ class ModelConfig:
     share_v: str = "f"
 
     def __post_init__(self):
-        for name in GEOMETRY:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for f in fields(self):              # exact types: a bool is not an int
+            value = getattr(self, f.name)
+            if f.name != "cta_layers" and type(value).__name__ != f.type:
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.name in GEOMETRY and value < 1:
+                raise ConfigError(f"{f.name} must be at least 1, got {value}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.sta_variant not in STA_VARIANTS:

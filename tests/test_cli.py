@@ -360,6 +360,41 @@ def test_analyze_attention_rejects_an_unknown_mode(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_analyze_attention_mode_defaults_to_the_run_setting(tmp_path):
+    ckpt = _tiny_checkpoint(tmp_path)
+    for name, extra in (("default", []), ("layer_mean", ["--mode", "layer_mean"])):
+        assert cli.main(["analyze-attention", "--ckpt", ckpt, *extra,
+                         "--out", str(tmp_path / f"{name}.json")]) == 0
+    assert cli.RunConfig().attention_mode == "layer_mean"
+    assert (tmp_path / "default.json").read_bytes() == (tmp_path / "layer_mean.json").read_bytes()
+
+
+def test_run_config_defaults_are_the_default_model():
+    assert cli.RunConfig().model_config() == E.ModelConfig()
+
+
+def test_run_config_reads_each_changed_model_default():
+    """With ``ModelConfig``'s share_v default changed before the CLI is
+    imported, ``RunConfig`` takes it over and every strategy still passes
+    its check, which rejects a wiring value other than the default."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("from __future__ import annotations\n"
+            "from dataclasses import dataclass\n"
+            "from densecil import expansion as E\n"
+            "@dataclass(frozen=True)\n"
+            "class Changed(E.ModelConfig):\n"
+            "    share_v: str = 's'\n"
+            "E.ModelConfig = Changed\n"
+            "from densecil import cli\n"
+            "assert cli.RunConfig().share_v == 's'\n"
+            "for strategy in ('ia', 'sta', 'dne'):\n"
+            "    cli.RunConfig(strategy=strategy).validate()\n"
+            "print('ok')\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
+
 def test_no_module_imports_scipy():
     """Importing every densecil module and running ``densecil flops`` loads
     no scipy module: numpy is the only runtime dependency."""

@@ -342,7 +342,7 @@ def test_buffer_quota_and_remainder_rule():
     buf.rebalance()
     # 10 // 3 = 3 each, remainder 1 goes to the earliest class
     assert [buf.class_count(c) for c in (7, 8, 9)] == [4, 3, 3]
-    assert len(buf) == 10
+    assert len(buf.samples()) == 10
 
 
 def test_buffer_never_exceeds_capacity():
@@ -350,7 +350,7 @@ def test_buffer_never_exceeds_capacity():
     for c in range(4):
         buf.add_class(c, [_sample(c, i) for i in range(5)])
         buf.rebalance()
-        assert len(buf) <= 5
+        assert len(buf.samples()) <= 5
 
 
 def test_buffer_truncation_keeps_selection_prefix():

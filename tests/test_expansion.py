@@ -47,6 +47,13 @@ def test_model_config_rejects_nonpositive_sizes(name):
         small_cfg(**{name: 0})
 
 
+@pytest.mark.parametrize("name, value", [("layers", True), ("gamma", 2.0), ("cta_in_fc1", 1),
+                                         ("strategy", None), ("image_size", np.int64(8))])
+def test_model_config_takes_each_field_at_its_exact_type(name, value):
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
+        small_cfg(**{name: value})
+
+
 @pytest.mark.parametrize("strategy,name,value", [
     *[pytest.param(s, name, value, id=f"{s}-{name}") for s in ("ia", "sta")
       for name, value in [("cta_layers", (True, True)), ("cta_in_mhsa", True),
@@ -89,9 +96,9 @@ def test_add_expert_preserves_prior_logits_exactly():
 def test_add_expert_parameter_delta_matches_layout_arithmetic():
     cfg = small_cfg(strategy="dne", layers=2)
     m = build_model(cfg, heads=(2,), classes=(3,))
-    n_before = sum(t.size for _, t in m.named_parameters())
+    n_before = sum(t.data.size for _, t in m.named_parameters())
     m.add_expert(1, 2)
-    n_after = sum(t.size for _, t in m.named_parameters())
+    n_after = sum(t.data.size for _, t in m.named_parameters())
 
     d, g, L = cfg.head_dim, cfg.gamma, cfg.layers
     h_new, pool, n_cls, h_tot = 1, 3, 2, 3
@@ -949,14 +956,9 @@ def _repeat_first_param(header, blobs):
     return header, blobs + blobs[: 8 * int(np.prod(first["shape"]))]
 
 
-def _add_config_field(header, blobs):
-    header["config"]["bogus"] = 1
-    return header, blobs
-
-
-def _cta_layers(value):
+def _config_field(name, value):
     def edit(header, blobs):
-        header["config"]["cta_layers"] = value
+        header["config"][name] = value
         return header, blobs
     return edit
 
@@ -976,17 +978,22 @@ CORRUPTIONS = {
     "duplicate_param": lambda raw: _rewrite_header(raw, _repeat_first_param),
     "truncated_length_field": lambda raw: raw[:3],
     "missing_config": lambda raw: _rewrite_header(raw, _drop_config),
-    "unknown_config_field": lambda raw: _rewrite_header(raw, _add_config_field),
+    "unknown_config_field": lambda raw: _rewrite_header(raw, _config_field("bogus", 1)),
     "header_not_a_dict": lambda raw: _rewrite_header(raw, lambda h, b: ([h], b)),
-    "cta_layers_not_iterable": lambda raw: _rewrite_header(raw, _cta_layers(1)),
-    **{f"cta_layers_{k}": lambda raw, v=v: _rewrite_header(raw, _cta_layers(v))
+    "cta_layers_not_iterable": lambda raw: _rewrite_header(raw, _config_field("cta_layers", 1)),
+    **{f"cta_layers_{k}": lambda raw, v=v: _rewrite_header(raw, _config_field("cta_layers", v[:1]))
        for k, v in BAD_CTA_LAYERS.items()},
+    # values equal to the model's own under ==, but of another type
+    "layers_bool": lambda raw: _rewrite_header(raw, _config_field("layers", True)),
+    "gamma_float": lambda raw: _rewrite_header(raw, _config_field("gamma", 2.0)),
+    "cta_in_fc1_int": lambda raw: _rewrite_header(raw, _config_field("cta_in_fc1", 1)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
 def test_checkpoint_loader_rejects_malformed_input(case):
-    m = build_model(small_cfg(), heads=(2, 1), classes=(2, 2))
+    """On a 1-layer model with gamma 2, so a mistyped value equals the true one."""
+    m = build_model(small_cfg(layers=1), heads=(2, 1), classes=(2, 2))
     raw = E.checkpoint_bytes(m)
     E.model_from_bytes(raw)
     with pytest.raises(E.CheckpointError):
