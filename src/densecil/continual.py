@@ -384,14 +384,15 @@ class FrozenStore:
     sample of the stream, then one per eval sample of every task but the
     last, which is scored only at the last step.
 
-    Row i holds the prefix (``freeze_outputs``) at expert ``level[i]``, and
-    with ``head[i]`` the newest expert's entries and final features, so a
-    forward from it runs only that token head.  All rows form one prefix
-    with a row axis, classifier slices included, which ``freeze_outputs``
-    gathers a batch from.  Rows grow by one expert per task and keep it for
-    later tasks: a forward fills its rows as far as the newest expert's
-    training allows, up to that expert, then with its entries and features
-    once ``fixed`` counts it, then past it once ``done`` counts it.
+    All rows form one prefix (``freeze_outputs``) with a row axis: per
+    expert an array for each list of ``ForwardResult.reads``, the token
+    features and the classifier slice.  Row i holds experts 0..level[i]-1,
+    and with ``head[i]`` the newest expert's entries and final features,
+    so a forward from it runs only that token head.  Rows grow by one
+    expert per task and keep it for later tasks: a forward fills its rows
+    as far as the newest expert's training allows, up to that expert, then
+    with its entries and features once ``fixed`` counts it, then past it
+    once ``done`` counts it.
     ``prefetch`` fills rows ahead of their forwards.  Of the stream's last
     expert only the features are kept.  Results are bit-identical to
     uncached forwards.
@@ -424,18 +425,18 @@ class FrozenStore:
             return True
 
         if self._data is None:          # an empty record shaped like ``kept``
-            self._data = E.freeze_outputs(self.model, kept, 0)
+            self._data = E.freeze_outputs(kept, 0)
         width = len(self._data.token_feats)
         for j in range(width, min(len(kept.token_feats), self.tasks - 1)):
-            new = [None if s[j] is None else s[j].data for s in kept.columns()]
-            if not fits(sum(count * a[0].nbytes for a in new if a is not None)):
+            new = [s[j].data for s in kept.columns()]
+            if not fits(sum(count * a[0].nbytes for a in new)):
                 break
             for dst, a in zip(self._data.columns(), new):
-                dst.append(None if a is None else Tensor(np.empty((count, *a.shape[1:]))))
+                dst.append(Tensor(np.empty((count, *a.shape[1:]))))
             width += 1
         if (features is not None and not self._data.features and width >= t
                 and fits(count * features.data[0].nbytes)):
-            self._data.r_layers[-1] = [None] * t + [Tensor(np.empty((count, *features.shape[1:])))]
+            self._data.features = [None] * t + [Tensor(np.empty((count, *features.shape[1:])))]
         return width
 
     def forward(self, samples: list[Sample]) -> E.ForwardResult:
@@ -450,7 +451,7 @@ class FrozenStore:
         head = bool(self.head[rows].all())
         depth = t if head else int(self.level[rows].min())
         frozen = (None if depth == 0 and not head else
-                  E.freeze_outputs(self.model, self._data, depth, features=head, rows=rows))
+                  E.freeze_outputs(self._data, depth, features=head, rows=rows))
         res = self.model.forward(images(samples), frozen=frozen)
         fixed, done = self.fixed > t, self.done > t
         if head and done and len(self._data.token_feats) > t:
@@ -459,12 +460,11 @@ class FrozenStore:
             self._data.logit_parts[t].data[rows] = res.logit_parts[t].data
             self.level[rows] = t + 1
         elif not head and depth < t + fixed:
-            kept = E.freeze_outputs(self.model, res, t + fixed)
+            kept = E.freeze_outputs(res, t + fixed)
             width = min(self._grow(kept, res.features[t] if fixed > done else None), t + fixed)
             for dst, src in zip(self._data.columns(), kept.columns()):
                 for d, s in zip(dst[depth:width], src[depth:width]):
-                    if d is not None:
-                        d.data[rows] = s.data
+                    d.data[rows] = s.data
             if width > depth:
                 self.level[rows] = min(width, t + done)
             if fixed > done and self._data.features:
@@ -500,7 +500,7 @@ class FrozenStore:
             self.prefetch(samples + self._train[self.done])
         if self._data is not None and self._data.features:
             self.nbytes -= self._data.features[-1].data.nbytes
-            self._data.r_layers[-1] = []
+            self._data.features = []
         self.head[:] = False
 
 

@@ -39,14 +39,15 @@ q/k/v projection, which the first expert owns.
 ``forward`` runs one loop over the experts per layer.  For each expert it
 runs the attention stage that the type of the expert's attention
 parameters picks (``cross_task_mhsa``), then its mixing block
-(``tab_forward``); a stage reads only what experts 0..t have produced
-earlier in that loop or in a frozen prefix.  Old experts never change,
-so ``freeze_outputs`` cuts a forward's ``ForwardResult`` at expert n, or
-gathers a batch from a store of such cuts; a forward given that prefix
-runs only the experts from n on.  The prefix holds each old expert's
-classifier slice and its TA inputs already normalised (under
-``cta_in_mhsa`` the block inputs too), so a forward from it neither
-normalises a frozen token nor computes its gradient.
+(``tab_forward``).  Each stage gets the expert's own input and the layer's
+record of what the cross-task stages read, ``ForwardResult.reads``: a
+stage that reads older experts appends this expert's entry there (its
+normalised TA input, or its sta keys and values) and reads experts 0..t.
+Old experts never change, so ``freeze_outputs`` cuts that record, the
+token features and the classifier slices at expert n, or gathers a batch
+from a store of such cuts; a forward given that prefix runs only the
+experts from n on and neither normalises a frozen token nor computes its
+gradient.
 
 No operation couples two images, so ``forward`` takes one (C, h, w) image
 or a (B, C, h, w) batch through the same code; every activation then
@@ -110,8 +111,8 @@ class ModelConfig:
     def __post_init__(self):
         for f in fields(self):              # exact types: a bool is not an int
             value = getattr(self, f.name)
-            if f.name != "cta_layers" and type(value).__name__ != f.type:
-                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.name != "cta_layers" and type(value) is not type(f.default):
+                raise ConfigError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
             if f.name in GEOMETRY and value < 1:
                 raise ConfigError(f"{f.name} must be at least 1, got {value}")
         if self.strategy not in STRATEGIES:
@@ -405,79 +406,55 @@ class ForwardResult:
     its frozen prefix.
 
     Shapes are those of one image; a batched forward puts the batch axis
-    in front of every tensor and attention array.  A frozen prefix
-    (``freeze_outputs``) holds experts 0..n-1, n = ``len(token_feats)``,
-    and a forward from it keeps its entries; its block inputs and its
-    ``logits`` are None.
-    One that is ``head_only`` also holds the final block outputs of experts
-    n.. in ``r_layers[-1]``.
+    in front of every tensor and attention array.  ``reads[l]`` maps a key
+    to one entry per expert of what newer experts' cross-task stages read
+    at layer l: ``"s"``/``"o"`` TA fc1/fc2 inputs and ``"a"`` ``cta_in_mhsa``
+    block inputs, as (P, H_t, din) head tokens normalised by ``T.normalize``,
+    and ``"k"``/``"v"`` sta tied keys and values; a stage that reads only
+    its own expert records nothing.  A frozen prefix (``freeze_outputs``)
+    holds experts 0..n-1, n = ``len(token_feats)``, and no ``logits``; one
+    that is ``head_only`` also holds the ``features`` of experts n..
     """
-    r_layers: list[list[Tensor | None]]  # [layers+1][task] block inputs/outputs
-    s_layers: list[list[Tensor | None]]  # [layers][task] fc1 inputs: post-MHSA features,
-    o_layers: list[list[Tensor | None]]  # [layers][task] fc2 inputs: mixing intermediates,
-                                         # both as (P, H_t, din) head tokens normalised by
-                                         # T.normalize where the stage is a TA stage
-    k_layers: list[list[Tensor | None]]  # [layers][task] tied keys, appended by
-    v_layers: list[list[Tensor | None]]  # sta stages (empty or None elsewhere)
-    a_layers: list[list[Tensor | None]]  # [layers][task] block inputs as normalised head
-                                         # tokens, appended by cta_in_mhsa stages
-    token_feats: list[Tensor]            # per task (1, D*H_t)
-    logit_parts: list[Tensor]            # per task (1, |Y_t|) classifier slices
-    logits: Tensor | None                # (total classes,); None in a prefix
-    aux_logits: Tensor | None            # (|Y_t| + 1,); None in a prefix
+    reads: list[dict[str, list[Tensor]]]  # [layers] key -> per task
+    features: list[Tensor | None]         # per task (P, D*H_t); None if from the prefix
+    token_feats: list[Tensor]             # per task (1, D*H_t)
+    logit_parts: list[Tensor]             # per task (1, |Y_t|) classifier slices
+    logits: Tensor | None                 # (total classes,); None in a prefix
+    aux_logits: Tensor | None             # (|Y_t| + 1,); None in a prefix
     spatial_attn: list[list[np.ndarray]] | None = None
     tab_attn: list[list[tuple[np.ndarray | None, np.ndarray | None]]] | None = None
-
-    @property
-    def features(self) -> list[Tensor | None]:
-        return self.r_layers[-1]
 
     @property
     def head_only(self) -> bool:
         """Whether this prefix holds final block outputs past its experts."""
         return len(self.features) > len(self.token_feats)
 
-    def columns(self) -> list[list[Tensor | None]]:
+    def columns(self) -> list[list[Tensor]]:
         """The per-expert lists of a prefix but its final features: each
-        layer's fc1 and fc2 inputs, keys, values and normalised block inputs,
-        then token features and classifier slices."""
-        return [*self.s_layers, *self.o_layers, *self.k_layers, *self.v_layers,
-                *self.a_layers, self.token_feats, self.logit_parts]
+        layer's reads in stage order, then token features and classifier
+        slices."""
+        return [*(items for layer in self.reads for items in layer.values()),
+                self.token_feats, self.logit_parts]
 
 
-def freeze_outputs(model: CilModel, res: ForwardResult, n: int, *,
-                   features: bool = False, rows=None) -> ForwardResult:
+def freeze_outputs(res: ForwardResult, n: int, *, features: bool = False,
+                   rows=None) -> ForwardResult:
     """The frozen prefix of ``res`` at expert n: what experts n.. read from
     experts 0..n-1, detached; with ``rows``, those rows of a batch-major
     ``res`` that holds experts 0..n-1 or more, such as a store of prefixes.
 
     Old experts are frozen and read only older ones, so while a newer
-    expert trains these are fixed functions of the image.  An entry is
-    None where the stage type of the newest expert's block reads nothing:
-    it keeps post-MHSA features for a TAB fc1, intermediates for a TAB fc2
-    and block inputs with ``cta_in_mhsa``, each as the normalised head
-    tokens those TA stages read (the bytes of the raw features), and tied
-    keys and values for sta; token features and classifier slices always.
-    With ``features`` the final block outputs of experts n.. are kept too:
-    a forward from the prefix then runs only their token heads.
+    expert trains these are fixed functions of the image: every list of
+    ``reads`` cut at n, token features and classifier slices.  With
+    ``features`` the final block outputs of experts n.. are kept too: a
+    forward from the prefix then runs only their token heads.
     """
-    blocks = model.experts[-1].blocks
-
     def take(items):
         return [t.detach() if rows is None else Tensor(t.data[rows]) for t in items]
 
-    def keep(per_layer, stage: str, kind: type):
-        return [take(per_layer[l][:n]) if isinstance(getattr(blk, stage), kind) else [None] * n
-                for l, blk in enumerate(blocks)]
-
-    last = [None] * n + (take(res.features[n:]) if features else [])
     return ForwardResult(
-        r_layers=[[None] * n for _ in blocks] + [last],
-        s_layers=keep(res.s_layers, "fc1", TaStageParams),
-        o_layers=keep(res.o_layers, "fc2", TaStageParams),
-        k_layers=keep(res.k_layers, "attn", StaAttentionParams),
-        v_layers=keep(res.v_layers, "attn", StaAttentionParams),
-        a_layers=keep(res.a_layers, "attn", CtaAttentionParams),
+        reads=[{key: take(items[:n]) for key, items in layer.items()} for layer in res.reads],
+        features=[None] * n + take(res.features[n:]) if features else [],
         token_feats=take(res.token_feats[:n]), logit_parts=take(res.logit_parts[:n]),
         logits=None, aux_logits=None)
 
@@ -507,7 +484,19 @@ def _heads(x: Tensor, head_dim: int) -> Tensor:
     return T.reshape(x, (*x.shape[:-1], x.shape[-1] // head_dim, head_dim))
 
 
-def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
+def _read(reads: dict[str, list[Tensor]], key: str, task: int, own: Tensor) -> list[Tensor]:
+    """Append expert ``task``'s entry ``own`` to the layer's ``reads[key]``,
+    which must hold one entry per expert 0..task-1, and return a new list
+    of experts 0..task's entries, which later appends leave unchanged."""
+    items = reads.setdefault(key, [])
+    if len(items) != task:
+        raise T.ContractError(
+            f"{key!r} reads of task {task} hold {len(items)} entries, need {task}")
+    items.append(own)
+    return list(items)
+
+
+def tab_forward(s_t: Tensor, reads: dict[str, list[Tensor]], model: CilModel,
                 layer: int, task: int):
     """Run one expert's feature-mixing block: r_t = s_t + fc2(gelu(fc1(s_t))).
 
@@ -516,93 +505,78 @@ def tab_forward(s_list: list[Tensor], o_prior: list[Tensor], model: CilModel,
     its parameters; a TA stage reads the features of every visible expert,
     an MLP stage only its own.  A TA stage reads each expert's features as
     head tokens that ``T.normalize`` produced once, in that expert's own
-    stage.  ``s_list`` holds what the fc1 stages of tasks 0..task-1 read
-    (``ForwardResult.s_layers``) and the post-MHSA features s_t of task
-    ``task`` last; ``o_prior`` what the fc2 stages of tasks 0..task-1 read.
-    Both are computed earlier in the same forward pass or taken from a
-    frozen prefix (None where no TA stage reads them).  Returns (s_in, o_in,
-    r_t, (A1, A2)): what the fc1 and fc2 stages read of this expert, its
-    normalised head tokens for a TA stage and its features otherwise, and
-    the attention weights, A1 or A2 None for an MLP stage.
+    stage: those of tasks 0..task-1 from ``reads["s"]`` (fc1) and
+    ``reads["o"]`` (fc2) of the layer, computed earlier in the same forward
+    pass or taken from a frozen prefix, and it appends this expert's.
+    ``s_t`` is the expert's post-MHSA features.  Returns r_t and the
+    attention weights (A1, A2), A1 or A2 None for an MLP stage.
     """
-    if len(o_prior) != task:
-        raise T.ContractError(
-            f"tab_forward task {task} needs {task} cached intermediates, got {len(o_prior)}")
     cfg = model.cfg
     d = cfg.head_dim
     h_t = model.experts[task].heads
     blk = model.experts[task].blocks[layer]
-    s_t = s_list[task]
     rows = s_t.shape[:-1]
 
     if isinstance(blk.fc1, TaStageParams):
-        s_in = T.normalize(_heads(s_t, d))
-        raw1, a1 = task_attention(s_list[:task] + [s_in], h_t, blk.fc1)
+        s_in = _read(reads, "s", task, T.normalize(_heads(s_t, d)))
+        raw1, a1 = task_attention(s_in, h_t, blk.fc1)
         o3 = T.gelu(raw1)                                   # (P, H_t, gamma*D)
         o_t = T.reshape(o3, (*rows, cfg.gamma * d * h_t))
     else:
-        s_in = s_t
         o_t = T.gelu(B.mlp_stage(s_t, blk.fc1, d))
         a1 = None
 
     if isinstance(blk.fc2, TaStageParams):
-        o_in = T.normalize(_heads(o_t, cfg.gamma * d))
-        raw2, a2 = task_attention(o_prior + [o_in], h_t, blk.fc2)
+        o_in = _read(reads, "o", task, T.normalize(_heads(o_t, cfg.gamma * d)))
+        raw2, a2 = task_attention(o_in, h_t, blk.fc2)
         r_t = T.add(s_t, T.reshape(raw2, (*rows, d * h_t)))
     else:
-        o_in = o_t
         r_t = T.add(s_t, B.mlp_stage(o_t, blk.fc2, cfg.gamma * d))
         a2 = None
 
-    return s_in, o_in, r_t, (a1, a2)
+    return r_t, (a1, a2)
 
 
 # ----------------------------------------------------------------- attention stages
 
-def _cta_mhsa_task(model: CilModel, layer: int, task: int, r_list: list[Tensor],
-                   a_list: list[Tensor]):
+def _cta_mhsa_task(model: CilModel, layer: int, task: int, r: Tensor,
+                   reads: dict[str, list[Tensor]]):
     """Per-head spatial attention whose q/k/v come from task attentions.
 
-    ``a_list`` holds the block inputs of experts 0..task-1 as head tokens
-    that their own stages normalised.  This expert's are normalised once
-    per stage, so that each stage's gradient reaches its tokens on its own;
-    the first of them is appended to ``a_list``.  The residual reads the
-    raw block input."""
-    if len(a_list) != task:
-        raise T.ContractError(
-            f"cta_in_mhsa stage of task {task} needs {task} normalised block inputs, "
-            f"got {len(a_list)}")
+    ``reads["a"]`` holds the block inputs of experts 0..task-1 as head
+    tokens that their own stages normalised.  This expert's block input
+    ``r`` is normalised once per stage, so that each stage's gradient
+    reaches its tokens on its own; the first of them is appended to
+    ``reads["a"]``.  The residual reads the raw block input."""
     d = model.cfg.head_dim
     ex = model.experts[task]
     attn = ex.blocks[layer].attn
-    own = _heads(r_list[task], d)
+    own = _heads(r, d)
     normed = [T.normalize(own) for _ in range(3)]
-    a_list.append(normed[0])
-    q, k, v = (T.swap_axes(task_attention(a_list[:task] + [x], ex.heads, stage)[0],
-                           -3, -2)                                     # (H_t, P, D)
+    prior = _read(reads, "a", task, normed[0])[:task]
+    q, k, v = (T.swap_axes(task_attention(prior + [x], ex.heads, stage)[0], -3, -2)  # (H_t, P, D)
                for x, stage in zip(normed, (attn.ta_q, attn.ta_k, attn.ta_v)))
-    return T.attention_readout(r_list[task], q, k, v, attn.fuse_w, attn.fuse_b, d)
+    return T.attention_readout(r, q, k, v, attn.fuse_w, attn.fuse_b, d)
 
 
-def cross_task_mhsa(model: CilModel, layer: int, task: int, r_list: list[Tensor],
-                    k_list: list[Tensor], v_list: list[Tensor], a_list: list[Tensor]):
-    """Expert ``task``'s spatial attention stage at ``layer``.
+def cross_task_mhsa(model: CilModel, layer: int, task: int, r: Tensor,
+                    reads: dict[str, list[Tensor]]):
+    """Expert ``task``'s spatial attention stage at ``layer`` on block input ``r``.
 
     The type of the expert's attention parameters picks the stage: its own
     heads over its own features, those heads with q/k/v mixed across every
-    visible expert (``cta_in_mhsa``), which appends the expert's normalised
-    block input to ``a_list``, or the joint attention of the ``sta``
-    wiring, which appends the expert's keys and values to ``k_list`` and
-    ``v_list``.  ``r_list`` holds the block inputs of experts 0..task.
-    Returns the output and the attention weights: (H_t, P, P), or
-    (H_t*P, M*P) for the joint attention.
+    visible expert (``cta_in_mhsa``), which reads and appends to
+    ``reads["a"]``, or the joint attention of the ``sta`` wiring, which
+    reads and appends to ``reads["k"]`` and ``reads["v"]``.  Returns the
+    output and the attention weights: (H_t, P, P), or (H_t*P, M*P) for the
+    joint attention.
     """
     attn = model.experts[task].blocks[layer].attn
     if isinstance(attn, StaAttentionParams):
-        return sta_attention_stage(model, layer, task, r_list, k_list, v_list)
+        return sta_attention_stage(model, layer, task, r, reads)
     if isinstance(attn, CtaAttentionParams):
-        return _cta_mhsa_task(model, layer, task, r_list, a_list)
-    return B.mhsa_block(r_list[task], attn, model.cfg.head_dim)
+        return _cta_mhsa_task(model, layer, task, r, reads)
+    return B.mhsa_block(r, attn, model.cfg.head_dim)
 
 
 _MASK_CACHE: dict[tuple, np.ndarray] = {}
@@ -636,44 +610,41 @@ def sta_group_mask(n_query_heads: int, query_offset: int, pool_heads: int,
     return _MASK_CACHE[key]
 
 
-def sta_attention_stage(model: CilModel, layer: int, task: int, r_list: list[Tensor],
-                        k_list: list[Tensor], v_list: list[Tensor]):
+def sta_attention_stage(model: CilModel, layer: int, task: int, r: Tensor,
+                        reads: dict[str, list[Tensor]]):
     """Expert ``task``'s joint masked attention over the (patch, head)
     tokens of experts 0..task.
 
-    Every head projects through the block's tied q/k/v, so keys are
-    comparable across heads; the expert's heads query the pool of experts
-    up to and including itself, keeping earlier experts' outputs intact
-    after later ones are added.  ``cfg.sta_variant`` picks the enabled
-    groups.  ``k_list``/``v_list`` hold the keys and values of experts
-    0..task-1; this expert's are appended.  Returns the output and the
-    (H_t*P, M*P) attention weights.
+    Every head projects its block input ``r`` through the block's tied
+    q/k/v, so keys are comparable across heads; the expert's heads query
+    the pool of experts up to and including itself, keeping earlier
+    experts' outputs intact after later ones are added.
+    ``cfg.sta_variant`` picks the enabled groups.  ``reads["k"]`` and
+    ``reads["v"]`` hold the keys and values of experts 0..task-1; this
+    expert's are appended.  Returns the output and the (H_t*P, M*P)
+    attention weights.
     """
-    if len(k_list) != task or len(v_list) != task:
-        raise T.ContractError(f"joint attention of task {task} needs {task} cached "
-                              f"keys and values, got {len(k_list)} and {len(v_list)}")
     d = model.cfg.head_dim
     ex = model.experts[task]
     attn = ex.blocks[layer].attn
-    *lead, p, _ = r_list[task].shape
-    q, k, v = B.tied_head_projections(r_list[task], attn.tied, d)
-    k_list.append(k)
-    v_list.append(v)
+    *lead, p, _ = r.shape
+    q, k, v = B.tied_head_projections(r, attn.tied, d)
+    ks, vs = _read(reads, "k", task, k), _read(reads, "v", task, v)
     offset = sum(e.heads for e in model.experts[:task])
     m_heads = offset + ex.heads
-    k_flat = T.reshape(k if task == 0 else T.concat(k_list, axis=-3), (*lead, m_heads * p, d))
-    v_flat = T.reshape(v if task == 0 else T.concat(v_list, axis=-3), (*lead, m_heads * p, d))
+    k_flat = T.reshape(k if task == 0 else T.concat(ks, axis=-3), (*lead, m_heads * p, d))
+    v_flat = T.reshape(v if task == 0 else T.concat(vs, axis=-3), (*lead, m_heads * p, d))
     q_flat = T.reshape(q, (*lead, ex.heads * p, d))
     variant = model.cfg.sta_variant
     # "both" enables every (query, key) pair, so its softmax needs no mask
     mask = None if variant == "both" else sta_group_mask(ex.heads, offset, m_heads, p, variant)
-    return T.attention_readout(r_list[task], q_flat, k_flat, v_flat,
-                               attn.fuse_w, attn.fuse_b, d, mask)
+    return T.attention_readout(r, q_flat, k_flat, v_flat, attn.fuse_w, attn.fuse_b, d, mask)
 
 
 # ----------------------------------------------------------------- token head
 
-def task_token_head(model: CilModel, features: list[Tensor | None], frozen: ForwardResult):
+def task_token_head(model: CilModel, features: list[Tensor | None],
+                    frozen: ForwardResult | None):
     """Read out one feature vector per task token and classify.
 
     Each task token attends over its own expert's final patch tokens
@@ -682,15 +653,15 @@ def task_token_head(model: CilModel, features: list[Tensor | None], frozen: Forw
     features as keys and values); the per-task classifier slices are
     concatenated and the auxiliary head sees all token features.  It
     returns the token features, classifier slices, logits and aux logits,
-    taking those of the prefix ``frozen``'s experts from it.  The token
-    queries do not depend on the image: one serves a whole batch.
+    taking those of the prefix ``frozen``'s experts, if any, from it.  The
+    token queries do not depend on the image: one serves a whole batch.
     """
     if len(features) != model.task_count:
         raise T.ContractError(
             f"token head got {len(features)} feature maps for {model.task_count} tasks")
     d = model.cfg.head_dim
-    feats = list(frozen.token_feats)
-    logit_parts = list(frozen.logit_parts)
+    feats = list(frozen.token_feats) if frozen else []
+    logit_parts = list(frozen.logit_parts) if frozen else []
     for t in range(len(feats), model.task_count):
         ex = model.experts[t]
         tp = ex.token_block
@@ -717,55 +688,32 @@ def _forward(model: CilModel, image, *, collect_attn: bool,
     cfg = model.cfg
     if model.task_count == 0:
         raise T.ContractError("forward on a model with no experts")
-    if frozen is None:          # the prefix of no experts; its lists are only read
-        empty = [[]] * (cfg.layers + 1)
-        frozen = ForwardResult(r_layers=empty, s_layers=empty, o_layers=empty,
-                               k_layers=empty, v_layers=empty, a_layers=empty,
-                               token_feats=[], logit_parts=[], logits=None, aux_logits=None)
-    n = len(frozen.token_feats)
-    res = ForwardResult(r_layers=[], s_layers=[], o_layers=[], k_layers=[], v_layers=[],
-                        a_layers=[], token_feats=[], logit_parts=[], logits=None,
-                        aux_logits=None,                            # set by the token head
-                        spatial_attn=[] if collect_attn else None,
-                        tab_attn=[] if collect_attn else None)
-
-    if frozen.head_only:
-        r_list = list(frozen.features)
+    n = len(frozen.token_feats) if frozen else 0
+    reads, spatial, tab = [], [], []
+    if frozen and frozen.head_only:
+        r_list = frozen.features[n:]
     else:
         patches = Tensor(B.extract_patches(np.asarray(image, dtype=np.float64), cfg.in_channels,
                                            cfg.image_size, cfg.patch_size))
-        r_list = frozen.r_layers[0] + [B.patch_embed(patches, ex.embed, model.pos, cfg.head_dim)
-                                       for ex in model.experts[n:]]
+        r_list = [B.patch_embed(patches, ex.embed, model.pos, cfg.head_dim)
+                  for ex in model.experts[n:]]
+        prior = frozen.reads if frozen else [{}] * cfg.layers
         for layer in range(cfg.layers):
-            res.r_layers.append(r_list)
-            r_list = list(frozen.r_layers[layer + 1])
-            s_list = list(frozen.s_layers[layer])
-            o_list = list(frozen.o_layers[layer])
-            k_list = list(frozen.k_layers[layer])
-            v_list = list(frozen.v_layers[layer])
-            a_list = list(frozen.a_layers[layer])
-            sp_l, tab_l = [], []
-            for t in range(n, model.task_count):
-                s_t, attn = cross_task_mhsa(model, layer, t, res.r_layers[-1], k_list, v_list,
-                                            a_list)
-                s_in, o_in, r_t, pair = tab_forward(s_list + [s_t], o_list, model, layer, t)
-                s_list.append(s_in)
-                o_list.append(o_in)
-                r_list.append(r_t)
+            reads.append({key: list(items) for key, items in prior[layer].items()})
+            outs, sp_l, tab_l = [], [], []
+            for t, r in enumerate(r_list, start=n):
+                s_t, attn = cross_task_mhsa(model, layer, t, r, reads[-1])
+                r_t, pair = tab_forward(s_t, reads[-1], model, layer, t)
+                outs.append(r_t)
                 sp_l.append(attn)
                 tab_l.append(pair)
-            res.s_layers.append(s_list)
-            res.o_layers.append(o_list)
-            res.k_layers.append(k_list)
-            res.v_layers.append(v_list)
-            res.a_layers.append(a_list)
-            if collect_attn:
-                res.spatial_attn.append(sp_l)
-                res.tab_attn.append(tab_l)
-    res.r_layers.append(r_list)
-    res.token_feats, res.logit_parts, res.logits, res.aux_logits = task_token_head(
-        model, r_list, frozen)
-    return res
+            r_list = outs
+            spatial.append(sp_l)
+            tab.append(tab_l)
+    features = [None] * n + r_list
+    return ForwardResult(reads, features, *task_token_head(model, features, frozen),
+                         spatial_attn=spatial if collect_attn else None,
+                         tab_attn=tab if collect_attn else None)
 
 
 # ----------------------------------------------------------------- checkpoints

@@ -165,8 +165,8 @@ def model_case(seed: int = 0, **overrides) -> float:
 
     res = model.forward(image)
     T.backward(loss(res))
-    body = E.freeze_outputs(model, res, 1)
-    head = E.freeze_outputs(model, res, 1, features=True)
+    body = E.freeze_outputs(res, 1)
+    head = E.freeze_outputs(res, 1, features=True)
     head_params = {id(p) for p in model.parameters_with_prefix(
         "task1.token", "task1.tok_blk", "task1.head", "aux")}
 

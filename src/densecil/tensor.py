@@ -610,6 +610,7 @@ def task_attention(parts: Sequence[Tensor], n_query: int, gain: Tensor, bias: Te
     ``mul`` (``tests/oracles.py``), bit for bit, gradients included; MACs
     count its five products.  Input gradients are built only for ``parts`` that require one.
     """
+    parts, wv = tuple(parts), tuple(wv)         # the backward reads them after the call
     x = np.concatenate([t.data for t in parts], axis=-2)     # the pool, mapped in place
     _affine_out("task_attention", x, gain, bias, out=x)
     *lead, p, h_pool, din = x.shape

@@ -3,7 +3,9 @@ that the model's per-stage wiring must reproduce, a row softmax op over the
 package's softmax kernels, the attention block and read-out composed of
 single ops and that softmax, which the fused ``T.attention_block`` and
 ``T.attention_readout`` equal bit for bit, the herding loop that sums the
-chosen rows for every candidate, and a no-grad logits read."""
+chosen rows for every candidate, a no-grad logits read, and a forward run
+layer by layer that keeps the per-layer activations ``ForwardResult``
+does not."""
 
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import numpy as np
 
 from densecil import backbone as B
 from densecil import continual as C
+from densecil import expansion as E
 from densecil import tensor as T
 from densecil.tensor import Tensor
 
@@ -149,3 +152,32 @@ def forward_samples(model):
     """A ``forward`` of samples for ``continual.total_loss`` and
     ``token_features``: the uncached model on the samples' images."""
     return lambda samples: model.forward(C.images(samples))
+
+
+@dataclass
+class Layers:
+    r: list[list[Tensor]]           # [layers+1][task] block inputs, then final features
+    s: list[list[Tensor]]           # [layers][task] post-MHSA features
+    reads: list[dict[str, list[Tensor]]]
+
+
+def layer_activations(model, image) -> Layers:
+    """A full forward of ``image`` up to the final block outputs, run layer
+    by layer through the stage functions ``E.cross_task_mhsa`` and
+    ``E.tab_forward``, in the order ``model.forward`` runs them."""
+    cfg = model.cfg
+    patches = Tensor(B.extract_patches(np.asarray(image, dtype=np.float64), cfg.in_channels,
+                                       cfg.image_size, cfg.patch_size))
+    out = Layers([[B.patch_embed(patches, ex.embed, model.pos, cfg.head_dim)
+                   for ex in model.experts]], [], [])
+    for layer in range(cfg.layers):
+        reads, s_l, r_l = {}, [], []
+        for t, r in enumerate(out.r[-1]):
+            s_t, _ = E.cross_task_mhsa(model, layer, t, r, reads)
+            r_t, _ = E.tab_forward(s_t, reads, model, layer, t)
+            s_l.append(s_t)
+            r_l.append(r_t)
+        out.r.append(r_l)
+        out.s.append(s_l)
+        out.reads.append(reads)
+    return out

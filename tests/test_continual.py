@@ -763,14 +763,15 @@ def test_prefix_holds_normalised_ta_inputs_at_the_raw_byte_count():
     d, h0 = cfg.head_dim, model.experts[0].heads
     with T.no_grad():
         res = model.forward(C.images(samples))
-        prefix = E.freeze_outputs(model, res, 1)
+        prefix = E.freeze_outputs(res, 1)
+        post_mhsa = O.layer_activations(model, C.images(samples)).s
         raw_bytes = 0
         for l, blk in enumerate(model.experts[0].blocks):
-            s_raw, _ = E.cross_task_mhsa(model, l, 0, res.r_layers[l], [], [], [])
+            s_raw = post_mhsa[l][0]
             s_in = T.normalize(T.reshape(s_raw, (*s_raw.shape[:-1], h0, d)))
             o_raw = T.gelu(E.task_attention([s_in], h0, blk.fc1)[0])   # (B, P, H_0, gamma*D)
-            np.testing.assert_array_equal(prefix.s_layers[l][0].data, s_in.data)
-            np.testing.assert_array_equal(prefix.o_layers[l][0].data, T.normalize(o_raw).data)
+            np.testing.assert_array_equal(prefix.reads[l]["s"][0].data, s_in.data)
+            np.testing.assert_array_equal(prefix.reads[l]["o"][0].data, T.normalize(o_raw).data)
             raw_bytes += s_raw.data.nbytes + o_raw.data.nbytes
         store = C.FrozenStore(model, stream)
         store.fixed = model.task_count

@@ -4,6 +4,7 @@ freezing semantics, checkpoint round trips."""
 import json
 import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -47,11 +48,32 @@ def test_model_config_rejects_nonpositive_sizes(name):
         small_cfg(**{name: 0})
 
 
-@pytest.mark.parametrize("name, value", [("layers", True), ("gamma", 2.0), ("cta_in_fc1", 1),
-                                         ("strategy", None), ("image_size", np.int64(8))])
-def test_model_config_takes_each_field_at_its_exact_type(name, value):
-    with pytest.raises(ConfigError, match=f"^{name} must be "):
+@pytest.mark.parametrize("name, value, message", [
+    pytest.param("layers", True, "layers must be int, got True", id="layers-True"),
+    pytest.param("gamma", 2.0, "gamma must be int, got 2.0", id="gamma-2.0"),
+    pytest.param("cta_in_fc1", 1, "cta_in_fc1 must be bool, got 1", id="cta_in_fc1-1"),
+    pytest.param("strategy", None, "strategy must be str, got None", id="strategy-None"),
+    pytest.param("image_size", np.int64(8), f"image_size must be int, got {np.int64(8)!r}",
+                 id="image_size-value4"),
+])
+def test_model_config_takes_each_field_at_its_exact_type(name, value, message):
+    with pytest.raises(ConfigError) as err:
         small_cfg(**{name: value})
+    assert str(err.value) == message
+
+
+@dataclass(frozen=True)
+class _SharedValues(E.ModelConfig):
+    """A subclass declared without postponed annotations: its fields' types
+    are classes, not names."""
+    share_v: str = "s"
+
+
+def test_model_config_subclass_checks_types_by_its_defaults():
+    assert _SharedValues().share_v == "s"
+    with pytest.raises(ConfigError) as err:
+        _SharedValues(share_v=1)
+    assert str(err.value) == "share_v must be str, got 1"
 
 
 @pytest.mark.parametrize("strategy,name,value", [
@@ -161,13 +183,17 @@ def test_mlp_layers_equal_plain_mlp_block(kw, mlp_layers, batched):
     cfg = small_cfg(**kw)
     m = build_model(cfg, heads=(2, 1), classes=(3, 2))
     img = rand_image(cfg, 9)
-    res = m.forward(np.stack([img, rand_image(cfg, 10)]) if batched else img)
+    if batched:
+        img = np.stack([img, rand_image(cfg, 10)])
+    layers = O.layer_activations(m, img)
+    for got, want in zip(layers.r[-1], m.forward(img).features, strict=True):
+        np.testing.assert_array_equal(got.data, want.data)
     for l in mlp_layers:
         for t, ex in enumerate(m.experts):
             blk = ex.blocks[l]
-            want, _ = O.mlp_block(res.s_layers[l][t], O.MlpParams(blk.fc1, blk.fc2),
+            want, _ = O.mlp_block(layers.s[l][t], O.MlpParams(blk.fc1, blk.fc2),
                                   cfg.head_dim, cfg.gamma)
-            np.testing.assert_array_equal(res.r_layers[l + 1][t].data, want.data)
+            np.testing.assert_array_equal(layers.r[l + 1][t].data, want.data)
 
 
 def test_forward_extracts_patches_once(monkeypatch):
@@ -220,15 +246,15 @@ def test_sta_reduces_to_ia_with_same_head_groups():
     # expert's own per-head attention over its tied projections
     cfg = small_cfg(strategy="sta", sta_variant="none")
     m = build_model(cfg, heads=(2, 1), classes=(3, 2))
-    res = m.forward(rand_image(cfg, 5))
+    layers = O.layer_activations(m, rand_image(cfg, 5))
     d = cfg.head_dim
     for l in range(cfg.layers):
         for t, ex in enumerate(m.experts):
-            r = res.r_layers[l][t]
+            r = layers.r[l][t]
             attn = ex.blocks[l].attn
             q, k, v = B.tied_head_projections(r, attn.tied, d)
             want, _ = T.attention_readout(r, q, k, v, attn.fuse_w, attn.fuse_b, d)
-            assert np.abs(res.s_layers[l][t].data - want.data).max() < TOL.ia_reduction
+            assert np.abs(layers.s[l][t].data - want.data).max() < TOL.ia_reduction
 
 
 def test_sta_experts_hold_the_first_experts_tied_projection():
@@ -251,17 +277,17 @@ def test_sta_experts_hold_the_first_experts_tied_projection():
     assert not any(params[n].requires_grad for n in tied_names)
 
 
-def test_sta_stage_needs_the_keys_and_values_of_earlier_experts():
+def test_sta_stage_reads_and_appends_the_keys_and_values_of_earlier_experts():
     cfg = small_cfg(strategy="sta")
     m = build_model(cfg, heads=(2, 1), classes=(2, 2))
-    res = m.forward(rand_image(cfg, 3))
-    k_list, v_list = res.k_layers[0][:1], res.v_layers[0][:1]
-    with pytest.raises(T.ContractError):
-        E.cross_task_mhsa(m, 0, 1, res.r_layers[0], [], [], [])
-    s, _ = E.cross_task_mhsa(m, 0, 1, res.r_layers[0], k_list, v_list, [])
-    np.testing.assert_array_equal(s.data, res.s_layers[0][1].data)
-    np.testing.assert_array_equal(k_list[1].data, res.k_layers[0][1].data)
-    np.testing.assert_array_equal(v_list[1].data, res.v_layers[0][1].data)
+    img = rand_image(cfg, 3)
+    res, layers = m.forward(img), O.layer_activations(m, img)
+    reads = {key: res.reads[0][key][:1] for key in ("k", "v")}
+    s, _ = E.cross_task_mhsa(m, 0, 1, layers.r[0][1], reads)
+    np.testing.assert_array_equal(s.data, layers.s[0][1].data)
+    for key in ("k", "v"):
+        assert len(reads[key]) == 2
+        np.testing.assert_array_equal(reads[key][1].data, res.reads[0][key][1].data)
 
 
 def test_sta_same_patch_logits_match_constructed_input():
@@ -431,8 +457,10 @@ def test_tab_forward_matches_scalar_oracle():
     s1 = rng.normal(size=(P, cfg.head_dim))
     s2 = rng.normal(size=(P, cfg.head_dim))
 
-    n1, o1, r1, _ = E.tab_forward([T.Tensor(s1)], [], m, 0, 0)
-    n2, o2, r2, _ = E.tab_forward([n1, T.Tensor(s2)], [o1], m, 0, 1)
+    reads = {}
+    E.tab_forward(T.Tensor(s1), reads, m, 0, 0)
+    r2, _ = E.tab_forward(T.Tensor(s2), reads, m, 0, 1)
+    (_, n2), (_, o2) = reads["s"], reads["o"]
     want_o2, want_r2 = tab_scalar_oracle(m, s1, s2)
     assert np.abs(n2.data - normed(s2, cfg.head_dim)).max() < TOL.block
     assert np.abs(o2.data - normed(want_o2, cfg.gamma * cfg.head_dim)).max() < TOL.block
@@ -445,20 +473,10 @@ def test_tab_lambda_zero_kills_intermediate():
     m.experts[1].blocks[0].fc1.lam.data[...] = 0.0
     rng = np.random.default_rng(13)
     P = cfg.num_patches
-    s_list = [T.Tensor(rng.normal(size=(P, 4))), T.Tensor(rng.normal(size=(P, 4)))]
-    n1, o1, _, _ = E.tab_forward(s_list[:1], [], m, 0, 0)
-    _, o2, _, _ = E.tab_forward([n1, s_list[1]], [o1], m, 0, 1)
-    np.testing.assert_array_equal(o2.data, 0.0)   # GELU(0) = 0, normalised to 0
-
-
-def test_tab_forward_requires_cached_intermediates():
-    cfg = small_cfg(strategy="dne", layers=1)
-    m = build_model(cfg, heads=(1, 1), classes=(2, 2))
-    rng = np.random.default_rng(14)
-    s_list = [T.normalize(T.Tensor(rng.normal(size=(4, 1, 4)))),
-              T.Tensor(rng.normal(size=(4, 4)))]
-    with pytest.raises(T.ContractError):
-        E.tab_forward(s_list, [], m, 0, 1)
+    reads = {}
+    for t in range(2):
+        E.tab_forward(T.Tensor(rng.normal(size=(P, 4))), reads, m, 0, t)
+    np.testing.assert_array_equal(reads["o"][1].data, 0.0)   # GELU(0) = 0, normalised to 0
 
 
 def generalized_mlp_reference(model, s_arrays, o_prior_arrays, layer, task):
@@ -503,10 +521,11 @@ def test_tab_all_ones_attention_equals_generalized_mlp(monkeypatch):
     P = cfg.num_patches
     s1 = rng.normal(size=(P, 8))
     s2 = rng.normal(size=(P, 4))
-    s_list = [T.Tensor(s1), T.Tensor(s2)]
     monkeypatch.setattr(T, "_softmax", lambda scores, scale, mask, op: np.ones(scores.shape))
-    n1, o1, r1, _ = E.tab_forward(s_list[:1], [], m, 0, 0)
-    _, o2, r2, _ = E.tab_forward([n1, s_list[1]], [o1], m, 0, 1)
+    reads = {}
+    r1, _ = E.tab_forward(T.Tensor(s1), reads, m, 0, 0)
+    r2, _ = E.tab_forward(T.Tensor(s2), reads, m, 0, 1)
+    o1, o2 = reads["o"]
 
     want_o1, want_r1 = generalized_mlp_reference(m, [s1], [], 0, 0)
     want_o2, want_r2 = generalized_mlp_reference(m, [s1, s2], [want_o1], 0, 1)
@@ -636,6 +655,60 @@ def test_task_attention_rejects_mismatched_shapes():
         E.task_attention(parts[1:], 1, stage)     # the pool has fewer heads than wv
 
 
+@pytest.mark.parametrize("grown", ["parts", "wv"])
+def test_task_attention_backward_keeps_the_lists_of_its_call(grown):
+    """Appending to the caller's list of parts or value stacks after the
+    call changes no gradient."""
+    cfg = small_cfg()
+    m = build_model(cfg, heads=(2, 1), classes=(2, 2))
+    for _, p in m.named_parameters():
+        p.requires_grad = True
+    stage = m.experts[-1].blocks[0].fc1
+    params = [stage.ln_gain, stage.ln_bias, stage.wq, stage.wk, *stage.wv, stage.lam]
+    rng = np.random.default_rng(65)
+    raw = [rng.normal(size=(2, cfg.num_patches, h, cfg.head_dim)) for h in (2, 1)]
+    probe = T.Tensor(rng.normal(size=(2, cfg.num_patches, 1, cfg.gamma * cfg.head_dim)))
+
+    def grads(append: bool):
+        for p in params:
+            p.grad = None
+        lists = {"parts": [T.Tensor(a, requires_grad=True) for a in raw], "wv": list(stage.wv)}
+        parts = list(lists["parts"])
+        out, _ = T.task_attention(lists["parts"], 1, stage.ln_gain, stage.ln_bias, stage.wq,
+                                  stage.wk, lists["wv"], stage.lam)
+        if append:
+            lists[grown].append(lists[grown][-1])
+        T.backward(T.sum_all(T.mul(out, probe)))
+        return [t.grad for t in parts + params]
+
+    for got, want in zip(grads(True), grads(False), strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("kw, stage, key", [
+    pytest.param({}, "mix", "s", id="tab_fc1"),
+    pytest.param({"cta_in_fc1": False}, "mix", "o", id="tab_fc2"),
+    pytest.param({"cta_in_mhsa": True}, "attn", "a", id="cta_in_mhsa"),
+    pytest.param({"strategy": "sta"}, "attn", "k", id="sta_keys"),
+    pytest.param({"strategy": "sta"}, "attn", "v", id="sta_values"),
+])
+@pytest.mark.parametrize("held", [0, 2])
+def test_cross_task_stage_rejects_reads_of_the_wrong_length(kw, stage, key, held):
+    """Expert 1's stage needs exactly expert 0's entry under each key it reads."""
+    cfg = small_cfg(**kw)
+    m = build_model(cfg, heads=(2, 1), classes=(2, 2))
+    img = rand_image(cfg, 64)
+    res, layers = m.forward(img), O.layer_activations(m, img)
+    reads = {k: items[:1] for k, items in res.reads[0].items()}
+    reads[key] = res.reads[0][key][:1] * held
+    message = f"^'{key}' reads of task 1 hold {held} entries, need 1$"
+    with pytest.raises(T.ContractError, match=message):
+        if stage == "attn":
+            E.cross_task_mhsa(m, 0, 1, layers.r[0][1], reads)
+        else:
+            E.tab_forward(layers.s[0][1], reads, m, 0, 1)
+
+
 def _stream_checkpoint(overrides) -> bytes:
     """The checkpoint of a seeded 3-task training run of ``small_cfg(**overrides)``."""
     rng = np.random.default_rng(62)
@@ -720,7 +793,7 @@ def test_forward_normalises_each_experts_ta_inputs_once(monkeypatch):
     assert sorted(calls) == [d] * 4 * cfg.layers + [dp] * 4 * cfg.layers
     for n in (1, 2, 3):
         calls.clear()
-        m.forward(img, frozen=E.freeze_outputs(m, res, n))
+        m.forward(img, frozen=E.freeze_outputs(res, n))
         assert sorted(calls) == [d] * (4 - n) * cfg.layers + [dp] * (4 - n) * cfg.layers
 
 
@@ -731,11 +804,11 @@ def test_cta_in_mhsa_prefix_keeps_normalised_block_inputs(monkeypatch):
     cfg = small_cfg(cta_in_mhsa=True)
     m = build_model(cfg, heads=(2, 1, 1), classes=(2, 2, 2))
     img = _image_batch(cfg, 70)
-    res = m.forward(img)
-    prefix = E.freeze_outputs(m, res, 2)
+    prefix = E.freeze_outputs(m.forward(img), 2)
+    layers = O.layer_activations(m, img)
     for l in range(cfg.layers):
-        for t, kept in enumerate(prefix.a_layers[l]):
-            raw = res.r_layers[l][t].data
+        for t, kept in enumerate(prefix.reads[l]["a"]):
+            raw = layers.r[l][t].data
             want = T.normalize(T.Tensor(raw.reshape(*raw.shape[:-1], -1, cfg.head_dim)))
             np.testing.assert_array_equal(kept.data, want.data)
             assert kept.data.nbytes == raw.nbytes
@@ -759,7 +832,7 @@ def test_cross_task_mhsa_single_task_equals_backbone_block():
     m = build_model(cfg, heads=(2,), classes=(3,))
     rng = np.random.default_rng(16)
     r = T.Tensor(rng.normal(size=(cfg.num_patches, 8)))
-    s, _ = E.cross_task_mhsa(m, 0, 0, [r], [], [], [])
+    s, _ = E.cross_task_mhsa(m, 0, 0, r, {})
     want, _ = B.mhsa_block(r, m.experts[0].blocks[0].attn, cfg.head_dim)
     np.testing.assert_array_equal(s.data, want.data)
 
@@ -774,7 +847,7 @@ def test_cross_task_mhsa_zero_fusion_is_residual():
     r_list = [T.Tensor(rng.normal(size=(cfg.num_patches, 8))),
               T.Tensor(rng.normal(size=(cfg.num_patches, 4)))]
     for t, r in enumerate(r_list):
-        s, _ = E.cross_task_mhsa(m, 0, t, r_list, [], [], [])
+        s, _ = E.cross_task_mhsa(m, 0, t, r, {})
         np.testing.assert_array_equal(s.data, r.data)
 
 
@@ -801,8 +874,7 @@ def test_aux_width_is_new_classes_plus_one():
 def test_dne_feature_width_law():
     cfg = small_cfg(strategy="dne")
     m = build_model(cfg, heads=(2, 1, 1), classes=(2, 2, 2))
-    res = m.forward(rand_image(cfg, 20))
-    for per_layer in res.r_layers:
+    for per_layer in O.layer_activations(m, rand_image(cfg, 20)).r:
         assert sum(f.shape[1] for f in per_layer) == cfg.head_dim * 4
 
 
@@ -816,8 +888,8 @@ def test_frozen_old_outputs_survive_training_steps():
     def snapshot():
         with T.no_grad():
             res = m.forward(img)
-            return ([r.data.copy() for layer in res.r_layers for r in layer[:1]],
-                    [o.data.copy() for layer in res.o_layers for o in layer[:1]],
+            return ([r.data.copy() for layer in O.layer_activations(m, img).r for r in layer[:1]],
+                    [layer["o"][0].data.copy() for layer in res.reads],
                     res.token_feats[0].data.copy(),
                     res.logits.data[:2].copy())
 
@@ -1130,7 +1202,7 @@ def _assert_gather_reproduces_permuted_forward(m, images, frozen):
     batch exactly as its own full forward."""
     order = np.array([2, 0, 1])
     features = frozen.head_only
-    gathered = E.freeze_outputs(m, frozen, len(frozen.token_feats), features=features,
+    gathered = E.freeze_outputs(frozen, len(frozen.token_feats), features=features,
                                 rows=order)
     assert gathered.head_only == features
     with T.no_grad():
@@ -1138,30 +1210,34 @@ def _assert_gather_reproduces_permuted_forward(m, images, frozen):
                              m.forward(images[order]))
 
 
-def _assert_cut_keeps_only_what_is_read(m, frozen):
-    """Normalised block inputs only with ``cta_in_mhsa`` (raw ones never),
-    post-MHSA features and intermediates only where fc1/fc2 is a TA stage,
-    tied keys and values only for sta: nothing per layer for ia.  Token
-    features and classifier slices are kept; the logits are not."""
-    cfg = m.cfg
-    n, layers = len(frozen.token_feats), cfg.layers
-    tab = [cfg.strategy == "dne" and on for on in cfg.cta_mask()]
+def _entries(res):
+    """How many entries each list of ``res`` holds, by layer and key."""
+    return ([{key: len(items) for key, items in layer.items()} for layer in res.reads],
+            len(res.token_feats), len(res.logit_parts))
 
-    def kept(per_layer):
-        return [[t is not None for t in items] for items in per_layer]
 
-    def expect(flags):
-        return [[flag] * n for flag in flags]
+READ_WIRINGS = {**CACHE_WIRINGS, "dne_fc1_off": dict(strategy="dne", cta_in_fc1=False),
+                "dne_fc2_off": dict(strategy="dne", cta_in_fc2=False)}
 
-    assert kept(frozen.r_layers) == expect([False] * (layers + 1))
-    assert kept(frozen.a_layers) == expect([cfg.cta_in_mhsa] * layers)
-    assert kept(frozen.s_layers) == expect([on and cfg.cta_in_fc1 for on in tab])
-    assert kept(frozen.o_layers) == expect([on and cfg.cta_in_fc2 for on in tab])
-    sta = expect([cfg.strategy == "sta"] * layers)
-    assert kept(frozen.k_layers) == kept(frozen.v_layers) == sta
-    assert frozen.logits is None
-    if cfg.strategy == "ia":
-        assert kept(frozen.columns()) == expect([False] * 5 * layers + [True, True])
+
+@pytest.mark.parametrize("wiring", sorted(READ_WIRINGS))
+def test_reads_hold_what_the_cross_task_stages_read(wiring):
+    """Per layer in stage order: normalised block inputs under
+    ``cta_in_mhsa``, tied keys and values for sta, and fc1 and fc2 inputs
+    where that stage is a TA stage, one entry per expert; nothing for ia or
+    an MLP stage.  A prefix cuts every list at n and holds no logits."""
+    cfg = small_cfg(**READ_WIRINGS[wiring])
+    m = build_model(cfg, heads=(2, 1, 1), classes=(2, 3, 2), seed=3)
+    res = m.forward(_image_batch(cfg, 40))
+    sta, tabs = cfg.strategy == "sta", [cfg.strategy == "dne" and on for on in cfg.cta_mask()]
+    want = [[key for key, on in [("a", cfg.cta_in_mhsa), ("k", sta), ("v", sta),
+                                 ("s", tab and cfg.cta_in_fc1), ("o", tab and cfg.cta_in_fc2)]
+             if on] for tab in tabs]
+    assert [list(layer) for layer in res.reads] == want
+    assert _entries(res) == ([dict.fromkeys(keys, 3) for keys in want], 3, 3)
+    prefix = E.freeze_outputs(res, 2)
+    assert _entries(prefix) == ([dict.fromkeys(keys, 2) for keys in want], 2, 2)
+    assert prefix.logits is None and prefix.aux_logits is None and prefix.features == []
 
 
 @pytest.mark.parametrize("wiring", sorted(CACHE_WIRINGS))
@@ -1171,8 +1247,7 @@ def test_frozen_outputs_reproduce_forward_bit_exactly(wiring):
     m = build_model(cfg, heads=(2, 1, 1), classes=(2, 3, 2), seed=3)
     for img in (rand_image(cfg, 30), _image_batch(cfg, 40)):
         full, n_full, g_full = _loss_and_grads(m, img, None)
-        frozen = E.freeze_outputs(m, full, 2)
-        _assert_cut_keeps_only_what_is_read(m, frozen)
+        frozen = E.freeze_outputs(full, 2)
         cached, n_cached, g_cached = _loss_and_grads(m, img, frozen)
 
         _assert_same_outputs(cached, full)
@@ -1197,10 +1272,9 @@ def test_frozen_features_run_only_the_newest_token_head(wiring):
     for img in (rand_image(cfg, 31), _image_batch(cfg, 50)):
         full, _, g_full = _loss_and_grads(m, img, None)
         with T.no_grad():
-            prefix = E.freeze_outputs(m, m.forward(img), 2)
-            head_only = E.freeze_outputs(m, m.forward(img, frozen=prefix), 2, features=True)
-        columns = [[t is not None for t in items] for items in prefix.columns()]
-        assert [[t is not None for t in items] for items in head_only.columns()] == columns
+            prefix = E.freeze_outputs(m.forward(img), 2)
+            head_only = E.freeze_outputs(m.forward(img, frozen=prefix), 2, features=True)
+        assert _entries(head_only) == _entries(prefix)
         assert [f is not None for f in head_only.features] == [False, False, True]
         cached, _, g_cached = _loss_and_grads(m, img, head_only)
 
