@@ -19,7 +19,6 @@ from . import expansion as E
 from . import tensor as T
 from .config import ConfigError
 
-GROUPS = E.GROUPS
 ATTENTION_MODES = ("layer_mean", "final")
 """Aggregations of ``model_attention_stats``: mean over layers, or the last layer."""
 

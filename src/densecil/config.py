@@ -25,7 +25,6 @@ class Tolerances:
     ia_reduction: float = 1e-10  # masked joint attention vs. independent path
     mlp_reduction: float = 1e-6  # all-ones attention vs. generalized MLP
     loss: float = 1e-10         # loss values vs. direct-summation oracles
-    flops_ratio: float = 0.05   # measured vs. closed-form compute ratio
 
 
 TOL = Tolerances()

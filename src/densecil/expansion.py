@@ -72,7 +72,6 @@ from .config import ConfigError
 from .tensor import Tensor
 
 STRATEGIES = ("ia", "sta", "dne")
-GROUPS = ("SPSH", "SPDH", "DPSH", "DPDH")
 STA_CROSS_HEAD = {"none": (), "spdh": ("SPDH",), "dpdh": ("DPDH",), "both": ("SPDH", "DPDH")}
 """Cross-head groups each sta variant adds to the always-on same-head pairs."""
 STA_VARIANTS = tuple(STA_CROSS_HEAD)

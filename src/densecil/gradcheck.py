@@ -71,7 +71,6 @@ def op_cases() -> dict:
     return {
         "add": lambda r: ([_r(r, 3, 4), _r(r, 3, 4)], lambda t: T.add(t[0], t[1])),
         "add_broadcast": lambda r: ([_r(r, 2, 3, 4), _r(r, 1, 4)], lambda t: T.add(t[0], t[1])),
-        "sub": lambda r: ([_r(r, 3, 4), _r(r, 3, 4)], lambda t: T.sub(t[0], t[1])),
         "mul": lambda r: ([_r(r, 3, 4), _r(r, 3, 4)], lambda t: T.mul(t[0], t[1])),
         "mul_broadcast": lambda r: ([_r(r, 2, 3, 4), _r(r, 1, 3, 1)],
                                     lambda t: T.mul(t[0], t[1])),
@@ -92,10 +91,7 @@ def op_cases() -> dict:
         "reshape": lambda r: ([_r(r, 3, 4)], lambda t: T.reshape(t[0], (2, 6))),
         "swap_axes": lambda r: ([_r(r, 2, 3, 4)], lambda t: T.swap_axes(t[0], 0, 1)),
         "concat": lambda r: ([_r(r, 2, 3), _r(r, 2, 2)], lambda t: T.concat(t, axis=1)),
-        "narrow": lambda r: ([_r(r, 4, 5)], lambda t: T.narrow(t[0], 1, 1, 3)),
         "sum": lambda r: ([_r(r, 3, 4)], lambda t: T.sum_all(t[0])),
-        "log_softmax": lambda r: ([_r(r, 3, 5)], lambda t: T.log_softmax_rows(t[0])),
-        "log_softmax_rows": lambda r: ([_r(r, 2, 3, 5)], lambda t: T.log_softmax_rows(t[0])),
         "layer_norm": lambda r: ([_r(r, 4, 6), _r(r, 6), _r(r, 6)],
                                  lambda t: T.layer_norm(t[0], t[1], t[2])),
         "normalize": lambda r: ([_r(r, 2, 3, 5)], lambda t: T.normalize(t[0])),
@@ -115,7 +111,6 @@ def op_cases() -> dict:
             [_r(r, 2, 2, 4), _r(r, 2, 4, 2), _r(r, 2, 6, 2), _r(r, 2, 6, 2), _r(r, 4, 4), _r(r, 4)],
             lambda t: T.attention_readout(*t, 2, E.sta_group_mask(2, 1, 3, 2, "spdh"))[0]),
         "gelu": lambda r: ([_r(r, 4, 4)], lambda t: T.gelu(t[0])),
-        "exp": lambda r: ([_r(r, 3, 3)], lambda t: T.exp(t[0])),
         "cross_entropy": lambda r: ([_r(r, 6)], lambda t: T.cross_entropy_logits(t[0], 2)),
         "cross_entropy_batched": lambda r: ([_r(r, 3, 6)],
                                             lambda t: T.cross_entropy_logits(t[0], [2, 0, 5])),

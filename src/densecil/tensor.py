@@ -1,18 +1,19 @@
 """Minimal deterministic reverse-mode autodiff over numpy arrays.
 
-Only the primitives the transformer blocks need are implemented: same-shape
-(and suffix-broadcast) elementwise arithmetic, one matmul (2-D or stacked,
-with an optional fused bias), axis plumbing (reshape / swap / concat /
-narrow), a log row softmax, layer norm (whole, or its ``normalize`` half;
-both use the one epsilon ``LN_EPS``), GELU (exact Gaussian CDF form), exp,
-and a fused cross entropy.  Attention runs as single ops with hand-written
-backwards: a task-attention stage (``task_attention``), a multi-head
-attention block from per-head layer norm to residual (``attention_block``,
-for self attention and a task token's read-out) and a read-out of projected
-q/k/v (``attention_readout``); the last two share one kernel pair,
-``_attend``, and all three one softmax pair, ``_softmax``/``_softmax_grad``.
-``tests/oracles.py`` composes each of them from single ops and a test-local
-``softmax_rows`` over that pair: the reference they equal bit for bit.
+Only the primitives training runs are implemented: same-shape (and
+suffix-broadcast) elementwise arithmetic, one matmul (2-D or stacked, with
+an optional fused bias), axis plumbing (reshape / swap / concat), layer
+norm (whole, or its ``normalize`` half; both use the one epsilon
+``LN_EPS``), GELU (exact Gaussian CDF form) and a fused cross entropy.
+Attention runs as single ops with hand-written backwards: a task-attention
+stage (``task_attention``), a multi-head attention block from per-head
+layer norm to residual (``attention_block``, for self attention and a task
+token's read-out) and a read-out of projected q/k/v
+(``attention_readout``); the last two share one kernel pair, ``_attend``,
+and all three one softmax pair, ``_softmax``/``_softmax_grad``.  The tests
+compose each of them from single ops and a test-local ``softmax_rows``
+over that pair (``tests/oracles.py``): the reference they equal bit for
+bit.
 Data is float64 throughout, and the package needs numpy only: the GELU's
 erf is Cephes' rational approximation evaluated in numpy, bit for bit the
 value ``scipy.special.erf`` returns.
@@ -61,22 +62,18 @@ __all__ = [
     "backward",
     "topo_order",
     "add",
-    "sub",
     "mul",
     "matmul",
     "reshape",
     "swap_axes",
     "concat",
-    "narrow",
     "sum_all",
-    "log_softmax_rows",
     "normalize",
     "layer_norm",
     "task_attention",
     "attention_readout",
     "attention_block",
     "gelu",
-    "exp",
     "cross_entropy_logits",
     "SGD",
     "trunc_normal",
@@ -331,19 +328,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), "add", bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: cannot broadcast {a.shape} with {b.shape}") from None
-
-    def bwd(g):
-        return (_sum_to_shape(g, a.shape) if a.requires_grad else None,
-                _sum_to_shape(-g, b.shape) if b.requires_grad else None)
-
-    return _make(out, (a, b), "sub", bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
         out = a.data * b.data
@@ -424,28 +408,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _make(out, tensors, "concat", bwd)
 
 
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis; the gradient adds into the parent's
-    gradient, or zero-pads back where the parent has none yet."""
-    if start < 0 or start + length > a.shape[axis]:
-        raise ShapeError(
-            f"narrow: [{start}:{start + length}] out of bounds for axis {axis} of {a.shape}")
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    out = a.data[idx]
-
-    def bwd(g):
-        if a.grad is not None:
-            a.grad[idx] += g
-            return (None,)
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        return (full,)
-
-    return _make(out, (a,), "narrow", bwd)
-
-
 def sum_all(a: Tensor) -> Tensor:
     out = np.asarray(a.data.sum())
 
@@ -489,19 +451,6 @@ def _softmax_grad(g: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
     dx *= y
     dx /= scale
     return dx
-
-
-def log_softmax_rows(x: Tensor) -> Tensor:
-    m = x.data.max(axis=-1, keepdims=True)
-    shifted = x.data - m
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = shifted - lse
-
-    def bwd(g):
-        soft = np.exp(out)
-        return (g - soft * g.sum(axis=-1, keepdims=True),)
-
-    return _make(out, (x,), "log_softmax_rows", bwd)
 
 
 def _normalized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -606,9 +555,9 @@ def task_attention(parts: Sequence[Tensor], n_query: int, gain: Tensor, bias: Te
     (H_pool, din, dout).  Returns the (P, n_query, dout) read-outs scaled
     by the per-head ``lam`` (n_query,), and the (P, n_query, H_pool)
     attention weights as an array.  The arithmetic is that of the same
-    stage composed of ``concat``, ``matmul``, ``narrow``, a row softmax and
-    ``mul`` (``tests/oracles.py``), bit for bit, gradients included; MACs
-    count its five products.  Input gradients are built only for ``parts`` that require one.
+    stage composed of single ops (``tests/test_expansion.py``), bit for
+    bit, gradients included; MACs count its five products.  Input gradients
+    are built only for ``parts`` that require one.
     """
     parts, wv = tuple(parts), tuple(wv)         # the backward reads them after the call
     x = np.concatenate([t.data for t in parts], axis=-2)     # the pool, mapped in place
@@ -868,15 +817,6 @@ def gelu(x: Tensor) -> Tensor:
         return (dx,)
 
     return _make(out, (x,), "gelu", bwd)
-
-
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
-
-    def bwd(g):
-        return (g * out,)
-
-    return _make(out, (x,), "exp", bwd)
 
 
 def cross_entropy_logits(logits: Tensor, labels) -> Tensor:

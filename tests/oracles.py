@@ -1,8 +1,10 @@
 """Reference code only tests use: the plain-ViT MLP and transformer blocks
 that the model's per-stage wiring must reproduce, a row softmax op over the
-package's softmax kernels, the attention block and read-out composed of
-single ops and that softmax, which the fused ``T.attention_block`` and
-``T.attention_readout`` equal bit for bit, the herding loop that sums the
+package's softmax kernels, a slice op, the attention block and read-out
+composed of single ops and that softmax, which the fused
+``T.attention_block`` and ``T.attention_readout`` equal bit for bit (the
+task-attention stage's composition in ``tests/test_expansion.py`` adds the
+slice), the herding loop that sums the
 chosen rows for every candidate, a no-grad logits read, and a forward run
 layer by layer that keeps the per-layer activations ``ForwardResult``
 does not."""
@@ -32,6 +34,21 @@ def softmax_rows(x: Tensor, scale: float, mask: np.ndarray | None = None) -> Ten
         return (T._softmax_grad(g, y, scale),)
 
     return T._make(y, (x,), "softmax_rows", bwd)
+
+
+def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
+    """The contiguous slice ``start:start + length`` of one axis as a graph
+    op; its gradient is zero-padded back to the parent's shape."""
+    idx = [slice(None)] * a.data.ndim
+    idx[axis] = slice(start, start + length)
+    idx = tuple(idx)
+
+    def bwd(g):
+        full = np.zeros_like(a.data)
+        full[idx] = g
+        return (full,)
+
+    return T._make(a.data[idx], (a,), "narrow", bwd)
 
 
 def herding_select(features: np.ndarray, m: int) -> list[int]:

@@ -10,6 +10,8 @@ from densecil import expansion as E
 from densecil import tensor as T
 from densecil.config import TOL
 
+GROUPS = tuple(E.group_masks(1, 0, 1, 1))     # the four group names, in order
+
 
 # ------------------------------------------------------------- entry counts
 
@@ -27,7 +29,7 @@ def test_group_counts_degenerate():
 def test_group_counts_enumeration_oracle():
     H, P = 2, 3
     got = A.group_entry_counts(H, P)
-    counted = {g: 0 for g in A.GROUPS}
+    counted = {g: 0 for g in GROUPS}
     for qh in range(H):
         for qp in range(P):
             for kh in range(H):
@@ -63,8 +65,8 @@ def test_crossover_small():
 
 def stats_oracle(attn, H, P):
     """Entry-by-entry double loop classification."""
-    mass = {g: 0.0 for g in A.GROUPS}
-    count = {g: 0 for g in A.GROUPS}
+    mass = {g: 0.0 for g in GROUPS}
+    count = {g: 0 for g in GROUPS}
     for qi in range(H * P):
         for ki in range(H * P):
             qh, qp = divmod(qi, P)
@@ -74,7 +76,7 @@ def stats_oracle(attn, H, P):
             count[g] += 1
     total = attn.sum()
     return {g: (mass[g] / total, mass[g] / count[g] if count[g] else 0.0, count[g])
-            for g in A.GROUPS}
+            for g in GROUPS}
 
 
 def test_uniform_attention_portions_equal_count_fractions():
@@ -83,7 +85,7 @@ def test_uniform_attention_portions_equal_count_fractions():
     stats = A.attention_group_stats(attn, [0, 1], H, P)
     counts = A.group_entry_counts(H, P)
     total = (H * P) ** 2
-    for g in A.GROUPS:
+    for g in GROUPS:
         assert stats.groups[g].portion == pytest.approx(counts[g] / total)
 
 
@@ -111,7 +113,7 @@ def test_stats_match_double_loop_oracle():
     attn = raw / raw.sum(axis=1, keepdims=True)
     stats = A.attention_group_stats(attn, [0, 0, 1], H, P)
     want = stats_oracle(attn, H, P)
-    for g in A.GROUPS:
+    for g in GROUPS:
         portion, mean, count = want[g]
         assert stats.groups[g].portion == pytest.approx(portion, abs=1e-12)
         assert stats.groups[g].mean == pytest.approx(mean, abs=1e-12)

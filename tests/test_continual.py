@@ -1,5 +1,6 @@
 """Continual-learning tests: labels, losses, herding, buffer, metrics."""
 
+import inspect
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from densecil import cli
 from densecil import continual as C
 from densecil import expansion as E
+from densecil import gradcheck as G
 from densecil import tensor as T
 from densecil.config import TOL, ConfigError
 
@@ -103,6 +105,15 @@ def test_distillation_gradient_flows_to_new_logits():
     T.backward(loss)
     assert new.grad is not None
     np.testing.assert_array_equal(new.grad[4:], 0.0)
+
+
+@pytest.mark.parametrize("shape, n_old", [((6,), 4), ((1, 6), 6)])
+def test_distillation_gradient_matches_central_differences(shape, n_old):
+    """Below and at the logit count, on 1-D and (1, C) logits."""
+    rng = np.random.default_rng(3)
+    new, old = rng.normal(size=shape), rng.normal(size=n_old)
+    err = G.check_function(lambda t: C.distillation_loss(t[0], old, n_old), [new], seed=0)
+    assert err < TOL.fd_rel
 
 
 # ------------------------------------------------------------ total loss
@@ -560,6 +571,29 @@ def test_herding_reads_each_class_rows_of_one_pass_per_task(monkeypatch):
     assert selected == stream.class_order()
 
 
+def test_every_tensor_function_runs_in_training(monkeypatch):
+    """Every function ``tensor.__all__`` lists runs in a two-task run of dne,
+    dne with cross-task MHSA or sta ``both``."""
+    names = [n for n in T.__all__ if inspect.isfunction(getattr(T, n))]
+    ran = set()
+
+    def counted(name, fn):
+        def call(*args, **kw):
+            ran.add(name)
+            return fn(*args, **kw)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(T, name, counted(name, getattr(T, name)))
+    tc = cli.RunConfig(epochs=1, tune_epochs=1, lr=0.05, batch_size=6,
+                       h1=2, k=1).train_config()
+    for wiring in ({}, {"cta_in_mhsa": True}, {"strategy": "sta", "sta_variant": "both"}):
+        cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
+                            gamma=2, layers=1, **{"strategy": "dne", **wiring})
+        C.run_stream(cfg, _micro_stream(), tc, seed=9, buffer_capacity=6)
+    assert [n for n in names if n not in ran] == []
+
+
 _evaluate = C.evaluate         # unpatched, for tests that wrap ``C.evaluate``
 
 
@@ -747,6 +781,22 @@ def test_frozen_cache_serves_each_batch_from_its_shallowest_row():
         want = model.forward(C.images(samples)).logits.data
         got = store.forward(samples[:4]).logits.data
     np.testing.assert_array_equal(got, want[:4])
+
+
+def test_store_rows_reach_expert_129():
+    """The rows' levels hold the stream's task count: a 129-expert model
+    keeps all its experts in the row of the 130th task's sample."""
+    cfg = E.ModelConfig(image_size=4, patch_size=4, in_channels=3, head_dim=2,
+                        gamma=2, layers=1, strategy="ia")
+    stream = C.TaskStream([_task([c], n_train=1, n_eval=1, size=4) for c in range(130)])
+    model = E.CilModel(cfg, seed=0)
+    for _ in range(129):
+        model.add_expert(1, 1)
+    store = C.FrozenStore(model, stream)
+    store.fixed = store.done = 129
+    with T.no_grad():
+        store.forward(stream.tasks[-1].train)
+    assert store.level[store._rows[id(stream.tasks[-1].train[0])]] == 129
 
 
 def test_prefix_holds_normalised_ta_inputs_at_the_raw_byte_count():

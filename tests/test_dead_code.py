@@ -1,10 +1,12 @@
-"""Every function and class of the package is used by the package or the
-benchmark, and every default it declares is one that some call relies on.
+"""Every function, class and module-level name of the package is used by
+the package or the benchmark, and every default it declares is one that
+some call relies on.
 
-A definition named nowhere else in ``src/`` or ``perfbench/`` is dead code.
-Tests alone do not keep a definition alive, and neither does a gradcheck op
-case or an ``__all__`` entry: ``gradcheck.op_cases`` checks an op and
-``__all__`` lists it, neither makes the op needed.
+A definition named nowhere else in ``src/`` or ``perfbench/`` is dead code,
+and so is a module-level name that no code there reads outside its own
+assignment.  Tests alone do not keep a definition alive, and neither does a
+gradcheck op case or an ``__all__`` entry: ``gradcheck.op_cases`` checks an
+op and ``__all__`` lists it, neither makes the op needed.
 
 A default of a function, a method or a dataclass field is dead when some
 call in ``src/`` or ``perfbench/`` names its function and every such call
@@ -33,12 +35,12 @@ def _trees(package: Path = PACKAGE, others=(PERFBENCH,)) -> dict[Path, ast.Modul
 
 def _names(node) -> Counter:
     """How ``node`` refers to each name, as (kind, name) counts.  Kinds:
-    ``name`` an identifier, ``attr`` an attribute read, ``call`` a called
+    ``name`` an identifier read, ``attr`` an attribute read, ``call`` a called
     attribute, ``str`` a string constant (``getattr`` and the benchmark's
     tracer find functions by string), ``import`` an imported name."""
     out = Counter()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
             out["name", n.id] += 1
         elif isinstance(n, ast.Attribute):
             out["attr", n.attr] += 1
@@ -61,17 +63,23 @@ def _library_names(path, classname) -> set[str]:
 
 
 def _definitions(path, tree, hooks):
-    """Module-level functions and classes, and the methods of those classes,
-    as (qualified name, node, the kinds of reference that use it).  A plain
-    method is used only by a call, since field reads share method names
-    (``Sample.label``); a decorated one (a property) by any attribute read.
-    Dunder methods run implicitly and overrides of a library base class's
-    methods (``hooks(path, class name)``) are called by the library; both
-    are left out."""
+    """Module-level functions, classes and assigned names, and the methods
+    of those classes, as (qualified name, node, the kinds of reference that
+    use it).  A plain method is used only by a call, since field reads share
+    method names (``Sample.label``); a decorated one (a property) by any
+    attribute read.  Dunder methods and names run or are read implicitly,
+    and overrides of a library base class's methods (``hooks(path, class
+    name)``) are called by the library; all are left out."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    every = ("name", "attr", "import", "str")
     for node in tree.body:
         if isinstance(node, defs):
-            yield node.name, node, ("name", "attr", "import", "str")
+            yield node.name, node, every
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                yield target.id, node, every
         if isinstance(node, ast.ClassDef):
             library = hooks(path, node.name)
             for item in node.body:
@@ -100,13 +108,14 @@ def dead_definitions(trees, package: Path = PACKAGE, hooks=_library_names) -> li
         for node in _listings(path, tree):
             uses -= _names(node)
 
-    def unused(node, kinds):
-        own = _names(node)
-        return all(uses[k, node.name] == own[k, node.name] for k in kinds)
+    def unused(qualname, node, kinds):
+        name, own = qualname.rsplit(".", 1)[-1], _names(node)
+        return all(uses[k, name] == own[k, name] for k in kinds)
 
     return [f"{path.stem}.{qualname}"
             for path, tree in trees.items() if path.is_relative_to(package)
-            for qualname, node, kinds in _definitions(path, tree, hooks) if unused(node, kinds)]
+            for qualname, node, kinds in _definitions(path, tree, hooks)
+            if unused(qualname, node, kinds)]
 
 
 # ------------------------------------------------------------------ defaults
@@ -250,6 +259,31 @@ def test_an_op_that_only_an_op_case_calls_is_dead(tmp_path):
             """})
     assert dead_definitions(trees, package, hooks=lambda path, name: set()) == [
         "tensor.checked"]
+
+
+def test_a_module_name_that_nothing_reads_is_dead(tmp_path):
+    trees, package = _planted(tmp_path, {
+        "mod.py": """
+            NAMES = ("a", "b")
+            ALIAS = NAMES
+            LIMIT: int = 3
+            _CACHE = {}
+            __version__ = "0"
+
+            def size():
+                _CACHE.clear()
+                return LIMIT
+            """,
+        "other.py": """
+            from . import mod
+            COPY = mod.NAMES
+            """,
+    }, {"bench.py": """
+            from pkg import mod
+            mod.size()
+            """})
+    assert dead_definitions(trees, package, hooks=lambda path, name: set()) == [
+        "mod.ALIAS", "other.COPY"]
 
 
 def test_a_default_that_every_call_passes_is_dead(tmp_path):

@@ -557,7 +557,7 @@ def _composed_stage(x, n_query, stage):
     attn_dim = stage.wq.shape[-1]
     flat = T.reshape(x, (*lead, p * h_pool, din))
     k = T.reshape(T.matmul(flat, stage.wk), (*lead, p, h_pool, attn_dim))
-    qtok = T.narrow(x, -2, h_pool - n_query, n_query)
+    qtok = O.narrow(x, -2, h_pool - n_query, n_query)
     q = T.reshape(T.matmul(T.reshape(qtok, (*lead, p * n_query, din)), stage.wq),
                   (*lead, p, n_query, attn_dim))
     attn = O.softmax_rows(T.matmul(q, T.swap_axes(k, -1, -2)), math.sqrt(attn_dim))
