@@ -229,7 +229,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         try:
             values = json.loads(Path(args.config).read_text())
-        except ValueError as e:      # malformed JSON or UTF-8
+        except (ValueError, RecursionError) as e:   # malformed or too deep JSON, bad UTF-8
             raise ConfigError(f"config file {args.config} is not valid JSON: {e}") from None
         if not isinstance(values, dict):
             raise ConfigError(f"config file {args.config} holds a JSON "

@@ -395,15 +395,14 @@ class FrozenStore:
     sample of the stream, then one per eval sample of every task but the
     last, which is scored only at the last step.
 
-    All rows form one prefix (``freeze_outputs``) with a row axis: per
-    expert an array for each list of ``ForwardResult.reads``, the token
-    features and the classifier slice.  Row i holds experts 0..level[i]-1,
-    and with ``head[i]`` the newest expert's entries and final features,
-    so a forward from it runs only that token head.  Rows grow by one
-    expert per task and keep it for later tasks: a forward fills its rows
-    as far as the newest expert's training allows, up to that expert, then
-    with its entries and features once ``fixed`` counts it, then past it
-    once ``done`` counts it.
+    All rows form one prefix (``freeze_outputs``) with a row axis, in two
+    stages per expert: its body, an array for each list of
+    ``ForwardResult.reads``, then its token head, the token features and the
+    classifier slice.  Row i holds the first ``held[i]`` stages; holding the
+    newest body but not its token head, it holds that expert's final
+    features too, so a forward from it runs only the token head.  Forwards
+    keep the stages the model has frozen: both of every older expert, then
+    the newest expert's body and token head as each stops training.
     ``prefetch`` fills rows ahead of their forwards.  Of the stream's last
     expert only the features are kept.  Results are bit-identical to
     uncached forwards.
@@ -413,21 +412,24 @@ class FrozenStore:
         samples = ([s for task in stream.tasks for s in task.train]
                    + [s for task in stream.tasks[:-1] for s in task.eval])
         self.model = model
-        self._train = [task.train for task in stream.tasks]
-        self.tasks = len(stream)
-        self.fixed = 0                  # experts whose bodies no longer train
-        self.done = 0                   # experts that no longer train
-        self.level = np.zeros(len(samples), dtype=np.min_scalar_type(self.tasks))
-        self.head = np.zeros(len(samples), dtype=bool)
+        self._stream = stream
+        self.held = np.zeros(len(samples), dtype=np.min_scalar_type(2 * len(stream)))
         self.nbytes = 0                 # bytes of the rows' arrays
         self._rows = {id(s): i for i, s in enumerate(samples)}
         self._data: E.ForwardResult | None = None   # every row's arrays
 
+    def _frozen_stages(self) -> int:
+        """How many stages the model has frozen, by its ``requires_grad`` flags."""
+        t = self.model.task_count - 1
+        training = [n for n, p in self.model.named_parameters() if p.requires_grad]
+        head = (f"task{t}.token", f"task{t}.tok_blk", f"task{t}.head")
+        return 2 * t + all(n.startswith(head) for n in training) + (not training)
+
     def _grow(self, kept: E.ForwardResult, features: Tensor | None) -> int:
         """Allocate for every row, in expert order while they fit, the arrays
-        of the experts in ``kept`` that a later task reads, then the newest
-        expert's ``features`` if the rows hold its prefix; returns the width."""
-        count, t = len(self.level), self.model.task_count - 1
+        of the experts whose every list ``kept`` holds and a later task reads,
+        then the newest expert's ``features``; returns the width."""
+        count, t = len(self.held), self.model.task_count - 1
 
         def fits(nbytes: int) -> bool:
             if self.nbytes + nbytes > CACHE_BYTES:
@@ -438,7 +440,7 @@ class FrozenStore:
         if self._data is None:          # an empty record shaped like ``kept``
             self._data = E.freeze_outputs(kept, 0)
         width = len(self._data.token_feats)
-        for j in range(width, min(len(kept.token_feats), self.tasks - 1)):
+        for j in range(width, min(*map(len, kept.columns()), len(self._stream) - 1)):
             new = [s[j].data for s in kept.columns()]
             if not fits(sum(count * a[0].nbytes for a in new)):
                 break
@@ -451,68 +453,59 @@ class FrozenStore:
         return width
 
     def forward(self, samples: list[Sample]) -> E.ForwardResult:
-        """Run a batch of the stream's samples from the deepest entries all
-        its rows hold; keep in the rows what they lack and fit.  A batch with
-        a sample that has no row runs without the store."""
+        """Run a batch of the stream's samples from the stages all its rows
+        hold; keep in the rows the frozen stages they lack and fit.  A batch
+        with a sample that has no row runs without the store."""
         rows = [self._rows.get(id(s)) for s in samples]
         if None in rows:
             return self.model.forward(images(samples))
         rows = np.array(rows)
-        t = self.model.task_count - 1
-        head = bool(self.head[rows].all())
-        depth = t if head else int(self.level[rows].min())
-        frozen = (None if depth == 0 and not head else
-                  E.freeze_outputs(self._data, depth, features=head, rows=rows))
+        held = int(self.held[rows].min())
+        frozen = (E.freeze_outputs(self._data, held // 2, features=held % 2 == 1, rows=rows)
+                  if held else None)
         res = self.model.forward(images(samples), frozen=frozen)
-        fixed, done = self.fixed > t, self.done > t
-        if head and done and len(self._data.token_feats) > t:
-            # the tuned token head completes the newest expert's entries
-            self._data.token_feats[t].data[rows] = res.token_feats[t].data
-            self._data.logit_parts[t].data[rows] = res.logit_parts[t].data
-            self.level[rows] = t + 1
-        elif not head and depth < t + fixed:
-            kept = E.freeze_outputs(res, t + fixed)
-            width = min(self._grow(kept, res.features[t] if fixed > done else None), t + fixed)
-            for dst, src in zip(self._data.columns(), kept.columns()):
-                for d, s in zip(dst[depth:width], src[depth:width]):
+        keep = self._frozen_stages()
+        if held < keep:
+            kept = E.freeze_outputs(res, (keep + 1) // 2)
+            top = min(keep, 2 * self._grow(kept, res.features[-1] if keep % 2 else None))
+            # the newest body is held only with its features
+            top = keep if keep % 2 and self._data.features else top - top % 2
+            columns = self._data.columns()
+            for c, (dst, src) in enumerate(zip(columns, kept.columns())):
+                b = c < len(columns) - 2    # a body column: entry j is stage 2j, else 2j + 1
+                for d, s in zip(dst[(held + b) // 2:(top + b) // 2], src[(held + b) // 2:]):
                     d.data[rows] = s.data
-            if width > depth:
-                self.level[rows] = min(width, t + done)
-            if fixed > done and self._data.features:
-                self._data.features[t].data[rows] = res.features[t].data
-                self.head[rows] = True
+            if top % 2:
+                self._data.features[-1].data[rows] = res.features[-1].data
+            self.held[rows] = np.maximum(self.held[rows], top)
         return res
 
     def prefetch(self, samples: list[Sample]) -> None:
         """Compute without a graph what later forwards of ``samples`` reuse, one
-        forward per ``EVAL_CHUNK`` rows of one state, while the rows have room."""
-        t = self.model.task_count - 1
-        todo: dict[tuple[int, bool], list[Sample]] = {}
+        forward per ``EVAL_CHUNK`` rows of one ``held``, while the rows have room."""
+        keep = self._frozen_stages()
+        todo: dict[int, list[Sample]] = {}
         for s in samples:
-            i = self._rows[id(s)]
-            if self.level[i] < t + (self.fixed > t) and (self.done > t or not self.head[i]):
-                todo.setdefault((self.level[i], self.head[i]), []).append(s)
+            held = int(self.held[self._rows[id(s)]])
+            if held < keep:
+                todo.setdefault(held, []).append(s)
         with T.no_grad():
-            for state, group in todo.items():
+            for held, group in todo.items():
                 for chunk in chunks(group):
                     self.forward(chunk)
-                    i = self._rows[id(chunk[0])]
-                    if (self.level[i], self.head[i]) == state:
+                    if self.held[self._rows[id(chunk[0])]] == held:
                         break           # no room for these rows
 
     def complete(self, samples: list[Sample]) -> None:
-        """End the task: its expert no longer trains, so forwards keep the
-        prefix past it.  Unless it is the stream's last, fill the rows of
-        ``samples`` and of the next task's training samples past it,
-        head-only where they hold its features; no untrained expert runs in
-        that fill.  Then drop the features."""
-        self.done = self.model.task_count
-        if self.done < self.tasks:
-            self.prefetch(samples + self._train[self.done])
+        """End the task of a frozen model: unless its expert is the stream's
+        last, fill the rows of ``samples`` and of the next task's training
+        samples past it.  Then drop the features, rounding ``held`` down."""
+        if self.model.task_count < len(self._stream):
+            self.prefetch(samples + self._stream.tasks[self.model.task_count].train)
         if self._data is not None and self._data.features:
             self.nbytes -= self._data.features[-1].data.nbytes
             self._data.features = []
-        self.head[:] = False
+        self.held -= self.held % 2
 
 
 # ------------------------------------------------------------------ training
@@ -532,28 +525,31 @@ class TrainConfig:
     heads_per_step: int
 
 
-def _sgd_epochs(params, data, epochs, cfg: TrainConfig, rng, loss_fn, where: str):
-    """SGD over ``data``; a ``NumericError`` is re-raised naming ``where``
-    (task and phase), the epoch and the batch.
-
-    numpy's overflow and invalid-value warnings are silenced here: a
-    diverging run reaches a finiteness check, which raises instead."""
-    opt = T.SGD(params, lr=cfg.lr, weight_decay=cfg.weight_decay,
-                momentum=cfg.momentum)
-    n = len(data)
+def _located(where: str, fn):
+    """``fn()``, re-raising a ``NumericError`` with ``where`` (task and
+    step) in front.  numpy's overflow and invalid-value warnings are silenced
+    here: a diverging run reaches a finiteness check, which raises instead."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                batch = [data[i] for i in order[start:start + cfg.batch_size]]
-                try:
-                    loss = loss_fn(batch)
-                except T.NumericError as e:
-                    raise T.NumericError(
-                        f"{where}, epoch {epoch}, batch {start // cfg.batch_size}: {e}") from e
-                opt.zero_grad()
-                T.backward(loss)
-                opt.step()
+        try:
+            return fn()
+        except T.NumericError as e:
+            raise T.NumericError(f"{where}: {e}") from e
+
+
+def _sgd_epochs(params, data, epochs, cfg: TrainConfig, rng, loss_fn, where: str):
+    """SGD over ``data``; an error names ``where`` (task and phase), epoch and batch."""
+    opt = T.SGD(params, lr=cfg.lr, weight_decay=cfg.weight_decay, momentum=cfg.momentum)
+
+    def step(batch):
+        opt.zero_grad()
+        T.backward(loss_fn(batch))
+        opt.step()
+
+    for epoch in range(epochs):
+        order = rng.permutation(len(data))
+        for start in range(0, len(data), cfg.batch_size):
+            _located(f"{where}, epoch {epoch}, batch {start // cfg.batch_size}",
+                     lambda: step([data[i] for i in order[start:start + cfg.batch_size]]))
 
 
 def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
@@ -562,7 +558,8 @@ def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
     """Learn one task in place: train, refresh the buffer, tune.
 
     The expert for ``task`` must already have been added, and its classes
-    to the model's class registry; this runs the optimization phases.
+    to the model's class registry.  After phase 1 only the newest token
+    block and classifier slice train, and after phase 2 nothing does.
     ``store`` is the run's ``FrozenStore``; every forward goes through it.
     """
     prior = len(model.class_registry) - len(task.classes)
@@ -573,7 +570,8 @@ def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
     _sgd_epochs(model.trainable_parameters(), phase1_data, cfg.epochs, cfg, rng,
                 lambda batch: total_loss(batch, model, w, task_cols, prior, store.forward),
                 f"task {t}, phase 1")
-    store.fixed = model.task_count
+    for name, p in model.named_parameters():
+        p.requires_grad = p.requires_grad and name.startswith((f"task{t}.tok_blk", f"task{t}.head"))
 
     # herding refresh: features from the freshly trained model
     if buffer.capacity > 0:
@@ -581,7 +579,7 @@ def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
         for i, s in enumerate(task.train):
             by_class.setdefault(s.label, []).append(i)
         quota = buffer.quota(len(buffer.classes_seen) + len(by_class))
-        feats = token_features(task.train, store.forward)
+        feats = _located(f"task {t}, herding", lambda: token_features(task.train, store.forward))
         for c in task.classes:
             rows = by_class[c]
             order = herding_select(feats[rows], min(quota, len(rows)))
@@ -591,13 +589,13 @@ def train_task(model: E.CilModel, task: Task, buffer: MemoryBuffer,
     if cfg.tune_epochs > 0:
         balanced = class_balanced_subsample(task.train, buffer, rng) \
             if buffer.capacity > 0 else list(task.train)
-        tune_params = model.parameters_with_prefix(f"task{t}.tok_blk", f"task{t}.head")
-        store.prefetch(balanced)
-        _sgd_epochs(tune_params, balanced, cfg.tune_epochs, cfg, rng,
+        _located(f"task {t}, store fill", lambda: store.prefetch(balanced))
+        _sgd_epochs(model.trainable_parameters(), balanced, cfg.tune_epochs, cfg, rng,
                     lambda batch: total_loss(batch, model, LossWeights(w.ce, 0.0),
                                              task_cols, prior, store.forward),
                     f"task {t}, phase 2")
-    store.complete(buffer.samples())
+    model.freeze_all()
+    _located(f"task {t}, store fill", lambda: store.complete(buffer.samples()))
     return model
 
 
@@ -617,7 +615,8 @@ def run_stream(model_cfg: E.ModelConfig, stream: TaskStream, cfg: TrainConfig,
         registry.extend(task.classes)
         rng = np.random.default_rng(seeds[i])
         train_task(model, task, buffer, cfg, rng=rng, store=store)
-        acc, per_task = evaluate(model, stream.tasks[: i + 1], store)
+        acc, per_task = _located(f"task {i}, evaluate",
+                                 lambda: evaluate(model, stream.tasks[: i + 1], store))
         record.accuracies.append(acc)
         record.per_task_final = per_task
     return model, record

@@ -683,14 +683,15 @@ def _forward(model: CilModel, image, *, collect_attn: bool,
              frozen: ForwardResult | None) -> ForwardResult:
     """One forward pass of a (C, h, w) image or a (B, C, h, w) batch; with
     the frozen prefix ``frozen`` (batched like ``image``) of experts 0..n-1
-    only experts n.. run, and attention weights are collected for them."""
+    only experts n.. run (from a ``head_only`` one their token heads, on the
+    prefix's reads), and attention weights are collected for them."""
     cfg = model.cfg
     if model.task_count == 0:
         raise T.ContractError("forward on a model with no experts")
     n = len(frozen.token_feats) if frozen else 0
     reads, spatial, tab = [], [], []
     if frozen and frozen.head_only:
-        r_list = frozen.features[n:]
+        r_list, reads = frozen.features[n:], frozen.reads
     else:
         patches = Tensor(B.extract_patches(np.asarray(image, dtype=np.float64), cfg.in_channels,
                                            cfg.image_size, cfg.patch_size))
@@ -771,7 +772,7 @@ def model_from_bytes(raw: bytes) -> CilModel:
     (hlen,) = struct.unpack("<I", hlen_raw)
     try:
         header = json.loads(buf.read(hlen).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise CheckpointError(f"corrupt checkpoint header: {e}") from None
     try:
         model = CilModel(ModelConfig(**header["config"]), seed=0)
@@ -787,7 +788,7 @@ def model_from_bytes(raw: bytes) -> CilModel:
     loaded: set[str] = set()
     start = pos = buf.tell()
     for name, shape in records:
-        if name not in registry:
+        if not isinstance(name, str) or name not in registry:
             raise CheckpointError(f"checkpoint names unknown parameter {name!r}")
         if name in loaded:
             raise CheckpointError(f"checkpoint stores parameter {name!r} twice")

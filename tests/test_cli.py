@@ -162,6 +162,7 @@ def test_config_file_rejects_unknown_keys(tmp_path):
 
 @pytest.mark.parametrize("text,problem", [
     pytest.param('{"epochs": ', "not valid JSON", id="truncated"),
+    pytest.param("[" * 1000 + "]" * 1000, "not valid JSON", id="nested-1000"),
     pytest.param("[1, 2]", "holds a JSON list, not an object", id="list"),
     pytest.param('"epochs"', "holds a JSON str, not an object", id="string"),
     pytest.param('{"epochs": "5"}', "epochs must be int, got '5'", id="str-for-int"),
@@ -464,6 +465,24 @@ def test_diverging_run_names_task_phase_epoch_and_batch(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == (
         "error: task 0, phase 1, epoch 1, batch 0: attention_block: non-finite input\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags,step", [
+    pytest.param([], "herding", id="herding"),
+    pytest.param(["--buffer", "0"], "store fill", id="phase-2-fill"),
+    pytest.param(["--buffer", "0", "--tune-epochs", "0"], "store fill", id="next-task-fill"),
+    pytest.param(["--buffer", "0", "--tune-epochs", "0", "--classes", "4"], "evaluate",
+                 id="evaluate"),
+])
+def test_run_diverging_after_sgd_names_task_and_step(tmp_path, capsys, flags, step):
+    """The run's one SGD step leaves non-finite weights; the next step that
+    runs the model raises, and its error is one line naming task and step."""
+    rc = cli.main(["train", "--lr", "1e300", "--epochs", "1", "--tune-epochs", "1",
+                   "--per-class", "2", "--eval-per-class", "2", *flags,
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: task 0, {step}: attention_block: non-finite input\n"
 
 
 @pytest.mark.parametrize("field,value", [

@@ -722,10 +722,10 @@ def test_last_task_eval_samples_have_no_row_and_no_row_reaches_the_last_expert(
     model, _, log = logged_run("dne", 36)
     store, tasks = log["store"], log["stream"].tasks
     assert not any(id(s) in store._rows for s in tasks[-1].eval)
-    assert len(store.level) == (sum(len(task.train) for task in tasks)
-                                + sum(len(task.eval) for task in tasks[:-1]))
+    assert len(store.held) == (sum(len(task.train) for task in tasks)
+                               + sum(len(task.eval) for task in tasks[:-1]))
     assert log["evals"][-1] == [2, 2, 0]
-    assert store.level.max() == model.task_count - 1
+    assert store.held.max() == 2 * (model.task_count - 1)
     assert [p.shape[-1] for p in store._data.logit_parts] == model.classes_per_task[:-1]
 
 
@@ -748,11 +748,22 @@ def test_evaluation_through_the_store_equals_a_plain_evaluation_at_every_step(
     assert log["evals"] == [[0], [1, 0], [2, 2, 0]]
 
 
+def _freeze_body(model):
+    """Freeze every parameter but the newest token block and classifier
+    slice, as ``train_task`` does after phase 1."""
+    t = model.task_count - 1
+    tuned = model.parameters_with_prefix(f"task{t}.tok_blk", f"task{t}.head")
+    model.freeze_all()
+    for p in tuned:
+        p.requires_grad = True
+
+
 def test_frozen_cache_serves_each_batch_from_its_shallowest_row():
-    """A batch runs from the deepest entries all its rows hold; once the
-    newest expert's body is fixed a forward keeps its entries and final
-    features, and ``complete`` turns those rows into the prefix at the
-    whole model, which the next expert's forwards run from."""
+    """A batch runs from the stages all its rows hold; once the newest
+    expert's body is frozen a forward keeps its entries and final features
+    (stage 2t + 1), and ``complete`` of the frozen model turns those rows
+    into the prefix at the whole model, which the next expert's forwards
+    run from."""
     cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
                         gamma=2, layers=1, strategy="dne")
     model = E.CilModel(cfg, seed=5)
@@ -765,27 +776,116 @@ def test_frozen_cache_serves_each_batch_from_its_shallowest_row():
     with T.no_grad():
         want = model.forward(C.images(samples)).logits.data
         store.forward(samples[:3])
-        assert list(store.level[rows]) == [1, 1, 1, 0, 0, 0]
-        store.fixed = model.task_count
+        assert list(store.held[rows]) == [2, 2, 2, 0, 0, 0]
+        _freeze_body(model)
         got = store.forward([samples[4], samples[0]]).logits.data
-        assert list(store.level[rows]) == [1, 1, 1, 0, 1, 0]
-        assert list(store.head[rows]) == [True, False, False, False, True, False]
+        assert list(store.held[rows]) == [3, 2, 2, 0, 3, 0]
         np.testing.assert_array_equal(got, want[[4, 0]])
         store.prefetch(samples)
-        assert store.head[rows].all()
+        assert list(store.held[rows]) == [3] * 6
         got = store.forward(samples[::-1]).logits.data
         np.testing.assert_array_equal(got, want[::-1])
+        model.freeze_all()
         store.complete(samples[:4])
-        assert list(store.level[rows]) == [2, 2, 2, 2, 1, 1] and not store.head.any()
+        assert list(store.held[rows]) == [4, 4, 4, 4, 2, 2] and not (store.held % 2).any()
         model.add_expert(1, 2)
         want = model.forward(C.images(samples)).logits.data
         got = store.forward(samples[:4]).logits.data
     np.testing.assert_array_equal(got, want[:4])
 
 
+@pytest.mark.parametrize("strategy,experts", [("dne", 2), ("sta", 1)])
+def test_store_never_keeps_a_stage_whose_parameters_still_train(strategy, experts,
+                                                                monkeypatch):
+    """With any one parameter still training, a forward keeps both stages of
+    each older expert, and the newest body only if that parameter belongs to
+    the newest token head (sta's first expert owns the shared projection);
+    once nothing trains, a head-only forward completes the row."""
+    cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
+                        gamma=2, layers=1, strategy=strategy)
+    model = E.CilModel(cfg, seed=5)
+    for heads in (2, 1)[:experts]:
+        model.add_expert(heads, 2)
+    t = experts - 1
+    stream = _micro_stream(n_tasks=3)
+    sample = stream.tasks[t].train[0]
+    head = (f"task{t}.token", f"task{t}.tok_blk", f"task{t}.head")
+    training = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
+    assert any(n.startswith("shared.") for n, _ in training) == (strategy == "sta")
+    with T.no_grad():
+        want = model.forward(C.images([sample]))
+        for name, p in training:
+            model.freeze_all()
+            p.requires_grad = True
+            store = C.FrozenStore(model, stream)
+            store.forward([sample])
+            assert store.held[store._rows[id(sample)]] == 2 * t + name.startswith(head), name
+        for _, p in training:
+            p.requires_grad = True
+        _freeze_body(model)
+        store = C.FrozenStore(model, stream)
+        store.forward([sample])
+        row = store._rows[id(sample)]
+        assert store.held[row] == 2 * t + 1
+        model.freeze_all()
+        forward, head_only = E.CilModel.forward, []
+
+        def logged(self, image, **kw):
+            head_only.append(kw["frozen"].head_only)
+            return forward(self, image, **kw)
+
+        monkeypatch.setattr(E.CilModel, "forward", logged)
+        got = store.forward([sample])
+    assert head_only == [True] and store.held[row] == 2 * t + 2
+    np.testing.assert_array_equal(got.logits.data, want.logits.data)
+    np.testing.assert_array_equal(store._data.token_feats[t].data[row],
+                                  want.token_feats[t].data[0])
+
+
+def test_phase_2_tunes_the_newest_token_block_and_classifier_slice_and_runs_end_frozen(
+        monkeypatch):
+    """Phase 2's SGD gets the newest token block and classifier slice in
+    registration order, and they are all that trains from herding on; after
+    ``run_stream`` no parameter requires a gradient."""
+    train, sgd, features, log = C.train_task, C._sgd_epochs, C.token_features, []
+    model = None
+
+    def logged_train(m, *args, **kw):
+        nonlocal model
+        model = m
+        return train(m, *args, **kw)
+
+    def logged_sgd(params, data, epochs, cfg, rng, loss_fn, where):
+        names = {id(p): n for n, p in model.named_parameters()}
+        log.append((where, [names[id(p)] for p in params]))
+        sgd(params, data, epochs, cfg, rng, loss_fn, where)
+
+    def logged_features(samples, forward):
+        log.append(("herding", [n for n, p in model.named_parameters() if p.requires_grad]))
+        return features(samples, forward)
+
+    monkeypatch.setattr(C, "train_task", logged_train)
+    monkeypatch.setattr(C, "_sgd_epochs", logged_sgd)
+    monkeypatch.setattr(C, "token_features", logged_features)
+    cfg = E.ModelConfig(image_size=8, patch_size=4, in_channels=3, head_dim=4,
+                        gamma=2, layers=1, strategy="dne")
+    tc = cli.RunConfig(epochs=1, tune_epochs=1, lr=0.05, batch_size=6,
+                       h1=2, k=1).train_config()
+    model_out, _ = C.run_stream(cfg, _micro_stream(), tc, seed=9, buffer_capacity=6)
+    names = [n for n, _ in model_out.named_parameters()]
+    tuned = [[n for n in names if n.startswith((f"task{t}.tok_blk", f"task{t}.head"))]
+             for t in range(2)]
+    assert [where for where, _ in log] == ["task 0, phase 1", "herding", "task 0, phase 2",
+                                           "task 1, phase 1", "herding", "task 1, phase 2"]
+    assert [got for _, got in log[1:3] + log[4:]] == [tuned[0]] * 2 + [tuned[1]] * 2
+    assert log[3][1] == [n for n in names if n.startswith(("task1.", "aux."))]
+    assert model_out.trainable_parameters() == []
+
+
 def test_store_rows_reach_expert_129():
-    """The rows' levels hold the stream's task count: a 129-expert model
-    keeps all its experts in the row of the 130th task's sample."""
+    """The rows' stage counts hold twice the stream's task count: a frozen
+    129-expert model keeps all its experts in the row of the 130th task's
+    sample."""
     cfg = E.ModelConfig(image_size=4, patch_size=4, in_channels=3, head_dim=2,
                         gamma=2, layers=1, strategy="ia")
     stream = C.TaskStream([_task([c], n_train=1, n_eval=1, size=4) for c in range(130)])
@@ -793,10 +893,10 @@ def test_store_rows_reach_expert_129():
     for _ in range(129):
         model.add_expert(1, 1)
     store = C.FrozenStore(model, stream)
-    store.fixed = store.done = 129
+    model.freeze_all()
     with T.no_grad():
         store.forward(stream.tasks[-1].train)
-    assert store.level[store._rows[id(stream.tasks[-1].train[0])]] == 129
+    assert store.held[store._rows[id(stream.tasks[-1].train[0])]] == 2 * 129
 
 
 def test_prefix_holds_normalised_ta_inputs_at_the_raw_byte_count():
@@ -824,11 +924,11 @@ def test_prefix_holds_normalised_ta_inputs_at_the_raw_byte_count():
             np.testing.assert_array_equal(prefix.reads[l]["o"][0].data, T.normalize(o_raw).data)
             raw_bytes += s_raw.data.nbytes + o_raw.data.nbytes
         store = C.FrozenStore(model, stream)
-        store.fixed = model.task_count
+        _freeze_body(model)
         store.forward(samples)
     per_five = raw_bytes + res.token_feats[0].data.nbytes + res.features[1].data.nbytes
-    count = len(store.level)        # 24 training and 6 eval rows, the held expert's 2 classes
-    assert store.head[:5].all()
+    count = len(store.held)         # 24 training and 6 eval rows, the held expert's 2 classes
+    assert list(store.held[:5]) == [3] * 5
     assert store.nbytes == count * per_five // 5 + count * 2 * 8
 
 

@@ -626,7 +626,7 @@ def test_task_attention_on_normalised_parts_equals_one_layer_norm_over_the_pool(
 
 def test_each_ta_stage_is_one_graph_node():
     """A TA stage's node reads the normalised parts and the stage's
-    parameters directly: no concat, narrow or matmul node between them."""
+    parameters directly: no concat or matmul node between them."""
     cfg = small_cfg(cta_in_mhsa=True)
     m = build_model(cfg, heads=(2, 1), classes=(2, 2))
     for _, p in m.named_parameters():
@@ -639,7 +639,6 @@ def test_each_ta_stage_is_one_graph_node():
         ops = [p.op for p in node.parents]
         n_parts = ops.count("normalize")
         assert 0 < n_parts and ops == ["normalize"] * n_parts + ["leaf"] * (len(ops) - n_parts)
-    assert "narrow" not in {n.op for n in nodes}
 
 
 def test_task_attention_rejects_mismatched_shapes():
@@ -1044,6 +1043,17 @@ def _drop_config(header, blobs):
     return header, blobs
 
 
+def _name_first_param(name):
+    def edit(header, blobs):
+        header["params"][0]["name"] = name
+        return header, blobs
+    return edit
+
+
+_NESTED = b"[" * 1000 + b"]" * 1000
+"""A header nested deeper than ``json`` decodes; 500 levels decode."""
+
+
 CORRUPTIONS = {
     "empty_params": lambda raw: _rewrite_header(raw, lambda h, b: ({**h, "params": []}, b"")),
     "partial_params": lambda raw: _rewrite_header(raw, _drop_last_param),
@@ -1052,6 +1062,8 @@ CORRUPTIONS = {
     "missing_config": lambda raw: _rewrite_header(raw, _drop_config),
     "unknown_config_field": lambda raw: _rewrite_header(raw, _config_field("bogus", 1)),
     "header_not_a_dict": lambda raw: _rewrite_header(raw, lambda h, b: ([h], b)),
+    "header_nested_1000": lambda raw: raw[:1] + struct.pack("<I", len(_NESTED)) + _NESTED,
+    "param_name_a_list": lambda raw: _rewrite_header(raw, _name_first_param([1])),
     "cta_layers_not_iterable": lambda raw: _rewrite_header(raw, _config_field("cta_layers", 1)),
     **{f"cta_layers_{k}": lambda raw, v=v: _rewrite_header(raw, _config_field("cta_layers", v[:1]))
        for k, v in BAD_CTA_LAYERS.items()},
