@@ -1,10 +1,10 @@
 """Tiny ViT building blocks: patch embedding, multi-head self-attention, MLP.
 
 Tokens are kept per head throughout: a width-``d`` feature row is really
-``H`` heads of ``head_dim`` values side by side, and layer norm is applied
-to each head token separately.  That per-head discipline is what lets the
-same blocks be stitched across task experts later without re-normalizing
-foreign widths.
+``H`` heads of ``head_dim`` values side by side, and ``T.layer_norm``
+splits it into those tokens and normalises each apart.  That discipline is
+what lets the same blocks be stitched across task experts later without
+re-normalizing foreign widths.
 
 Every expert reads the same image: ``extract_patches`` flattens it once and
 each expert's ``patch_embed`` projects those patches.  ``mhsa_block`` is one
@@ -117,12 +117,6 @@ def init_self_attention(rng: np.random.Generator, heads: int, head_dim: int) -> 
     )
 
 
-def per_head_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, head_dim: int) -> Tensor:
-    """Layer norm applied to each head token of (..., P, D*H) rows."""
-    toks = T.reshape(x, (*x.shape[:-1], x.shape[-1] // head_dim, head_dim))
-    return T.reshape(T.layer_norm(toks, gain, bias), x.shape)
-
-
 @dataclass
 class TiedAttentionParams:
     """One q/k/v projection shared by every head of every task.
@@ -155,15 +149,10 @@ def tied_head_projections(r: Tensor, params: TiedAttentionParams, head_dim: int)
     """q/k/v of every head through the shared matrices: each (..., H, P, D)."""
     *lead, p, width = r.shape
     heads = width // head_dim
-    toks = T.reshape(r, (*lead, p, heads, head_dim))
-    x = T.layer_norm(toks, params.ln_gain, params.ln_bias)
-    flat = T.reshape(x, (*lead, p * heads, head_dim))
-    out = []
-    for w, b in ((params.wq, params.bq), (params.wk, params.bk),
-                 (params.wv, params.bv)):
-        y = T.reshape(T.matmul(flat, w, b), (*lead, p, heads, head_dim))
-        out.append(T.swap_axes(y, -3, -2))
-    return tuple(out)
+    flat = T.reshape(T.layer_norm(r, params.ln_gain, params.ln_bias), (*lead, p * heads, head_dim))
+    return tuple(T.swap_axes(T.reshape(T.matmul(flat, w, b), (*lead, p, heads, head_dim)), -3, -2)
+                 for w, b in ((params.wq, params.bq), (params.wk, params.bk),
+                              (params.wv, params.bv)))
 
 
 def mhsa_block(r: Tensor, params: SelfAttentionParams, head_dim: int):
@@ -199,7 +188,7 @@ def init_mlp_stage(rng: np.random.Generator, din_head: int, din: int, dout: int)
     )
 
 
-def mlp_stage(x: Tensor, stage: MlpStageParams, head_dim: int) -> Tensor:
-    """One linear stage over per-head normalized tokens of width ``head_dim``."""
-    return T.matmul(per_head_layer_norm(x, stage.ln_gain, stage.ln_bias, head_dim),
-                    stage.w, stage.b)
+def mlp_stage(x: Tensor, stage: MlpStageParams) -> Tensor:
+    """One linear stage over the rows ``x``, each of whose head tokens is
+    layer-normalised on its own (the head width is the norm's)."""
+    return T.matmul(T.layer_norm(x, stage.ln_gain, stage.ln_bias), stage.w, stage.b)

@@ -29,7 +29,7 @@ from .tensor import Tensor
 
 
 class StreamError(ValueError):
-    """Task stream violates its invariants (class overlap, empty task)."""
+    """Task stream violates its invariants (overlap, empty task, class with no sample)."""
 
 
 @dataclass
@@ -46,7 +46,7 @@ class Task:
 
 
 class TaskStream:
-    """Ordered tasks over pairwise-disjoint class sets."""
+    """Ordered tasks over disjoint class sets; each class has training and eval samples."""
 
     def __init__(self, tasks: list[Task]):
         seen: set[int] = set()
@@ -56,6 +56,9 @@ class TaskStream:
                 raise StreamError(f"task {i} reuses classes {sorted(overlap)}")
             if not task.classes or not task.train:
                 raise StreamError(f"task {i} is empty")
+            for split, samples in (("training", task.train), ("eval", task.eval)):
+                if missing := sorted(set(task.classes) - {s.label for s in samples}):
+                    raise StreamError(f"task {i} has no {split} sample of class {missing[0]}")
             seen.update(task.classes)
         self.tasks = tasks
 
@@ -397,15 +400,15 @@ class FrozenStore:
 
     All rows form one prefix (``freeze_outputs``) with a row axis, in two
     stages per expert: its body, an array for each list of
-    ``ForwardResult.reads``, then its token head, the token features and the
-    classifier slice.  Row i holds the first ``held[i]`` stages; holding the
-    newest body but not its token head, it holds that expert's final
-    features too, so a forward from it runs only the token head.  Forwards
-    keep the stages the model has frozen: both of every older expert, then
-    the newest expert's body and token head as each stops training.
-    ``prefetch`` fills rows ahead of their forwards.  Of the stream's last
-    expert only the features are kept.  Results are bit-identical to
-    uncached forwards.
+    ``ForwardResult.reads``, then its token head, its token feature alone
+    (a forward forms the classifier slice from it).  Row i holds the first
+    ``held[i]`` stages; holding the newest body but not its token head, it
+    holds that expert's final features too, so a forward from it runs only
+    the token head.  Forwards keep the stages the model has frozen: both of
+    every older expert, then the newest expert's body and token head as
+    each stops training.  ``prefetch`` fills rows ahead of their forwards.
+    Of the stream's last expert only the features are kept.  Results are
+    bit-identical to uncached forwards.
     """
 
     def __init__(self, model: E.CilModel, stream: TaskStream):
@@ -472,7 +475,7 @@ class FrozenStore:
             top = keep if keep % 2 and self._data.features else top - top % 2
             columns = self._data.columns()
             for c, (dst, src) in enumerate(zip(columns, kept.columns())):
-                b = c < len(columns) - 2    # a body column: entry j is stage 2j, else 2j + 1
+                b = c < len(columns) - 1    # a body column: entry j is stage 2j, else 2j + 1
                 for d, s in zip(dst[(held + b) // 2:(top + b) // 2], src[(held + b) // 2:]):
                     d.data[rows] = s.data
             if top % 2:

@@ -79,7 +79,7 @@ def _class_signature(label: int, n_colors: int, image_size: int):
     square = max(image_size // 3, 2)
     slot = label // n_colors
     span = max(image_size - square, 1)
-    # positions walk a diagonal-ish grid so every slot is distinct
+    # positions walk a diagonal-ish grid; slots s and s + span share one
     row = (slot * 5) % span
     col = (slot * 3 + 2) % span
     return color, square, row, col
@@ -126,13 +126,20 @@ def synth_stream(classes: int, per_class: int, image_size: int, seed: int, *,
                  first_task: int, step_size: int, eval_per_class: int,
                  noise: float) -> TaskStream:
     """Seeded class-conditional stream split into disjoint-class tasks by
-    ``split_classes``; identical seeds produce byte-identical datasets."""
+    ``split_classes``; identical seeds produce byte-identical datasets.  Two
+    classes with the same colour and square position are a ``ConfigError``."""
     for name, count in (("per_class", per_class), ("eval_per_class", eval_per_class)):
         if count < 2:
             raise ConfigError(f"{name} must be >= 2, got {count}")
     split = split_classes(classes, first_task, step_size)
-    rng = np.random.default_rng(seed)
     n_colors = min(len(split[0]), len(_PALETTE))
+    first: dict[tuple, int] = {}
+    for label in range(classes):
+        key = (label % n_colors, *_class_signature(label, n_colors, image_size)[2:])
+        if (twin := first.setdefault(key, label)) != label:
+            raise ConfigError(f"classes {twin} and {label} share colour and position in "
+                              f"{image_size} px images")
+    rng = np.random.default_rng(seed)
     tasks: list[Task] = []
     for ids in split:
         train = make_synthetic_samples(ids, per_class, image_size, rng,

@@ -22,12 +22,13 @@ all tasks to produce the residual update (head width gamma*D on the way up,
 D on the way down).  The TAB is the expert's feature-mixing block, so every
 wiring mixes through ``tab_forward``: a stage that is not a task attention
 is a plain MLP stage.  A TA stage's layer norm is split in two: each
-expert's head tokens are normalised once, in that expert's own stage, and
-every later expert reads that tensor.  The rest of the stage is one graph
-node, ``T.task_attention``: it joins the experts' tokens into one pool
-array and applies the gain and bias to it in place, so the graph keeps no
-unmapped copy, attends and reads out, and its backward builds input
-gradients only for the tokens that train.
+expert's rows are split into head tokens and normalised once
+(``T.normalize``), in that expert's own stage, and every later expert reads
+that tensor.  The rest of the stage is one graph node, ``T.task_attention``:
+it joins the experts' tokens into one pool array and applies the gain and
+bias to it in place, so the graph keeps no unmapped copy, attends and reads
+out, and its backward builds input gradients only for the tokens that
+train.
 
 The wiring is a field of ``ModelConfig``: ``add_expert`` builds each
 expert's blocks for it, and ``forward`` runs the model in it.  The share
@@ -43,11 +44,11 @@ parameters picks (``cross_task_mhsa``), then its mixing block
 record of what the cross-task stages read, ``ForwardResult.reads``: a
 stage that reads older experts appends this expert's entry there (its
 normalised TA input, or its sta keys and values) and reads experts 0..t.
-Old experts never change, so ``freeze_outputs`` cuts that record, the
-token features and the classifier slices at expert n, or gathers a batch
-from a store of such cuts; a forward given that prefix runs only the
-experts from n on and neither normalises a frozen token nor computes its
-gradient.
+Old experts never change, so ``freeze_outputs`` cuts that record and the
+token features at expert n, or gathers a batch from a store of such cuts;
+a forward given that prefix runs only the experts from n on and neither
+normalises a frozen token nor computes its gradient.  The classifier
+slices are always formed from the token features.
 
 No operation couples two images, so ``forward`` takes one (C, h, w) image
 or a (B, C, h, w) batch through the same code; every activation then
@@ -417,7 +418,6 @@ class ForwardResult:
     reads: list[dict[str, list[Tensor]]]  # [layers] key -> per task
     features: list[Tensor | None]         # per task (P, D*H_t); None if from the prefix
     token_feats: list[Tensor]             # per task (1, D*H_t)
-    logit_parts: list[Tensor]             # per task (1, |Y_t|) classifier slices
     logits: Tensor | None                 # (total classes,); None in a prefix
     aux_logits: Tensor | None             # (|Y_t| + 1,); None in a prefix
     spatial_attn: list[list[np.ndarray]] | None = None
@@ -430,10 +430,8 @@ class ForwardResult:
 
     def columns(self) -> list[list[Tensor]]:
         """The per-expert lists of a prefix but its final features: each
-        layer's reads in stage order, then token features and classifier
-        slices."""
-        return [*(items for layer in self.reads for items in layer.values()),
-                self.token_feats, self.logit_parts]
+        layer's reads in stage order, then the token features."""
+        return [*(items for layer in self.reads for items in layer.values()), self.token_feats]
 
 
 def freeze_outputs(res: ForwardResult, n: int, *, features: bool = False,
@@ -444,7 +442,7 @@ def freeze_outputs(res: ForwardResult, n: int, *, features: bool = False,
 
     Old experts are frozen and read only older ones, so while a newer
     expert trains these are fixed functions of the image: every list of
-    ``reads`` cut at n, token features and classifier slices.  With
+    ``reads`` and the token features, cut at n.  With
     ``features`` the final block outputs of experts n.. are kept too: a
     forward from the prefix then runs only their token heads.
     """
@@ -454,34 +452,10 @@ def freeze_outputs(res: ForwardResult, n: int, *, features: bool = False,
     return ForwardResult(
         reads=[{key: take(items[:n]) for key, items in layer.items()} for layer in res.reads],
         features=[None] * n + take(res.features[n:]) if features else [],
-        token_feats=take(res.token_feats[:n]), logit_parts=take(res.logit_parts[:n]),
-        logits=None, aux_logits=None)
+        token_feats=take(res.token_feats[:n]), logits=None, aux_logits=None)
 
 
 # ----------------------------------------------------------------- task attention
-
-def task_attention(parts: list[Tensor], n_query: int, stage: TaStageParams):
-    """Attend the last ``n_query`` head tokens over the pool of ``parts``
-    with the stage's parameters, as one graph node (``T.task_attention``).
-
-    ``parts`` holds the head tokens of each visible expert, the newest
-    last, each (P, H_i, din) with a leading batch axis if batched and
-    already normalised by ``T.normalize``.  Joined into (P, H_pool, din),
-    they take the stage's layer-norm gain and bias once, so those
-    gradients are one reduction over the pool.  Queries come from the
-    newest task's heads only; keys span every head; each source head has
-    its own value matrix.  Returns (P, n_query, dout) outputs scaled by the
-    per-head lambdas and the (P, n_query, H_pool) attention weights as an
-    array.
-    """
-    return T.task_attention(parts, n_query, stage.ln_gain, stage.ln_bias, stage.wq, stage.wk,
-                            stage.wv, stage.lam)
-
-
-def _heads(x: Tensor, head_dim: int) -> Tensor:
-    """(P, D*H) features as (P, H, D) head tokens."""
-    return T.reshape(x, (*x.shape[:-1], x.shape[-1] // head_dim, head_dim))
-
 
 def _read(reads: dict[str, list[Tensor]], key: str, task: int, own: Tensor) -> list[Tensor]:
     """Append expert ``task``'s entry ``own`` to the layer's ``reads[key]``,
@@ -516,21 +490,20 @@ def tab_forward(s_t: Tensor, reads: dict[str, list[Tensor]], model: CilModel,
     blk = model.experts[task].blocks[layer]
     rows = s_t.shape[:-1]
 
-    if isinstance(blk.fc1, TaStageParams):
-        s_in = _read(reads, "s", task, T.normalize(_heads(s_t, d)))
-        raw1, a1 = task_attention(s_in, h_t, blk.fc1)
-        o3 = T.gelu(raw1)                                   # (P, H_t, gamma*D)
-        o_t = T.reshape(o3, (*rows, cfg.gamma * d * h_t))
+    if isinstance(st := blk.fc1, TaStageParams):
+        s_in = _read(reads, "s", task, T.normalize(s_t, d))
+        raw1, a1 = T.task_attention(s_in, h_t, st.ln_gain, st.ln_bias, st.wq, st.wk, st.wv, st.lam)
+        o_t = T.reshape(T.gelu(raw1), (*rows, cfg.gamma * d * h_t))     # from (P, H_t, gamma*D)
     else:
-        o_t = T.gelu(B.mlp_stage(s_t, blk.fc1, d))
+        o_t = T.gelu(B.mlp_stage(s_t, blk.fc1))
         a1 = None
 
-    if isinstance(blk.fc2, TaStageParams):
-        o_in = _read(reads, "o", task, T.normalize(_heads(o_t, cfg.gamma * d)))
-        raw2, a2 = task_attention(o_in, h_t, blk.fc2)
+    if isinstance(st := blk.fc2, TaStageParams):
+        o_in = _read(reads, "o", task, T.normalize(o_t, cfg.gamma * d))
+        raw2, a2 = T.task_attention(o_in, h_t, st.ln_gain, st.ln_bias, st.wq, st.wk, st.wv, st.lam)
         r_t = T.add(s_t, T.reshape(raw2, (*rows, d * h_t)))
     else:
-        r_t = T.add(s_t, B.mlp_stage(o_t, blk.fc2, cfg.gamma * d))
+        r_t = T.add(s_t, B.mlp_stage(o_t, blk.fc2))
         a2 = None
 
     return r_t, (a1, a2)
@@ -550,11 +523,12 @@ def _cta_mhsa_task(model: CilModel, layer: int, task: int, r: Tensor,
     d = model.cfg.head_dim
     ex = model.experts[task]
     attn = ex.blocks[layer].attn
-    own = _heads(r, d)
-    normed = [T.normalize(own) for _ in range(3)]
+    shared = T.reshape(r, r.shape)      # one node sums the three norms' gradients for r
+    normed = [T.normalize(shared, d) for _ in range(3)]
     prior = _read(reads, "a", task, normed[0])[:task]
-    q, k, v = (T.swap_axes(task_attention(prior + [x], ex.heads, stage)[0], -3, -2)  # (H_t, P, D)
-               for x, stage in zip(normed, (attn.ta_q, attn.ta_k, attn.ta_v)))
+    q, k, v = (T.swap_axes(T.task_attention(prior + [x], ex.heads, st.ln_gain, st.ln_bias, st.wq,
+                                            st.wk, st.wv, st.lam)[0], -3, -2)  # (H_t, P, D)
+               for x, st in zip(normed, (attn.ta_q, attn.ta_k, attn.ta_v)))
     return T.attention_readout(r, q, k, v, attn.fuse_w, attn.fuse_b, d)
 
 
@@ -631,8 +605,8 @@ def sta_attention_stage(model: CilModel, layer: int, task: int, r: Tensor,
     ks, vs = _read(reads, "k", task, k), _read(reads, "v", task, v)
     offset = sum(e.heads for e in model.experts[:task])
     m_heads = offset + ex.heads
-    k_flat = T.reshape(k if task == 0 else T.concat(ks, axis=-3), (*lead, m_heads * p, d))
-    v_flat = T.reshape(v if task == 0 else T.concat(vs, axis=-3), (*lead, m_heads * p, d))
+    k_flat = T.reshape(T.concat(ks, axis=-3), (*lead, m_heads * p, d))
+    v_flat = T.reshape(T.concat(vs, axis=-3), (*lead, m_heads * p, d))
     q_flat = T.reshape(q, (*lead, ex.heads * p, d))
     variant = model.cfg.sta_variant
     # "both" enables every (query, key) pair, so its softmax needs no mask
@@ -649,10 +623,11 @@ def task_token_head(model: CilModel, features: list[Tensor | None],
     Each task token attends over its own expert's final patch tokens
     through a per-task frozen-after-training block, one graph node
     (``T.attention_block`` with the token as queries and residual and the
-    features as keys and values); the per-task classifier slices are
+    features as keys and values).  Each expert's classifier slice is one
+    matmul of its token feature, in expert order; the slices are
     concatenated and the auxiliary head sees all token features.  It
-    returns the token features, classifier slices, logits and aux logits,
-    taking those of the prefix ``frozen``'s experts, if any, from it.  The
+    returns the token features, logits and aux logits, taking the token
+    features of the prefix ``frozen``'s experts, if any, from it.  The
     token queries do not depend on the image: one serves a whole batch.
     """
     if len(features) != model.task_count:
@@ -660,21 +635,17 @@ def task_token_head(model: CilModel, features: list[Tensor | None],
             f"token head got {len(features)} feature maps for {model.task_count} tasks")
     d = model.cfg.head_dim
     feats = list(frozen.token_feats) if frozen else []
-    logit_parts = list(frozen.logit_parts) if frozen else []
     for t in range(len(feats), model.task_count):
-        ex = model.experts[t]
-        tp = ex.token_block
-        e2, _ = T.attention_block(ex.token, features[t], tp.ln_gain, tp.ln_bias, tp.wq, tp.wk,
-                                  tp.wv, tp.bq, tp.bk, tp.bv, tp.fuse_w, tp.fuse_b, d)
+        tp = model.experts[t].token_block
+        e2, _ = T.attention_block(model.experts[t].token, features[t], tp.ln_gain, tp.ln_bias,
+                                  tp.wq, tp.wk, tp.wv, tp.bq, tp.bk, tp.bv, tp.fuse_w, tp.fuse_b, d)
         feats.append(e2)
-        logit_parts.append(T.matmul(e2, ex.head_w, ex.head_b))
     lead = feats[-1].shape[:-2]
-    logits = T.reshape(logit_parts[0] if len(logit_parts) == 1
-                       else T.concat(logit_parts, axis=-1), (*lead, model.total_classes))
-    aux_in = feats[0] if len(feats) == 1 else T.concat(feats, axis=-1)
-    aux = T.reshape(T.matmul(aux_in, model.aux_w, model.aux_b),
+    slices = [T.matmul(f, ex.head_w, ex.head_b) for f, ex in zip(feats, model.experts)]
+    logits = T.reshape(T.concat(slices, axis=-1), (*lead, model.total_classes))
+    aux = T.reshape(T.matmul(T.concat(feats, axis=-1), model.aux_w, model.aux_b),
                     (*lead, model.experts[-1].n_classes + 1))
-    return feats, logit_parts, logits, aux
+    return feats, logits, aux
 
 
 # ----------------------------------------------------------------- drivers

@@ -92,9 +92,9 @@ def op_cases() -> dict:
         "swap_axes": lambda r: ([_r(r, 2, 3, 4)], lambda t: T.swap_axes(t[0], 0, 1)),
         "concat": lambda r: ([_r(r, 2, 3), _r(r, 2, 2)], lambda t: T.concat(t, axis=1)),
         "sum": lambda r: ([_r(r, 3, 4)], lambda t: T.sum_all(t[0])),
-        "layer_norm": lambda r: ([_r(r, 4, 6), _r(r, 6), _r(r, 6)],
+        "layer_norm": lambda r: ([_r(r, 2, 4, 6), _r(r, 3), _r(r, 3)],    # 2 tokens a row
                                  lambda t: T.layer_norm(t[0], t[1], t[2])),
-        "normalize": lambda r: ([_r(r, 2, 3, 5)], lambda t: T.normalize(t[0])),
+        "normalize": lambda r: ([_r(r, 2, 3, 15)], lambda t: T.normalize(t[0], 5)),  # 3 a row
         "task_attention": lambda r: (    # a pool of 2 + 1 heads, the last one querying
             [_r(r, 2, 2, 3), _r(r, 2, 1, 3), _r(r, 3), _r(r, 3), _r(r, 3, 2), _r(r, 3, 2),
              _r(r, 2, 3, 4), _r(r, 1, 3, 4), _r(r, 1)],

@@ -3,17 +3,18 @@
 Only the primitives training runs are implemented: same-shape (and
 suffix-broadcast) elementwise arithmetic, one matmul (2-D or stacked, with
 an optional fused bias), axis plumbing (reshape / swap / concat), layer
-norm (whole, or its ``normalize`` half; both use the one epsilon
-``LN_EPS``), GELU (exact Gaussian CDF form) and a fused cross entropy.
+norm of each token of a row (whole, or its ``normalize`` half, which
+returns the tokens; both use the one epsilon ``LN_EPS``), GELU (exact
+Gaussian CDF form) and a fused cross entropy.
 Attention runs as single ops with hand-written backwards: a task-attention
 stage (``task_attention``), a multi-head attention block from per-head
 layer norm to residual (``attention_block``, for self attention and a task
 token's read-out) and a read-out of projected q/k/v
 (``attention_readout``); the last two share one kernel pair, ``_attend``,
-and all three one softmax pair, ``_softmax``/``_softmax_grad``.  The tests
-compose each of them from single ops and a test-local ``softmax_rows``
-over that pair (``tests/oracles.py``): the reference they equal bit for
-bit.
+and all three one softmax pair, ``_softmax``/``_softmax_grad``, whose
+forward half the cross entropy's backward runs too.  The tests compose
+each of them from single ops and a test-local ``softmax_rows`` over that
+pair (``tests/oracles.py``): the reference they equal bit for bit.
 Data is float64 throughout, and the package needs numpy only: the GELU's
 erf is Cephes' rational approximation evaluated in numpy, bit for bit the
 value ``scipy.special.erf`` returns.
@@ -395,9 +396,12 @@ def swap_axes(a: Tensor, ax0: int, ax1: int) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
+    """The tensors joined along ``axis``; one tensor is returned as it is."""
     tensors = list(tensors)
     if not tensors:
         raise ContractError("concat of zero tensors")
+    if len(tensors) == 1:
+        return tensors[0]
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
@@ -497,31 +501,41 @@ def _affine_out(op: str, xhat: np.ndarray, gain: Tensor, bias: Tensor,
     return out
 
 
-def normalize(x: Tensor) -> Tensor:
-    """Each last-axis vector at zero mean and unit population variance: a
-    layer norm without its learned affine map, which ``task_attention``
-    applies to a pool of such vectors."""
-    xhat, inv = _normalized(x.data)
+def _tokens(op: str, x: np.ndarray, width: int) -> np.ndarray:
+    """(..., W) rows as a (..., W/width, width) view of tokens."""
+    if width < 1 or x.ndim < 1 or x.shape[-1] % width:
+        raise ShapeError(f"{op}: rows {x.shape} do not split into tokens of width {width}")
+    return x.reshape(*x.shape[:-1], x.shape[-1] // width, width)
+
+
+def normalize(x: Tensor, width: int) -> Tensor:
+    """Each ``width``-wide token of the (..., W) rows ``x`` at zero mean and
+    unit population variance, as (..., W/width, width) tokens: a layer norm
+    without its learned affine map, which ``task_attention`` applies to a
+    pool of such tokens."""
+    xhat, inv = _normalized(_tokens("normalize", x.data, width))
 
     def bwd(g):
-        return (_normalized_grad(g.copy(), xhat, inv),)
+        return (_normalized_grad(g.copy(), xhat, inv).reshape(x.shape),)
 
     return _make(xhat, (x,), "normalize", bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """``normalize(x) * gain + bias`` as one op: the same kernels, without
-    keeping the normalised input as a tensor of its own."""
-    xhat, inv = _normalized(x.data)
+    """``normalize(x, len(gain)) * gain + bias`` in rows of ``x``'s shape, as
+    one op: the same kernels, without keeping the normalised tokens as a
+    tensor of their own."""
+    xhat, inv = _normalized(_tokens("layer_norm", x.data, gain.data.size))
     out = _affine_out("layer_norm", xhat, gain, bias)
 
     def bwd(g):
+        g = g.reshape(xhat.shape)
         dgain, dbias = _affine_grads(g, xhat, gain, bias)
         if not x.requires_grad:
             return None, dgain, dbias
-        return _normalized_grad(g * gain.data, xhat, inv), dgain, dbias
+        return _normalized_grad(g * gain.data, xhat, inv).reshape(x.shape), dgain, dbias
 
-    return _make(out, (x, gain, bias), "layer_norm", bwd)
+    return _make(out.reshape(x.shape), (x, gain, bias), "layer_norm", bwd)
 
 
 def _value_grad(y: np.ndarray, gp: np.ndarray) -> np.ndarray:
@@ -836,13 +850,11 @@ def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
         raise ContractError(f"labels {labels.tolist()} outside logit range {n}")
     idx = labels[..., None]
     m = x.max(axis=-1, keepdims=True)
-    shifted = x - m
-    lse = m + np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    lse = m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
     out = (lse - np.take_along_axis(x, idx, axis=-1))[..., 0]
 
     def bwd(g):
-        soft = np.exp(shifted)
-        soft = soft / soft.sum(axis=-1, keepdims=True)
+        soft = _softmax(x, 1.0, None, "cross_entropy")
         np.put_along_axis(soft, idx, np.take_along_axis(soft, idx, axis=-1) - 1.0, axis=-1)
         return (g[..., None] * soft,)
 

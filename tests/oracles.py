@@ -1,5 +1,6 @@
 """Reference code only tests use: the plain-ViT MLP and transformer blocks
-that the model's per-stage wiring must reproduce, a row softmax op over the
+that the model's per-stage wiring must reproduce (the MLP's per-head norms
+composed of reshapes around ``T.layer_norm``), a row softmax op over the
 package's softmax kernels, a slice op, the attention block and read-out
 composed of single ops and that softmax, which the fused
 ``T.attention_block`` and ``T.attention_readout`` equal bit for bit (the
@@ -86,14 +87,26 @@ def init_mlp(rng: np.random.Generator, heads: int, head_dim: int, gamma: int) ->
     )
 
 
-def mlp_block(s: Tensor, params: MlpParams, head_dim: int, gamma: int):
+def per_token_layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """``T.layer_norm`` of (..., P, D*H) rows composed of single ops: the
+    rows reshaped to one ``len(gain)``-wide token per row, normalised and
+    reshaped back."""
+    d = gain.shape[-1]
+    toks = T.reshape(x, (*x.shape[:-1], x.shape[-1] // d, d))
+    return T.reshape(T.layer_norm(toks, gain, bias), x.shape)
+
+
+def mlp_block(s: Tensor, params: MlpParams):
     """Two-stage mixing with residual: r = s + fc2(ln(gelu(fc1(ln(s))))).
 
-    Norms run per head token (dim D before fc1, gamma*D before fc2).
-    Returns (r, o) with o the post-GELU intermediate.
+    Norms run per head token (dim D before fc1, gamma*D before fc2), each
+    composed by ``per_token_layer_norm``.  Returns (r, o) with o the
+    post-GELU intermediate.
     """
-    o = T.gelu(B.mlp_stage(s, params.fc1, head_dim))
-    return T.add(s, B.mlp_stage(o, params.fc2, gamma * head_dim)), o
+    fc1, fc2 = params.fc1, params.fc2
+    o = T.gelu(T.matmul(per_token_layer_norm(s, fc1.ln_gain, fc1.ln_bias), fc1.w, fc1.b))
+    return T.add(s, T.matmul(per_token_layer_norm(o, fc2.ln_gain, fc2.ln_bias),
+                             fc2.w, fc2.b)), o
 
 
 def head_major(r: Tensor, params: B.SelfAttentionParams, head_dim: int) -> Tensor:
@@ -153,9 +166,9 @@ def init_transformer_block(rng: np.random.Generator, heads: int, head_dim: int,
     )
 
 
-def transformer_block(r: Tensor, params: TransformerBlockParams, head_dim: int, gamma: int):
+def transformer_block(r: Tensor, params: TransformerBlockParams, head_dim: int):
     s, attn = B.mhsa_block(r, params.attn, head_dim)
-    out, _ = mlp_block(s, params.mlp, head_dim, gamma)
+    out, _ = mlp_block(s, params.mlp)
     return out, attn
 
 

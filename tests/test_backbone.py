@@ -226,7 +226,7 @@ def test_mlp_zero_weights_identity():
         st.w.data[...] = 0.0
         st.b.data[...] = 0.0
     s = rng.normal(size=(5, 8))
-    got, _ = O.mlp_block(T.Tensor(s), p, 4, 4)
+    got, _ = O.mlp_block(T.Tensor(s), p)
     np.testing.assert_array_equal(got.data, s)
 
 
@@ -234,7 +234,7 @@ def test_mlp_hidden_width_expansion():
     rng = np.random.default_rng(9)
     p = O.init_mlp(rng, heads=1, head_dim=32, gamma=4)
     assert p.fc1.w.shape == (32, 128)
-    _, o = O.mlp_block(T.Tensor(rng.normal(size=(3, 32))), p, 32, 4)
+    _, o = O.mlp_block(T.Tensor(rng.normal(size=(3, 32))), p)
     assert o.shape == (3, 128)
 
 
@@ -242,12 +242,12 @@ def test_mlp_matches_straight_line_oracle():
     rng = np.random.default_rng(10)
     p = O.init_mlp(rng, heads=2, head_dim=4, gamma=3)
     s = rng.normal(size=(6, 8))
-    got, _ = O.mlp_block(T.Tensor(s), p, 4, 3)
+    got, _ = O.mlp_block(T.Tensor(s), p)
     assert np.abs(got.data - mlp_oracle(s, p, 4, 3)).max() < TOL.block
 
 
 def test_blocks_preserve_token_count():
     rng = np.random.default_rng(11)
     blk = O.init_transformer_block(rng, heads=2, head_dim=4, gamma=2)
-    out, _ = O.transformer_block(T.Tensor(rng.normal(size=(9, 8))), blk, 4, 2)
+    out, _ = O.transformer_block(T.Tensor(rng.normal(size=(9, 8))), blk, 4)
     assert out.shape == (9, 8)

@@ -39,6 +39,17 @@ def test_stream_rejects_empty_task():
         C.TaskStream([C.Task((0,), [], [])])
 
 
+@pytest.mark.parametrize("split", ["training", "eval"])
+def test_stream_rejects_a_class_with_no_sample_in_a_split(split):
+    task = _task([4, 5])
+    field = "train" if split == "training" else "eval"
+    setattr(task, field, [s for s in getattr(task, field) if s.label != 5])
+    with pytest.raises(C.StreamError, match=f"^task 1 has no {split} sample of class 5$"):
+        C.TaskStream([_task([0, 1]), task])
+    with pytest.raises(C.StreamError, match="^task 0 is empty$"):     # checked first
+        C.TaskStream([C.Task((0, 1), [], [])])
+
+
 # ------------------------------------------------------------ auxiliary label
 
 def test_auxiliary_label_old_class_is_outlier():
@@ -726,7 +737,9 @@ def test_last_task_eval_samples_have_no_row_and_no_row_reaches_the_last_expert(
                                + sum(len(task.eval) for task in tasks[:-1]))
     assert log["evals"][-1] == [2, 2, 0]
     assert store.held.max() == 2 * (model.task_count - 1)
-    assert [p.shape[-1] for p in store._data.logit_parts] == model.classes_per_task[:-1]
+    assert store._data.logits is None
+    assert [f.shape[-1] for f in store._data.token_feats] == [
+        model.cfg.head_dim * h for h in model.heads_per_task[:-1]]
 
 
 @pytest.mark.parametrize("strategy", ["dne", "sta", "ia"])
@@ -918,10 +931,14 @@ def test_prefix_holds_normalised_ta_inputs_at_the_raw_byte_count():
         raw_bytes = 0
         for l, blk in enumerate(model.experts[0].blocks):
             s_raw = post_mhsa[l][0]
-            s_in = T.normalize(T.reshape(s_raw, (*s_raw.shape[:-1], h0, d)))
-            o_raw = T.gelu(E.task_attention([s_in], h0, blk.fc1)[0])   # (B, P, H_0, gamma*D)
+            s_in = T.normalize(s_raw, d)
+            st = blk.fc1
+            o_raw = T.gelu(T.task_attention([s_in], h0, st.ln_gain, st.ln_bias, st.wq, st.wk,
+                                            st.wv, st.lam)[0])          # (B, P, H_0, gamma*D)
+            o_rows = T.reshape(o_raw, (*o_raw.shape[:-2], h0 * cfg.gamma * d))
             np.testing.assert_array_equal(prefix.reads[l]["s"][0].data, s_in.data)
-            np.testing.assert_array_equal(prefix.reads[l]["o"][0].data, T.normalize(o_raw).data)
+            np.testing.assert_array_equal(prefix.reads[l]["o"][0].data,
+                                          T.normalize(o_rows, cfg.gamma * d).data)
             raw_bytes += s_raw.data.nbytes + o_raw.data.nbytes
         store = C.FrozenStore(model, stream)
         _freeze_body(model)
@@ -929,7 +946,7 @@ def test_prefix_holds_normalised_ta_inputs_at_the_raw_byte_count():
     per_five = raw_bytes + res.token_feats[0].data.nbytes + res.features[1].data.nbytes
     count = len(store.held)         # 24 training and 6 eval rows, the held expert's 2 classes
     assert list(store.held[:5]) == [3] * 5
-    assert store.nbytes == count * per_five // 5 + count * 2 * 8
+    assert store.nbytes == count * per_five // 5
 
 
 def test_non_finite_task_attention_scores_raise_naming_task_and_phase():

@@ -141,6 +141,23 @@ def test_cifar_empty_file_has_no_records_and_an_empty_task(tmp_path):
         cli.build_stream(cfg)
 
 
+@pytest.mark.parametrize("split,name", [("training", "train.bin"), ("eval", "test.bin")])
+def test_cifar_class_missing_from_a_split_fails_before_training(tmp_path, capsys, split, name):
+    """A task whose class has no record in one file is a one-line error
+    naming the task and the class, raised before anything trains."""
+    labels = {"train.bin": [0, 1, 2, 3] * 3, "test.bin": [0, 1, 2, 3] * 2}
+    labels[name] = [c for c in labels[name] if c != 3]
+    for file, classes in labels.items():
+        _write_records(tmp_path / file, [(0, c) for c in classes])
+    rc = cli.main(["train", "--dataset", "cifar100", "--image-size", "32",
+                   "--cifar-train", str(tmp_path / "train.bin"),
+                   "--cifar-test", str(tmp_path / "test.bin"), "--classes", "4",
+                   "--first-task", "2", "--step-size", "2", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: task 1 has no {split} sample of class 3\n"
+    assert not (tmp_path / "run").exists()
+
+
 # ------------------------------------------------------------- synthetic
 
 def test_synth_task_split():
@@ -196,6 +213,29 @@ def test_synth_rejects_unsplittable():
     with pytest.raises(ConfigError):
         D.synth_stream(7, 4, 16, seed=0, first_task=4, step_size=2,
                        eval_per_class=10, noise=0.08)
+
+
+@pytest.mark.parametrize("classes,first_task,step_size,twin", [
+    pytest.param(96, 8, 8, (0, 88), id="8-colours"),
+    pytest.param(24, 2, 2, (0, 22), id="2-colours"),
+])
+def test_synth_rejects_classes_that_share_colour_and_position(classes, first_task, step_size,
+                                                               twin, monkeypatch):
+    """At 16 px the square positions repeat every 11 slots, so class 88
+    (8 colours) and class 22 (2 colours) would draw class 0 again; the
+    stream names both before it draws anything.  One class fewer per
+    colour still builds."""
+    first, second = twin
+    signature = D._class_signature(second, first_task, 16)
+    assert second % first_task == first
+    assert signature[2:] == D._class_signature(first, first_task, 16)[2:]
+    assert len(D.synth_stream(second, 2, 16, seed=0, first_task=first_task, step_size=step_size,
+                              eval_per_class=2, noise=0.08).class_order()) == second
+    monkeypatch.setattr(D, "make_synthetic_samples", None)     # nothing is drawn
+    with pytest.raises(ConfigError, match=f"^classes {first} and {second} share colour "
+                                          "and position in 16 px images$"):
+        D.synth_stream(classes, 2, 16, seed=0, first_task=first_task, step_size=step_size,
+                       eval_per_class=2, noise=0.08)
 
 
 def test_synth_values_in_unit_range():

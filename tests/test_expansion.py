@@ -168,8 +168,7 @@ def test_single_task_ia_equals_plain_backbone():
     r = B.patch_embed(T.Tensor(patches), m.experts[0].embed, m.pos, cfg.head_dim)
     for blk in m.experts[0].blocks:
         r, _ = O.transformer_block(
-            r, O.TransformerBlockParams(blk.attn, O.MlpParams(blk.fc1, blk.fc2)),
-            cfg.head_dim, cfg.gamma)
+            r, O.TransformerBlockParams(blk.attn, O.MlpParams(blk.fc1, blk.fc2)), cfg.head_dim)
     np.testing.assert_array_equal(res.features[0].data, r.data)
 
 
@@ -191,8 +190,7 @@ def test_mlp_layers_equal_plain_mlp_block(kw, mlp_layers, batched):
     for l in mlp_layers:
         for t, ex in enumerate(m.experts):
             blk = ex.blocks[l]
-            want, _ = O.mlp_block(layers.s[l][t], O.MlpParams(blk.fc1, blk.fc2),
-                                  cfg.head_dim, cfg.gamma)
+            want, _ = O.mlp_block(layers.s[l][t], O.MlpParams(blk.fc1, blk.fc2))
             np.testing.assert_array_equal(layers.r[l + 1][t].data, want.data)
 
 
@@ -379,8 +377,9 @@ def test_tab_attention_uniform_when_keys_identical():
     # all three head tokens identical -> uniform rows
     p = cfg.num_patches
     tokens = np.tile(np.random.default_rng(1).normal(size=(p, 1, cfg.head_dim)), (1, 3, 1))
-    parts = [T.normalize(T.Tensor(tokens[:, :2])), T.normalize(T.Tensor(tokens[:, 2:]))]
-    _, attn = E.task_attention(parts, 1, m.experts[1].blocks[0].fc1)
+    parts = [T.normalize(T.Tensor(tokens[:, h].reshape(p, -1)), cfg.head_dim)
+             for h in (slice(0, 2), slice(2, 3))]
+    _, attn = stage_attention(parts, 1, m.experts[1].blocks[0].fc1)
     np.testing.assert_allclose(attn, 1 / 3, atol=1e-12)
 
 
@@ -561,7 +560,7 @@ def _composed_stage(x, n_query, stage):
     q = T.reshape(T.matmul(T.reshape(qtok, (*lead, p * n_query, din)), stage.wq),
                   (*lead, p, n_query, attn_dim))
     attn = O.softmax_rows(T.matmul(q, T.swap_axes(k, -1, -2)), math.sqrt(attn_dim))
-    wv = stage.wv[0] if len(stage.wv) == 1 else T.concat(stage.wv, axis=0)
+    wv = T.concat(stage.wv, axis=0)
     v = T.swap_axes(T.matmul(T.swap_axes(x, -3, -2), wv), -3, -2)
     out = T.mul(T.matmul(attn, v), T.reshape(stage.lam, (1, n_query, 1)))
     return out, attn.data
@@ -574,12 +573,18 @@ def layer_norm_task_attention(tokens, n_query, stage):
     return _composed_stage(T.layer_norm(tokens, stage.ln_gain, stage.ln_bias), n_query, stage)
 
 
-def composed_task_attention(parts, n_query, stage):
-    """``E.task_attention`` composed of single ops on the normalised parts,
+def composed_task_attention(parts, n_query, gain, bias, wq, wk, wv, lam):
+    """``T.task_attention`` composed of single ops on the normalised parts,
     its layer-norm gain and bias as ``mul`` and ``add``: the oracle the
-    fused ``T.task_attention`` equals bit for bit."""
-    pool = parts[0] if len(parts) == 1 else T.concat(parts, axis=-2)
-    return _composed_stage(T.add(T.mul(pool, stage.ln_gain), stage.ln_bias), n_query, stage)
+    fused op equals bit for bit."""
+    stage = E.TaStageParams(gain, bias, wq, wk, list(wv), lam)
+    return _composed_stage(T.add(T.mul(T.concat(parts, axis=-2), gain), bias), n_query, stage)
+
+
+def stage_attention(parts, n_query, stage):
+    """``T.task_attention`` of ``parts`` with the TA stage's tensors."""
+    return T.task_attention(parts, n_query, stage.ln_gain, stage.ln_bias, stage.wq, stage.wk,
+                            stage.wv, stage.lam)
 
 
 @pytest.mark.parametrize("stage_name", ["fc1", "fc2"])
@@ -610,7 +615,8 @@ def test_task_attention_on_normalised_parts_equals_one_layer_norm_over_the_pool(
             if joined:
                 out, attn = layer_norm_task_attention(T.concat(toks, axis=-2), n_query, stage)
             else:
-                out, attn = E.task_attention([T.normalize(t) for t in toks], n_query, stage)
+                rows = [T.reshape(t, (*t.shape[:-2], t.shape[-2] * din)) for t in toks]
+                out, attn = stage_attention([T.normalize(r, din) for r in rows], n_query, stage)
             T.backward(T.sum_all(T.mul(out, T.Tensor(probe))))
             return [out.data, attn] + [t.grad for t in toks] + [p.grad for p in params]
 
@@ -647,11 +653,11 @@ def test_task_attention_rejects_mismatched_shapes():
     parts = [T.Tensor(np.zeros((4, 2, 4))), T.Tensor(np.zeros((4, 1, 4)))]
     for n_query in (0, 4):
         with pytest.raises(T.ShapeError):
-            E.task_attention(parts, n_query, stage)
+            stage_attention(parts, n_query, stage)
     with pytest.raises(T.ShapeError):
-        E.task_attention([T.Tensor(np.zeros((4, 3, 5)))], 1, stage)
+        stage_attention([T.Tensor(np.zeros((4, 3, 5)))], 1, stage)
     with pytest.raises(T.ShapeError):
-        E.task_attention(parts[1:], 1, stage)     # the pool has fewer heads than wv
+        stage_attention(parts[1:], 1, stage)     # the pool has fewer heads than wv
 
 
 @pytest.mark.parametrize("grown", ["parts", "wv"])
@@ -731,7 +737,7 @@ def test_fused_task_attention_writes_the_composed_ops_checkpoint(overrides, monk
     """A whole training run, bit for bit: SGD on the fused stage's gradients
     writes the checkpoint of SGD on the composed ops' gradients."""
     fused = _stream_checkpoint(overrides)
-    monkeypatch.setattr(E, "task_attention", composed_task_attention)
+    monkeypatch.setattr(T, "task_attention", composed_task_attention)
     assert _stream_checkpoint(overrides) == fused
 
 
@@ -775,15 +781,57 @@ def test_each_attention_block_and_readout_is_one_graph_node(strategy):
     assert ("layer_norm" in ops) == (strategy != "dne")     # and the MLP stages' norms
 
 
+LARGEST_STEP = {"dne": ({}, 36), "sta": ({"strategy": "sta"}, 64),
+                "ia": ({"strategy": "ia"}, 32), "dne_cta_mhsa": ({"cta_mhsa": True}, 56)}
+"""Each wiring's overrides and the non-leaf node count of its largest
+training step."""
+
+
+@pytest.mark.parametrize("wiring", sorted(LARGEST_STEP))
+def test_norms_split_rows_themselves_and_the_largest_step_keeps_its_nodes(wiring, monkeypatch):
+    """In every training graph of a run at the benchmark's train sizes (seed
+    3), no reshape splits rows into head tokens for a ``layer_norm`` or
+    ``normalize`` or joins a norm's tokens back into rows: a reshape that
+    feeds a norm adds no axis (``cta_in_mhsa``'s shape-keeping node in front
+    of its three norms, which sums their gradients before the residual's, or
+    the fc1 read-out's tokens joined into the rows fc2 reads), and one that
+    reads a norm removes none (sta's tied tokens stacked for their shared
+    projection).  A ``layer_norm`` returns rows of its input's shape.  The
+    largest step holds the pinned number of non-leaf nodes."""
+    overrides, nodes = LARGEST_STEP[wiring]
+    cfg = cli.RunConfig(classes=8, first_task=4, step_size=2, per_class=8, h1=4, k=1,
+                        epochs=2, tune_epochs=1, seed=3, **overrides)
+    norms, largest = ("layer_norm", "normalize"), []
+    backward = T.backward
+
+    def checked(root):
+        order = [n for n in T.topo_order(root) if n.op != "leaf"]
+        for node in order:
+            src = node.parents[0]
+            if node.op in norms and src.op == "reshape":
+                assert len(src.shape) <= len(src.parents[0].shape), src.parents[0].shape
+            if node.op == "reshape" and src.op in norms:
+                assert len(node.shape) >= len(src.shape), (src.shape, node.shape)
+            if node.op == "layer_norm":
+                assert node.shape == src.shape
+        largest.append(len(order))
+        return backward(root)
+
+    monkeypatch.setattr(T, "backward", checked)
+    C.run_stream(cfg.model_config(), cli.build_stream(cfg), cfg.train_config(), cfg.seed,
+                 buffer_capacity=cfg.buffer)
+    assert max(largest) == nodes
+
+
 def test_forward_normalises_each_experts_ta_inputs_once(monkeypatch):
     cfg = small_cfg()
     m = build_model(cfg, heads=(2, 1, 1, 1), classes=(2, 2, 2, 2))
     normalize = T.normalize
     calls = []
 
-    def counting(x, *args):
-        calls.append(x.shape[-1])
-        return normalize(x, *args)
+    def counting(x, width):
+        calls.append(width)
+        return normalize(x, width)
 
     monkeypatch.setattr(T, "normalize", counting)
     img = _image_batch(cfg, 60)
@@ -808,15 +856,15 @@ def test_cta_in_mhsa_prefix_keeps_normalised_block_inputs(monkeypatch):
     for l in range(cfg.layers):
         for t, kept in enumerate(prefix.reads[l]["a"]):
             raw = layers.r[l][t].data
-            want = T.normalize(T.Tensor(raw.reshape(*raw.shape[:-1], -1, cfg.head_dim)))
+            want = T.normalize(T.Tensor(raw), cfg.head_dim)
             np.testing.assert_array_equal(kept.data, want.data)
             assert kept.data.nbytes == raw.nbytes
     normalize = T.normalize
     constant = []
 
-    def counting(x, *args):
+    def counting(x, width):
         constant.append(not x.requires_grad)
-        return normalize(x, *args)
+        return normalize(x, width)
 
     monkeypatch.setattr(T, "normalize", counting)
     m.forward(img, frozen=prefix)
@@ -1225,7 +1273,7 @@ def _assert_gather_reproduces_permuted_forward(m, images, frozen):
 def _entries(res):
     """How many entries each list of ``res`` holds, by layer and key."""
     return ([{key: len(items) for key, items in layer.items()} for layer in res.reads],
-            len(res.token_feats), len(res.logit_parts))
+            len(res.token_feats))
 
 
 READ_WIRINGS = {**CACHE_WIRINGS, "dne_fc1_off": dict(strategy="dne", cta_in_fc1=False),
@@ -1246,9 +1294,9 @@ def test_reads_hold_what_the_cross_task_stages_read(wiring):
                                  ("s", tab and cfg.cta_in_fc1), ("o", tab and cfg.cta_in_fc2)]
              if on] for tab in tabs]
     assert [list(layer) for layer in res.reads] == want
-    assert _entries(res) == ([dict.fromkeys(keys, 3) for keys in want], 3, 3)
+    assert _entries(res) == ([dict.fromkeys(keys, 3) for keys in want], 3)
     prefix = E.freeze_outputs(res, 2)
-    assert _entries(prefix) == ([dict.fromkeys(keys, 2) for keys in want], 2, 2)
+    assert _entries(prefix) == ([dict.fromkeys(keys, 2) for keys in want], 2)
     assert prefix.logits is None and prefix.aux_logits is None and prefix.features == []
 
 

@@ -1,11 +1,15 @@
-"""Checkpoint digests of tiny runs in every wiring and variant.
+"""Checkpoint digests and per-step accuracies of tiny runs in every wiring
+and variant.
 
-A refactor that keeps the arithmetic must keep every checkpoint byte.
-Each case trains a 3-task synthetic stream (8 classes as 4 + 2 + 2) and
-compares the sha256 of its checkpoint with the digest recorded when the
-case was added, at a buffer that holds every sample (2000) and at one that
-binds (10).  The digests depend on numpy's floating-point kernels, so on
-another numpy version the test skips.
+A refactor that keeps the arithmetic must keep every checkpoint byte and
+every evaluation.  Each case trains a 3-task synthetic stream (8 classes as
+4 + 2 + 2) and compares the sha256 of its checkpoint with the digest
+recorded when the case was added, at a buffer that holds every sample
+(2000) and at one that binds (10).  It also compares the accuracy after
+each task with a recorded table: evaluation reads logits formed from the
+store's token features, which the digests do not cover.  Both depend on
+numpy's floating-point kernels, so on another numpy version the test
+skips.
 """
 
 import hashlib
@@ -60,13 +64,43 @@ DIGESTS = {
 }
 
 
-def _digest(settings: dict, buffer: int) -> str:
+ACCURACIES = {
+    ('dne', 2000): (25.0, 16.666666666666668, 12.5),
+    ('dne', 10): (25.0, 16.666666666666668, 12.5),
+    ('dne_cta_mhsa', 2000): (50.0, 16.666666666666668, 18.75),
+    ('dne_cta_mhsa', 10): (50.0, 16.666666666666668, 18.75),
+    ('dne_share_v_s', 2000): (25.0, 16.666666666666668, 12.5),
+    ('dne_share_v_s', 10): (25.0, 16.666666666666668, 12.5),
+    ('dne_share_qk_f', 2000): (25.0, 16.666666666666668, 12.5),
+    ('dne_share_qk_f', 10): (25.0, 16.666666666666668, 12.5),
+    ('dne_cta_layers_10', 2000): (37.5, 25.0, 12.5),
+    ('dne_cta_layers_10', 10): (37.5, 16.666666666666668, 12.5),
+    ('dne_fc1_off', 2000): (37.5, 41.666666666666664, 18.75),
+    ('dne_fc1_off', 10): (37.5, 41.666666666666664, 12.5),
+    ('dne_fc2_off', 2000): (50.0, 25.0, 37.5),
+    ('dne_fc2_off', 10): (62.5, 16.666666666666668, 12.5),
+    ('ia', 2000): (75.0, 50.0, 37.5),
+    ('ia', 10): (50.0, 16.666666666666668, 25.0),
+    ('sta_none', 2000): (25.0, 16.666666666666668, 12.5),
+    ('sta_none', 10): (25.0, 16.666666666666668, 12.5),
+    ('sta_spdh', 2000): (25.0, 16.666666666666668, 12.5),
+    ('sta_spdh', 10): (25.0, 16.666666666666668, 12.5),
+    ('sta_dpdh', 2000): (37.5, 25.0, 18.75),
+    ('sta_dpdh', 10): (25.0, 16.666666666666668, 18.75),
+    ('sta_both', 2000): (50.0, 33.333333333333336, 25.0),
+    ('sta_both', 10): (50.0, 16.666666666666668, 18.75),
+}
+"""Each case's accuracy after each task, recorded with the store that still
+kept the classifier slices."""
+
+
+def _run(settings: dict, buffer: int) -> tuple[str, tuple[float, ...]]:
     cfg = cli.RunConfig(classes=8, per_class=4, eval_per_class=2, epochs=1, tune_epochs=1,
                         buffer=buffer, seed=3, **settings)
     cfg.validate()
-    model, _ = C.run_stream(cfg.model_config(), cli.build_stream(cfg), cfg.train_config(),
-                            cfg.seed, buffer_capacity=cfg.buffer)
-    return hashlib.sha256(E.checkpoint_bytes(model)).hexdigest()
+    model, record = C.run_stream(cfg.model_config(), cli.build_stream(cfg), cfg.train_config(),
+                                 cfg.seed, buffer_capacity=cfg.buffer)
+    return hashlib.sha256(E.checkpoint_bytes(model)).hexdigest(), tuple(record.accuracies)
 
 
 @pytest.mark.parametrize("buffer", [2000, 10])
@@ -74,4 +108,6 @@ def _digest(settings: dict, buffer: int) -> str:
 def test_tiny_run_checkpoint_is_byte_identical(wiring, buffer):
     if np.__version__ != NUMPY:
         pytest.skip(f"digests recorded with numpy {NUMPY}, running {np.__version__}")
-    assert _digest(WIRINGS[wiring], buffer) == DIGESTS[wiring, buffer]
+    digest, accuracies = _run(WIRINGS[wiring], buffer)
+    assert digest == DIGESTS[wiring, buffer]
+    assert accuracies == ACCURACIES[wiring, buffer]

@@ -275,21 +275,44 @@ def test_layer_norm_constant_input_gets_the_same_affine_gradients():
     np.testing.assert_array_equal(grads[0][1], grads[1][1])
 
 
+def test_norms_split_rows_into_tokens_of_their_width():
+    """``normalize`` returns the rows' tokens and ``layer_norm`` rows of the
+    input's shape, each token normalised on its own; a row that does not
+    split into whole tokens is a ``ShapeError``."""
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(2, 3, 12))
+    toks = T.normalize(T.Tensor(x), 4).data
+    assert toks.shape == (2, 3, 3, 4)
+    for h in range(3):
+        alone = T.normalize(T.Tensor(x[..., 4 * h:4 * h + 4]), 4).data
+        np.testing.assert_array_equal(toks[..., h, :], alone[..., 0, :])
+    out = T.layer_norm(T.Tensor(x), T.Tensor(np.ones(4)), T.Tensor(np.zeros(4))).data
+    np.testing.assert_array_equal(out, toks.reshape(x.shape))
+    with pytest.raises(T.ShapeError, match="do not split into tokens of width 5"):
+        T.normalize(T.Tensor(x), 5)
+    with pytest.raises(T.ShapeError, match="do not split into tokens of width 5"):
+        T.layer_norm(T.Tensor(x), T.Tensor(np.ones(5)), T.Tensor(np.zeros(5)))
+    with pytest.raises(T.ShapeError):
+        T.normalize(T.Tensor(x), 0)
+
+
 @pytest.mark.parametrize("needs", [True, False], ids=["x_grad", "x_constant"])
 def test_normalize_then_affine_equals_layer_norm_bit_for_bit(needs):
-    """One kernel: ``normalize(x)`` times ``gain`` plus ``bias``, composed of
-    ``mul`` and ``add``, gives ``layer_norm(x)``'s output and its gain, bias
-    and input gradients, for a constant ``x`` too."""
+    """One kernel: ``normalize(x, d)`` times ``gain`` plus ``bias``, composed
+    of ``mul``, ``add`` and ``reshape``, gives ``layer_norm(x)``'s output and
+    its gain, bias and input gradients, for a constant ``x`` too, with one
+    token a row and with several."""
     rng = np.random.default_rng(13)
-    for shape in [(5, 7), (2, 16, 4, 16), (3, 5, 64)]:
+    for shape, d in [((5, 7), 7), ((5, 14), 7), ((2, 16, 4, 16), 16), ((2, 16, 64), 16),
+                     ((3, 5, 64), 64)]:
         x, g = rng.normal(size=shape), rng.normal(size=shape)
-        gain_data, bias_data = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        gain_data, bias_data = rng.normal(size=d), rng.normal(size=d)
         results = []
         for split in (True, False):
             xt = T.Tensor(x, requires_grad=needs)
             gain = T.Tensor(gain_data, requires_grad=True)
             bias = T.Tensor(bias_data, requires_grad=True)
-            out = (T.add(T.mul(T.normalize(xt), gain), bias) if split
+            out = (T.reshape(T.add(T.mul(T.normalize(xt, d), gain), bias), shape) if split
                    else T.layer_norm(xt, gain, bias))
             T.backward(T.sum_all(T.mul(out, T.Tensor(g))))
             results.append((out.data, gain.grad, bias.grad, xt.grad))
@@ -469,6 +492,22 @@ def test_finite_difference_gradients(name):
         arrays, build = OP_CASES[name](rng)
         err = check_grad(build, arrays, seed=point)
         assert err < TOL.fd_rel, f"{name} point {point}: rel err {err:.2e}"
+
+
+def test_cross_entropy_backward_runs_the_shared_softmax():
+    """The backward's softmax is ``_softmax``'s, bit for bit, and it rejects
+    non-finite logits the way every softmax does."""
+    rng = np.random.default_rng(12)
+    x = T.Tensor(rng.normal(size=(3, 6)) * 5.0, requires_grad=True)
+    T.backward(T.sum_all(T.cross_entropy_logits(x, [1, 0, 5])))
+    want = T._softmax(x.data, 1.0, None, "cross_entropy")
+    want[[0, 1, 2], [1, 0, 5]] -= 1.0
+    np.testing.assert_array_equal(x.grad, want)
+    bad = T.Tensor(np.array([[0.0, np.inf]]), requires_grad=True)
+    with np.errstate(invalid="ignore"):
+        loss = T.sum_all(T.cross_entropy_logits(bad, [0]))
+    with pytest.raises(T.NumericError, match="^cross_entropy: non-finite input$"):
+        T.backward(loss)
 
 
 def test_cross_entropy_rows_equal_single_vectors():
